@@ -13,6 +13,9 @@ using Addr = std::uint64_t;
 /// Simulation time measured in core clock cycles (1 GHz in the paper).
 using Cycle = std::uint64_t;
 
+/// "No timed event pending": later than any cycle a run reaches.
+inline constexpr Cycle kNever = ~Cycle{0};
+
 /// Identifier of a 4 KByte page (address >> 12). 20 significant bits.
 using PageId = std::uint32_t;
 

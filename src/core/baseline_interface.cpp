@@ -73,7 +73,10 @@ std::uint32_t BaselineInterface::loadPortsPerCycle() const {
   return cfg_.kind == InterfaceKind::kBase1LdSt ? 1 : 2;
 }
 
-void BaselineInterface::beginCycle(Cycle now) { now_ = now; }
+void BaselineInterface::beginCycle(Cycle now) {
+  now_ = now;
+  active_ = false;
+}
 
 bool BaselineInterface::canAcceptLoad() const {
   // Allow a small backlog (loads displaced by an MBE write); beyond that
@@ -94,17 +97,20 @@ bool BaselineInterface::submit(const MemOp& op) {
     sb_.insert(op.seq, op.vaddr, op.size);
     ++stats_.stores_submitted;
   }
+  active_ = true;
   return true;
 }
 
 void BaselineInterface::notifyStoreCommit(SeqNum seq) {
   sb_.markCommitted(seq);
+  active_ = true;
 }
 
 void BaselineInterface::drainStoreBuffer() {
   if (mb_.full() && pending_mbe_.has_value()) return;
   auto entry = sb_.popCommitted();
   if (!entry.has_value()) return;
+  active_ = true;
   if (mb_.absorb(entry->vaddr, entry->size)) return;
   if (mb_.full()) {
     pending_mbe_ = mb_.evictLru();
@@ -163,6 +169,7 @@ void BaselineInterface::serviceLoads(Cycle now) {
   std::uint32_t load_budget = loadPortsPerCycle();
   const bool write_now =
       pending_mbe_.has_value() && (pending_loads_.empty() || mb_.full());
+  if (write_now || !pending_loads_.empty()) active_ = true;
   if (write_now) {
     accessL1Write(pending_mbe_->line_base, now);
     pending_mbe_.reset();
@@ -203,13 +210,21 @@ void BaselineInterface::endCycle(Cycle now) {
 
 void BaselineInterface::drainCompletions(Cycle now,
                                          std::vector<SeqNum>& out) {
+  const std::size_t before = out.size();
   // lint:allow(hot-alloc: caller-owned completion vector retains its capacity across cycles)
   completions_.drainReady(now, [&out](SeqNum seq) { out.push_back(seq); });
+  if (out.size() != before) active_ = true;
 }
 
 bool BaselineInterface::quiesced() const {
   return pending_loads_.empty() && completions_.empty() && sb_.size() == 0 &&
          !pending_mbe_.has_value();
+}
+
+Cycle BaselineInterface::quietUntil() const {
+  // A quiet cycle had no load, MBE write or store drain to service, so
+  // only a load completion can change state again. No stall counters.
+  return active_ ? 0 : completions_.nextCycle();
 }
 
 void BaselineInterface::saveState(ckpt::StateWriter& w) const {

@@ -43,6 +43,8 @@ class BaselineInterface final : public MemInterface {
   void endCycle(Cycle now) override;
   void drainCompletions(Cycle now, std::vector<SeqNum>& out) override;
   [[nodiscard]] bool quiesced() const override;
+  [[nodiscard]] Cycle quietUntil() const override;
+  void replayQuietCycles(Cycle n) override { now_ += n; }
   [[nodiscard]] const InterfaceStats& stats() const override { return stats_; }
   void saveState(ckpt::StateWriter& w) const override;
   void loadState(ckpt::StateReader& r) override;
@@ -83,6 +85,9 @@ class BaselineInterface final : public MemInterface {
 
   InterfaceStats stats_;
   Cycle now_ = 0;
+  /// Set whenever this cycle changes state; reset by beginCycle (see
+  /// quietUntil()).
+  bool active_ = false;  // lint:no-state(per-cycle flag; beginCycle resets it)
 };
 
 }  // namespace malec::core

@@ -39,6 +39,22 @@ EventQueue::EventQueue() : legacy_(execQueueLegacy()) {
   if (!legacy_) buckets_.resize(kBuckets);
 }
 
+Cycle EventQueue::nextCycle() const {
+  if (size_ == 0) return kNever;
+  if (legacy_) return legacy_pq_.top().first;
+  // next_ bounds every pending cycle from below, so the first cycle at or
+  // past it whose bucket holds an event for exactly that cycle is the min.
+  // The drain cursor moves up to it: the next drain skips the empty
+  // buckets this scan already visited.
+  for (Cycle c = next_; c < next_ + kBuckets; ++c)
+    for (const Event& e : buckets_[c & (kBuckets - 1)])
+      if (e.cycle == c) return next_ = c;
+  Cycle earliest = kNever;
+  for (const std::vector<Event>& b : buckets_)
+    for (const Event& e : b) earliest = std::min(earliest, e.cycle);
+  return next_ = earliest;
+}
+
 void EventQueue::saveState(ckpt::StateWriter& w) const {
   if (legacy_) {
     ckpt::savePairQueue(w, legacy_pq_);

@@ -55,6 +55,15 @@ class EventQueue {
   [[nodiscard]] bool empty() const { return size_ == 0; }
   [[nodiscard]] std::size_t size() const { return size_; }
 
+  /// Cycle of the earliest pending event, or kNever when empty — the
+  /// wake-up time the run loop skips quiet cycles to. The calendar backend
+  /// scans at most kBuckets buckets forward from the drain cursor (a lower
+  /// bound on every pending cycle); only when every event lies a whole ring
+  /// revolution or more ahead does it fall back to one pass over all
+  /// pending events. Either way the cursor moves up to the answer, so the
+  /// next drainReady() starts there.
+  [[nodiscard]] Cycle nextCycle() const;
+
   /// Enqueue `seq` to pop once the clock reaches `cycle`. Must not be
   /// called from inside a drainReady() callback. Inline: this is the single
   /// hottest call in the run loop (one per completion event).
@@ -133,8 +142,8 @@ class EventQueue {
   bool legacy_;  // lint:no-state(backend choice, bound at construction)
   std::size_t size_ = 0;
   /// Next cycle the drain cursor will visit; a lower bound on every pending
-  /// event's cycle.
-  Cycle next_ = 0;  // lint:no-state(derived: recomputed as the min pending cycle in loadState)
+  /// event's cycle. nextCycle() may raise it to the exact minimum.
+  mutable Cycle next_ = 0;  // lint:no-state(derived: recomputed as the min pending cycle in loadState)
   std::vector<std::vector<Event>> buckets_;
   std::vector<Event> drain_scratch_;  // lint:no-state(per-drain scratch)
   std::priority_queue<std::pair<Cycle, SeqNum>,

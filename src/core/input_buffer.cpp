@@ -28,6 +28,15 @@ InputBuffer::InputBuffer(std::uint32_t carry_slots, std::uint32_t agu_slots,
       group_comparators_(group_comparators),
       layout_(layout) {
   MALEC_CHECK(agu_slots >= 1);
+  // remove() marks entries in a 64-bit mask; loads plus the MBE slot must
+  // fit in it.
+  const std::size_t capacity = std::size_t{carry_slots} + agu_slots + 1;
+  MALEC_CHECK_MSG(capacity <= 64, "InputBuffer capacity exceeds the removal mask");
+  ops_.reserve(capacity);
+  not_before_.reserve(capacity);
+  arrival_.reserve(capacity);
+  order_.reserve(capacity);
+  page_.reserve(capacity);
 }
 
 bool InputBuffer::hasLoadSpace() const {
@@ -126,27 +135,47 @@ void InputBuffer::defer(std::size_t index, Cycle until) {
   not_before_[index] = until;
 }
 
+Cycle InputBuffer::nextReadyCycle() const {
+  Cycle next = kNever;
+  for (const Cycle c : not_before_) next = std::min(next, c);
+  return next;
+}
+
 void InputBuffer::remove(const std::vector<std::size_t>& indices) {
-  std::vector<std::size_t> sorted = indices;
-  std::sort(sorted.begin(), sorted.end());
-  MALEC_DCHECK(std::adjacent_find(sorted.begin(), sorted.end()) ==
-               sorted.end());
-  // Erase descending so lower indices stay valid; relative order of the
-  // survivors is preserved (invariant 1 depends on it).
-  for (auto it = sorted.rbegin(); it != sorted.rend(); ++it) {
-    const std::size_t i = *it;
+  std::uint64_t doomed = 0;
+  for (const std::size_t i : indices) {
     MALEC_CHECK(i < ops_.size());
-    ops_.erase(ops_.begin() + static_cast<std::ptrdiff_t>(i));
-    not_before_.erase(not_before_.begin() + static_cast<std::ptrdiff_t>(i));
-    arrival_.erase(arrival_.begin() + static_cast<std::ptrdiff_t>(i));
-    order_.erase(order_.begin() + static_cast<std::ptrdiff_t>(i));
-    page_.erase(page_.begin() + static_cast<std::ptrdiff_t>(i));
-    if (i == mbe_pos_) {
+    MALEC_DCHECK(((doomed >> i) & 1) == 0);
+    doomed |= std::uint64_t{1} << i;
+  }
+  if (doomed == 0) return;
+  if (mbe_pos_ != kNoMbe) {
+    if (((doomed >> mbe_pos_) & 1) != 0) {
       mbe_pos_ = kNoMbe;
-    } else if (mbe_pos_ != kNoMbe && i < mbe_pos_) {
-      --mbe_pos_;
+    } else {
+      mbe_pos_ -= static_cast<std::size_t>(__builtin_popcountll(
+          doomed & ((std::uint64_t{1} << mbe_pos_) - 1)));
     }
   }
+  // One stable compaction pass over every column: survivors slide down in
+  // their relative order (invariant 1); entries below the first removal
+  // are already in place.
+  std::size_t keep = static_cast<std::size_t>(__builtin_ctzll(doomed));
+  for (std::size_t i = keep + 1; i < ops_.size(); ++i) {
+    if (((doomed >> i) & 1) != 0) continue;
+    ops_[keep] = ops_[i];
+    not_before_[keep] = not_before_[i];
+    arrival_[keep] = arrival_[i];
+    order_[keep] = order_[i];
+    page_[keep] = page_[i];
+    ++keep;
+  }
+  // Shrinking resizes: they never allocate.
+  ops_.resize(keep);
+  not_before_.resize(keep);
+  arrival_.resize(keep);
+  order_.resize(keep);
+  page_.resize(keep);
 }
 
 void InputBuffer::saveState(ckpt::StateWriter& w) const {

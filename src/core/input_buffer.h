@@ -36,6 +36,7 @@ namespace malec::core {
 
 class InputBuffer {
  public:
+  /// carry_slots + agu_slots + 1 (the MBE slot) must not exceed 64.
   InputBuffer(std::uint32_t carry_slots, std::uint32_t agu_slots,
               std::uint32_t group_comparators, AddressLayout layout);
 
@@ -63,7 +64,12 @@ class InputBuffer {
   /// Defer an entry (TLB access or page walk in flight).
   void defer(std::size_t index, Cycle until);
 
-  /// Remove serviced entries (indices into the buffer; any order).
+  /// Earliest cycle at which some entry is selectable (its not-before
+  /// cycle), or kNever when the buffer is empty.
+  [[nodiscard]] Cycle nextReadyCycle() const;
+
+  /// Remove serviced entries (distinct indices into the buffer; any order)
+  /// in one stable compaction pass.
   void remove(const std::vector<std::size_t>& indices);
 
   // --- per-entry accessors (index = position in age order) ---------------

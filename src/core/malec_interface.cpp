@@ -91,9 +91,11 @@ MalecInterface::MalecInterface(const InterfaceConfig& cfg,
 
 void MalecInterface::beginCycle(Cycle now) {
   now_ = now;
+  active_ = false;
   // A waiting MB eviction claims the Input Buffer's MBE slot as soon as it
   // frees up.
   if (pending_mbe_.has_value() && ib_.hasMbeSpace()) {
+    active_ = true;
     MemOp op;
     op.seq = 0;
     op.is_load = false;
@@ -121,10 +123,14 @@ bool MalecInterface::submit(const MemOp& op) {
     sb_.insert(op.seq, op.vaddr, op.size);
     ++stats_.stores_submitted;
   }
+  active_ = true;
   return true;
 }
 
-void MalecInterface::notifyStoreCommit(SeqNum seq) { sb_.markCommitted(seq); }
+void MalecInterface::notifyStoreCommit(SeqNum seq) {
+  sb_.markCommitted(seq);
+  active_ = true;
+}
 
 void MalecInterface::drainStoreBuffer(Cycle now) {
   (void)now;
@@ -133,6 +139,7 @@ void MalecInterface::drainStoreBuffer(Cycle now) {
   // Peek: only pop when we can place the store.
   auto entry = sb_.popCommitted();
   if (!entry.has_value()) return;
+  active_ = true;
   if (mb_.absorb(entry->vaddr, entry->size)) return;
   if (mb_.full()) {
     pending_mbe_ = mb_.evictLru();
@@ -266,6 +273,7 @@ void MalecInterface::complete(SeqNum seq, Cycle ready) {
 void MalecInterface::serviceGroup(Cycle now) {
   const auto head = ib_.selectHead(now);
   if (!head.has_value()) return;
+  active_ = true;
 
   const PageId vpage = ib_.pageOf(*head);
   const auto tr = engine_.translate(vpage);
@@ -372,6 +380,7 @@ void MalecInterface::endCycle(Cycle now) {
   // streaming phases where its updates cost energy without paying off.
   if (cfg_.adaptive_bypass && cfg_.waydet == WayDetKind::kWayTables &&
       window_accesses_ >= cfg_.bypass_window) {
+    active_ = true;
     const double miss_rate = static_cast<double>(window_misses_) /
                              static_cast<double>(window_accesses_);
     // While suspended no lookups happen; treat coverage as zero then (the
@@ -404,18 +413,38 @@ void MalecInterface::endCycle(Cycle now) {
   }
   drainStoreBuffer(now);
   serviceGroup(now);
-  if (!ib_.hasLoadSpace() || ib_.overCommitted(now + 1))
-    ++stats_.ib_stall_cycles;
+  if (ibStalled(now)) ++stats_.ib_stall_cycles;
+}
+
+bool MalecInterface::ibStalled(Cycle now) const {
+  return !ib_.hasLoadSpace() || ib_.overCommitted(now + 1);
 }
 
 void MalecInterface::drainCompletions(Cycle now, std::vector<SeqNum>& out) {
+  const std::size_t before = out.size();
   // lint:allow(hot-alloc: caller-owned completion vector retains its capacity across cycles)
   completions_.drainReady(now, [&out](SeqNum seq) { out.push_back(seq); });
+  if (out.size() != before) active_ = true;
 }
 
 bool MalecInterface::quiesced() const {
   return ib_.empty() && completions_.empty() && sb_.size() == 0 &&
          !pending_mbe_.has_value();
+}
+
+Cycle MalecInterface::quietUntil() const {
+  if (active_) return 0;
+  // Nothing was selectable, drained or popped this cycle, and the stall
+  // test reads only buffer occupancy and arrival cycles, none of which a
+  // quiet cycle changes. A load completion or a deferred Input Buffer
+  // entry turning ready is the next thing time alone can change.
+  return std::min(completions_.nextCycle(), ib_.nextReadyCycle());
+}
+
+void MalecInterface::replayQuietCycles(Cycle n) {
+  // The quiet cycle left the buffer as it was, so its stall test repeats.
+  if (ibStalled(now_)) stats_.ib_stall_cycles += n;
+  now_ += n;
 }
 
 void MalecInterface::saveState(ckpt::StateWriter& w) const {

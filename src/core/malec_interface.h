@@ -44,6 +44,8 @@ class MalecInterface final : public MemInterface {
   void endCycle(Cycle now) override;
   void drainCompletions(Cycle now, std::vector<SeqNum>& out) override;
   [[nodiscard]] bool quiesced() const override;
+  [[nodiscard]] Cycle quietUntil() const override;
+  void replayQuietCycles(Cycle n) override;
   [[nodiscard]] const InterfaceStats& stats() const override { return stats_; }
   void saveState(ckpt::StateWriter& w) const override;
   void loadState(ckpt::StateReader& r) override;
@@ -76,6 +78,8 @@ class MalecInterface final : public MemInterface {
   void accessL1Write(const MemOp& op, PageId vpage, Addr paddr,
                      std::uint32_t uwt_slot, Cycle now);
   void complete(SeqNum seq, Cycle ready);
+  /// The Input Buffer stall test endCycle(now) counts in ib_stall_cycles.
+  [[nodiscard]] bool ibStalled(Cycle now) const;
 
   /// Event handles resolved once at construction (hot path = integer ids):
   /// the shared L1 set plus MALEC's WDU events.
@@ -119,6 +123,9 @@ class MalecInterface final : public MemInterface {
 
   InterfaceStats stats_;
   Cycle now_ = 0;
+  /// Set whenever this cycle changes state beyond the stall counter; reset
+  /// by beginCycle (see quietUntil()).
+  bool active_ = false;  // lint:no-state(per-cycle flag; beginCycle resets it)
 
   // Run-time bypass monitor (adaptive_bypass extension, Sec. VI-D).
   std::uint64_t window_accesses_ = 0;

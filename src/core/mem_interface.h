@@ -134,6 +134,21 @@ class MemInterface {
   /// No in-flight work left (used to drain the pipeline at end of run).
   [[nodiscard]] virtual bool quiesced() const = 0;
 
+  /// Wake-driven run loop (docs/ARCHITECTURE.md, "The run-loop hot path").
+  /// Asked after endCycle(): if the cycle that just ended changed no
+  /// interface state except per-cycle stall counters, return the first
+  /// cycle at which a timed event (a load completion, a deferred entry
+  /// turning ready) can change state again — every cycle before it would
+  /// repeat the one that just ended. Return 0 when the cycle was not quiet.
+  /// The default is "never quiet", so a decorator or fake that does not
+  /// override this stays exact: the core simply steps every cycle.
+  [[nodiscard]] virtual Cycle quietUntil() const { return 0; }
+
+  /// Account `n` skipped cycles, each a replica of the quiet cycle that
+  /// just ended: advance the interface clock and add that cycle's stall
+  /// counts n times. Called only after quietUntil() reported quiet.
+  virtual void replayQuietCycles(Cycle n) { (void)n; }
+
   [[nodiscard]] virtual const InterfaceStats& stats() const = 0;
 
   /// Checkpoint/restore of ALL mutable interface state — input buffers,

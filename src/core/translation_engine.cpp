@@ -57,7 +57,7 @@ TranslationEngine::TranslationEngine(const Params& p,
     if (!p_.way_tables) return;
     const PageId vpage = utlb_.entry(slot).vpage;
     if (auto tlb_slot = tlb_.probeV(vpage); tlb_slot.has_value()) {
-      wt_.setEntryCodes(*tlb_slot, uwt_.entryCodes(slot));
+      wt_.copyEntryFrom(*tlb_slot, uwt_, slot);
       ea_.count(id_.wt_write);
     }
     uwt_.invalidateSlot(slot);
@@ -91,7 +91,7 @@ void TranslationEngine::installIntoUtlb(PageId vpage, PageId ppage,
     uwt_.invalidateSlot(uslot);
   } else {
     // Copy the WT entry alongside the translation (Fig. 3 note 1).
-    uwt_.setEntryCodes(uslot, wt_.entryCodes(tlb_slot));
+    uwt_.copyEntryFrom(uslot, wt_, tlb_slot);
     ea_.count(id_.wt_read);
     ea_.count(id_.uwt_write);
   }

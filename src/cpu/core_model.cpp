@@ -102,6 +102,7 @@ void CoreModel::doCommit() {
     ++head_seq_;
     ++stats_.instructions;
     ++committed;
+    active_ = true;
   }
 }
 
@@ -111,6 +112,7 @@ void CoreModel::doExecute() {
   while (issued < sys_.issue_width && !ready_exec_.empty()) {
     const SeqNum seq = ready_exec_.front();
     ready_exec_.pop_front();
+    active_ = true;
     if (!inRob(seq)) continue;
     exec_events_.push(now_ + 1, seq);
     ++issued;
@@ -137,6 +139,7 @@ void CoreModel::doAgu() {
     MALEC_CHECK(ok);
     e.agu_done = true;
     ready_loads_.pop_front();
+    active_ = true;
     if (load_units > 0) {
       --load_units;
     } else {
@@ -148,6 +151,7 @@ void CoreModel::doAgu() {
     const SeqNum seq = store_order_.front();
     if (!inRob(seq)) {
       store_order_.pop_front();
+      active_ = true;
       continue;
     }
     RobEntry& e = entry(seq);
@@ -163,6 +167,7 @@ void CoreModel::doAgu() {
     // Dependents of a store (rare register forwarding) wake at submit.
     markCompleted(seq);
     store_order_.pop_front();
+    active_ = true;
     if (store_units > 0) {
       --store_units;
     } else {
@@ -181,6 +186,7 @@ void CoreModel::doDispatch() {
       break;
     }
     trace::InstrRecord r;
+    active_ = true;  // a pull consumes the record or ends the trace
     if (!src_.next(r)) {
       trace_done_ = true;
       break;
@@ -217,15 +223,20 @@ CoreStats CoreModel::run(Cycle max_cycles, Cycle start_cycle) {
     now_ = start_cycle;
     run_base_ = start_cycle;
   }
+  const Cycle end = max_cycles == 0 ? kNever : run_base_ + max_cycles;
   while (true) {
+    active_ = false;
+    const StallCounts stalls = stallCounts();
     mem_.beginCycle(now_);
 
     // 1. Collect completions (loads from the interface, ALU events).
     completion_buf_.clear();
     mem_.drainCompletions(now_, completion_buf_);
+    if (!completion_buf_.empty()) active_ = true;
     for (SeqNum seq : completion_buf_)
       if (inRob(seq)) markCompleted(seq);
     exec_events_.drainReady(now_, [this](SeqNum seq) {
+      active_ = true;
       if (inRob(seq)) markCompleted(seq);
     });
 
@@ -240,6 +251,7 @@ CoreStats CoreModel::run(Cycle max_cycles, Cycle start_cycle) {
           !(staged_.isLoad() && lq_.full())) {
         dispatchRecord(staged_);
         has_staged_ = false;
+        active_ = true;
       } else {
         ++stats_.dispatch_stall_cycles;
       }
@@ -249,13 +261,16 @@ CoreStats CoreModel::run(Cycle max_cycles, Cycle start_cycle) {
     // 5. The interface performs this cycle's translation/arbitration/L1.
     mem_.endCycle(now_);
 
+    ++executed_cycles_;
     ++now_;
     if (trace_done_ && !has_staged_ && rob_size_ == 0 && mem_.quiesced())
       break;
-    if (max_cycles != 0 && now_ - run_base_ >= max_cycles) break;
+    if (!active_) skipQuietCycles(stalls, end);
+    if (now_ >= end) break;
     // Checkpoint AFTER the continue decision: the hook only fires at a
     // boundary the uninterrupted run also crosses into, so a resumed run
-    // re-enters the loop exactly like the original would have.
+    // re-enters the loop exactly like the original would have. (It never
+    // fires after a quiet cycle: only commits advance the count.)
     if (ckpt_every_ != 0 && stats_.instructions >= ckpt_next_) {
       while (ckpt_next_ <= stats_.instructions) ckpt_next_ += ckpt_every_;
       ckpt_cb_();
@@ -263,6 +278,26 @@ CoreStats CoreModel::run(Cycle max_cycles, Cycle start_cycle) {
   }
   stats_.cycles = now_ - run_base_;
   return stats_;
+}
+
+void CoreModel::skipQuietCycles(const StallCounts& before, Cycle end) {
+  // Nothing but stall counters changed, so every cycle up to the next
+  // timed event — an ALU result, a load completion, a deferred Input
+  // Buffer entry turning ready — would repeat the one that just ended.
+  const Cycle wake =
+      std::min({exec_events_.nextCycle(), mem_.quietUntil(), end});
+  // With no event pending and no cycle bound, nothing could ever change
+  // again: stepping would spin forever.
+  MALEC_CHECK_MSG(wake != kNever,
+                  "run loop deadlocked: quiet with no timed event pending");
+  if (wake <= now_) return;
+  const Cycle n = wake - now_;
+  stats_.dispatch_stall_cycles +=
+      n * (stats_.dispatch_stall_cycles - before.dispatch);
+  stats_.rob_full_cycles += n * (stats_.rob_full_cycles - before.rob_full);
+  stats_.agu_stall_events += n * (stats_.agu_stall_events - before.agu);
+  mem_.replayQuietCycles(n);
+  now_ = wake;
 }
 
 namespace {

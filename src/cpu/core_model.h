@@ -77,7 +77,20 @@ class CoreModel {
   /// keeps absolute-cycle state (miss ready times, port busy windows), and
   /// a clock jumping back to 0 would stall a fresh segment behind stale
   /// "busy until" timestamps. Reported cycles stay relative to the start.
+  ///
+  /// The loop is wake-driven: after a quiet cycle — one in which neither
+  /// the core nor the interface changed any state except per-cycle stall
+  /// counters — the clock jumps to the next timed event and the skipped
+  /// cycles' stall counts are added in one step. Results are identical to
+  /// stepping every cycle (docs/ARCHITECTURE.md, "The run-loop hot path").
   CoreStats run(Cycle max_cycles = 0, Cycle start_cycle = 0);
+
+  /// Cycles the loop actually stepped, over every run() call on this core
+  /// (skipped quiet cycles excluded) — a host-side work counter, not a
+  /// simulated statistic.
+  [[nodiscard]] std::uint64_t executedCycles() const {
+    return executed_cycles_;
+  }
 
   /// Invoke `cb` at the first end-of-cycle boundary at which at least
   /// `every` further instructions have retired (then re-arm `every`
@@ -122,6 +135,21 @@ class CoreModel {
   void doDispatch();
   void dispatchRecord(const trace::InstrRecord& r);
 
+  /// The counters a quiet cycle may still advance.
+  struct StallCounts {
+    std::uint64_t dispatch;
+    std::uint64_t rob_full;
+    std::uint64_t agu;
+  };
+  [[nodiscard]] StallCounts stallCounts() const {
+    return {stats_.dispatch_stall_cycles, stats_.rob_full_cycles,
+            stats_.agu_stall_events};
+  }
+  /// After a quiet cycle: jump the clock to the next timed event (capped
+  /// at `end`) and replay the stall counts that cycle added, `before`
+  /// being the counts at its start.
+  void skipQuietCycles(const StallCounts& before, Cycle end);
+
   core::SystemConfig sys_;  // lint:no-state(config; restore binds by fingerprint)
   core::InterfaceConfig ifc_cfg_;  // lint:no-state(config)
   trace::TraceSource& src_;  // lint:no-state(wiring ref; checkpoints itself)
@@ -163,6 +191,11 @@ class CoreModel {
   common::FixedRing<SeqNum> store_order_;  ///< stores in program order
   core::EventQueue exec_events_;           ///< (ready cycle, seq) wakeups
   std::vector<SeqNum> completion_buf_;  // lint:no-state(per-cycle scratch)
+
+  /// Set by every stage that changes state this cycle; a cycle that ends
+  /// with it clear is quiet.
+  bool active_ = false;  // lint:no-state(per-cycle flag; reset at the top of every cycle)
+  std::uint64_t executed_cycles_ = 0;  // lint:no-state(host-side work counter; not a simulated statistic)
 
   CoreStats stats_;
 };

@@ -50,13 +50,19 @@ bool StoreBuffer::coversLoad(Addr vaddr, std::uint8_t size,
   if (split_lookup) {
     // Shared page-ID segment evaluated once per candidate; the narrow
     // offset comparator only fires for entries on the matching page.
+    // Branch-free: every entry is evaluated and masked by its page match.
     const PageId page = layout_.pageId(vaddr);
     page_compares_ += seq_.size();
+    std::uint64_t offset_fires = 0;
+    unsigned hit = 0;
     for (std::size_t i = 0; i < seq_.size(); ++i) {
-      if (page_[i] != page) continue;
-      ++offset_compares_;
-      if (vaddr_[i] <= lo && vaddr_[i] + size8_[i] >= hi) covered = true;
+      const unsigned same_page = page_[i] == page ? 1u : 0u;
+      offset_fires += same_page;
+      hit |= same_page & (vaddr_[i] <= lo ? 1u : 0u) &
+             (vaddr_[i] + size8_[i] >= hi ? 1u : 0u);
     }
+    offset_compares_ += offset_fires;
+    covered = hit != 0;
   } else {
     full_compares_ += seq_.size();
     for (std::size_t i = 0; i < seq_.size(); ++i)

@@ -9,45 +9,52 @@
 
 namespace malec::mem {
 
+namespace {
+/// Initial pending-fill capacity; a burst past it grows the table once.
+constexpr std::size_t kPendingReserve = 64;
+}  // namespace
+
 MemoryHierarchy::MemoryHierarchy(L1Cache& l1, L2Cache& l2, const Params& p)
     : l1_(l1), l2_(l2), p_(p) {
   MALEC_CHECK(p.mshrs >= 1);
+  pending_.reserve(kPendingReserve);
 }
 
-void MemoryHierarchy::dropExpired(Cycle now) {
-  // lint:allow(udc-order: order-independent conditional erase, no output)
-  for (auto it = pending_.begin(); it != pending_.end();) {
-    if (it->second.first <= now) {
-      it = pending_.erase(it);
-    } else {
-      ++it;
-    }
+std::size_t MemoryHierarchy::dropExpiredAndFind(Cycle now, Addr line_base) {
+  std::size_t keep = 0;
+  std::size_t found = pending_.size();  // >= the compacted size: no match
+  for (const PendingFill& f : pending_) {
+    if (f.ready <= now) continue;
+    if (f.line_base == line_base) found = keep;
+    pending_[keep++] = f;
   }
+  // lint:allow(hot-alloc: shrinking resize — compacts in place, never grows)
+  pending_.resize(keep);
+  return found;
 }
 
 bool MemoryHierarchy::mshrAvailable(Cycle now) const {
   std::uint32_t live = 0;
-  // lint:allow(udc-order: order-independent count, no output)
-  for (const auto& [line, entry] : pending_)
-    if (entry.first > now) ++live;
+  for (const PendingFill& f : pending_)
+    if (f.ready > now) ++live;
   return live < p_.mshrs;
 }
 
 MemoryHierarchy::MissOutcome MemoryHierarchy::missAccess(Addr paddr,
                                                          Cycle now,
                                                          bool is_store) {
-  dropExpired(now);
   const Addr line_base = l1_.layout().lineBase(paddr);
 
   // MSHR merge: a miss to an in-flight line completes with it and performs
   // no additional fill or L2 traffic.
-  if (auto it = pending_.find(line_base); it != pending_.end()) {
+  if (const std::size_t i = dropExpiredAndFind(now, line_base);
+      i < pending_.size()) {
     ++mshr_merges_;
     MissOutcome out;
-    out.ready_cycle = it->second.first;
+    out.ready_cycle = pending_[i].ready;
     out.merged_mshr = true;
-    out.l1_way = it->second.second;
-    if (is_store) l1_.markDirty(paddr, it->second.second);
+    out.l1_way = pending_[i].way;
+    if (is_store) l1_.markDirty(paddr, pending_[i].way);
     return out;
   }
 
@@ -85,17 +92,19 @@ MemoryHierarchy::MissOutcome MemoryHierarchy::missAccess(Addr paddr,
 
   out.ready_cycle = now + latency;
   out.l1_way = fill.way;
-  pending_[line_base] = {out.ready_cycle, fill.way};
+  // lint:allow(hot-alloc: reserved at construction; a burst past that grows it once and the capacity is kept)
+  pending_.push_back(PendingFill{line_base, out.ready_cycle, fill.way});
   return out;
 }
 
 
 void MemoryHierarchy::saveState(ckpt::StateWriter& w) const {
-  // pending_ is an unordered map — serialize sorted by line base so the
-  // same state always produces the same checkpoint bytes.
-  std::vector<std::pair<Addr, std::pair<Cycle, WayIdx>>> pend(
-      // lint:allow(udc-order: sorted below before any byte is written)
-      pending_.begin(), pending_.end());
+  // pending_ is unordered — serialize sorted by line base so the same
+  // state always produces the same checkpoint bytes.
+  std::vector<std::pair<Addr, std::pair<Cycle, WayIdx>>> pend;
+  pend.reserve(pending_.size());
+  for (const PendingFill& f : pending_)
+    pend.push_back({f.line_base, {f.ready, f.way}});
   std::sort(pend.begin(), pend.end());
   w.u64(pend.size());
   for (const auto& [line, rdy] : pend) {
@@ -113,10 +122,11 @@ void MemoryHierarchy::loadState(ckpt::StateReader& r) {
   pending_.clear();
   const std::uint64_t n = r.u64();
   for (std::uint64_t i = 0; i < n; ++i) {
-    const Addr line = r.u64();
-    const Cycle ready = r.u64();
-    const WayIdx way = static_cast<WayIdx>(r.u8());
-    pending_[line] = {ready, way};
+    PendingFill f;
+    f.line_base = r.u64();
+    f.ready = r.u64();
+    f.way = static_cast<WayIdx>(r.u8());
+    pending_.push_back(f);
   }
   l2_hits_ = r.u64();
   l2_misses_ = r.u64();

@@ -10,7 +10,7 @@
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
+#include <vector>
 
 #include "common/types.h"
 #include "mem/l1_cache.h"
@@ -68,15 +68,27 @@ class MemoryHierarchy {
   void loadState(ckpt::StateReader& r);
 
  private:
-  void dropExpired(Cycle now);
+  /// An outstanding line fill.
+  struct PendingFill {
+    Addr line_base;
+    Cycle ready;
+    WayIdx way;
+  };
+
+  /// Drop the fills complete by `now` (one in-place compaction pass) and
+  /// return the index of the surviving fill of `line_base` — an index
+  /// past the end when there is none.
+  std::size_t dropExpiredAndFind(Cycle now, Addr line_base);
 
   L1Cache& l1_;  // lint:no-state(wiring ref; checkpoints itself)
   L2Cache& l2_;  // lint:no-state(wiring ref; checkpoints itself)
   Params p_;     // lint:no-state(config)
   FillCallback on_fill_;   // lint:no-state(wiring callback, rebuilt at construction)
   EvictCallback on_evict_;  // lint:no-state(wiring callback, rebuilt at construction)
-  /// line base -> (ready cycle, filled way): outstanding line fills.
-  std::unordered_map<Addr, std::pair<Cycle, WayIdx>> pending_;
+  /// Outstanding line fills, one per line, in no particular order. A flat
+  /// table with a linear find: it only holds the misses of the last
+  /// L2 + DRAM latency, a few dozen lines.
+  std::vector<PendingFill> pending_;
   std::uint64_t l2_hits_ = 0;
   std::uint64_t l2_misses_ = 0;
   std::uint64_t l1_writebacks_ = 0;

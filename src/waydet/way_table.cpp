@@ -1,5 +1,7 @@
 #include "waydet/way_table.h"
 
+#include <algorithm>
+
 #include "ckpt/state_io.h"
 #include "common/check.h"
 
@@ -45,20 +47,15 @@ void WayTable::invalidateSlot(std::uint32_t slot) {
         kCodeUnknown;
 }
 
-std::vector<WayCode> WayTable::entryCodes(std::uint32_t slot) const {
-  MALEC_DCHECK(slot < slots_);
-  const auto begin =
-      codes_.begin() + static_cast<std::ptrdiff_t>(slot) * lines_per_page_;
-  return std::vector<WayCode>(begin, begin + lines_per_page_);
-}
-
-void WayTable::setEntryCodes(std::uint32_t slot,
-                             const std::vector<WayCode>& codes) {
-  MALEC_CHECK(slot < slots_);
-  MALEC_CHECK(codes.size() == lines_per_page_);
-  std::copy(codes.begin(), codes.end(),
-            codes_.begin() + static_cast<std::ptrdiff_t>(slot) *
-                                 lines_per_page_);
+void WayTable::copyEntryFrom(std::uint32_t slot, const WayTable& src,
+                             std::uint32_t src_slot) {
+  MALEC_CHECK(slot < slots_ && src_slot < src.slots_);
+  MALEC_CHECK(src.lines_per_page_ == lines_per_page_);
+  const auto from = src.codes_.begin() +
+                    static_cast<std::ptrdiff_t>(src_slot) * lines_per_page_;
+  std::copy(from, from + lines_per_page_,
+            codes_.begin() +
+                static_cast<std::ptrdiff_t>(slot) * lines_per_page_);
 }
 
 std::uint32_t WayTable::validLines(std::uint32_t slot) const {

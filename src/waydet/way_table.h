@@ -56,9 +56,10 @@ class WayTable {
   /// Invalidate a whole entry (TLB eviction / new page allocation).
   void invalidateSlot(std::uint32_t slot);
 
-  /// Raw 2-bit codes of a slot — full-entry uWT<->WT transfers.
-  [[nodiscard]] std::vector<WayCode> entryCodes(std::uint32_t slot) const;
-  void setEntryCodes(std::uint32_t slot, const std::vector<WayCode>& codes);
+  /// Full-entry uWT<->WT transfer: overwrite entry `slot` with entry
+  /// `src_slot` of `src` in place (both tables share the page geometry).
+  void copyEntryFrom(std::uint32_t slot, const WayTable& src,
+                     std::uint32_t src_slot);
 
   /// Number of valid (known-way) lines in a slot.
   [[nodiscard]] std::uint32_t validLines(std::uint32_t slot) const;

@@ -3,7 +3,8 @@
 //  - EventQueue's calendar/bucket backend against the reference
 //    std::priority_queue semantics it replaced — randomized push/drain
 //    schedules (horizons both inside and far beyond the kBuckets=1024
-//    aliasing window), ~10k operations per seed, identical pop order.
+//    aliasing window), ~10k operations per seed, identical pop order, and
+//    nextCycle() equal to the heap's top() after every push and drain.
 //  - Checkpoint compatibility: both backends serialize byte-identical
 //    files, and a file written by either backend restores into the other.
 //  - FixedRing against a std::deque reference: push/pop/index fuzz across
@@ -51,6 +52,11 @@ class BackendPin {
   bool saved_;
 };
 
+/// The queue's wake-up time must be the reference heap's top cycle.
+void expectSameNextCycle(const EventQueue& q, const PQ& ref) {
+  ASSERT_EQ(q.nextCycle(), ref.empty() ? kNever : ref.top().first);
+}
+
 /// Drain both the queue under test and the reference heap at `now` and
 /// compare the popped seq order element by element.
 void drainBoth(EventQueue& q, PQ& ref, Cycle now) {
@@ -67,8 +73,8 @@ void drainBoth(EventQueue& q, PQ& ref, Cycle now) {
 /// One fuzz schedule: random bursts of pushes with horizon `max_ahead`,
 /// interleaved with drains as the clock advances by random strides.
 void fuzzAgainstHeap(std::uint64_t seed, std::uint64_t max_ahead,
-                     int iterations) {
-  BackendPin pin(/*legacy=*/false);
+                     int iterations, bool legacy = false) {
+  BackendPin pin(legacy);
   EventQueue q;
   PQ ref;
   Rng rng(seed);
@@ -81,13 +87,16 @@ void fuzzAgainstHeap(std::uint64_t seed, std::uint64_t max_ahead,
       const SeqNum seq = next_seq++;
       q.push(cycle, seq);
       ref.emplace(cycle, seq);
+      expectSameNextCycle(q, ref);
     }
     ASSERT_EQ(q.size(), ref.size());
     now += rng.below(3);  // strides of 0-2 revisit cycles and skip cycles
     drainBoth(q, ref, now);
+    expectSameNextCycle(q, ref);
   }
   // Flush everything left so the whole schedule is compared.
   drainBoth(q, ref, now + max_ahead + 1);
+  expectSameNextCycle(q, ref);
   EXPECT_TRUE(q.empty());
   EXPECT_TRUE(ref.empty());
 }
@@ -105,6 +114,35 @@ TEST(CalendarQueue, FuzzAliasingHorizon) {
   for (std::uint64_t seed : {11ull, 12ull}) {
     fuzzAgainstHeap(seed, /*max_ahead=*/5000, /*iterations=*/3000);
   }
+}
+
+TEST(CalendarQueue, LegacyBackendNextCycle) {
+  // The heap backend answers nextCycle() from its top; same fuzz.
+  fuzzAgainstHeap(31, /*max_ahead=*/5000, /*iterations=*/2000,
+                  /*legacy=*/true);
+}
+
+TEST(CalendarQueue, NextCycleBeyondOneRevolution) {
+  // Every event a ring revolution or more ahead of the drain cursor: the
+  // bounded forward scan finds nothing (each bucket it visits holds only
+  // an aliased later event) and the fallback pass must return the exact
+  // minimum.
+  BackendPin pin(/*legacy=*/false);
+  EventQueue q;
+  EXPECT_EQ(q.nextCycle(), kNever);
+  q.push(10, 0);
+  q.push(1038, 1);  // bucket 14: visited at cycle 14 by the forward scan
+  q.push(2758, 2);
+  q.push(3087, 3);
+  EXPECT_EQ(q.nextCycle(), Cycle{10});
+  q.drainReady(10, [](SeqNum) {});
+  EXPECT_EQ(q.nextCycle(), Cycle{1038});  // cursor 11: fallback pass
+  q.drainReady(1038, [](SeqNum) {});
+  EXPECT_EQ(q.nextCycle(), Cycle{2758});  // cursor 1039: fallback pass
+  q.drainReady(2758, [](SeqNum) {});
+  EXPECT_EQ(q.nextCycle(), Cycle{3087});  // within the forward scan
+  q.drainReady(3087, [](SeqNum) {});
+  EXPECT_EQ(q.nextCycle(), kNever);
 }
 
 TEST(CalendarQueue, SameCycleSeqOrder) {

@@ -111,6 +111,33 @@ TEST(InputBuffer, RemoveKeepsOthersIntact) {
   EXPECT_EQ(ib.op(0).seq, 2u);
 }
 
+TEST(InputBuffer, RemoveKeepsTrackOfTheMbeSlot) {
+  InputBuffer ib = makeIb();
+  ib.addLoad(load(1, kPageA), 0);
+  ib.addLoad(load(2, kPageB), 0);
+  ib.addMbe(mbe(kPageA + 128), 0);
+  ib.addLoad(load(3, kPageA + 64), 0);
+  ib.remove({1, 0});  // both entries below the MBE, in any order
+  ASSERT_EQ(ib.size(), 2u);
+  EXPECT_TRUE(ib.isMbe(0));
+  EXPECT_EQ(ib.op(1).seq, 3u);
+  EXPECT_FALSE(ib.hasMbeSpace());
+  ib.remove({0});  // the MBE itself
+  EXPECT_TRUE(ib.hasMbeSpace());
+  ASSERT_EQ(ib.size(), 1u);
+  EXPECT_EQ(ib.op(0).seq, 3u);
+}
+
+TEST(InputBuffer, NextReadyCycleIsEarliestNotBefore) {
+  InputBuffer ib = makeIb();
+  EXPECT_EQ(ib.nextReadyCycle(), kNever);
+  ib.addLoad(load(1, kPageA), 3);
+  ib.addLoad(load(2, kPageB), 3);
+  ib.defer(0, 40);
+  ib.defer(1, 25);
+  EXPECT_EQ(ib.nextReadyCycle(), 25u);
+}
+
 TEST(InputBuffer, OverCommittedCountsCarriedLoadsOnly) {
   InputBuffer ib = makeIb(/*carry=*/2, /*agu=*/3);
   for (SeqNum i = 0; i < 3; ++i) ib.addLoad(load(i, kPageA + i * 8), 0);
@@ -177,6 +204,11 @@ TEST(InputBufferDeath, LoadOverflowAborts) {
   InputBuffer ib = makeIb(0, 1);
   ib.addLoad(load(1, kPageA), 0);
   EXPECT_DEATH(ib.addLoad(load(2, kPageA), 0), "overflow");
+}
+
+TEST(InputBufferDeath, CapacityBeyondTheRemovalMaskAborts) {
+  // 60 carried + 4 AGU loads + the MBE slot = 65 entries > 64 mask bits.
+  EXPECT_DEATH(InputBuffer(60, 4, 5, AddressLayout{}), "removal mask");
 }
 
 TEST(InputBufferDeath, SecondMbeAborts) {

@@ -49,6 +49,26 @@ TEST(MemoryHierarchy, MergeExpiresAfterReady) {
   EXPECT_FALSE(b.merged_mshr);
 }
 
+TEST(MemoryHierarchy, MergeFindsItsLineAfterExpiredFillsCompact) {
+  // Several fills in flight; the oldest expires and is compacted out of
+  // the table by the next miss, and later merges still find their own
+  // line's fill.
+  Fixture f;
+  const auto a = f.hier.missAccess(0x1000, 0, false);   // ready 66
+  const auto b = f.hier.missAccess(0x2000, 10, false);  // ready 76
+  const auto c = f.hier.missAccess(0x3000, 20, false);  // ready 86
+  (void)f.hier.missAccess(0x4000, a.ready_cycle, false);  // drops a
+  const auto c2 = f.hier.missAccess(0x3010, 70, false);
+  EXPECT_TRUE(c2.merged_mshr);
+  EXPECT_EQ(c2.ready_cycle, c.ready_cycle);
+  const auto b2 = f.hier.missAccess(0x2020, 71, false);
+  EXPECT_TRUE(b2.merged_mshr);
+  EXPECT_EQ(b2.ready_cycle, b.ready_cycle);
+  f.l1.invalidate(0x1000);
+  EXPECT_FALSE(f.hier.missAccess(0x1000, 72, false).merged_mshr);
+  EXPECT_EQ(f.hier.mshrMerges(), 2u);
+}
+
 TEST(MemoryHierarchy, StoreMissMarksLineDirty) {
   Fixture f;
   f.hier.missAccess(0x4000, 0, /*is_store=*/true);

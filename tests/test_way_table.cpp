@@ -64,7 +64,7 @@ TEST(WayTable, FullEntryTransferPreservesCodes) {
   Rng rng(5);
   for (std::uint32_t l = 0; l < 64; ++l)
     wt.record(10, l, 7, static_cast<std::uint32_t>(rng.below(4)));
-  uwt.setEntryCodes(3, wt.entryCodes(10));
+  uwt.copyEntryFrom(3, wt, 10);
   for (std::uint32_t l = 0; l < 64; ++l)
     EXPECT_EQ(uwt.lookup(3, l, 7), wt.lookup(10, l, 7)) << l;
 }
