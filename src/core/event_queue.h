@@ -9,26 +9,19 @@
 // kBuckets cycles alias into an earlier bucket and are filtered by their
 // exact cycle at drain time, so arbitrary horizons stay correct.
 //
-// Pop order is identical to the std::priority_queue it replaces: every
-// (cycle, seq) pair is unique (a seq completes at most once per queue), the
-// drain cursor visits cycles in ascending order, and each cycle's events
-// are emitted sorted by seq. Checkpoints serialize exactly the bytes
-// ckpt::savePairQueue produced for the old heap — ascending (cycle, seq)
-// pairs after a u64 count — so the format is unchanged and checkpoints
-// written by either backend restore into either backend.
-//
-// The legacy heap backend is kept behind MALEC_LEGACY_EXEC_QUEUE for one
-// PR as the differential-test reference (tests/test_differential.cpp) and
-// will be removed once the calendar queue has soaked.
+// Pop order is that of a min-heap on the (cycle, seq) pair: every pair is
+// unique (a seq completes at most once per queue), the drain cursor visits
+// cycles in ascending order, and each cycle's events are emitted sorted by
+// seq. Checkpoints serialize the pairs in that pop order after a u64
+// count — the layout the binary heap this queue replaced wrote, so
+// existing `.mckpt` files restore unchanged (tests/test_calendar_queue.cpp
+// pins both against a std::priority_queue oracle).
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
-#include <queue>
-#include <utility>
 #include <vector>
 
-#include "common/check.h"
 #include "common/types.h"
 
 namespace malec::ckpt {
@@ -38,16 +31,6 @@ class StateWriter;
 
 namespace malec::core {
 
-/// Backend selector, seeded lazily from MALEC_LEGACY_EXEC_QUEUE ("0" or
-/// "1"; anything else aborts — sloppy toggle values must not silently pick
-/// a backend). false = calendar queue (default), true = std::priority_queue.
-[[nodiscard]] bool execQueueLegacy();
-
-/// Test/differential-harness override. Only flip this between runs (each
-/// EventQueue binds its backend at construction); runManyParallel batches
-/// must not straddle a toggle.
-void setExecQueueLegacy(bool legacy);
-
 class EventQueue {
  public:
   EventQueue();
@@ -56,23 +39,18 @@ class EventQueue {
   [[nodiscard]] std::size_t size() const { return size_; }
 
   /// Cycle of the earliest pending event, or kNever when empty — the
-  /// wake-up time the run loop skips quiet cycles to. The calendar backend
-  /// scans at most kBuckets buckets forward from the drain cursor (a lower
-  /// bound on every pending cycle); only when every event lies a whole ring
-  /// revolution or more ahead does it fall back to one pass over all
-  /// pending events. Either way the cursor moves up to the answer, so the
-  /// next drainReady() starts there.
+  /// wake-up time the run loop skips quiet cycles to. It scans at most
+  /// kBuckets buckets forward from the drain cursor (a lower bound on every
+  /// pending cycle); only when every event lies a whole ring revolution or
+  /// more ahead does it fall back to one pass over all pending events.
+  /// Either way the cursor moves up to the answer, so the next drainReady()
+  /// starts there.
   [[nodiscard]] Cycle nextCycle() const;
 
   /// Enqueue `seq` to pop once the clock reaches `cycle`. Must not be
   /// called from inside a drainReady() callback. Inline: this is the single
   /// hottest call in the run loop (one per completion event).
   void push(Cycle cycle, SeqNum seq) {
-    if (legacy_) {
-      legacy_pq_.emplace(cycle, seq);
-      ++size_;
-      return;
-    }
     // An empty queue re-anchors the cursor; a push behind it rewinds it
     // (the run loop never does this — events land at now+latency — but
     // restored or fuzzed queues may).
@@ -86,15 +64,6 @@ class EventQueue {
   /// (cycle, seq) order — exactly the pop order of a min-heap on the pair.
   template <class Fn>
   void drainReady(Cycle now, Fn&& fn) {
-    if (legacy_) {
-      while (!legacy_pq_.empty() && legacy_pq_.top().first <= now) {
-        const SeqNum seq = legacy_pq_.top().second;
-        legacy_pq_.pop();
-        --size_;
-        fn(seq);
-      }
-      return;
-    }
     while (size_ > 0 && next_ <= now) {
       std::vector<Event>& b = buckets_[next_ & (kBuckets - 1)];
       if (!b.empty()) {
@@ -127,8 +96,7 @@ class EventQueue {
   }
 
   /// Checkpoint/restore. Byte format: u64 count, then ascending
-  /// (cycle, seq) u64 pairs — identical to ckpt::savePairQueue on the
-  /// legacy heap, so either backend restores a file written by the other.
+  /// (cycle, seq) u64 pairs.
   void saveState(ckpt::StateWriter& w) const;
   void loadState(ckpt::StateReader& r);
 
@@ -139,16 +107,12 @@ class EventQueue {
   };
   static constexpr std::size_t kBuckets = 1024;  // power of two (mask index)
 
-  bool legacy_;  // lint:no-state(backend choice, bound at construction)
   std::size_t size_ = 0;
   /// Next cycle the drain cursor will visit; a lower bound on every pending
   /// event's cycle. nextCycle() may raise it to the exact minimum.
   mutable Cycle next_ = 0;  // lint:no-state(derived: recomputed as the min pending cycle in loadState)
   std::vector<std::vector<Event>> buckets_;
   std::vector<Event> drain_scratch_;  // lint:no-state(per-drain scratch)
-  std::priority_queue<std::pair<Cycle, SeqNum>,
-                      std::vector<std::pair<Cycle, SeqNum>>, std::greater<>>
-      legacy_pq_;
 };
 
 }  // namespace malec::core

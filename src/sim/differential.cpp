@@ -1,9 +1,11 @@
 #include "sim/differential.h"
 
+#include <algorithm>
 #include <cstddef>
-#include <sstream>
+#include <cstdio>
+#include <string_view>
+#include <vector>
 
-#include "core/event_queue.h"
 #include "cpu/core_model.h"
 #include "core/mem_interface.h"
 
@@ -11,88 +13,101 @@ namespace malec::sim {
 
 namespace {
 
-template <class T>
-void diffField(std::ostringstream& out, const char* name, const T& a,
-               const T& b) {
-  if (a == b) return;
-  out << name << ": " << a << " != " << b << "\n";
+void addLine(std::string& out, std::string_view name, std::string_view value) {
+  out += name;
+  out += ": ";
+  out += value;
+  out += '\n';
 }
 
-/// Restores the exec-queue backend active at construction on scope exit,
-/// so a failing diff (or an exception) cannot leak the toggle into later
-/// tests.
-class BackendGuard {
- public:
-  BackendGuard() : saved_(core::execQueueLegacy()) {}
-  ~BackendGuard() { core::setExecQueueLegacy(saved_); }
-  BackendGuard(const BackendGuard&) = delete;
-  BackendGuard& operator=(const BackendGuard&) = delete;
+void addCounter(std::string& out, std::string_view name, std::uint64_t v) {
+  addLine(out, name, std::to_string(v));
+}
 
- private:
-  bool saved_;
-};
+/// %.17g round-trips every finite double: equal text means equal bits.
+void addDouble(std::string& out, std::string_view name, double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.17g", v);
+  addLine(out, name, buf);
+}
+
+std::vector<std::string_view> splitLines(std::string_view s) {
+  std::vector<std::string_view> lines;
+  while (!s.empty()) {
+    const std::size_t nl = std::min(s.find('\n'), s.size());
+    lines.push_back(s.substr(0, nl));
+    s.remove_prefix(std::min(nl + 1, s.size()));
+  }
+  return lines;
+}
 
 }  // namespace
 
+std::string describeOutput(const RunOutput& o) {
+  std::string out;
+  addLine(out, "benchmark", o.benchmark);
+  addLine(out, "config", o.config);
+  addCounter(out, "cycles", o.cycles);
+  addCounter(out, "instructions", o.instructions);
+  addDouble(out, "ipc", o.ipc);
+  addDouble(out, "dynamic_pj", o.dynamic_pj);
+  addDouble(out, "leakage_pj", o.leakage_pj);
+  addDouble(out, "total_pj", o.total_pj);
+  addDouble(out, "way_coverage", o.way_coverage);
+  addDouble(out, "l1_load_miss_rate", o.l1_load_miss_rate);
+  addDouble(out, "merged_load_fraction", o.merged_load_fraction);
+  for (std::size_t i = 0; i < std::size(core::kInterfaceCounterFields); ++i)
+    addCounter(out, "ifc counter #" + std::to_string(i),
+               o.ifc.*core::kInterfaceCounterFields[i]);
+  addCounter(out, "core.cycles", o.core.cycles);
+  addCounter(out, "core.instructions", o.core.instructions);
+  for (std::size_t i = 0; i < std::size(cpu::kCoreScaledCounterFields); ++i)
+    addCounter(out, "core counter #" + std::to_string(i),
+               o.core.*cpu::kCoreScaledCounterFields[i]);
+  const std::string table = o.energy_detail.toTable();
+  for (const std::string_view row : splitLines(table))
+    addLine(out, "energy", row);
+  return out;
+}
+
+std::string diffLines(const std::string& a, const std::string& b) {
+  if (a == b) return "";
+  // Renderings are ~100 lines, so the quadratic LCS table is cheap.
+  const std::vector<std::string_view> x = splitLines(a);
+  const std::vector<std::string_view> y = splitLines(b);
+  const std::size_t n = x.size();
+  const std::size_t m = y.size();
+  // common[i * (m + 1) + j] = LCS length of x[i..] and y[j..].
+  std::vector<std::size_t> common((n + 1) * (m + 1), 0);
+  auto lcs = [&common, m](std::size_t i, std::size_t j) -> std::size_t& {
+    return common[i * (m + 1) + j];
+  };
+  for (std::size_t i = n; i-- > 0;)
+    for (std::size_t j = m; j-- > 0;)
+      lcs(i, j) = x[i] == y[j] ? lcs(i + 1, j + 1) + 1
+                               : std::max(lcs(i + 1, j), lcs(i, j + 1));
+  std::string out;
+  std::size_t i = 0;
+  std::size_t j = 0;
+  while (i < n || j < m) {
+    if (i < n && j < m && x[i] == y[j]) {
+      ++i;
+      ++j;
+    } else if (j == m || (i < n && lcs(i + 1, j) >= lcs(i, j + 1))) {
+      out += "- ";
+      out += x[i++];
+      out += '\n';
+    } else {
+      out += "+ ";
+      out += y[j++];
+      out += '\n';
+    }
+  }
+  return out;
+}
+
 std::string diffOutputs(const RunOutput& a, const RunOutput& b) {
-  std::ostringstream out;
-  diffField(out, "benchmark", a.benchmark, b.benchmark);
-  diffField(out, "config", a.config, b.config);
-  diffField(out, "cycles", a.cycles, b.cycles);
-  diffField(out, "instructions", a.instructions, b.instructions);
-  // Doubles compare with ==, deliberately: the contract is bit identity,
-  // not numerical closeness.
-  diffField(out, "ipc", a.ipc, b.ipc);
-  diffField(out, "dynamic_pj", a.dynamic_pj, b.dynamic_pj);
-  diffField(out, "leakage_pj", a.leakage_pj, b.leakage_pj);
-  diffField(out, "total_pj", a.total_pj, b.total_pj);
-  diffField(out, "way_coverage", a.way_coverage, b.way_coverage);
-  diffField(out, "l1_load_miss_rate", a.l1_load_miss_rate,
-            b.l1_load_miss_rate);
-  diffField(out, "merged_load_fraction", a.merged_load_fraction,
-            b.merged_load_fraction);
-  for (std::size_t i = 0; i < std::size(core::kInterfaceCounterFields); ++i) {
-    const auto field = core::kInterfaceCounterFields[i];
-    if (a.ifc.*field != b.ifc.*field)
-      out << "ifc counter #" << i << ": " << a.ifc.*field << " != "
-          << b.ifc.*field << "\n";
-  }
-  diffField(out, "core.cycles", a.core.cycles, b.core.cycles);
-  diffField(out, "core.instructions", a.core.instructions,
-            b.core.instructions);
-  for (std::size_t i = 0; i < std::size(cpu::kCoreScaledCounterFields); ++i) {
-    const auto field = cpu::kCoreScaledCounterFields[i];
-    if (a.core.*field != b.core.*field)
-      out << "core counter #" << i << ": " << a.core.*field << " != "
-          << b.core.*field << "\n";
-  }
-  if (a.energy_detail.toTable() != b.energy_detail.toTable())
-    out << "energy_detail.toTable() differs\n";
-  return out.str();
-}
-
-std::string diffRuns(const RunConfig& rc) {
-  BackendGuard guard;
-  core::setExecQueueLegacy(true);
-  const RunOutput legacy = runOne(rc);
-  core::setExecQueueLegacy(false);
-  const RunOutput calendar = runOne(rc);
-  return diffOutputs(legacy, calendar);
-}
-
-std::string diffRunsParallel(const std::vector<RunConfig>& rcs,
-                             unsigned jobs) {
-  BackendGuard guard;
-  core::setExecQueueLegacy(true);
-  const std::vector<RunOutput> legacy = runManyParallel(rcs, jobs);
-  core::setExecQueueLegacy(false);
-  const std::vector<RunOutput> calendar = runManyParallel(rcs, jobs);
-  for (std::size_t i = 0; i < rcs.size(); ++i) {
-    const std::string diff = diffOutputs(legacy[i], calendar[i]);
-    if (!diff.empty())
-      return "batch run #" + std::to_string(i) + ":\n" + diff;
-  }
-  return "";
+  return diffLines(describeOutput(a), describeOutput(b));
 }
 
 }  // namespace malec::sim

@@ -1,42 +1,36 @@
-// Differential bit-identity harness: run the same configuration under two
-// implementation variants and prove the outputs equal, field for field.
+// Bit-identity comparison of simulation results.
 //
-// The concrete variant pair this PR introduces is the exec-event queue
-// backend (legacy std::priority_queue vs the calendar/bucket queue, toggled
-// via core::setExecQueueLegacy / MALEC_LEGACY_EXEC_QUEUE) — but the
-// comparison half (diffOutputs) is generic and is also what the checkpoint
-// round-trip tests assert with.
-//
-// The contract matches docs/ARCHITECTURE.md "Checkpoint determinism":
-// "bit-identical" means every RunOutput scalar, every interface and core
-// counter, and the byte-exact energy report table.
+// describeOutput() renders a RunOutput as text, one field per line: every
+// RunOutput scalar, every interface and core counter, and the byte-exact
+// energy report table — what "bit-identical" means throughout
+// (docs/ARCHITECTURE.md, "Checkpoint determinism"). That rendering is the
+// one field list: diffOutputs() is a line diff of two renderings, and the
+// committed run goldens (tests/golden/runs/, checked by
+// tests/test_golden_runs.cpp) are renderings too.
 #pragma once
 
 #include <string>
-#include <vector>
 
 #include "sim/experiment.h"
 
 namespace malec::sim {
 
-/// Compare two RunOutputs exhaustively: identity fields, timing, the
-/// derived doubles (compared bit-exactly, not within a tolerance), every
-/// InterfaceStats and CoreStats counter, and the full energy report via
-/// StatSet::toTable(). Returns "" when identical, otherwise a newline-
-/// separated list of the differing fields with both values.
+/// Render `out` one field per line as "name: value": identity fields,
+/// timing, the derived doubles (printed with %.17g, which round-trips
+/// their bits), every InterfaceStats and CoreStats counter (by index in
+/// kInterfaceCounterFields / kCoreScaledCounterFields), then one
+/// "energy: <row>" line per StatSet::toTable() row.
+[[nodiscard]] std::string describeOutput(const RunOutput& out);
+
+/// Line diff (longest common subsequence) of two texts: "" when equal,
+/// otherwise every line only `a` has prefixed "- " and every line only `b`
+/// has prefixed "+ ", in order.
+[[nodiscard]] std::string diffLines(const std::string& a, const std::string& b);
+
+/// Compare two RunOutputs exhaustively: diffLines() of their
+/// describeOutput() renderings. Doubles compare bit-exactly, not within a
+/// tolerance, and a mismatch names the field or energy row that moved,
+/// with both values.
 [[nodiscard]] std::string diffOutputs(const RunOutput& a, const RunOutput& b);
-
-/// Run `rc` once under the legacy heap backend and once under the calendar
-/// queue, and diffOutputs() the results. The backend active on entry is
-/// restored before returning (the toggle only ever flips between runs —
-/// every EventQueue binds its backend at construction).
-[[nodiscard]] std::string diffRuns(const RunConfig& rc);
-
-/// Batched variant: the whole batch goes through runManyParallel under one
-/// backend, then the other — the toggle never flips inside a batch — and
-/// results are diffed pairwise. Returns "" or the first run's differences
-/// prefixed with its batch index.
-[[nodiscard]] std::string diffRunsParallel(const std::vector<RunConfig>& rcs,
-                                           unsigned jobs = 0);
 
 }  // namespace malec::sim

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 
 #include "common/check.h"
 
@@ -82,18 +81,6 @@ std::string Table::render(int precision) const {
     out += '\n';
   }
   return out;
-}
-
-bool Table::maybeWriteCsv(const std::string& name, int precision) const {
-  const char* dir = std::getenv("MALEC_CSV_DIR");
-  if (dir == nullptr || dir[0] == '\0') return false;
-  const std::string path = std::string(dir) + "/" + name + ".csv";
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  const std::string data = csv(precision);
-  const bool ok = std::fwrite(data.data(), 1, data.size(), f) == data.size();
-  std::fclose(f);
-  return ok;
 }
 
 /// RFC-4180 field escaping: a field holding a comma, quote, CR or LF is

@@ -42,12 +42,6 @@ class Table {
   /// Comma-separated form for downstream plotting.
   [[nodiscard]] std::string csv(int precision = 4) const;
 
-  /// Write csv() to `<dir>/<name>.csv` when the MALEC_CSV_DIR environment
-  /// variable is set; silently does nothing otherwise. Returns whether a
-  /// file was written. (Result sinks are the preferred route; this is the
-  /// legacy env-driven path, kept as a convenience wrapper.)
-  bool maybeWriteCsv(const std::string& name, int precision = 4) const;
-
   // Structured read access for result sinks (JSON, CSV, ...).
   [[nodiscard]] const std::string& title() const { return title_; }
   [[nodiscard]] const std::vector<std::string>& columns() const {

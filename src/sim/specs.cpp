@@ -1,8 +1,7 @@
 // Builtin experiment-spec registrations: every figure/table reproduction
-// that used to be a hand-rolled bench main() is a declarative spec here —
-// workload set, configuration set, metric columns, normalisation rule and
-// paper anchors. The legacy bench binaries are thin wrappers over
-// benchCompatMain(); `malec_bench` drives any spec by name.
+// is a declarative spec here — workload set, configuration set, metric
+// columns, normalisation rule and paper anchors. `malec_bench --suite
+// <name>` drives any spec by name.
 #include <algorithm>
 #include <chrono>
 #include <cstdarg>

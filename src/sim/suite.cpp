@@ -1,7 +1,6 @@
 #include "sim/suite.h"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "common/binio.h"
 
@@ -263,21 +262,6 @@ void runSuite(const ExperimentSpec& spec, const SuiteOptions& opts,
 void runSuiteByName(const std::string& name, const SuiteOptions& opts,
                     const std::vector<ResultSink*>& sinks) {
   runSuite(specRegistry().get(name), opts, sinks);
-}
-
-int benchCompatMain(const std::string& name, std::uint64_t instructions) {
-  SuiteOptions opts;
-  opts.instructions = instructions;
-  ConsoleSink console;
-  std::vector<ResultSink*> sinks{&console};
-  CsvDirSink csv{""};
-  if (const char* dir = std::getenv("MALEC_CSV_DIR");
-      dir != nullptr && dir[0] != '\0') {
-    csv = CsvDirSink(dir);
-    sinks.push_back(&csv);
-  }
-  runSuiteByName(name, opts, sinks);
-  return 0;
 }
 
 }  // namespace malec::sim

@@ -5,8 +5,8 @@
 // (workload x configuration) grid as ONE runMatrixParallel batch, emitting
 // the results through pluggable ResultSinks.
 //
-// Every legacy bench binary is a ~20-line spec registration in specs.cpp
-// plus a thin compat main; `malec_bench` drives any registered spec.
+// Every paper figure and table is a ~20-line spec registration in
+// specs.cpp; `malec_bench --suite <name>` drives any registered spec.
 #pragma once
 
 #include <cstdint>
@@ -52,9 +52,9 @@ struct SuiteContext {
 
   void emitTable(const Table& t, const std::string& name, int precision = 1);
   void emitText(const std::string& text);
-  /// One stderr dot per workload (suppressed by opts.progress = false) —
-  /// the legacy bench progress signal, shared by the matrix path and the
-  /// custom bodies that run their own sweeps.
+  /// One stderr dot per workload (suppressed by opts.progress = false),
+  /// shared by the matrix path and the custom bodies that run their own
+  /// sweeps.
   void progressDots() const;
 
   std::vector<ResultSink*> sinks;  ///< non-owning
@@ -112,7 +112,7 @@ struct ExperimentSpec {
 };
 
 /// All registered experiment specs. First use registers the builtin specs
-/// covering every legacy bench binary.
+/// (specs.cpp), one per paper figure, table and host microbenchmark.
 [[nodiscard]] Registry<ExperimentSpec>& specRegistry();
 
 /// The workload names `spec` resolves to BEFORE --filter is applied: an
@@ -174,10 +174,5 @@ void runSuite(const ExperimentSpec& spec, const SuiteOptions& opts,
 /// inventory (CLI callers should tryGet first for a friendly exit).
 void runSuiteByName(const std::string& name, const SuiteOptions& opts,
                     const std::vector<ResultSink*>& sinks);
-
-/// Shared main() body for the thin legacy bench wrappers: runs `name` with
-/// a console sink, plus a CSV sink when MALEC_CSV_DIR is set — the exact
-/// legacy bench behaviour. `instructions` > 0 overrides the budget.
-int benchCompatMain(const std::string& name, std::uint64_t instructions = 0);
 
 }  // namespace malec::sim

@@ -1,12 +1,14 @@
-// Property/fuzz tests for the hot-loop containers this PR introduces:
+// Property/fuzz tests for the run loop's hot containers:
 //
-//  - EventQueue's calendar/bucket backend against the reference
-//    std::priority_queue semantics it replaced — randomized push/drain
-//    schedules (horizons both inside and far beyond the kBuckets=1024
-//    aliasing window), ~10k operations per seed, identical pop order, and
-//    nextCycle() equal to the heap's top() after every push and drain.
-//  - Checkpoint compatibility: both backends serialize byte-identical
-//    files, and a file written by either backend restores into the other.
+//  - EventQueue's calendar/bucket queue against a std::priority_queue
+//    oracle (test-only) — randomized push/drain schedules (horizons both
+//    inside and far beyond the kBuckets=1024 aliasing window), ~10k
+//    operations per seed, identical pop order, and nextCycle() equal to
+//    the heap's top() after every push and drain.
+//  - Checkpoint layout: the saved bytes are a u64 count followed by the
+//    heap's (cycle, seq) pairs in pop order — the layout existing .mckpt
+//    files carry — and a queue restored from such bytes drains in heap
+//    order.
 //  - FixedRing against a std::deque reference: push/pop/index fuzz across
 //    wrap boundaries, recycle after drain, exhaustion (full()), and stable
 //    logical indexing (operator[] follows push order).
@@ -39,19 +41,6 @@ std::string tmpPath(const char* name) {
   return std::string(::testing::TempDir()) + name;
 }
 
-/// RAII backend pin: EventQueue binds its backend at construction, so each
-/// test sets the toggle before constructing and restores it after.
-class BackendPin {
- public:
-  explicit BackendPin(bool legacy) : saved_(execQueueLegacy()) {
-    setExecQueueLegacy(legacy);
-  }
-  ~BackendPin() { setExecQueueLegacy(saved_); }
-
- private:
-  bool saved_;
-};
-
 /// The queue's wake-up time must be the reference heap's top cycle.
 void expectSameNextCycle(const EventQueue& q, const PQ& ref) {
   ASSERT_EQ(q.nextCycle(), ref.empty() ? kNever : ref.top().first);
@@ -73,8 +62,7 @@ void drainBoth(EventQueue& q, PQ& ref, Cycle now) {
 /// One fuzz schedule: random bursts of pushes with horizon `max_ahead`,
 /// interleaved with drains as the clock advances by random strides.
 void fuzzAgainstHeap(std::uint64_t seed, std::uint64_t max_ahead,
-                     int iterations, bool legacy = false) {
-  BackendPin pin(legacy);
+                     int iterations) {
   EventQueue q;
   PQ ref;
   Rng rng(seed);
@@ -116,18 +104,11 @@ TEST(CalendarQueue, FuzzAliasingHorizon) {
   }
 }
 
-TEST(CalendarQueue, LegacyBackendNextCycle) {
-  // The heap backend answers nextCycle() from its top; same fuzz.
-  fuzzAgainstHeap(31, /*max_ahead=*/5000, /*iterations=*/2000,
-                  /*legacy=*/true);
-}
-
 TEST(CalendarQueue, NextCycleBeyondOneRevolution) {
   // Every event a ring revolution or more ahead of the drain cursor: the
   // bounded forward scan finds nothing (each bucket it visits holds only
   // an aliased later event) and the fallback pass must return the exact
   // minimum.
-  BackendPin pin(/*legacy=*/false);
   EventQueue q;
   EXPECT_EQ(q.nextCycle(), kNever);
   q.push(10, 0);
@@ -148,7 +129,6 @@ TEST(CalendarQueue, NextCycleBeyondOneRevolution) {
 TEST(CalendarQueue, SameCycleSeqOrder) {
   // Many events on one cycle pop in ascending seq order regardless of
   // push order.
-  BackendPin pin(/*legacy=*/false);
   EventQueue q;
   const std::vector<SeqNum> scrambled{7, 2, 9, 0, 5, 3, 8, 1, 6, 4};
   for (SeqNum s : scrambled) q.push(10, s);
@@ -157,80 +137,60 @@ TEST(CalendarQueue, SameCycleSeqOrder) {
   EXPECT_EQ(got, (std::vector<SeqNum>{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}));
 }
 
-/// Serialize `q` into a single-section file and return the file's bytes.
-std::string saveToFile(const EventQueue& q, const char* name) {
-  const std::string path = tmpPath(name);
-  ckpt::StateWriter w;
-  w.beginSection("queue");
-  q.saveState(w);
-  w.endSection();
+/// Write `w` to `path` and return the file's bytes.
+std::string writeAndRead(const ckpt::StateWriter& w, const std::string& path) {
   std::string err;
   EXPECT_TRUE(w.writeTo(path, err)) << err;
   std::ifstream in(path, std::ios::binary);
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  EXPECT_FALSE(bytes.empty());
-  return bytes;
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
 }
 
-/// Fill a queue with a deterministic schedule (same for every backend).
-void fillSchedule(EventQueue& q) {
+TEST(CalendarQueue, CheckpointBytesAreHeapPopOrder) {
+  EventQueue q;
+  PQ ref;
   Rng rng(99);
-  for (SeqNum s = 0; s < 200; ++s) q.push(rng.below(4096), s);
-}
-
-TEST(CalendarQueue, BothBackendsSerializeIdenticalBytes) {
-  BackendPin legacy_pin(/*legacy=*/true);
-  EventQueue legacy_q;
-  fillSchedule(legacy_q);
-  const std::string legacy_bytes = saveToFile(legacy_q, "eq_legacy.bin");
-
-  setExecQueueLegacy(false);
-  EventQueue calendar_q;
-  fillSchedule(calendar_q);
-  const std::string calendar_bytes =
-      saveToFile(calendar_q, "eq_calendar.bin");
-
-  EXPECT_EQ(legacy_bytes, calendar_bytes);
-  std::remove(tmpPath("eq_legacy.bin").c_str());
-  std::remove(tmpPath("eq_calendar.bin").c_str());
-}
-
-TEST(CalendarQueue, CrossBackendRestore) {
-  // A file written under either backend restores into the other, and the
-  // restored queue drains in the exact order of the original.
-  for (const bool write_legacy : {true, false}) {
-    BackendPin write_pin(write_legacy);
-    EventQueue writer;
-    fillSchedule(writer);
-    const std::string path = tmpPath("eq_cross.bin");
-    ckpt::StateWriter w;
-    w.beginSection("queue");
-    writer.saveState(w);
-    w.endSection();
-    std::string err;
-    ASSERT_TRUE(w.writeTo(path, err)) << err;
-
-    std::vector<std::pair<Cycle, SeqNum>> want;
-    for (Cycle c = 0; c < 4096; ++c)
-      writer.drainReady(c, [&want, c](SeqNum s) { want.emplace_back(c, s); });
-
-    setExecQueueLegacy(!write_legacy);
-    EventQueue reader;
-    ckpt::StateReader r(path);
-    ASSERT_TRUE(r.ok()) << r.error();
-    r.openSection("queue");
-    reader.loadState(r);
-    r.endSection();
-    ASSERT_EQ(reader.size(), want.size());
-    std::vector<std::pair<Cycle, SeqNum>> got;
-    for (Cycle c = 0; c < 4096; ++c)
-      reader.drainReady(c, [&got, c](SeqNum s) { got.emplace_back(c, s); });
-    EXPECT_EQ(got, want)
-        << "restore " << (write_legacy ? "legacy->calendar" : "calendar->legacy")
-        << " diverged";
-    std::remove(path.c_str());
+  for (SeqNum s = 0; s < 200; ++s) {
+    const Cycle cycle = rng.below(4096);
+    q.push(cycle, s);
+    ref.emplace(cycle, s);
   }
+  ckpt::StateWriter saved;
+  saved.beginSection("queue");
+  q.saveState(saved);
+  saved.endSection();
+
+  // The layout existing .mckpt files carry: u64 count, then the reference
+  // heap's (cycle, seq) pairs in pop order.
+  ckpt::StateWriter heap;
+  heap.beginSection("queue");
+  heap.u64(ref.size());
+  for (PQ copy = ref; !copy.empty(); copy.pop()) {
+    heap.u64(copy.top().first);
+    heap.u64(copy.top().second);
+  }
+  heap.endSection();
+
+  const std::string saved_path = tmpPath("eq_saved.bin");
+  const std::string heap_path = tmpPath("eq_heap.bin");
+  const std::string saved_bytes = writeAndRead(saved, saved_path);
+  EXPECT_FALSE(saved_bytes.empty());
+  EXPECT_EQ(saved_bytes, writeAndRead(heap, heap_path));
+
+  // A queue restored from the heap-layout bytes drains cycle by cycle in
+  // exactly the heap's order.
+  EventQueue restored;
+  ckpt::StateReader r(heap_path);
+  ASSERT_TRUE(r.ok()) << r.error();
+  r.openSection("queue");
+  restored.loadState(r);
+  r.endSection();
+  ASSERT_EQ(restored.size(), ref.size());
+  for (Cycle c = 0; c < 4096; ++c) drainBoth(restored, ref, c);
+  EXPECT_TRUE(restored.empty());
+  EXPECT_TRUE(ref.empty());
+  std::remove(saved_path.c_str());
+  std::remove(heap_path.c_str());
 }
 
 // --- FixedRing ---------------------------------------------------------------

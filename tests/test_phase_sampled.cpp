@@ -53,7 +53,7 @@ std::string captureWithPlan(const char* bench, const char* name,
 
 void expectBitIdentical(const RunOutput& a, const RunOutput& b) {
   // Exhaustive field-by-field comparison (every counter plus the byte-exact
-  // energy table) shared with the exec-queue differential harness.
+  // energy table), the same rendering the golden-run corpus pins.
   EXPECT_EQ(diffOutputs(a, b), "");
 }
 

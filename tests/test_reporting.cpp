@@ -3,8 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <string>
 
 namespace malec::sim {
@@ -70,24 +68,6 @@ TEST(Table, CsvShape) {
   t.addRow("r", {1.0, 2.0});
   const std::string csv = t.csv(0);
   EXPECT_EQ(csv, "benchmark,c1,c2\nr,1,2\n");
-}
-
-TEST(Table, MaybeWriteCsvHonoursEnvVar) {
-  Table t("demo", {"x"});
-  t.addRow("r", {1.0});
-  ::unsetenv("MALEC_CSV_DIR");
-  EXPECT_FALSE(t.maybeWriteCsv("demo_table"));
-  const std::string dir = ::testing::TempDir();
-  ::setenv("MALEC_CSV_DIR", dir.c_str(), 1);
-  EXPECT_TRUE(t.maybeWriteCsv("demo_table"));
-  ::unsetenv("MALEC_CSV_DIR");
-  std::FILE* f = std::fopen((dir + "/demo_table.csv").c_str(), "r");
-  ASSERT_NE(f, nullptr);
-  char buf[64] = {};
-  (void)std::fread(buf, 1, sizeof buf - 1, f);
-  std::fclose(f);
-  EXPECT_NE(std::string(buf).find("benchmark,x"), std::string::npos);
-  std::remove((dir + "/demo_table.csv").c_str());
 }
 
 TEST(TableDeath, RowWidthMismatchAborts) {
