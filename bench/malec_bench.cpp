@@ -23,11 +23,11 @@
 // supervision, MALEC_FAULT_SPEC injects deterministic faults for tests.)
 //
 // Result store (docs/FILE_FORMATS.md, ".mstore v1"): every sink run can
-// land durably in a queryable store, and three subcommands work on it —
+// land durably in a queryable store, and two subcommands work on it —
 //
 //   malec_bench --suite fig4a --sink store --store results.mstore
-//   malec_bench merge --suite fig4a --journal sweep.mjournal
-//                     --store results.mstore      sweep artifacts -> store
+//   malec_bench --suite fig4a --workers 4 --resume sweep.mjournal
+//               --sink store --store results.mstore   sweep journal -> store
 //   malec_bench query --store results.mstore
 //                     [--select COLS] [--where-suite/-workload/-config SUB]
 //                     [--seed N] [--sort COL [--desc]] [--group-geomean]
@@ -36,10 +36,8 @@
 //                       [--objective ipc,energy] [--rounds N] [--batch N]
 //                       [--resume]                adaptive Pareto search
 //
-// Defaults: console table sink; a CSV sink is added when MALEC_CSV_DIR is
-// set (the legacy behaviour, now just one sink among several), a store
-// sink when MALEC_STORE is set; MALEC_INSTR and MALEC_JOBS keep working
-// unless --instr / --jobs override them.
+// Defaults: console table sink only; MALEC_INSTR and MALEC_JOBS keep
+// working unless --instr / --jobs override them.
 // Setting MALEC_TRACE_DIR registers every *.mtrace capture in it as a
 // "trace:<stem>" workload — `--suite trace_replay` runs them through the
 // Table-I interfaces (capture files with `trace_tools gen`), and
@@ -62,7 +60,6 @@
 #include "store/result_store.h"
 #include "store/store_sink.h"
 #include "sweep/coordinator.h"
-#include "store/store_merge.h"
 
 namespace {
 
@@ -81,14 +78,11 @@ int usage(const char* argv0, int code) {
                "          [--where-config SUB] [--seed N] [--sort COL]\n"
                "          [--desc] [--group-geomean] [--limit N]\n"
                "          [--format table|json]\n"
-               "       %s merge --suite NAME --store PATH\n"
-               "          [--journal PATH] [--mres PATH]...\n"
-               "          [--filter SUB] [--instr N] [--seed N]\n"
                "       %s explore --suite NAME --store PATH\n"
                "          [--objective ipc,energy|...] [--rounds N]\n"
                "          [--batch N] [--resume] [--filter SUB]\n"
                "          [--instr N] [--seed N] [--jobs N]\n",
-               argv0, argv0, argv0, argv0);
+               argv0, argv0, argv0);
   return code;
 }
 
@@ -188,12 +182,7 @@ int cmdQuery(int argc, char** argv) {
     }
   }
   if (store_path.empty()) {
-    if (const char* env = std::getenv("MALEC_STORE");
-        env != nullptr && env[0] != '\0')
-      store_path = env;
-  }
-  if (store_path.empty()) {
-    std::fprintf(stderr, "query needs --store PATH (or MALEC_STORE)\n");
+    std::fprintf(stderr, "query needs --store PATH\n");
     return 2;
   }
   store::ResultStore rs;
@@ -207,50 +196,6 @@ int cmdQuery(int argc, char** argv) {
     store::printQueryJson(r, stdout);
   else
     store::printQueryTable(r, stdout);
-  return 0;
-}
-
-/// `malec_bench merge`: sweep artifacts (journal and/or .mres files) ->
-/// one store segment, nothing re-run.
-int cmdMerge(int argc, char** argv) {
-  std::string suite, store_path, journal;
-  std::vector<std::string> mres;
-  sim::SuiteOptions opts;
-  opts.progress = false;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--suite") {
-      suite = needValueAt(argc, argv, i);
-    } else if (arg == "--store") {
-      store_path = needValueAt(argc, argv, i);
-    } else if (arg == "--journal") {
-      journal = needValueAt(argc, argv, i);
-    } else if (arg == "--mres") {
-      mres.push_back(needValueAt(argc, argv, i));
-    } else if (arg == "--filter") {
-      opts.workload_filter = needValueAt(argc, argv, i);
-    } else if (arg == "--instr") {
-      opts.instructions =
-          sim::parseU64Strict(needValueAt(argc, argv, i), "--instr");
-    } else if (arg == "--seed") {
-      opts.seed = sim::parseU64Strict(needValueAt(argc, argv, i), "--seed");
-    } else if (arg == "--help" || arg == "-h") {
-      return usage(argv[0], 0);
-    } else {
-      std::fprintf(stderr, "merge: unknown option '%s'\n", argv[i]);
-      return usage(argv[0], 2);
-    }
-  }
-  if (suite.empty() || store_path.empty()) {
-    std::fprintf(stderr, "merge needs --suite NAME and --store PATH\n");
-    return 2;
-  }
-  const sim::ExperimentSpec* spec = sim::specRegistry().tryGet(suite);
-  if (spec == nullptr) {
-    std::fprintf(stderr, "merge: unknown suite '%s'\n", suite.c_str());
-    return 1;
-  }
-  sweep::mergeIntoStore(*spec, opts, journal, mres, store_path);
   return 0;
 }
 
@@ -306,13 +251,11 @@ int cmdExplore(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Subcommand dispatch first: `query` / `merge` / `explore` have their
-  // own flag sets (a flag-style first arg falls through to the classic
-  // suite-runner parser).
+  // Subcommand dispatch first: `query` / `explore` have their own flag
+  // sets (a flag-style first arg falls through to the classic suite-runner
+  // parser).
   if (argc >= 2 && std::strcmp(argv[1], "query") == 0)
     return cmdQuery(argc, argv);
-  if (argc >= 2 && std::strcmp(argv[1], "merge") == 0)
-    return cmdMerge(argc, argv);
   if (argc >= 2 && std::strcmp(argv[1], "explore") == 0)
     return cmdExplore(argc, argv);
   bool list = false, all = false;
@@ -558,41 +501,15 @@ int main(int argc, char** argv) {
   }
 
   // --- sink assembly --------------------------------------------------------
-  // No explicit --sink selection = legacy behaviour: console table plus a
-  // CSV sink when MALEC_CSV_DIR is set (and a store sink when MALEC_STORE
-  // is set).
-  if (!want_table && !want_csv && !want_json && !want_store) {
-    want_table = true;
-    if (const char* dir = std::getenv("MALEC_CSV_DIR");
-        dir != nullptr && dir[0] != '\0') {
-      want_csv = true;
-      csv_dir = dir;
-    }
-    if (const char* sp = std::getenv("MALEC_STORE");
-        sp != nullptr && sp[0] != '\0') {
-      want_store = true;
-      store_path = sp;
-    }
-  }
+  // No explicit --sink selection = the console table.
+  if (!want_table && !want_csv && !want_json && !want_store) want_table = true;
   if (want_csv && csv_dir.empty()) {
-    if (const char* dir = std::getenv("MALEC_CSV_DIR");
-        dir != nullptr && dir[0] != '\0')
-      csv_dir = dir;
-    else {
-      std::fprintf(stderr,
-                   "--sink csv needs --csv-dir DIR (or MALEC_CSV_DIR)\n");
-      return 2;
-    }
+    std::fprintf(stderr, "--sink csv needs --csv-dir DIR\n");
+    return 2;
   }
   if (want_store && store_path.empty()) {
-    if (const char* sp = std::getenv("MALEC_STORE");
-        sp != nullptr && sp[0] != '\0')
-      store_path = sp;
-    else {
-      std::fprintf(stderr,
-                   "--sink store needs --store PATH (or MALEC_STORE)\n");
-      return 2;
-    }
+    std::fprintf(stderr, "--sink store needs --store PATH\n");
+    return 2;
   }
 
   std::vector<std::unique_ptr<sim::ResultSink>> owned;

@@ -352,7 +352,7 @@ int runExplore(const ExploreOptions& opts,
       std::vector<store::ResultStore::RunEntry> entries;
       for (std::size_t w = 0; w < wl_names.size(); ++w)
         for (std::size_t c = 0; c < cfgs.size(); ++c)
-          entries.push_back({wl_names[w], cfg_names[c], &results[w][c], {}});
+          entries.push_back({wl_names[w], cfg_names[c], &results[w][c]});
       store::StoreSegment seg;
       seg.suite = round_suite;
       seg.fingerprint = fp;

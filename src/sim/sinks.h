@@ -1,7 +1,6 @@
 // Pluggable result sinks for the declarative experiment layer: a suite run
 // produces Tables and free-form notes, and every attached sink renders them
-// its own way — pretty console tables, per-table CSV files (the old
-// MALEC_CSV_DIR behaviour, now just one sink among several) or a JSON-lines
+// its own way — pretty console tables, per-table CSV files or a JSON-lines
 // event stream for downstream tooling.
 #pragma once
 

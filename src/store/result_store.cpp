@@ -145,7 +145,7 @@ void ResultStore::appendSegment(const StoreSegment& meta,
     run.cycles = e.out->cycles;
     run.ipc = e.out->ipc;
     run.total_pj = e.out->total_pj;
-    run.blob = e.blob.empty() ? sweep::encodeRunOutput(*e.out) : e.blob;
+    run.blob = sweep::encodeRunOutput(*e.out);
     runs_.push_back(std::move(run));
   }
   segments_.push_back(std::move(seg));

@@ -1,6 +1,6 @@
 // The `.mstore` v1 result store: a durable, queryable home for sweep
 // results — the layer between "a sweep printed tables" and "thousands of
-// configs, millions of runs" (ROADMAP open item 3).
+// configs, millions of runs".
 //
 // A store is a StateIO container (src/ckpt/state_io.h: magic, version,
 // payload checksum, atomic temp+rename writes — the same machinery as
@@ -13,6 +13,10 @@
 // queries never decode a blob; the directory is cross-checked against the
 // blobs at load, so a store whose index disagrees with its payload is a
 // hard error, not a wrong answer.
+//
+// Two writers append segments: StoreSink (suite grids, fed by runSuite or
+// the sweep coordinator — a `--resume` of a journal lands there too) and
+// the explorer (its search rounds).
 //
 // Like every MALEC format the store is strict: bad magic, version skew,
 // truncation, checksum mismatch, count mismatches, duplicate segment
@@ -68,15 +72,14 @@ class ResultStore {
   /// an EXISTING-but-invalid store can never be silently replaced.
   [[nodiscard]] bool load(const std::string& path, std::string& err);
 
-  /// One grid cell handed to appendSegment: its names + result. When
-  /// `blob` is non-empty it is stored verbatim instead of re-encoding
-  /// `out` — the journal merge passes the worker's bytes through, so a
-  /// merged store is byte-identical to one a StoreSink wrote directly.
+  /// One grid cell handed to appendSegment: its names + result, stored as
+  /// sweep::encodeRunOutput(*out) — the same bytes a journal complete
+  /// record holds, so a store written by a resumed sweep is byte-identical
+  /// to one an in-process run writes.
   struct RunEntry {
     std::string workload;
     std::string config;
     const sim::RunOutput* out = nullptr;
-    std::vector<std::uint8_t> blob;
   };
 
   /// Append one executed grid, cells in matrix order (workload-major). A

@@ -2,14 +2,16 @@
 // result store — the durable sibling of the console/CSV/JSON sinks
 // (`malec_bench --sink store --store results.mstore`).
 //
-// The sink collects every runResult() record during the suite and, at
-// endSuite(), appends them to the store as ONE segment keyed by the
-// suite's grid fingerprint: load existing store (an invalid existing file
-// is a hard error — a corrupt store must never be silently replaced),
-// appendSegment, atomic save. Both the in-process matrix path and the
-// sharded coordinator emit runs in the same matrix order, so the segment
-// a coordinated sweep writes is byte-identical to the in-process one —
-// CI diffs exactly that.
+// beginSuite() refuses up front, before the grid runs, when the existing
+// store is invalid or already holds the suite's grid. The sink collects
+// every runResult() record during the suite and, at endSuite(), appends
+// them to the store as ONE segment keyed by the suite's grid fingerprint:
+// load existing store (checked again — an invalid existing file is a hard
+// error, a corrupt store must never be silently replaced), appendSegment,
+// atomic save. The in-process matrix path and the sharded coordinator
+// (fresh or `--resume`d) emit runs in the same matrix order, so the
+// segment a coordinated sweep writes is byte-identical to the in-process
+// one — CI diffs exactly that.
 #pragma once
 
 #include <string>
@@ -37,6 +39,10 @@ class StoreSink : public sim::ResultSink {
     std::string config;
     sim::RunOutput out;
   };
+
+  /// Load the existing store at path_ into `rs`; abort when it does not
+  /// validate or already holds this suite's grid.
+  void loadForAppend(ResultStore& rs) const;
 
   std::string path_;
   sim::SuiteInfo info_;

@@ -138,12 +138,6 @@ void resolveSweepTuning(SweepOptions& sw) {
   MALEC_CHECK_MSG(sw.workers >= 1, "a sharded sweep needs at least 1 worker");
 }
 
-std::uint64_t gridFingerprint(const sim::SuiteContext& ctx) {
-  // One definition of grid identity for the whole repo: the journal, the
-  // result store and the explorer all bind to sim::gridFingerprint.
-  return sim::gridFingerprint(ctx);
-}
-
 int runWorkerTask(const sim::ExperimentSpec& spec,
                   const sim::SuiteOptions& opts, std::uint32_t task,
                   std::uint32_t attempt, const std::string& result_path) {
@@ -176,7 +170,7 @@ int runWorkerTask(const sim::ExperimentSpec& spec,
   rc.seed = ctx.seed;
   const sim::RunOutput out = sim::runOne(rc);
 
-  writeResultFile(result_path, sweep::gridFingerprint(ctx), task, attempt, out);
+  writeResultFile(result_path, sim::gridFingerprint(ctx), task, attempt, out);
   maybeCorruptResult(faults, task, attempt, result_path);
   return 0;
 }
@@ -205,7 +199,7 @@ int runSuiteCoordinated(const sim::ExperimentSpec& spec,
   ctx.jobs = sweep.workers;
   ctx.sinks = sinks;
 
-  const std::uint64_t fingerprint = sweep::gridFingerprint(ctx);
+  const std::uint64_t fingerprint = sim::gridFingerprint(ctx);
   const std::uint64_t grid =
       static_cast<std::uint64_t>(ctx.workloads.size()) * ctx.configs.size();
   MALEC_CHECK_MSG(grid > 0, "cannot shard an empty grid");

@@ -60,13 +60,6 @@ inline constexpr std::uint64_t kMaxWorkers = 1024;
 /// and directly by the knob death tests.
 void resolveSweepTuning(SweepOptions& sw);
 
-/// Identity of one resolved grid: FNV-1a over the suite name, instruction
-/// budget, seed and the ordered workload + configuration names. Binds the
-/// journal and every worker result file to exactly this sweep — resuming
-/// a journal against a different suite, budget, seed, filter outcome or
-/// registry content is a hard error, never a silent mis-merge.
-[[nodiscard]] std::uint64_t gridFingerprint(const sim::SuiteContext& ctx);
-
 /// Run `spec` sharded across worker processes (see file comment). Returns
 /// the process exit code: 0 on success, 3 when quarantined tasks kept the
 /// grid from completing (their failure history is reported per task).

@@ -68,7 +68,7 @@ struct JournalRecord {
 struct JournalScan {
   bool ok = false;
   std::string error;
-  std::uint64_t fingerprint = 0;  ///< grid identity (see gridFingerprint)
+  std::uint64_t fingerprint = 0;  ///< grid identity (see sim::gridFingerprint)
   std::uint32_t task_count = 0;
   std::vector<JournalRecord> records;
   std::uint64_t valid_bytes = 0;

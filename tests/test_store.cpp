@@ -4,7 +4,8 @@
 // disagreement), the query engine's select/filter/sort/group-geomean
 // semantics, exotic workload names surviving the StoreSink round trip,
 // and — through the real malec_bench binary — the byte-identity of a
-// journal-merged store with one a live `--sink store` run writes.
+// store written by a `--resume` of a fault-injected sweep's journal with
+// one a live `--sink store` run writes.
 #include "store/result_store.h"
 
 #include <gtest/gtest.h>
@@ -87,17 +88,17 @@ ResultStore sampleStore() {
   s1.fingerprint = 101;
   s1.instructions = 2000;
   s1.seed = 1;
-  rs.appendSegment(s1, {{"gcc", "Base1ldst", &a, {}},
-                        {"gcc", "MALEC", &b, {}},
-                        {"mcf", "Base1ldst", &c, {}},
-                        {"mcf", "MALEC", &d, {}}});
+  rs.appendSegment(s1, {{"gcc", "Base1ldst", &a},
+                        {"gcc", "MALEC", &b},
+                        {"mcf", "Base1ldst", &c},
+                        {"mcf", "MALEC", &d}});
   const sim::RunOutput e = namedRun("gcc", "MALEC", 1.1);
   StoreSegment s2;
   s2.suite = "fig4b";
   s2.fingerprint = 202;
   s2.instructions = 2000;
   s2.seed = 9;
-  rs.appendSegment(s2, {{"gcc", "MALEC", &e, {}}});
+  rs.appendSegment(s2, {{"gcc", "MALEC", &e}});
   return rs;
 }
 
@@ -204,7 +205,7 @@ TEST(StoreDeathTest, AppendingDuplicateFingerprintAborts) {
   StoreSegment dup;
   dup.suite = "fig4a";
   dup.fingerprint = 101;  // already present
-  EXPECT_DEATH(rs.appendSegment(dup, {{"gcc", "MALEC", &a, {}}}),
+  EXPECT_DEATH(rs.appendSegment(dup, {{"gcc", "MALEC", &a}}),
                "would double every query row");
 }
 
@@ -283,35 +284,42 @@ TEST(StoreSink, AppendsSecondSuiteAsNewSegment) {
   EXPECT_EQ(rs.runs().size(), 2u);
 }
 
+/// Write a one-run store at `path` holding grid `fingerprint`.
+void writeOneRunStore(const std::string& path, std::uint64_t fingerprint) {
+  StoreSink sink(path);
+  sink.beginSuite(sinkInfo(fingerprint));
+  pushRun(sink, namedRun("gcc", "MALEC"));
+  sink.endSuite();
+}
+
+// Both refusals land in beginSuite(), before a grid would run.
 TEST(StoreSinkDeathTest, RefusesReappendingTheSameGrid) {
   const std::string path = tmpPath("dupgrid.mstore");
   std::remove(path.c_str());
-  {
-    StoreSink sink(path);
-    sink.beginSuite(sinkInfo(42));
-    pushRun(sink, namedRun("gcc", "MALEC"));
-    sink.endSuite();
-  }
+  writeOneRunStore(path, 42);
   StoreSink sink(path);
-  sink.beginSuite(sinkInfo(42));
-  pushRun(sink, namedRun("gcc", "MALEC"));
-  EXPECT_DEATH(sink.endSuite(), "already holds this exact grid");
+  EXPECT_DEATH(sink.beginSuite(sinkInfo(42)), "already holds this exact grid");
 }
 
 TEST(StoreSinkDeathTest, RefusesAppendingToCorruptStore) {
   const std::string path = tmpPath("corruptappend.mstore");
   std::remove(path.c_str());
-  {
-    StoreSink sink(path);
-    sink.beginSuite(sinkInfo(42));
-    pushRun(sink, namedRun("gcc", "MALEC"));
-    sink.endSuite();
-  }
+  writeOneRunStore(path, 42);
   flipByteAt(path, std::filesystem::file_size(path) / 2);
   StoreSink sink(path);
-  sink.beginSuite(sinkInfo(43));
+  EXPECT_DEATH(sink.beginSuite(sinkInfo(43)), "corrupt");
+}
+
+TEST(StoreSinkDeathTest, EndSuiteRefusesAGridAppendedSinceBeginSuite) {
+  // beginSuite() passed on an empty path; another writer then landed the
+  // same grid first. endSuite() must check again, not trust the early pass.
+  const std::string path = tmpPath("racegrid.mstore");
+  std::remove(path.c_str());
+  StoreSink sink(path);
+  sink.beginSuite(sinkInfo(42));
   pushRun(sink, namedRun("gcc", "MALEC"));
-  EXPECT_DEATH(sink.endSuite(), "corrupt");
+  writeOneRunStore(path, 42);
+  EXPECT_DEATH(sink.endSuite(), "already holds this exact grid");
 }
 
 // --- query engine -----------------------------------------------------------
@@ -396,7 +404,7 @@ TEST(Query, JsonEscapesExoticNamesAndTypesNumbers) {
   seg.fingerprint = 7;
   seg.seed = 1;
   seg.instructions = 2000;
-  rs.appendSegment(seg, {{a.benchmark, a.config, &a, {}}});
+  rs.appendSegment(seg, {{a.benchmark, a.config, &a}});
 
   const QueryResult r = runQuery(rs, QueryOptions{});
   std::FILE* f = std::tmpfile();
@@ -415,7 +423,7 @@ TEST(Query, JsonEscapesExoticNamesAndTypesNumbers) {
   EXPECT_NE(got.find("\"seed\":1,"), std::string::npos) << got;
 }
 
-// --- subprocess: merge vs live sink byte-identity ---------------------------
+// --- subprocess: resumed sweep vs live sink byte-identity -------------------
 
 int runBench(const std::string& env_prefix, const std::string& args,
              const std::string& out_path) {
@@ -429,11 +437,11 @@ int runBench(const std::string& env_prefix, const std::string& args,
 
 const char* kGrid = "--suite fig4a --filter gcc --instr 2000 --seed 1";
 
-TEST(StoreProcess, JournalMergeIsByteIdenticalToLiveStoreSink) {
+TEST(StoreProcess, ResumeIntoStoreIsByteIdenticalToLiveStoreSink) {
   const std::string direct = tmpPath("direct.mstore");
-  const std::string merged = tmpPath("merged.mstore");
-  const std::string journal = tmpPath("merge.mjournal");
-  for (const auto& p : {direct, merged, journal}) std::remove(p.c_str());
+  const std::string resumed = tmpPath("resumed.mstore");
+  const std::string journal = tmpPath("resume_store.mjournal");
+  for (const auto& p : {direct, resumed, journal}) std::remove(p.c_str());
 
   const std::string out = tmpPath("direct.txt");
   ASSERT_EQ(runBench("", std::string(kGrid) + " --sink store --store " +
@@ -442,21 +450,27 @@ TEST(StoreProcess, JournalMergeIsByteIdenticalToLiveStoreSink) {
             0)
       << slurp(out + ".err");
 
-  ASSERT_EQ(runBench("", std::string(kGrid) + " --workers 2 --journal " +
-                             journal,
+  // A sweep whose worker is SIGKILLed on task 2 and retried: its journal
+  // records the failure beside every completion.
+  ASSERT_EQ(runBench("MALEC_SWEEP_BACKOFF_MS=1 MALEC_FAULT_SPEC=kill:task=2 ",
+                     std::string(kGrid) + " --workers 2 --journal " + journal,
                      out),
             0)
       << slurp(out + ".err");
-  ASSERT_EQ(runBench("", "merge " + std::string(kGrid) + " --journal " +
-                             journal + " --store " + merged,
+  const std::string journal_bytes = slurp(journal);
+  ASSERT_EQ(runBench("", std::string(kGrid) + " --workers 2 --resume " +
+                             journal + " --sink store --store " + resumed,
                      out),
             0)
       << slurp(out + ".err");
-  EXPECT_EQ(slurp(direct), slurp(merged));
+  EXPECT_EQ(slurp(direct), slurp(resumed));
+  // The journal was already complete: resuming it re-runs and appends
+  // nothing.
+  EXPECT_EQ(slurp(journal), journal_bytes);
 
-  // And the query subcommand answers over either of them.
+  // And the query subcommand answers over the resumed store.
   const std::string qout = tmpPath("query.txt");
-  ASSERT_EQ(runBench("", "query --store " + merged +
+  ASSERT_EQ(runBench("", "query --store " + resumed +
                              " --format json --where-config MALEC",
                      qout),
             0)
@@ -464,26 +478,28 @@ TEST(StoreProcess, JournalMergeIsByteIdenticalToLiveStoreSink) {
   EXPECT_NE(slurp(qout).find("\"config\":\"MALEC\""), std::string::npos);
 }
 
-TEST(StoreProcess, MergeRefusesForeignJournalAndIncompleteSweep) {
-  const std::string journal = tmpPath("foreignm.mjournal");
-  const std::string merged = tmpPath("foreignm.mstore");
+TEST(StoreProcess, ResumeIntoStoreRefusesAForeignJournal) {
+  const std::string journal = tmpPath("foreign_resume.mjournal");
+  const std::string store = tmpPath("foreign_resume.mstore");
   std::remove(journal.c_str());
-  std::remove(merged.c_str());
-  const std::string out = tmpPath("foreignm.txt");
+  std::remove(store.c_str());
+  const std::string out = tmpPath("foreign_resume.txt");
   ASSERT_EQ(runBench("", std::string(kGrid) + " --workers 2 --journal " +
                              journal,
                      out),
-            0);
-  // Same journal, different seed: the fingerprint check refuses.
+            0)
+      << slurp(out + ".err");
+  // Same journal, different seed: the fingerprint check refuses before
+  // any sink runs.
   EXPECT_NE(runBench("",
-                     "merge --suite fig4a --filter gcc --instr 2000 "
-                     "--seed 2 --journal " +
-                         journal + " --store " + merged,
+                     "--suite fig4a --filter gcc --instr 2000 --seed 2 "
+                     "--workers 2 --resume " +
+                         journal + " --sink store --store " + store,
                      out),
             0);
-  EXPECT_NE(slurp(out + ".err").find("different grid"), std::string::npos)
+  EXPECT_NE(slurp(out + ".err").find("different sweep"), std::string::npos)
       << slurp(out + ".err");
-  EXPECT_FALSE(std::filesystem::exists(merged));
+  EXPECT_FALSE(std::filesystem::exists(store));
 }
 
 TEST(StoreProcess, SinkRefusesRewritingTheSameGridViaCli) {
