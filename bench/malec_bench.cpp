@@ -19,8 +19,8 @@
 //   malec_bench ... --task-timeout 60000      per-task SIGKILL timeout [ms]
 //
 // (--worker is the internal per-task entry the coordinator fork/execs;
-// MALEC_TASK_TIMEOUT / MALEC_SWEEP_RETRIES / MALEC_SWEEP_BACKOFF_MS tune
-// supervision, MALEC_FAULT_SPEC injects deterministic faults for tests.)
+// MALEC_SWEEP_RETRIES / MALEC_SWEEP_BACKOFF_MS tune supervision,
+// MALEC_FAULT_SPEC injects deterministic faults for tests.)
 //
 // Result store (docs/FILE_FORMATS.md, ".mstore v1"): every sink run can
 // land durably in a queryable store, and two subcommands work on it —

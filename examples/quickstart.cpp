@@ -36,7 +36,7 @@ int main(int argc, char** argv) {
 
   const std::vector<core::InterfaceConfig> cfgs = {
       sim::presetBase1ldst(), sim::presetBase2ld1st(), sim::presetMalec()};
-  const auto outs = sim::runConfigsParallel(*wl, cfgs, instructions);
+  const auto outs = sim::runMatrixParallel({*wl}, cfgs, instructions)[0];
 
   const double base_cycles = static_cast<double>(outs[0].cycles);
   const double base_energy = outs[0].total_pj;

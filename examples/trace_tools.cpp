@@ -4,15 +4,15 @@
 //       capture a synthetic stream (v2 format: block-buffered, header
 //       carries the AddressLayout and a record checksum)
 //   trace_tools analyze <file>
-//       Fig.1-style locality report
+//       Fig.1-style locality report, under the layout the trace was
+//       captured with
 //   trace_tools run <file> [--config NAME] [--instr N] [--seed S]
 //       simulate a captured trace through the shared experiment runner.
-//       --ckpt-out PATH [--ckpt-every N] writes a full-state `.mckpt`
-//       checkpoint every N retired instructions (N defaults to
-//       MALEC_CKPT_EVERY); --from-ckpt PATH resumes one — the resumed
-//       run's report is bit-identical to the uninterrupted run. With
-//       --sampled, --warmup-ckpt PATH caches the per-pick warm states so
-//       repeated sweeps of the same (trace, plan, config) skip warmup.
+//       --ckpt-out PATH --ckpt-every N writes a full-state `.mckpt`
+//       checkpoint every N retired instructions; --from-ckpt PATH resumes
+//       one — the resumed run's report is bit-identical to the
+//       uninterrupted run. --sampled [--plan PATH] replays only the
+//       plan's representative intervals (see `phases` below).
 //   trace_tools synth <benchmark> [--config NAME] [--instr N] [--seed S]
 //       the equivalent direct synthetic run, same report — `diff` its
 //       output against `run` on a capture of the same benchmark to verify
@@ -56,16 +56,15 @@ struct RunFlags {
   bool sampled = false;  ///< replay through a sample plan
   std::string plan;      ///< explicit plan path ("" = the .mplan sidecar)
   std::string ckpt_out;  ///< write a .mckpt here every ckpt_every instrs
-  std::uint64_t ckpt_every = 0;  ///< 0 = MALEC_CKPT_EVERY
-  std::string from_ckpt;     ///< resume from this .mckpt
-  std::string warmup_ckpt;   ///< sampled warmup-state cache
+  std::uint64_t ckpt_every = 0;  ///< checkpoint cadence [retired instrs]
+  std::string from_ckpt;         ///< resume from this .mckpt
 };
 
 /// Parse trailing [--config NAME] [--instr N] [--seed S] [--sampled
-/// [--plan PATH]] flags (a bare config name is still accepted where the
-/// old CLI took one positionally). `gen` passes allow_run_flags = false:
-/// it only takes --seed, and must reject the rest instead of silently
-/// ignoring a --instr/--config the user believes shaped the capture.
+/// [--plan PATH]] [--ckpt-out PATH --ckpt-every N] [--from-ckpt PATH]
+/// flags. `gen` passes allow_run_flags = false: it only takes --seed, and
+/// must reject the rest instead of silently ignoring a --instr/--config
+/// the user believes shaped the capture.
 bool parseRunFlags(int argc, char** argv, int first, RunFlags& out,
                    bool allow_run_flags = true) {
   for (int i = first; i < argc; ++i) {
@@ -86,14 +85,10 @@ bool parseRunFlags(int argc, char** argv, int first, RunFlags& out,
     else if (allow_run_flags && arg == "--ckpt-every")
       out.ckpt_every = sim::parseU64Strict(value(), "--ckpt-every");
     else if (allow_run_flags && arg == "--from-ckpt") out.from_ckpt = value();
-    else if (allow_run_flags && arg == "--warmup-ckpt")
-      out.warmup_ckpt = value();
     else if (arg == "--seed") out.seed = sim::parseU64Strict(value(), "--seed");
     else if (arg.rfind("--", 0) == 0) {
       std::fprintf(stderr, "unknown option '%s'\n", arg.c_str());
       return false;
-    } else if (allow_run_flags) {
-      out.config = arg;  // legacy positional config name
     } else {
       std::fprintf(stderr, "unexpected argument '%s'\n", arg.c_str());
       return false;
@@ -135,8 +130,7 @@ void printRunSummary(const sim::RunOutput& out) {
 
 int runWorkload(const trace::WorkloadProfile& wl, const RunFlags& flags) {
   // A cadence with nowhere to write would silently checkpoint nothing —
-  // reject like every other flag misuse. (MALEC_CKPT_EVERY alone is fine:
-  // that is ambient configuration, consulted only when an output is set.)
+  // reject like every other flag misuse.
   if (flags.ckpt_every != 0 && flags.ckpt_out.empty()) {
     std::fprintf(stderr, "--ckpt-every needs --ckpt-out\n");
     std::exit(2);
@@ -150,7 +144,6 @@ int runWorkload(const trace::WorkloadProfile& wl, const RunFlags& flags) {
   rc.ckpt_out = flags.ckpt_out;
   rc.ckpt_every = flags.ckpt_every;
   rc.start_ckpt = flags.from_ckpt;
-  rc.warmup_ckpt = flags.warmup_ckpt;
   printRunSummary(sim::runOne(rc));
   return 0;
 }
@@ -188,8 +181,7 @@ int cmdAnalyze(const std::string& path) {
     std::fprintf(stderr, "%s\n", rd.error().c_str());
     return 1;
   }
-  const AddressLayout layout;
-  trace::LocalityAnalyzer an(layout);
+  trace::LocalityAnalyzer an(rd.layout());
   trace::InstrRecord r;
   std::uint64_t mem = 0, total = 0;
   while (rd.next(r)) {
@@ -226,16 +218,8 @@ int cmdRun(const std::string& path, int argc, char** argv, int first) {
     std::fprintf(stderr, "--plan only makes sense with --sampled\n");
     return 2;
   }
-  if (!flags.warmup_ckpt.empty() && !flags.sampled) {
-    std::fprintf(stderr,
-                 "--warmup-ckpt only makes sense with --sampled (full runs "
-                 "use --ckpt-out/--from-ckpt)\n");
-    return 2;
-  }
   if (flags.sampled && (!flags.ckpt_out.empty() || !flags.from_ckpt.empty())) {
-    std::fprintf(stderr,
-                 "--sampled does not take --ckpt-out/--from-ckpt — its "
-                 "checkpoint reuse is the warmup cache (--warmup-ckpt)\n");
+    std::fprintf(stderr, "--sampled does not take --ckpt-out/--from-ckpt\n");
     return 2;
   }
   if (flags.sampled) {
@@ -336,8 +320,8 @@ int cmdSynth(const std::string& bench, int argc, char** argv, int first) {
   if (!parseRunFlags(argc, argv, first, flags)) return 2;
   // Synthetic runs have no plan to sample — reject rather than silently
   // print a full run the user believes was sampled.
-  if (flags.sampled || !flags.plan.empty() || !flags.warmup_ckpt.empty()) {
-    std::fprintf(stderr, "synth does not take --sampled/--plan/--warmup-ckpt\n");
+  if (flags.sampled || !flags.plan.empty()) {
+    std::fprintf(stderr, "synth does not take --sampled/--plan\n");
     return 2;
   }
   if (sim::workloadRegistry().tryGet(bench) == nullptr) {
@@ -368,11 +352,11 @@ int main(int argc, char** argv) {
                "  %s gen <benchmark> <N> <file> [--seed S]\n"
                "  %s analyze <file>\n"
                "  %s run <file> [--config NAME] [--instr N] [--seed S]"
-               " [--sampled [--plan PATH] [--warmup-ckpt PATH]]\n"
-               "             [--ckpt-out PATH [--ckpt-every N]]"
+               " [--sampled [--plan PATH]]\n"
+               "             [--ckpt-out PATH --ckpt-every N]"
                " [--from-ckpt PATH]\n"
                "  %s synth <benchmark> [--config NAME] [--instr N]"
-               " [--seed S] [--ckpt-out PATH [--ckpt-every N]]"
+               " [--seed S] [--ckpt-out PATH --ckpt-every N]"
                " [--from-ckpt PATH]\n"
                "  %s phases <file> [--interval N] [--phases K] [--warmup W]"
                " [--seed S] [--out PATH]\n",

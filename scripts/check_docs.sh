@@ -8,6 +8,10 @@
 #    fails the build.
 # 2. Every spec named in a PAPER_MAPPING.md table row must still be
 #    registered — a removed/renamed spec leaves a stale row that fails too.
+# 3. The MALEC_* names the code reads (string literals passed to getenv,
+#    envU64 or envOr in src/, bench/ and examples/) must equal the MALEC_*
+#    rows of README's environment table — an undocumented knob and a row
+#    for a knob nothing reads both fail.
 #
 # Exits non-zero with one line per violation.
 set -euo pipefail
@@ -50,9 +54,27 @@ for spec in $documented; do
   fi
 done
 
+read_env=$(grep -rhoE '\b(getenv|envU64|envOr)\("MALEC_[A-Z0-9_]+"' \
+             src bench examples | grep -oE 'MALEC_[A-Z0-9_]+' | sort -u || true)
+# Table rows look like "| `MALEC_NAME` | effect |".
+table_env=$(sed -n 's/^| `\(MALEC_[A-Z0-9_]*\)`.*/\1/p' README.md | sort -u)
+for var in $read_env; do
+  if ! grep -qx "$var" <<< "$table_env"; then
+    echo "check_docs: $var is read by the code but has no row in README.md's environment table"
+    fail=1
+  fi
+done
+for var in $table_env; do
+  if ! grep -qx "$var" <<< "$read_env"; then
+    echo "check_docs: README.md's environment table documents $var which nothing reads"
+    fail=1
+  fi
+done
+
 if [[ "$fail" -ne 0 ]]; then
-  echo "check_docs: FAILED — docs/PAPER_MAPPING.md is out of sync with the spec registry" >&2
+  echo "check_docs: FAILED — docs are out of sync with the spec registry or the environment knobs" >&2
   exit 1
 fi
 count=$(wc -w <<< "$registered")
-echo "check_docs: OK — $count specs all mapped in $mapping"
+env_count=$(wc -w <<< "$read_env")
+echo "check_docs: OK — $count specs all mapped in $mapping, $env_count env vars all in README.md"

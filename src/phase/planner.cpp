@@ -14,15 +14,9 @@ SamplePlan buildSamplePlan(const std::string& trace_path,
 
   trace::TraceReader rd(trace_path);
   if (!rd.ok()) MALEC_CHECK_MSG(false, rd.error().c_str());
-  // Profile under the layout the trace was captured with (v2 headers carry
-  // it); v1 traces fall back to the default Table-II layout.
-  const AddressLayout layout = rd.hasLayout()
-                                   ? AddressLayout(rd.layoutParams())
-                                   : AddressLayout{};
-
   IntervalProfiler::Params pp;
   pp.interval_size = params.interval_size;
-  IntervalProfiler profiler(layout, pp);
+  IntervalProfiler profiler(rd.layout(), pp);
   trace::InstrRecord r;
   while (rd.next(r)) profiler.observe(r);
   if (!rd.ok()) MALEC_CHECK_MSG(false, rd.error().c_str());

@@ -79,21 +79,27 @@ bool validate(const SamplePlan& plan, std::string& err) {
 
 }  // namespace
 
-std::uint64_t SamplePlan::simulatedInstructions() const {
-  // Mirrors the sampled-replay loop: the warmup prefix is clamped at the
-  // trace start and at the previous segment's end (picks are sorted, so
-  // `pos` walks forward exactly like the replay's reader).
-  std::uint64_t n = 0;
+std::vector<PlanSegment> SamplePlan::segments() const {
+  // Picks are sorted, so `pos` (the previous segment's end) walks forward
+  // exactly like the replay's sequential reader.
+  std::vector<PlanSegment> segs;
+  segs.reserve(picks.size());
   std::uint64_t pos = 0;
   for (const PhasePick& p : picks) {
-    const std::uint64_t start = p.interval_index * interval_size;
-    const std::uint64_t end =
-        std::min(start + interval_size, trace_records);
-    const std::uint64_t warm =
-        std::min(warmup_instructions, start - std::min(start, pos));
-    n += warm + (end - start);
-    pos = end;
+    PlanSegment s;
+    s.start = p.interval_index * interval_size;
+    s.end = std::min(s.start + interval_size, trace_records);
+    s.warm_start = s.start - std::min(warmup_instructions,
+                                      s.start - std::min(s.start, pos));
+    segs.push_back(s);
+    pos = s.end;
   }
+  return segs;
+}
+
+std::uint64_t SamplePlan::simulatedInstructions() const {
+  std::uint64_t n = 0;
+  for (const PlanSegment& s : segments()) n += s.end - s.warm_start;
   return n;
 }
 
@@ -221,15 +227,28 @@ std::string planSidecarPath(const std::string& trace_path) {
       .string();
 }
 
-bool planBindsTo(const SamplePlan& plan, const trace::TraceReader& rd) {
-  if (plan.trace_records != rd.total()) return false;
-  if (rd.version() == trace::kTraceVersion)
-    return plan.trace_checksum == rd.expectedChecksum();
-  // Checksum-less (v1) trace: it can only be the plan's source if the
-  // plan was ALSO computed from a checksum-less trace — a nonzero stored
-  // checksum proves a v2 origin, so a count-matching v1 file is a
-  // different capture, not the one the picks were clustered from.
-  return plan.trace_checksum == 0;
+bool loadBoundPlan(const std::string& plan_path,
+                   const std::string& trace_path, SamplePlan& out,
+                   std::string& err) {
+  SamplePlan plan;
+  if (!loadSamplePlan(plan_path, plan, err)) return false;
+  const trace::TraceReader rd(trace_path);
+  if (!rd.ok()) {
+    err = rd.error();
+    return false;
+  }
+  // A checksum-less (v1) trace reports checksum 0, so it can only be the
+  // plan's source if the plan was ALSO computed from a checksum-less trace
+  // — a nonzero stored checksum proves a v2 origin, so a count-matching v1
+  // file is a different capture, not the one the picks were clustered from.
+  if (plan.trace_records != rd.total() ||
+      plan.trace_checksum != rd.expectedChecksum()) {
+    err = "sample plan '" + plan_path +
+          "' was computed from a different trace than '" + trace_path + "'";
+    return false;
+  }
+  out = std::move(plan);
+  return true;
 }
 
 }  // namespace malec::phase

@@ -15,10 +15,6 @@
 #include <string>
 #include <vector>
 
-namespace malec::trace {
-class TraceReader;
-}
-
 namespace malec::phase {
 
 /// Magic bytes + version identifying a MALEC sample-plan file ("MPLN").
@@ -33,6 +29,14 @@ struct PhasePick {
   /// Weights are stored as exact integer counts (not floating fractions):
   /// the picks' weight_instructions sum to exactly trace_records.
   std::uint64_t weight_instructions = 0;
+};
+
+/// One pick's stretch of the trace, as record indices: warmup runs over
+/// [warm_start, start), measurement over [start, end).
+struct PlanSegment {
+  std::uint64_t warm_start = 0;
+  std::uint64_t start = 0;
+  std::uint64_t end = 0;
 };
 
 /// A validated sample plan. Invariants (enforced by load/save and by
@@ -58,6 +62,11 @@ struct SamplePlan {
     return static_cast<double>(picks[i].weight_instructions) /
            static_cast<double>(trace_records);
   }
+  /// The trace stretches the sampled replay walks, one per pick in pick
+  /// order. The warmup prefix is clamped at the trace start and at the
+  /// previous segment's end: a pick adjacent to the previous one runs with
+  /// whatever prefix the gap affords.
+  [[nodiscard]] std::vector<PlanSegment> segments() const;
   /// Instructions the sampled replay actually simulates (warmup included) —
   /// the numerator of the advertised fast-forward ratio.
   [[nodiscard]] std::uint64_t simulatedInstructions() const;
@@ -79,12 +88,15 @@ bool loadSamplePlan(const std::string& path, SamplePlan& out,
 /// "dir/gcc.mplan" (extension replaced).
 [[nodiscard]] std::string planSidecarPath(const std::string& trace_path);
 
-/// Does `plan` bind to the trace opened in `rd` — record count always,
-/// payload checksum when the trace format carries one (v2)? THE binding
-/// predicate: the sampled replay's hard check and the phase_sampled
-/// suite's skip decision both call this, so the two can never drift into
-/// "gate admits what the replay rejects".
-[[nodiscard]] bool planBindsTo(const SamplePlan& plan,
-                               const trace::TraceReader& rd);
+/// Load the plan at `plan_path` and check that it binds to the trace at
+/// `trace_path` — record count always, payload checksum when the trace
+/// format carries one (v2). THE binding decision: the sampled replay, the
+/// trace-directory scan, suite validation and the phase_sampled suite's
+/// skip gate all call this, so no gate can admit what the replay rejects.
+/// Returns false with the reason in `err` (unreadable plan, unreadable
+/// trace, or a plan computed from a different trace).
+bool loadBoundPlan(const std::string& plan_path,
+                   const std::string& trace_path, SamplePlan& out,
+                   std::string& err);
 
 }  // namespace malec::phase

@@ -4,10 +4,8 @@
 #include <atomic>
 #include <cctype>
 #include <cerrno>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <filesystem>
 #include <limits>
 #include <memory>
 #include <mutex>
@@ -30,9 +28,6 @@
 namespace malec::sim {
 
 namespace {
-
-/// Env knob accessor — defined with the other env helpers below.
-std::uint64_t envU64(const char* name, std::uint64_t dflt);
 
 /// The pluggable trace source behind runOne(): a synthetic generator for
 /// profile workloads (the original, bit-identical path) or a file reader
@@ -380,22 +375,6 @@ void saveRunState(const RunConfig& rc, const ResolvedSource& src,
   if (!w.writeTo(rc.ckpt_out, err)) MALEC_CHECK_MSG(false, err.c_str());
 }
 
-/// Fingerprint of a sample plan — the warmup cache binds to the exact pick
-/// set, not just the trace.
-std::uint64_t planFingerprint(const phase::SamplePlan& plan) {
-  BindingHasher h;
-  h.u64(plan.interval_size);
-  h.u64(plan.warmup_instructions);
-  h.u64(plan.trace_records);
-  h.u64(plan.trace_checksum);
-  h.u64(plan.picks.size());
-  for (const phase::PhasePick& p : plan.picks) {
-    h.u64(p.interval_index);
-    h.u64(p.weight_instructions);
-  }
-  return h.value();
-}
-
 /// Restore `rc.start_ckpt` into the freshly-constructed simulation stack.
 void restoreRunState(const RunConfig& rc, ResolvedSource& src,
                      energy::EnergyAccount& ea, core::MemInterface& ifc,
@@ -443,9 +422,6 @@ void finalizeDerivedMetrics(RunOutput& out, const energy::EnergyAccount& ea,
 
 RunOutput runOne(const RunConfig& rc) {
   if (rc.workload.isSampled()) return runOneSampled(rc);
-  MALEC_CHECK_MSG(rc.warmup_ckpt.empty(),
-                  "warmup_ckpt is a sampled-replay feature — full runs "
-                  "checkpoint via ckpt_out/start_ckpt");
 
   energy::EnergyAccount ea;
   defineEnergies(ea, rc.interface_cfg, rc.system);
@@ -459,13 +435,11 @@ RunOutput runOne(const RunConfig& rc) {
   if (!rc.start_ckpt.empty()) restoreRunState(rc, src, ea, *ifc, core);
   bool wrote_ckpt = false;
   if (!rc.ckpt_out.empty()) {
-    const std::uint64_t every =
-        rc.ckpt_every != 0 ? rc.ckpt_every : envU64("MALEC_CKPT_EVERY", 0);
-    MALEC_CHECK_MSG(every != 0,
+    MALEC_CHECK_MSG(rc.ckpt_every != 0,
                     "a checkpoint output path needs an interval — set "
-                    "ckpt_every (--ckpt-every) or MALEC_CKPT_EVERY");
+                    "ckpt_every (--ckpt-every)");
     core.setCheckpointHook(
-        every, [&rc, &src, &ea, &ifc, &core, &wrote_ckpt] {
+        rc.ckpt_every, [&rc, &src, &ea, &ifc, &core, &wrote_ckpt] {
           saveRunState(rc, src, ea, *ifc, core);
           wrote_ckpt = true;
         });
@@ -481,7 +455,7 @@ RunOutput runOne(const RunConfig& rc) {
   if (!rc.ckpt_out.empty() && rc.start_ckpt.empty() && !wrote_ckpt) {
     const std::string msg =
         "checkpoint interval exceeds the run: no checkpoint was written to "
-        "'" + rc.ckpt_out + "' — lower ckpt_every/MALEC_CKPT_EVERY below "
+        "'" + rc.ckpt_out + "' — lower ckpt_every below "
         "the instruction budget";
     MALEC_CHECK_MSG(false, msg.c_str());
   }
@@ -525,87 +499,20 @@ RunOutput runOneSampled(const RunConfig& rc) {
                   "sampled replay does not compose with an instruction cap "
                   "(the plan determines what is simulated) — run with "
                   "--instr 0 / MALEC_INSTR unset");
+  MALEC_CHECK_MSG(rc.ckpt_out.empty() && rc.start_ckpt.empty(),
+                  "sampled replay does not compose with ckpt_out/start_ckpt");
 
   phase::SamplePlan plan;
   std::string err;
-  if (!phase::loadSamplePlan(rc.workload.sample_plan_path, plan, err))
+  if (!phase::loadBoundPlan(rc.workload.sample_plan_path,
+                            rc.workload.trace_path, plan, err)) {
+    err += " — write a plan with `trace_tools phases " +
+           rc.workload.trace_path + "`";
     MALEC_CHECK_MSG(false, err.c_str());
-
+  }
   trace::TraceReader rd(rc.workload.trace_path);
   if (!rd.ok()) MALEC_CHECK_MSG(false, rd.error().c_str());
   checkReplayLayout(rd, rc);
-  // The plan binds to one exact trace: record count always, payload
-  // checksum when the trace format carries one (v2).
-  if (!phase::planBindsTo(plan, rd)) {
-    const std::string msg =
-        "sample plan '" + rc.workload.sample_plan_path +
-        "' was computed from a different trace than '" +
-        rc.workload.trace_path + "' — re-run `trace_tools phases`";
-    MALEC_CHECK_MSG(false, msg.c_str());
-  }
-
-  MALEC_CHECK_MSG(rc.ckpt_out.empty() && rc.start_ckpt.empty(),
-                  "sampled replay does not compose with ckpt_out/start_ckpt "
-                  "— its checkpoint reuse is the warmup cache (warmup_ckpt "
-                  "/ MALEC_CKPT_WARMUP_DIR)");
-
-  // Warmup cache: a `.mckpt` holding every pick's measurement-entry state.
-  // First run of a (trace, plan, config, seed) combination writes it;
-  // later identical runs restore each pick's state and skip all
-  // fast-forward decoding and warmup simulation. Results are bit-identical
-  // either way: the restored states are exactly what the skipped work
-  // would have recomputed.
-  std::string cache_path = rc.warmup_ckpt;
-  if (cache_path.empty()) {
-    if (const char* dir = std::getenv("MALEC_CKPT_WARMUP_DIR");
-        dir != nullptr && dir[0] != '\0') {
-      BindingHasher key;
-      key.u64(runBindingHash(rc));
-      key.u64(planFingerprint(plan));
-      char hex[17];
-      std::snprintf(hex, sizeof hex, "%016llx",
-                    static_cast<unsigned long long>(key.value()));
-      cache_path = std::string(dir) + "/warmup_" + hex + ".mckpt";
-    }
-  }
-  std::unique_ptr<ckpt::StateReader> cache_in;
-  std::unique_ptr<ckpt::StateWriter> cache_out;
-  if (!cache_path.empty()) {
-    std::error_code ec;
-    if (std::filesystem::exists(cache_path, ec)) {
-      cache_in = std::make_unique<ckpt::StateReader>(cache_path);
-      if (!cache_in->ok()) MALEC_CHECK_MSG(false, cache_in->error().c_str());
-      cache_in->openSection("meta");
-      if (cache_in->u64() != runBindingHash(rc) ||
-          cache_in->u64() != planFingerprint(plan)) {
-        const std::string msg =
-            "warmup cache '" + cache_path + "' was written for a different "
-            "(trace, plan, config, seed) combination — delete it or point "
-            "warmup_ckpt elsewhere";
-        MALEC_CHECK_MSG(false, msg.c_str());
-      }
-      const std::uint64_t total = cache_in->u64();
-      const std::uint64_t sum = cache_in->u64();
-      if (total != rd.total() || sum != rd.expectedChecksum()) {
-        const std::string msg =
-            "warmup cache '" + cache_path + "' was computed from a "
-            "different trace than '" + rc.workload.trace_path + "'";
-        MALEC_CHECK_MSG(false, msg.c_str());
-      }
-      MALEC_CHECK_MSG(cache_in->u64() == plan.picks.size(),
-                      "warmup cache pick count disagrees with the plan");
-      cache_in->endSection();
-    } else {
-      cache_out = std::make_unique<ckpt::StateWriter>();
-      cache_out->beginSection("meta");
-      cache_out->u64(runBindingHash(rc));
-      cache_out->u64(planFingerprint(plan));
-      cache_out->u64(rd.total());
-      cache_out->u64(rd.expectedChecksum());
-      cache_out->u64(plan.picks.size());
-      cache_out->endSection();
-    }
-  }
 
   // Weighted-combination accumulators: full-trace estimates as doubles,
   // folded in pick order. est += measured * (cluster weight / measured
@@ -625,132 +532,52 @@ RunOutput runOneSampled(const RunConfig& rc) {
   event_est.resize(ea.eventTypes(), 0.0);
   std::vector<std::uint64_t> ev_snap(ea.eventTypes(), 0);
 
-  std::uint64_t pos = 0;  // records consumed from the reader so far
   // One continuous simulated timeline across every segment: the shared
   // interface keys busy windows and miss ready times to absolute cycles,
   // so each segment's core resumes the clock where the previous one left
   // off instead of restarting at 0 (see CoreModel::run's start_cycle).
   Cycle sim_clock = 0;
   trace::InstrRecord skip;
-  for (std::size_t k = 0; k < plan.picks.size(); ++k) {
-    const phase::PhasePick& pick = plan.picks[k];
-    const std::uint64_t start = pick.interval_index * plan.interval_size;
-    const std::uint64_t end =
-        std::min(start + plan.interval_size, plan.trace_records);
-    // The warmup prefix is clamped at the trace start AND at the previous
-    // segment's end: a representative adjacent to the previous pick has
-    // (part of) its warmup window already consumed by the sequential
-    // reader, so it runs with whatever prefix the gap affords — a bias
-    // that is part of the sampling approximation, and deterministic.
-    const std::uint64_t warm =
-        std::min(plan.warmup_instructions, start - std::min(start, pos));
-    const std::uint64_t warm_start = start - warm;
+  const std::vector<phase::PlanSegment> segs = plan.segments();
+  for (std::size_t k = 0; k < segs.size(); ++k) {
+    const phase::PlanSegment& seg = segs[k];
+    // Fast-forward: decode-only, no simulation — this skip is where the
+    // wall-clock win over a full replay comes from.
+    while (rd.consumed() < seg.warm_start && rd.next(skip)) {
+    }
+    MALEC_CHECK_MSG(rd.consumed() == seg.warm_start, rd.error().c_str());
 
-    const std::string pick_key = "pick" + std::to_string(k);
-    if (cache_in != nullptr) {
-      // Warm-state restore: jump the reader and the whole memory system
-      // straight to this pick's measurement entry — the state the skipped
-      // fast-forward + warmup would have recomputed, bit for bit.
-      cache_in->openSection(pick_key + ".source");
-      const std::uint64_t saved_pos = cache_in->u64();
-      const std::uint64_t saved_sum = cache_in->u64();
-      cache_in->endSection();
-      MALEC_CHECK_MSG(saved_pos == start,
-                      "warmup cache pick position disagrees with the plan");
-      if (!rd.seekTo(saved_pos, saved_sum))
-        MALEC_CHECK_MSG(false, rd.error().c_str());
-      pos = saved_pos;
-      cache_in->openSection(pick_key + ".clock");
-      sim_clock = cache_in->u64();
-      cache_in->endSection();
-      cache_in->openSection(pick_key + ".interface");
-      ifc->loadState(*cache_in);
-      cache_in->endSection();
-      cache_in->openSection(pick_key + ".energy");
-      ea.loadState(*cache_in);
-      cache_in->endSection();
-    } else {
-      // Fast-forward: decode-only, no simulation — this skip is where the
-      // wall-clock win over a full replay comes from.
-      while (pos < warm_start && rd.next(skip)) ++pos;
-      MALEC_CHECK_MSG(pos == warm_start, rd.error().c_str());
-
-      if (warm > 0) {
-        // Warmup: primes caches/TLB/WDU; the StatGate drops its energy and
-        // the stats snapshot below removes its counters.
-        energy::StatGate gate(ea);
-        SegmentSource wsrc(rd, warm);
-        cpu::CoreModel wcore(rc.system, rc.interface_cfg, wsrc, *ifc);
-        const cpu::CoreStats ws = wcore.run(warm * 60 + 100'000, sim_clock);
-        sim_clock += ws.cycles;
-        // An under-consumed warmup (reader failure or the safety bound)
-        // would silently desynchronise `pos` from the reader and shift
-        // every later segment onto the wrong intervals.
-        MALEC_CHECK_MSG(ws.instructions == warm,
-                        "sampled warmup did not retire every instruction");
-        pos += warm;
-        gate.open();
-      }
-      if (cache_out != nullptr) {
-        // Measurement-entry snapshot — exactly what the restore path above
-        // loads back on the next run of this combination.
-        cache_out->beginSection(pick_key + ".source");
-        cache_out->u64(rd.consumed());
-        cache_out->u64(rd.runningChecksum());
-        cache_out->endSection();
-        cache_out->beginSection(pick_key + ".clock");
-        cache_out->u64(sim_clock);
-        cache_out->endSection();
-        cache_out->beginSection(pick_key + ".interface");
-        ifc->saveState(*cache_out);
-        cache_out->endSection();
-        cache_out->beginSection(pick_key + ".energy");
-        ea.saveState(*cache_out);
-        cache_out->endSection();
-      }
+    const std::uint64_t warm = seg.start - seg.warm_start;
+    if (warm > 0) {
+      // Warmup: primes caches/TLB/WDU; the StatGate drops its energy and
+      // the stats snapshot below removes its counters.
+      energy::StatGate gate(ea);
+      SegmentSource wsrc(rd, warm);
+      cpu::CoreModel wcore(rc.system, rc.interface_cfg, wsrc, *ifc);
+      const cpu::CoreStats ws = wcore.run(warm * 60 + 100'000, sim_clock);
+      sim_clock += ws.cycles;
+      // An under-retired warmup (reader failure or the safety bound) would
+      // silently shift the measurement off its interval.
+      MALEC_CHECK_MSG(ws.instructions == warm,
+                      "sampled warmup did not retire every instruction");
+      gate.open();
     }
     const core::InterfaceStats warm_snap = ifc->stats();
     for (energy::EnergyAccount::EventId id = 0; id < ea.eventTypes(); ++id)
       ev_snap[id] = ea.eventCount(id);
 
-    SegmentSource msrc(rd, end - start);
+    const std::uint64_t measured = seg.end - seg.start;
+    SegmentSource msrc(rd, measured);
     cpu::CoreModel core(rc.system, rc.interface_cfg, msrc, *ifc);
-    const cpu::CoreStats cs =
-        core.run((end - start) * 60 + 100'000, sim_clock);
+    const cpu::CoreStats cs = core.run(measured * 60 + 100'000, sim_clock);
     sim_clock += cs.cycles;
-    pos += end - start;
     MALEC_CHECK_MSG(rd.ok(), rd.error().c_str());
-    MALEC_CHECK_MSG(cs.instructions == end - start,
+    MALEC_CHECK_MSG(cs.instructions == measured,
                     "sampled interval did not retire every instruction");
-    if (cache_out != nullptr) {
-      // Running checksum at measurement end — the restore path's per-pick
-      // integrity reference (see below).
-      cache_out->beginSection(pick_key + ".endsum");
-      cache_out->u64(rd.runningChecksum());
-      cache_out->endSection();
-    }
-    if (cache_in != nullptr) {
-      // Each restore seeds the reader with the CACHED running checksum, so
-      // the final tail verification alone would only vouch for the last
-      // measured window. Holding every window's measured hash against the
-      // value recorded at cache-write time closes that gap: a byte flipped
-      // inside any simulated stretch is a hard error, exactly like the
-      // sequential sampled path. (The skipped gaps were fully verified
-      // when the cache was written; skipping them is the cache's point.)
-      cache_in->openSection(pick_key + ".endsum");
-      const std::uint64_t end_sum = cache_in->u64();
-      cache_in->endSection();
-      if (rd.runningChecksum() != end_sum) {
-        const std::string msg =
-            "'" + rc.workload.trace_path + "': record checksum mismatch "
-            "inside a sampled measurement window — the trace changed since "
-            "warmup cache '" + cache_path + "' was written";
-        MALEC_CHECK_MSG(false, msg.c_str());
-      }
-    }
 
-    const double scale = static_cast<double>(pick.weight_instructions) /
-                         static_cast<double>(cs.instructions);
+    const double scale =
+        static_cast<double>(plan.picks[k].weight_instructions) /
+        static_cast<double>(cs.instructions);
     cycles_est += static_cast<double>(cs.cycles) * scale;
     for (std::size_t i = 0; i < kNumCoreFields; ++i)
       core_est[i] +=
@@ -770,15 +597,6 @@ RunOutput runOneSampled(const RunConfig& rc) {
   // Hash the remainder so a sampled replay vouches for the whole file's
   // integrity exactly like a capped full replay does.
   verifyReaderTail(rd, rc.workload.trace_path);
-
-  // The warmup cache is only written after the whole pass (tail checksum
-  // included) succeeded — and atomically, so parallel runs of the same
-  // combination race benignly (all write identical bytes).
-  if (cache_out != nullptr) {
-    std::string err;
-    if (!cache_out->writeTo(cache_path, err))
-      MALEC_CHECK_MSG(false, err.c_str());
-  }
 
   // One internally-consistent estimate: round the combined counters once,
   // then derive every reported rate and energy from the rounded values the
@@ -809,36 +627,16 @@ RunOutput runOneSampled(const RunConfig& rc) {
 
 }  // namespace
 
-namespace {
-
-/// Shared batch assembly for the serial and parallel sweep entry points,
-/// so the two can never diverge in how a run is configured.
-std::vector<RunConfig> buildRunConfigs(
-    const trace::WorkloadProfile& wl,
-    const std::vector<core::InterfaceConfig>& cfgs,
-    std::uint64_t instructions, std::uint64_t seed) {
-  std::vector<RunConfig> rcs;
-  rcs.reserve(cfgs.size());
-  for (const auto& cfg : cfgs) {
-    RunConfig rc;
-    rc.workload = wl;
-    rc.interface_cfg = cfg;
-    rc.system = defaultSystem();
-    rc.instructions = instructions;
-    rc.seed = seed;
-    rcs.push_back(std::move(rc));
-  }
-  return rcs;
-}
-
-}  // namespace
-
-std::vector<RunOutput> runConfigs(
-    const trace::WorkloadProfile& wl,
-    const std::vector<core::InterfaceConfig>& cfgs,
-    std::uint64_t instructions, std::uint64_t seed) {
-  return runManyParallel(buildRunConfigs(wl, cfgs, instructions, seed),
-                         /*jobs=*/1);
+RunConfig gridCellConfig(const trace::WorkloadProfile& wl,
+                         const core::InterfaceConfig& cfg,
+                         std::uint64_t instructions, std::uint64_t seed) {
+  RunConfig rc;
+  rc.workload = wl;
+  rc.interface_cfg = cfg;
+  rc.system = defaultSystem();
+  rc.instructions = instructions;
+  rc.seed = seed;
+  return rc;
 }
 
 std::vector<RunOutput> runManyParallel(const std::vector<RunConfig>& rcs,
@@ -873,23 +671,15 @@ std::vector<RunOutput> runManyParallel(const std::vector<RunConfig>& rcs,
   return outs;
 }
 
-std::vector<RunOutput> runConfigsParallel(
-    const trace::WorkloadProfile& wl,
-    const std::vector<core::InterfaceConfig>& cfgs,
-    std::uint64_t instructions, std::uint64_t seed, unsigned jobs) {
-  return runManyParallel(buildRunConfigs(wl, cfgs, instructions, seed), jobs);
-}
-
 std::vector<std::vector<RunOutput>> runMatrixParallel(
     const std::vector<trace::WorkloadProfile>& wls,
     const std::vector<core::InterfaceConfig>& cfgs,
     std::uint64_t instructions, std::uint64_t seed, unsigned jobs) {
   std::vector<RunConfig> rcs;
   rcs.reserve(wls.size() * cfgs.size());
-  for (const auto& wl : wls) {
-    auto row = buildRunConfigs(wl, cfgs, instructions, seed);
-    for (auto& rc : row) rcs.push_back(std::move(rc));
-  }
+  for (const auto& wl : wls)
+    for (const auto& cfg : cfgs)
+      rcs.push_back(gridCellConfig(wl, cfg, instructions, seed));
   const auto flat = runManyParallel(rcs, jobs);
   std::vector<std::vector<RunOutput>> by_wl(wls.size());
   for (std::size_t w = 0; w < wls.size(); ++w)

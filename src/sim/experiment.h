@@ -32,11 +32,11 @@ struct RunConfig {
 
   // --- checkpointing (docs/ARCHITECTURE.md "Checkpoint determinism") -------
   /// Non-empty = write a full-state `.mckpt` checkpoint to this path every
-  /// `ckpt_every` retired instructions (0 falls back to MALEC_CKPT_EVERY;
-  /// both 0 with an output path set is a hard error — a checkpoint file
-  /// with no cadence would silently never be written). Each checkpoint
-  /// atomically replaces the previous one, so the file always holds the
-  /// newest resumable state. Not available in sampled mode.
+  /// `ckpt_every` retired instructions (0 with an output path set is a hard
+  /// error — a checkpoint file with no cadence would silently never be
+  /// written). Each checkpoint atomically replaces the previous one, so the
+  /// file always holds the newest resumable state. Not available in sampled
+  /// mode.
   std::string ckpt_out;
   std::uint64_t ckpt_every = 0;
   /// Non-empty = restore this `.mckpt` and continue instead of starting
@@ -46,13 +46,6 @@ struct RunConfig {
   /// else is a hard error. The continued run's RunOutput and energy
   /// report are bit-identical to the run that never stopped.
   std::string start_ckpt;
-  /// Sampled replay only: warmup-state cache. The first run of a (trace,
-  /// plan, config, seed) combination writes every pick's
-  /// measurement-entry state to this file; later identical runs restore
-  /// those states and skip all fast-forward decoding and warmup
-  /// simulation — same RunOutput, bit for bit. Empty = derive a keyed
-  /// path under MALEC_CKPT_WARMUP_DIR when that is set, else off.
-  std::string warmup_ckpt;
 };
 
 struct RunOutput {
@@ -80,13 +73,6 @@ struct RunOutput {
 /// the whole capture. rc.instructions must be 0 in that mode.
 [[nodiscard]] RunOutput runOne(const RunConfig& rc);
 
-/// Run one benchmark across several interface configurations (shared
-/// workload parameters and instruction budget).
-[[nodiscard]] std::vector<RunOutput> runConfigs(
-    const trace::WorkloadProfile& wl,
-    const std::vector<core::InterfaceConfig>& cfgs,
-    std::uint64_t instructions, std::uint64_t seed = 1);
-
 /// Run a batch of arbitrary configurations across a std::thread pool.
 /// Every run is fully independent (own EnergyAccount, trace generator and
 /// RNG state seeded from its RunConfig), so outputs are bit-identical to a
@@ -95,17 +81,19 @@ struct RunOutput {
 [[nodiscard]] std::vector<RunOutput> runManyParallel(
     const std::vector<RunConfig>& rcs, unsigned jobs = 0);
 
-/// Parallel counterpart of runConfigs(): same outputs, sweep spread over
-/// `jobs` worker threads.
-[[nodiscard]] std::vector<RunOutput> runConfigsParallel(
-    const trace::WorkloadProfile& wl,
-    const std::vector<core::InterfaceConfig>& cfgs,
-    std::uint64_t instructions, std::uint64_t seed = 1, unsigned jobs = 0);
+/// The RunConfig of one (workload, configuration) grid cell: the default
+/// system with the grid's shared budget and seed. runMatrixParallel and
+/// the sweep workers both build cells here, so a sharded sweep simulates
+/// exactly what the in-process matrix does.
+[[nodiscard]] RunConfig gridCellConfig(const trace::WorkloadProfile& wl,
+                                       const core::InterfaceConfig& cfg,
+                                       std::uint64_t instructions,
+                                       std::uint64_t seed);
 
 /// Full (workload x configuration) cross product as ONE parallel batch —
 /// the whole pool stays busy instead of being capped at one row's config
-/// count. Result is indexed [workload][config], each row identical to
-/// runConfigs() for that workload.
+/// count. Result is indexed [workload][config]; `jobs` = 1 runs the cells
+/// serially in that order, 0 uses parallelJobs().
 [[nodiscard]] std::vector<std::vector<RunOutput>> runMatrixParallel(
     const std::vector<trace::WorkloadProfile>& wls,
     const std::vector<core::InterfaceConfig>& cfgs,

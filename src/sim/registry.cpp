@@ -49,13 +49,10 @@ void registerTraceDir(Registry<trace::WorkloadProfile>& reg,
   for (const auto& p : paths) {
     const auto wl = traceWorkload(p);
     reg.add(wl.name, wl);
-    const std::string plan_path = phase::planSidecarPath(p);
-    if (!std::filesystem::exists(plan_path, ec)) continue;
     phase::SamplePlan plan;
     std::string err;
-    if (!phase::loadSamplePlan(plan_path, plan, err)) continue;
-    trace::TraceReader probe(p);
-    if (!probe.ok() || !phase::planBindsTo(plan, probe)) continue;
+    if (!phase::loadBoundPlan(phase::planSidecarPath(p), p, plan, err))
+      continue;
     const auto sampled = sampledWorkloadUnchecked(wl);
     reg.add(sampled.name, sampled);
   }
@@ -163,18 +160,10 @@ void validateSampledWorkload(const trace::WorkloadProfile& wl) {
                   "validateSampledWorkload() needs a sampled trace workload");
   phase::SamplePlan plan;
   std::string err;
-  if (!phase::loadSamplePlan(wl.sample_plan_path, plan, err)) {
-    const std::string msg = err + " — write a plan with `trace_tools phases " +
-                            wl.trace_path + "`";
-    MALEC_CHECK_MSG(false, msg.c_str());
-  }
-  trace::TraceReader probe(wl.trace_path);
-  if (!probe.ok()) MALEC_CHECK_MSG(false, probe.error().c_str());
-  if (!phase::planBindsTo(plan, probe)) {
+  if (!phase::loadBoundPlan(wl.sample_plan_path, wl.trace_path, plan, err)) {
     const std::string msg =
-        "sample plan '" + wl.sample_plan_path +
-        "' was computed from a different trace than '" + wl.trace_path +
-        "' — re-run `trace_tools phases`";
+        err + " — write a plan with `trace_tools phases " + wl.trace_path +
+        "`";
     MALEC_CHECK_MSG(false, msg.c_str());
   }
 }

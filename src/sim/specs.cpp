@@ -15,7 +15,6 @@
 #include "energy/energy_account.h"
 #include "phase/sample_plan.h"
 #include "sim/presets.h"
-#include "trace/trace_io.h"
 #include "sim/structures.h"
 #include "sim/suite.h"
 #include "trace/locality_analyzer.h"
@@ -590,8 +589,8 @@ ExperimentSpec specTab1Tab2() {
     // Configuration spot-check: the full Fig. 4 configuration set on one
     // benchmark, dispatched as one parallel sweep.
     const auto outs =
-        runConfigsParallel(workloadRegistry().get("gcc"), fig4Configs(),
-                           ctx.instructions, ctx.seed, ctx.jobs);
+        runMatrixParallel({workloadRegistry().get("gcc")}, fig4Configs(),
+                          ctx.instructions, ctx.seed, ctx.jobs)[0];
     std::string sc;
     sc += strf("\nSPOT CHECK — gcc, %llu instructions, %u jobs\n",
                static_cast<unsigned long long>(ctx.instructions), ctx.jobs);
@@ -750,35 +749,6 @@ ExperimentSpec specTraceReplay() {
 
 // --- phase-sampled replay: sampled vs full on captured traces ---------------
 
-/// The skip decision the phase_sampled gate and suite body share: the
-/// capture's sidecar plan must load AND still bind to the capture next to
-/// it (record count + v2 checksum) — a stale plan left behind by a
-/// re-capture must be skipped with a note, never abort a sweep inside
-/// runOneSampled's own binding check. `out`/`why` are optional.
-bool usableSamplePlan(const trace::WorkloadProfile& wl,
-                      phase::SamplePlan* out, std::string* why) {
-  const std::string plan_path = phase::planSidecarPath(wl.trace_path);
-  phase::SamplePlan plan;
-  std::string err;
-  if (!phase::loadSamplePlan(plan_path, plan, err)) {
-    if (why != nullptr) *why = err;
-    return false;
-  }
-  trace::TraceReader probe(wl.trace_path);
-  if (!probe.ok()) {
-    if (why != nullptr) *why = probe.error();
-    return false;
-  }
-  if (!phase::planBindsTo(plan, probe)) {
-    if (why != nullptr)
-      *why = "sample plan '" + plan_path +
-             "' was computed from a different capture";
-    return false;
-  }
-  if (out != nullptr) *out = std::move(plan);
-  return true;
-}
-
 ExperimentSpec specPhaseSampled() {
   ExperimentSpec s;
   s.name = "phase_sampled";
@@ -815,7 +785,11 @@ ExperimentSpec specPhaseSampled() {
       // The suite is runnable iff at least one matching capture would NOT
       // be skipped by the body — same predicate, so the body's ran > 0
       // check can never abort a sweep this gate admitted.
-      if (usableSamplePlan(wl, nullptr, nullptr)) return std::string();
+      phase::SamplePlan plan;
+      std::string why;
+      if (phase::loadBoundPlan(phase::planSidecarPath(wl.trace_path),
+                               wl.trace_path, plan, why))
+        return std::string();
     }
     if (!any_trace)
       return std::string(
@@ -861,13 +835,13 @@ ExperimentSpec specPhaseSampled() {
         // with these notes emitted first — when NO capture has a usable
         // plan.
         std::string why;
-        if (!usableSamplePlan(wl, &plan, &why)) {
+        if (!phase::loadBoundPlan(plan_path, wl.trace_path, plan, why)) {
           notes += "skipping " + wl.name + " (" + why +
                    " — run `trace_tools phases " + wl.trace_path + "`)\n";
           continue;
         }
-        // Unchecked variant: usableSamplePlan just validated this exact
-        // plan, so only the naming/sidecar convention is needed.
+        // Unchecked variant: loadBoundPlan just validated this exact plan,
+        // so only the naming/sidecar convention is needed.
         sampled = sampledWorkloadUnchecked(wl, plan_path);
       }
       notes += strf(

@@ -14,7 +14,6 @@
 #include <thread>
 
 #include "common/check.h"
-#include "sim/presets.h"
 #include "sweep/fault.h"
 #include "sweep/journal.h"
 #include "sweep/result_codec.h"
@@ -128,7 +127,6 @@ std::string taskLabel(const sim::SuiteContext& ctx, std::uint32_t task) {
 }  // namespace
 
 void resolveSweepTuning(SweepOptions& sw) {
-  sw.task_timeout_ms = envOr("MALEC_TASK_TIMEOUT", sw.task_timeout_ms);
   sw.retries = envOr("MALEC_SWEEP_RETRIES", sw.retries);
   sw.backoff_ms = envOr("MALEC_SWEEP_BACKOFF_MS", sw.backoff_ms);
   checkRange(sw.task_timeout_ms, kMaxTaskTimeoutMs, "task timeout [ms]");
@@ -159,16 +157,9 @@ int runWorkerTask(const sim::ExperimentSpec& spec,
   const FaultSpec faults = faultSpecFromEnv();
   maybeInjectStartFault(faults, task, attempt);
 
-  // The EXACT RunConfig the in-process runMatrixParallel flattening builds
-  // for this cell — same system, budget and seed — so the sharded sweep
-  // is bit-identical to the in-process run.
-  sim::RunConfig rc;
-  rc.workload = ctx.workloads[task / ctx.configs.size()];
-  rc.interface_cfg = ctx.configs[task % ctx.configs.size()];
-  rc.system = sim::defaultSystem();
-  rc.instructions = ctx.instructions;
-  rc.seed = ctx.seed;
-  const sim::RunOutput out = sim::runOne(rc);
+  const sim::RunOutput out = sim::runOne(sim::gridCellConfig(
+      ctx.workloads[task / ctx.configs.size()],
+      ctx.configs[task % ctx.configs.size()], ctx.instructions, ctx.seed));
 
   writeResultFile(result_path, sim::gridFingerprint(ctx), task, attempt, out);
   maybeCorruptResult(faults, task, attempt, result_path);

@@ -11,8 +11,8 @@
 // RunConfig the in-process matrix would build and hands the full
 // RunOutput back through a checksummed result file. Supervision:
 //
-//   - per-task wall-clock timeout (MALEC_TASK_TIMEOUT / --task-timeout,
-//     milliseconds) with SIGKILL escalation,
+//   - per-task wall-clock timeout (--task-timeout, milliseconds) with
+//     SIGKILL escalation,
 //   - bounded retries (MALEC_SWEEP_RETRIES) with exponential backoff
 //     (MALEC_SWEEP_BACKOFF_MS doubling per attempt) and a deterministic
 //     reassignment order (lowest eligible task id first),
@@ -53,11 +53,11 @@ inline constexpr std::uint64_t kMaxRetries = 100;
 inline constexpr std::uint64_t kMaxBackoffMs = 600'000;
 inline constexpr std::uint64_t kMaxWorkers = 1024;
 
-/// Apply environment fallbacks (MALEC_TASK_TIMEOUT, MALEC_SWEEP_RETRIES,
-/// MALEC_SWEEP_BACKOFF_MS — strict parses, 0/unset = keep the field's
-/// current value) and range-check every knob; violations abort with the
-/// offending name and limit. Called by malec_bench before coordinating
-/// and directly by the knob death tests.
+/// Apply environment fallbacks (MALEC_SWEEP_RETRIES, MALEC_SWEEP_BACKOFF_MS
+/// — strict parses, 0/unset = keep the field's current value) and
+/// range-check every knob, the task timeout included; violations abort
+/// with the offending name and limit. Called by malec_bench before
+/// coordinating and directly by the knob death tests.
 void resolveSweepTuning(SweepOptions& sw);
 
 /// Run `spec` sharded across worker processes (see file comment). Returns

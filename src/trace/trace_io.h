@@ -113,6 +113,11 @@ class TraceReader final : public TraceSource {
   [[nodiscard]] const AddressLayout::Params& layoutParams() const {
     return layout_params_;
   }
+  /// The layout the trace was captured under: the v2 header's, or the
+  /// default Table-II layout for v1 files, which record none.
+  [[nodiscard]] AddressLayout layout() const {
+    return has_layout_ ? AddressLayout(layout_params_) : AddressLayout{};
+  }
 
  private:
   void fail(std::string msg);

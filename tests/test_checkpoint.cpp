@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -206,21 +205,6 @@ TEST(Checkpoint, ResumeIsBitIdenticalUnderRunManyParallel) {
   const auto outs = runManyParallel({rc, resuming, resuming, rc}, 4);
   ASSERT_EQ(outs.size(), 4u);
   for (const auto& o : outs) expectBitIdentical(straight, o);
-  std::remove(ckpt.c_str());
-}
-
-TEST(Checkpoint, CkptEveryFallsBackToEnvVar) {
-  const std::string ckpt = tmpPath("env_ck.mckpt");
-  RunConfig rc = baseConfig("gcc", presetMalec(), 4'000);
-  rc.ckpt_out = ckpt;  // ckpt_every stays 0 -> MALEC_CKPT_EVERY decides
-  ASSERT_EQ(setenv("MALEC_CKPT_EVERY", "1500", 1), 0);
-  const RunOutput with_env = runOne(rc);
-  ASSERT_EQ(unsetenv("MALEC_CKPT_EVERY"), 0);
-  expectBitIdentical(runOne(baseConfig("gcc", presetMalec(), 4'000)),
-                     with_env);
-  RunConfig resuming = baseConfig("gcc", presetMalec(), 4'000);
-  resuming.start_ckpt = ckpt;
-  expectBitIdentical(with_env, runOne(resuming));
   std::remove(ckpt.c_str());
 }
 

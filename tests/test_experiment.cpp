@@ -48,9 +48,9 @@ TEST(Experiment, SeedChangesOutcome) {
   EXPECT_NE(a.cycles, b.cycles);
 }
 
-TEST(Experiment, RunConfigsCoversAll) {
-  const auto outs = runConfigs(trace::workloadByName("eon"), fig4Configs(),
-                               10'000, 1);
+TEST(Experiment, MatrixRowCoversAllConfigs) {
+  const auto outs = runMatrixParallel({trace::workloadByName("eon")},
+                                      fig4Configs(), 10'000, 1, 1)[0];
   ASSERT_EQ(outs.size(), 5u);
   EXPECT_EQ(outs[0].config, "Base1ldst");
   EXPECT_EQ(outs[1].config, "Base2ld1st_1cycleL1");
@@ -143,8 +143,8 @@ TEST(ExperimentDeathTest, ParseU64StrictRejectsGarbage) {
 TEST(Experiment, ParallelMatchesSerialBitForBit) {
   const auto wl = trace::workloadByName("gcc");
   const auto cfgs = fig4Configs();
-  const auto serial = runConfigs(wl, cfgs, 10'000, 3);
-  const auto parallel = runConfigsParallel(wl, cfgs, 10'000, 3, 4);
+  const auto serial = runMatrixParallel({wl}, cfgs, 10'000, 3, 1)[0];
+  const auto parallel = runMatrixParallel({wl}, cfgs, 10'000, 3, 4)[0];
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
     EXPECT_EQ(serial[i].config, parallel[i].config) << i;

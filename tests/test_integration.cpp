@@ -16,9 +16,10 @@ struct Bundle {
 };
 
 Bundle runBundle(const char* bench) {
-  const auto outs = runConfigs(
-      trace::workloadByName(bench),
-      {presetBase1ldst(), presetBase2ld1st(), presetMalec()}, kInstr, 1);
+  const auto outs = runMatrixParallel(
+      {trace::workloadByName(bench)},
+      {presetBase1ldst(), presetBase2ld1st(), presetMalec()}, kInstr, 1,
+      1)[0];
   return Bundle{outs[0], outs[1], outs[2]};
 }
 
@@ -124,8 +125,8 @@ TEST(Integration, MergingContributesSpeedup) {
 
 TEST(Integration, LatencyVariantsOrdered) {
   // Fig. 4a: 1-cycle Base2 fastest; 3-cycle MALEC slower than 2-cycle.
-  const auto outs = runConfigs(trace::workloadByName("gcc"), fig4Configs(),
-                               kInstr, 1);
+  const auto outs = runMatrixParallel({trace::workloadByName("gcc")},
+                                      fig4Configs(), kInstr, 1, 1)[0];
   EXPECT_LT(outs[1].cycles, outs[2].cycles);  // Base2 1cyc < Base2 2cyc
   EXPECT_LT(outs[3].cycles, outs[4].cycles);  // MALEC 2cyc < MALEC 3cyc
 }

@@ -1,11 +1,10 @@
 // Phase-sampled replay through runOne: the determinism contract the docs
 // claim (bit-identical reports across repeated and parallel runs), the
-// plan/trace binding, the warmup StatGate, and the death tests for corrupt
-// or mismatched .mplan sidecars.
+// plan/trace binding, the warmup StatGate, and the death tests for a
+// corrupt measured window and corrupt or mismatched .mplan sidecars.
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -173,71 +172,18 @@ TEST(PhaseSampled, RegistryScanAutoRegistersSampledVariant) {
   EXPECT_EQ(smp.sample_plan_path, dir + "/planned.mplan");
 }
 
-TEST(PhaseSampled, WarmupCacheWriteAndRestoreAreBitIdentical) {
-  const std::string path =
-      captureWithPlan("gcc", "wcache.mtrace", 30'000, 5'000, 3, 5'000);
-  const std::string cache = tmpPath("wcache.mckpt");
-  const RunConfig plain = sampledConfig(path);
-  RunConfig cached = plain;
-  cached.warmup_ckpt = cache;
-
-  const RunOutput base = runOne(plain);
-  // First cached run executes warmup normally and writes the cache...
-  const RunOutput writing = runOne(cached);
-  expectBitIdentical(base, writing);
-  ASSERT_TRUE(std::filesystem::exists(cache));
-  // ...later identical runs restore every pick's measurement-entry state
-  // and skip all fast-forward + warmup — still bit-identical.
-  const RunOutput restored = runOne(cached);
-  expectBitIdentical(base, restored);
-  // And under the parallel pool (racing writers are benign: atomic rename
-  // of identical bytes).
-  const auto outs = runManyParallel({cached, cached, plain}, 3);
-  for (const auto& o : outs) expectBitIdentical(base, o);
-  std::remove(cache.c_str());
-  std::remove(phase::planSidecarPath(path).c_str());
-  std::remove(path.c_str());
-}
-
-TEST(PhaseSampled, WarmupCacheDirEnvDerivesKeyedPath) {
-  const std::string path =
-      captureWithPlan("gcc", "wdir.mtrace", 20'000, 4'000, 2, 2'000);
-  const std::string dir = std::string(::testing::TempDir()) + "wckpt_dir";
-  std::filesystem::remove_all(dir);
-  ASSERT_TRUE(std::filesystem::create_directories(dir));
-  const RunConfig rc = sampledConfig(path);
-  const RunOutput base = runOne(rc);
-  ASSERT_EQ(setenv("MALEC_CKPT_WARMUP_DIR", dir.c_str(), 1), 0);
-  const RunOutput writing = runOne(rc);   // writes <dir>/warmup_<key>.mckpt
-  const RunOutput restored = runOne(rc);  // restores it
-  ASSERT_EQ(unsetenv("MALEC_CKPT_WARMUP_DIR"), 0);
-  expectBitIdentical(base, writing);
-  expectBitIdentical(base, restored);
-  std::size_t cache_files = 0;
-  for (const auto& e : std::filesystem::directory_iterator(dir))
-    cache_files += e.path().extension() == ".mckpt";
-  EXPECT_EQ(cache_files, 1u);
-  std::filesystem::remove_all(dir);
-  std::remove(phase::planSidecarPath(path).c_str());
-  std::remove(path.c_str());
-}
-
-TEST(PhaseSampledDeathTest, WarmupCacheRestoreCatchesWindowCorruption) {
-  // A cache-restoring run skips the gaps but still READS every measured
-  // window — a byte flipped inside one must be a hard error, exactly like
-  // the sequential sampled path, not a silently different simulation.
+TEST(PhaseSampledDeathTest, CorruptMeasuredWindowAborts) {
+  // A byte flipped inside a simulated stretch must be a hard error, not a
+  // silently different simulation: the replay's running checksum, held
+  // against the header's when the tail is verified, catches it.
   const std::string path =
       captureWithPlan("gcc", "wcorrupt.mtrace", 30'000, 5'000, 3, 2'000);
-  const std::string cache = tmpPath("wcorrupt.mckpt");
-  RunConfig rc = sampledConfig(path);
-  rc.warmup_ckpt = cache;
-  (void)runOne(rc);  // writes the cache
+  const RunConfig rc = sampledConfig(path);
 
   phase::SamplePlan plan;
   std::string err;
   ASSERT_TRUE(loadSamplePlan(phase::planSidecarPath(path), plan, err)) << err;
-  // Flip a vaddr byte (stays decodable) inside the FIRST pick's window —
-  // only the per-window checksum reference can catch it on restore.
+  // Flip a vaddr byte (stays decodable) inside the FIRST pick's window.
   const long record =
       static_cast<long>(plan.picks[0].interval_index * plan.interval_size) +
       7;
@@ -247,23 +193,7 @@ TEST(PhaseSampledDeathTest, WarmupCacheRestoreCatchesWindowCorruption) {
   std::fseek(f, 52 + record * 26 + 9, SEEK_SET);
   std::fputc(orig ^ 0xFF, f);
   std::fclose(f);
-  EXPECT_DEATH((void)runOne(rc),
-               "checksum mismatch inside a sampled measurement window");
-  std::remove(cache.c_str());
-  std::remove(phase::planSidecarPath(path).c_str());
-  std::remove(path.c_str());
-}
-
-TEST(PhaseSampledDeathTest, StaleWarmupCacheAborts) {
-  const std::string path =
-      captureWithPlan("gcc", "wstale.mtrace", 20'000, 4'000, 2, 2'000);
-  const std::string cache = tmpPath("wstale.mckpt");
-  RunConfig rc = sampledConfig(path);
-  rc.warmup_ckpt = cache;
-  (void)runOne(rc);  // writes the cache for seed 1
-  rc.seed = 2;       // same cache file, different combination
-  EXPECT_DEATH((void)runOne(rc), "different \\(trace, plan, config, seed\\)");
-  std::remove(cache.c_str());
+  EXPECT_DEATH((void)runOne(rc), "record checksum mismatch");
   std::remove(phase::planSidecarPath(path).c_str());
   std::remove(path.c_str());
 }

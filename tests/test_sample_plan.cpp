@@ -54,10 +54,20 @@ TEST(SamplePlan, DerivedQuantities) {
   EXPECT_DOUBLE_EQ(plan.weight(2), 0.25);
   // Picks 1, 4, 9 with 200-instr warmups, none adjacent: 3 x (200 + 1000).
   EXPECT_EQ(plan.simulatedInstructions(), 3'600u);
+  const std::vector<PlanSegment> segs = plan.segments();
+  ASSERT_EQ(segs.size(), 3u);
+  EXPECT_EQ(segs[1].warm_start, 3'800u);
+  EXPECT_EQ(segs[1].start, 4'000u);
+  EXPECT_EQ(segs[1].end, 5'000u);
   // Adjacent picks lose the overlapped part of their warmup.
   SamplePlan adj = plan;
   adj.picks = {{0, 3'000}, {1, 7'000}};  // pick 0 starts the trace
   EXPECT_EQ(adj.simulatedInstructions(), 2'000u);
+  const std::vector<PlanSegment> adj_segs = adj.segments();
+  ASSERT_EQ(adj_segs.size(), 2u);
+  EXPECT_EQ(adj_segs[0].warm_start, 0u);  // clamped at the trace start
+  EXPECT_EQ(adj_segs[1].warm_start, 1'000u);  // ...and at pick 0's end
+  EXPECT_EQ(adj_segs[1].start, 1'000u);
 }
 
 TEST(SamplePlan, SidecarPathSwapsExtension) {

@@ -70,7 +70,7 @@ TEST(SpecRegistryDeathTest, TraceReplayWithoutTracesExplains) {
 
 // The port's keystone: the fig4a spec (one runMatrixParallel batch through
 // the declarative layer) must reproduce the legacy bench main — a serial
-// runConfigs loop with hand-rolled normalisation and geomean rows —
+// per-workload loop with hand-rolled normalisation and geomean rows —
 // bit-for-bit in the rendered table.
 TEST(Suite, Fig4aSpecMatchesLegacyBenchBitForBit) {
   const std::uint64_t n = 6'000;
@@ -99,7 +99,8 @@ TEST(Suite, Fig4aSpecMatchesLegacyBenchBitForBit) {
     if (!current_suite.empty() && wl.suite != current_suite)
       t.addGeomeanRow("geo.mean " + current_suite);
     current_suite = wl.suite;
-    const auto outs = runConfigs(wl, cfgs, n, /*seed=*/1);
+    const auto outs = runMatrixParallel({wl}, cfgs, n, /*seed=*/1,
+                                        /*jobs=*/1)[0];
     const double base = static_cast<double>(outs[0].cycles);
     std::vector<double> row;
     for (const auto& o : outs)

@@ -307,38 +307,47 @@ TEST(FaultSpecDeathTest, MalformedSpecsAbort) {
 // --- strictly-parsed supervision knobs --------------------------------------
 
 TEST(SweepTuning, EnvFallbacksKeepDefaultsWhenUnsetOrZero) {
-  ::unsetenv("MALEC_TASK_TIMEOUT");
   ::unsetenv("MALEC_SWEEP_RETRIES");
   ::unsetenv("MALEC_SWEEP_BACKOFF_MS");
   SweepOptions sw;
+  sw.task_timeout_ms = 5000;  // the --task-timeout flag is its only source
   resolveSweepTuning(sw);
-  EXPECT_EQ(sw.task_timeout_ms, 0u);
+  EXPECT_EQ(sw.task_timeout_ms, 5000u);
   EXPECT_EQ(sw.retries, 2u);
   EXPECT_EQ(sw.backoff_ms, 250u);
 
-  ::setenv("MALEC_TASK_TIMEOUT", "5000", 1);
   ::setenv("MALEC_SWEEP_RETRIES", "7", 1);
+  ::setenv("MALEC_SWEEP_BACKOFF_MS", "0", 1);  // 0 = keep the default
   resolveSweepTuning(sw);
-  EXPECT_EQ(sw.task_timeout_ms, 5000u);
   EXPECT_EQ(sw.retries, 7u);
-  ::unsetenv("MALEC_TASK_TIMEOUT");
+  EXPECT_EQ(sw.backoff_ms, 250u);
+  ::setenv("MALEC_SWEEP_BACKOFF_MS", "40", 1);
+  resolveSweepTuning(sw);
+  EXPECT_EQ(sw.backoff_ms, 40u);
+  EXPECT_EQ(sw.task_timeout_ms, 5000u);
   ::unsetenv("MALEC_SWEEP_RETRIES");
+  ::unsetenv("MALEC_SWEEP_BACKOFF_MS");
 }
 
 TEST(SweepTuningDeathTest, RejectsNonNumericAndOutOfRangeKnobs) {
   SweepOptions sw;
   // atoll would read "1e3" as 1 and "0x10" as 0 — the silent acceptance
   // class strict parsing exists to kill.
-  ::setenv("MALEC_TASK_TIMEOUT", "1e3", 1);
-  EXPECT_DEATH(resolveSweepTuning(sw), "MALEC_TASK_TIMEOUT");
-  ::setenv("MALEC_TASK_TIMEOUT", "0x10", 1);
-  EXPECT_DEATH(resolveSweepTuning(sw), "MALEC_TASK_TIMEOUT");
-  ::setenv("MALEC_TASK_TIMEOUT", "86400001", 1);  // kMaxTaskTimeoutMs + 1
-  EXPECT_DEATH(resolveSweepTuning(sw), "exceeds the supported range");
-  ::unsetenv("MALEC_TASK_TIMEOUT");
+  ::setenv("MALEC_SWEEP_RETRIES", "1e3", 1);
+  EXPECT_DEATH(resolveSweepTuning(sw), "MALEC_SWEEP_RETRIES");
   ::setenv("MALEC_SWEEP_RETRIES", "101", 1);  // kMaxRetries + 1
   EXPECT_DEATH(resolveSweepTuning(sw), "exceeds the supported range");
   ::unsetenv("MALEC_SWEEP_RETRIES");
+  ::setenv("MALEC_SWEEP_BACKOFF_MS", "0x10", 1);
+  EXPECT_DEATH(resolveSweepTuning(sw), "MALEC_SWEEP_BACKOFF_MS");
+  ::setenv("MALEC_SWEEP_BACKOFF_MS", "600001", 1);  // kMaxBackoffMs + 1
+  EXPECT_DEATH(resolveSweepTuning(sw), "exceeds the supported range");
+  ::unsetenv("MALEC_SWEEP_BACKOFF_MS");
+  sw.task_timeout_ms = kMaxTaskTimeoutMs + 1;
+  EXPECT_DEATH(resolveSweepTuning(sw), "task timeout .* exceeds");
+  sw.task_timeout_ms = kMaxTaskTimeoutMs;
+  resolveSweepTuning(sw);
+  EXPECT_EQ(sw.task_timeout_ms, kMaxTaskTimeoutMs);
 }
 
 // --- StateWriter stale-temp reaping (satellite of this PR) ------------------
@@ -430,6 +439,21 @@ TEST(SweepProcess, WorkerKilledMidTaskRetriesAndSucceeds) {
                                   r.fail_kind == FailKind::kSignal &&
                                   r.fail_code == 9);
   EXPECT_TRUE(saw_sigkill);
+}
+
+// The --task-timeout flag is the timeout's only source: an ambient
+// MALEC_TASK_TIMEOUT must not override it (at 1 ms every task would be
+// SIGKILLed and the whole grid quarantined, exit 3).
+TEST(SweepProcess, TaskTimeoutFlagIsNotOverriddenByEnvironment) {
+  const std::string journal = tmpPath("tflag.mjournal");
+  std::remove(journal.c_str());
+  const std::string out = tmpPath("tflag.txt");
+  ASSERT_EQ(runBench("MALEC_SWEEP_BACKOFF_MS=1 MALEC_TASK_TIMEOUT=1 ",
+                     std::string(kGrid) + " --workers 2 --journal " + journal +
+                         " --task-timeout 600000",
+                     out),
+            0);
+  EXPECT_EQ(slurp(out), uninterruptedReference());
 }
 
 TEST(SweepProcess, HangingWorkerIsKilledByTimeoutAndRetried) {

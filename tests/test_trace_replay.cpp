@@ -1,7 +1,8 @@
 // Trace-backed workloads as first-class experiments: capture -> replay
 // bit-identity against the direct synthetic run, trace workload naming and
-// resolution, the MALEC_TRACE_DIR-style registry scan, and the trace_replay
-// suite through the registry/suite/sink stack.
+// resolution, the MALEC_TRACE_DIR-style registry scan, the trace_replay
+// suite through the registry/suite/sink stack, and `trace_tools analyze`
+// (the real binary, MALEC_TRACE_TOOLS_PATH, wired by CMake).
 //
 // NOTE: RegistryScan mutates the process-global workloadRegistry() (that is
 // the point of the scan); tests in this file that enumerate trace workloads
@@ -9,7 +10,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -18,6 +21,7 @@
 #include "sim/presets.h"
 #include "sim/registry.h"
 #include "sim/suite.h"
+#include "trace/locality_analyzer.h"
 #include "trace/trace_io.h"
 #include "trace/workloads.h"
 
@@ -189,6 +193,49 @@ TEST(TraceReplayDeathTest, LayoutMismatchAborts) {
   std::remove(path.c_str());
 }
 
+// `trace_tools analyze` must measure locality under the layout the trace
+// was captured with (as the phase planner does), not the default one: with
+// 16 KiB pages many more loads share a page than 4 KiB pages would show.
+TEST(TraceReplay, AnalyzeUsesCapturedLayout) {
+  const std::string path = tmpPath("analyze_16k.mtrace");
+  RunConfig rc = syntheticConfig("gcc", presetMalec(), 200'000);
+  AddressLayout::Params params;
+  params.page_bytes = 16 * 1024;
+  rc.system.layout = AddressLayout(params);
+  captureTrace(rc, path);
+
+  auto followedAtX0 = [&](const AddressLayout& layout) {
+    trace::TraceReader rd(path);
+    trace::LocalityAnalyzer an(layout);
+    trace::InstrRecord r;
+    while (rd.next(r)) an.observe(r);
+    EXPECT_TRUE(rd.ok()) << rd.error();
+    return 100 * an.pageGroups()[0].frac_followed;
+  };
+  const double captured = followedAtX0(rc.system.layout);
+  // The fixture only pins the bug if the two layouts disagree visibly.
+  ASSERT_GT(captured - followedAtX0(AddressLayout{}), 1.0);
+
+  const std::string out = tmpPath("analyze_16k.txt");
+  const std::string cmd = std::string(MALEC_TRACE_TOOLS_PATH) + " analyze " +
+                          path + " > " + out;
+  ASSERT_EQ(std::system(cmd.c_str()), 0);
+  std::ifstream in(out);
+  std::string line;
+  bool saw_x0 = false;
+  while (std::getline(in, line)) {
+    unsigned x = 0;
+    double followed = 0.0;
+    if (std::sscanf(line.c_str(), "%u %lf", &x, &followed) != 2 || x != 0)
+      continue;
+    saw_x0 = true;
+    EXPECT_NEAR(followed, captured, 0.05) << line;
+  }
+  EXPECT_TRUE(saw_x0) << "no x=0 row in the analyze report";
+  std::remove(out.c_str());
+  std::remove(path.c_str());
+}
+
 // Registers temp-dir captures into the global registry — keep after the
 // tests above, which assume nothing about extra registry content, and
 // before SuiteThroughSinks, which tolerates it.
@@ -251,7 +298,8 @@ TEST(TraceReplay, SuiteThroughSinksMatchesSyntheticRunBitForBit) {
   // Expected tables, built from direct synthetic runs of the same grid.
   const std::vector<core::InterfaceConfig> cfgs = {
       presetBase1ldst(), presetBase2ld1st(), presetMalec()};
-  const auto outs = runConfigs(trace::workloadByName("gcc"), cfgs, n, 1);
+  const auto outs =
+      runMatrixParallel({trace::workloadByName("gcc")}, cfgs, n, 1, 1)[0];
   std::vector<std::string> cols;
   for (const auto& c : cfgs) cols.push_back(c.name);
   const std::string label = "trace:" + path;  // ad-hoc names keep the path
