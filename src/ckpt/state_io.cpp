@@ -369,6 +369,19 @@ std::string StateReader::str() {
   return s;
 }
 
+std::size_t StateReader::count(std::size_t elem_bytes) {
+  const std::uint64_t n = u64();
+  const std::size_t left = cur_end_ - cur_;
+  if (n > left / std::max<std::size_t>(elem_bytes, 1)) {
+    const std::string msg = kind_ + " '" + path_ + "': a count of " +
+                            std::to_string(n) + " elements overruns the " +
+                            std::to_string(left) +
+                            " bytes left in its section";
+    MALEC_CHECK_MSG(false, msg.c_str());
+  }
+  return static_cast<std::size_t>(n);
+}
+
 void StateReader::bytes(std::uint8_t* p, std::size_t n) {
   need(n);
   std::copy(payload_.begin() + static_cast<std::ptrdiff_t>(cur_),

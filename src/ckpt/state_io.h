@@ -1,4 +1,4 @@
-// Checkpoint state I/O: the `.mckpt` v1 container every component
+// Checkpoint state I/O: the `.mckpt` v2 container every component
 // serializes itself into.
 //
 // A checkpoint is a full-state snapshot of one running simulation — core,
@@ -27,7 +27,7 @@ namespace malec::ckpt {
 
 /// Magic bytes + version identifying a MALEC checkpoint file ("MCKP").
 inline constexpr std::uint32_t kCkptMagic = 0x4D434B50;
-inline constexpr std::uint32_t kCkptVersion = 1;
+inline constexpr std::uint32_t kCkptVersion = 2;
 
 class StateWriter {
  public:
@@ -102,6 +102,11 @@ class StateReader {
   double f64();
   std::string str();
   void bytes(std::uint8_t* p, std::size_t n);
+  /// A u64 element count read from the file, checked before the caller
+  /// sizes a container by it: `count` elements of at least `elem_bytes`
+  /// bytes each must fit in what is left of the open section. Aborts,
+  /// naming the file, when they cannot.
+  std::size_t count(std::size_t elem_bytes);
 
  private:
   struct Section {

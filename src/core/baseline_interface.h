@@ -10,23 +10,18 @@
 // Every load translates individually (multi-ported TLBs) and performs a
 // conventional cache access (no way determination). Stores drain through
 // the same Store Buffer / Merge Buffer path as MALEC; evicted MB entries
-// compete with loads for the cache's rd/wt port.
+// compete with loads for the cache's rd/wt port. This class is the port
+// scheduler; the caches, translation, store path and the access itself
+// live in the L1Backend it owns.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "core/event_queue.h"
 #include "core/interface_config.h"
-#include "core/l1_event_ids.h"
+#include "core/l1_backend.h"
 #include "core/mem_interface.h"
-#include "core/translation_engine.h"
 #include "energy/energy_account.h"
-#include "lsq/merge_buffer.h"
-#include "lsq/store_buffer.h"
-#include "mem/l1_cache.h"
-#include "mem/l2_cache.h"
-#include "mem/memory_hierarchy.h"
 
 namespace malec::core {
 
@@ -44,47 +39,30 @@ class BaselineInterface final : public MemInterface {
   void drainCompletions(Cycle now, std::vector<SeqNum>& out) override;
   [[nodiscard]] bool quiesced() const override;
   [[nodiscard]] Cycle quietUntil() const override;
-  void replayQuietCycles(Cycle n) override { now_ += n; }
-  [[nodiscard]] const InterfaceStats& stats() const override { return stats_; }
+  [[nodiscard]] const InterfaceStats& stats() const override {
+    return backend_.stats();
+  }
   void saveState(ckpt::StateWriter& w) const override;
   void loadState(ckpt::StateReader& r) override;
 
-  [[nodiscard]] const TranslationEngine& engine() const { return engine_; }
-  [[nodiscard]] const mem::L1Cache& l1() const { return l1_; }
-  [[nodiscard]] const mem::MemoryHierarchy& hierarchy() const { return hier_; }
-  [[nodiscard]] const lsq::StoreBuffer& storeBuffer() const { return sb_; }
-  [[nodiscard]] const lsq::MergeBuffer& mergeBuffer() const { return mb_; }
+  [[nodiscard]] const L1Backend& backend() const { return backend_; }
 
  private:
-  void drainStoreBuffer();
   void serviceLoads(Cycle now);
-  Cycle accessL1Load(const MemOp& op, Addr paddr, Cycle now);
-  void accessL1Write(Addr vaddr, Cycle now);
 
-  /// Loads serviceable this cycle given the port organisation.
-  [[nodiscard]] std::uint32_t loadPortsPerCycle() const;
+  /// Loads serviceable per cycle: Base1ldst's single rd/wt port, or
+  /// Base2ld1st's rd/wt + rd.
+  [[nodiscard]] std::uint32_t loadPortsPerCycle() const {
+    return cfg_.kind == InterfaceKind::kBase1LdSt ? 1 : 2;
+  }
 
   InterfaceConfig cfg_;  // lint:no-state(config; restore binds by fingerprint)
   SystemConfig sys_;     // lint:no-state(config; restore binds by fingerprint)
-  energy::EnergyAccount& ea_;  // lint:no-state(wiring ref; checkpoints itself)
-  /// Event handles resolved once at construction (hot path = integer ids).
-  L1EventIds id_;  // lint:no-state(construction-time EventId cache)
 
-  mem::L1Cache l1_;
-  mem::L2Cache l2_;
-  mem::MemoryHierarchy hier_;
-  TranslationEngine engine_;
-  lsq::StoreBuffer sb_;
-  lsq::MergeBuffer mb_;
-
+  L1Backend backend_;
   /// Loads waiting for a cache port (small backlog from MBE-write cycles).
   std::vector<MemOp> pending_loads_;
-  std::optional<lsq::MergeBuffer::Entry> pending_mbe_;
 
-  EventQueue completions_;  ///< (data-ready cycle, seq) load completions
-
-  InterfaceStats stats_;
-  Cycle now_ = 0;
   /// Set whenever this cycle changes state; reset by beginCycle (see
   /// quietUntil()).
   bool active_ = false;  // lint:no-state(per-cycle flag; beginCycle resets it)

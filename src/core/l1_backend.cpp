@@ -1,0 +1,321 @@
+#include "core/l1_backend.h"
+
+#include "ckpt/state_io.h"
+#include "common/check.h"
+
+namespace malec::core {
+
+namespace {
+
+mem::L1Cache::Params l1Params(WayDetKind waydet, const SystemConfig& sys) {
+  mem::L1Cache::Params p;
+  p.layout = sys.layout;
+  // The 3-way allocation restriction only applies when Way Tables encode
+  // ways (Sec. V); the WDU and no-waydet variants use all four ways.
+  p.restrict_alloc_ways = waydet == WayDetKind::kWayTables;
+  p.seed = sys.seed * 11 + 5;
+  return p;
+}
+
+mem::L2Cache::Params l2Params(const SystemConfig& sys) {
+  mem::L2Cache::Params p;
+  p.line_bytes = sys.layout.lineBytes();
+  p.seed = sys.seed * 13 + 7;
+  return p;
+}
+
+TranslationEngine::Params engineParams(const InterfaceConfig& cfg,
+                                       WayDetKind waydet,
+                                       const SystemConfig& sys) {
+  TranslationEngine::Params p;
+  p.layout = sys.layout;
+  p.utlb_entries = sys.utlb_entries;
+  p.tlb_entries = sys.tlb_entries;
+  p.way_tables = waydet == WayDetKind::kWayTables;
+  p.last_entry_feedback = cfg.last_entry_feedback;
+  p.last_entry_depth = cfg.last_entry_depth;
+  p.walk_latency = sys.page_walk_latency;
+  p.seed = sys.seed * 17 + 9;
+  return p;
+}
+
+}  // namespace
+
+L1Backend::EventIds::EventIds(energy::EnergyAccount& ea, bool wdu)
+    : ctrl(ea.resolveEvent("l1.ctrl")),
+      tag_read(ea.resolveEvent("l1.tag_read")),
+      tag_write(ea.resolveEvent("l1.tag_write")),
+      data_read(ea.resolveEvent("l1.data_read")),
+      data_write(ea.resolveEvent("l1.data_write")),
+      line_read(ea.resolveEvent("l1.line_read")),
+      line_write(ea.resolveEvent("l1.line_write")) {
+  if (!wdu) return;
+  wdu_search = ea.resolveEvent("wdu.search");
+  wdu_write = ea.resolveEvent("wdu.write");
+}
+
+L1Backend::L1Backend(const InterfaceConfig& cfg, const SystemConfig& sys,
+                     energy::EnergyAccount& ea)
+    : cfg_(cfg),
+      sys_(sys),
+      waydet_(cfg.kind == InterfaceKind::kMalec ? cfg.waydet
+                                                : WayDetKind::kNone),
+      ea_(ea),
+      id_(ea, waydet_ == WayDetKind::kWdu),
+      l1_(l1Params(waydet_, sys)),
+      l2_(l2Params(sys)),
+      hier_(l1_, l2_, {sys.l2_latency, sys.dram_latency, sys.mshrs}),
+      engine_(engineParams(cfg, waydet_, sys), ea),
+      sb_(sys.sb_entries, sys.layout),
+      mb_(sys.mb_entries, sys.layout) {
+  if (waydet_ == WayDetKind::kWdu)
+    wdu_ = std::make_unique<waydet::Wdu>(cfg.wdu_entries);
+
+  // Line fill/eviction hooks: fill energy, WT validity and WDU maintenance.
+  hier_.setFillCallback([this](Addr line_base, WayIdx way) {
+    ea_.count(id_.tag_write);
+    ea_.count(id_.line_write);
+    engine_.onLineFill(line_base, way);
+    if (wdu_) wdu_->record(sys_.layout.lineAddr(line_base), way);
+  });
+  hier_.setEvictCallback([this](Addr line_base) {
+    // Dirty victims are read out for writeback; the read is charged
+    // unconditionally as a conservative model of the eviction sequence.
+    ea_.count(id_.line_read);
+    engine_.onLineEvict(line_base);
+    if (wdu_) wdu_->invalidate(sys_.layout.lineAddr(line_base));
+  });
+}
+
+bool L1Backend::submitStore(const MemOp& op) {
+  if (sb_.full()) return false;
+  sb_.insert(op.seq, op.vaddr, op.size);
+  ++stats_.stores_submitted;
+  return true;
+}
+
+bool L1Backend::tick() {
+  // Run-time bypass (Sec. VI-D): suspend way determination through
+  // streaming phases where its updates cost energy without paying off.
+  const bool window_done = cfg_.adaptive_bypass &&
+                           waydet_ == WayDetKind::kWayTables &&
+                           window_accesses_ >= cfg_.bypass_window;
+  if (window_done) evaluateBypassWindow();
+  // One committed store per cycle drains into the Merge Buffer, unless the
+  // MB is full and its last eviction is still waiting (backpressure).
+  if (mb_.full() && pending_mbe_.has_value()) return window_done;
+  const auto entry = sb_.popCommitted();
+  if (!entry.has_value()) return window_done;
+  if (mb_.absorb(entry->vaddr, entry->size)) return true;
+  if (mb_.full()) {
+    pending_mbe_ = mb_.evictLru();
+    MALEC_CHECK(pending_mbe_.has_value());
+  }
+  mb_.allocate(entry->vaddr, entry->size);
+  return true;
+}
+
+void L1Backend::evaluateBypassWindow() {
+  const double miss_rate = static_cast<double>(window_misses_) /
+                           static_cast<double>(window_accesses_);
+  // While suspended no lookups happen; treat coverage as zero then (the
+  // resume decision rests on the miss rate alone, so no deadlock).
+  const double coverage =
+      window_lookups_ == 0 ? 0.0
+                           : static_cast<double>(window_known_) /
+                                 static_cast<double>(window_lookups_);
+  // Hysteresis: suspend only after two consecutive windows that are both
+  // high-miss AND low-coverage (cold-start compulsory misses must not trip
+  // the bypass, and any useful coverage is worth keeping); resume once the
+  // miss rate falls clearly below the threshold.
+  const bool losing =
+      miss_rate > cfg_.bypass_threshold &&
+      (engine_.suspended() || coverage < cfg_.bypass_min_coverage);
+  if (losing) {
+    if (++high_miss_windows_ >= 2) engine_.setSuspended(true);
+  } else if (miss_rate < cfg_.bypass_threshold * 0.5 ||
+             coverage >= cfg_.bypass_min_coverage) {
+    high_miss_windows_ = 0;
+    engine_.setSuspended(false);
+  }
+  window_accesses_ = 0;
+  window_misses_ = 0;
+  window_lookups_ = 0;
+  window_known_ = 0;
+}
+
+Addr L1Backend::takePendingMbe() {
+  MALEC_CHECK(pending_mbe_.has_value());
+  const Addr line_base = pending_mbe_->line_base;
+  pending_mbe_.reset();
+  return line_base;
+}
+
+bool L1Backend::forwards(Addr vaddr, std::uint8_t size, bool split) {
+  if (sb_.coversLoad(vaddr, size, split)) {
+    ++stats_.sb_forwards;
+    return true;
+  }
+  if (mb_.coversLoad(vaddr, size, split)) {
+    ++stats_.mb_forwards;
+    return true;
+  }
+  return false;
+}
+
+WayIdx L1Backend::lookupWay(std::uint32_t uwt_slot, Addr vaddr, Addr paddr) {
+  switch (waydet_) {
+    case WayDetKind::kNone:
+      return kWayUnknown;
+    case WayDetKind::kWayTables: {
+      const WayIdx w = engine_.wayFor(uwt_slot, vaddr);
+      ++stats_.way_lookups;
+      ++window_lookups_;
+      if (w != kWayUnknown) {
+        ++stats_.way_known;
+        ++window_known_;
+      }
+      return w;
+    }
+    case WayDetKind::kWdu: {
+      ea_.count(id_.wdu_search);
+      ++stats_.way_lookups;
+      const auto w = wdu_->lookup(sys_.layout.lineAddr(paddr));
+      if (w.has_value()) {
+        ++stats_.way_known;
+        return *w;
+      }
+      return kWayUnknown;
+    }
+  }
+  return kWayUnknown;
+}
+
+void L1Backend::learnWay(Addr vaddr, Addr paddr, WayIdx way) {
+  switch (waydet_) {
+    case WayDetKind::kNone:
+      return;
+    case WayDetKind::kWayTables:
+      engine_.feedbackConventionalHit(sys_.layout.pageId(vaddr), vaddr, way);
+      return;
+    case WayDetKind::kWdu:
+      wdu_->record(sys_.layout.lineAddr(paddr), way);
+      ea_.count(id_.wdu_write);
+      return;
+  }
+}
+
+WayIdx L1Backend::access(Addr vaddr, Addr paddr, std::uint32_t uwt_slot,
+                         bool write) {
+  ea_.count(id_.ctrl);
+  const WayIdx known = lookupWay(uwt_slot, vaddr, paddr);
+  const auto probe = l1_.probe(paddr);
+  const bool reduced = known != kWayUnknown;
+  // A write fills one data way; a read fires one (reduced) or all of the
+  // bank's data arrays (conventional), hit or miss.
+  if (write) {
+    ea_.count(id_.data_write);
+  } else {
+    ea_.count(id_.data_read, reduced ? 1 : sys_.layout.l1Assoc());
+  }
+  if (reduced) {
+    // Tag arrays bypassed: validity maintenance guarantees the hit.
+    MALEC_CHECK_MSG(probe == known, "way determination produced a wrong way");
+    ++stats_.reduced_accesses;
+  } else {
+    // All tag arrays fire; the matching tag selects the data.
+    ea_.count(id_.tag_read);
+    ++stats_.conventional_accesses;
+    if (!probe.has_value()) return kWayUnknown;
+    learnWay(vaddr, paddr, *probe);
+  }
+  l1_.touch(paddr, *probe);
+  if (write) l1_.markDirty(paddr, *probe);
+  return *probe;
+}
+
+Cycle L1Backend::load(Addr vaddr, const TranslationEngine::Result& tr,
+                      Cycle now) {
+  const Addr paddr =
+      sys_.layout.compose(tr.ppage, sys_.layout.pageOffset(vaddr));
+  ++stats_.load_l1_accesses;
+  ++window_accesses_;
+  if (access(vaddr, paddr, tr.uwt_slot, /*write=*/false) != kWayUnknown) {
+    ++stats_.load_l1_hits;
+    return now + cfg_.l1_latency;
+  }
+  ++stats_.load_l1_misses;
+  ++window_misses_;
+  // The returning fill supplies the critical word; delivery costs one L1
+  // latency on top of the fill arrival.
+  return hier_.missAccess(paddr, now, /*is_store=*/false).ready_cycle +
+         cfg_.l1_latency;
+}
+
+void L1Backend::write(Addr vaddr, const TranslationEngine::Result& tr,
+                      Cycle now) {
+  const Addr paddr =
+      sys_.layout.compose(tr.ppage, sys_.layout.pageOffset(vaddr));
+  ++stats_.write_l1_accesses;
+  ++stats_.mbe_writes;
+  if (access(vaddr, paddr, tr.uwt_slot, /*write=*/true) != kWayUnknown)
+    return;
+  // Write-allocate on MBE miss.
+  ++stats_.write_l1_misses;
+  (void)hier_.missAccess(paddr, now, /*is_store=*/true);
+}
+
+bool L1Backend::drainCompletions(Cycle now, std::vector<SeqNum>& out) {
+  const std::size_t before = out.size();
+  // lint:allow(hot-alloc: caller-owned completion vector retains its capacity across cycles)
+  completions_.drainReady(now, [&out](SeqNum seq) { out.push_back(seq); });
+  return out.size() != before;
+}
+
+void L1Backend::saveState(ckpt::StateWriter& w) const {
+  l1_.saveState(w);
+  l2_.saveState(w);
+  hier_.saveState(w);
+  engine_.saveState(w);
+  w.u8(wdu_ != nullptr ? 1 : 0);
+  if (wdu_) wdu_->saveState(w);
+  sb_.saveState(w);
+  mb_.saveState(w);
+  w.u8(pending_mbe_.has_value() ? 1 : 0);
+  if (pending_mbe_.has_value()) lsq::MergeBuffer::saveEntry(w, *pending_mbe_);
+  completions_.saveState(w);
+  for (const auto field : kInterfaceCounterFields) w.u64(stats_.*field);
+  w.u64(window_accesses_);
+  w.u64(window_misses_);
+  w.u64(window_lookups_);
+  w.u64(window_known_);
+  w.u32(high_miss_windows_);
+}
+
+void L1Backend::loadState(ckpt::StateReader& r) {
+  l1_.loadState(r);
+  l2_.loadState(r);
+  hier_.loadState(r);
+  engine_.loadState(r);
+  const bool has_wdu = r.u8() != 0;
+  MALEC_CHECK_MSG(has_wdu == (wdu_ != nullptr),
+                  "checkpoint disagrees with this configuration about the "
+                  "WDU — config mismatch");
+  if (wdu_) wdu_->loadState(r);
+  sb_.loadState(r);
+  mb_.loadState(r);
+  if (r.u8() != 0) {
+    pending_mbe_ = lsq::MergeBuffer::loadEntry(r);
+  } else {
+    pending_mbe_.reset();
+  }
+  completions_.loadState(r);
+  for (const auto field : kInterfaceCounterFields) stats_.*field = r.u64();
+  window_accesses_ = r.u64();
+  window_misses_ = r.u64();
+  window_lookups_ = r.u64();
+  window_known_ = r.u64();
+  high_miss_windows_ = r.u32();
+}
+
+}  // namespace malec::core

@@ -179,12 +179,8 @@ void TranslationEngine::setSuspended(bool suspended) {
 
 WayIdx TranslationEngine::wayFor(std::uint32_t uwt_slot, Addr vaddr) {
   if (!p_.way_tables || suspended_) return kWayUnknown;
-  ++way_lookups_;
   const std::uint32_t salt = utlb_.entry(uwt_slot).ppage;
-  const WayIdx way =
-      uwt_.lookup(uwt_slot, p_.layout.lineInPage(vaddr), salt);
-  if (way != kWayUnknown) ++way_known_;
-  return way;
+  return uwt_.lookup(uwt_slot, p_.layout.lineInPage(vaddr), salt);
 }
 
 void TranslationEngine::feedbackConventionalHit(PageId vpage, Addr vaddr,
@@ -200,7 +196,6 @@ void TranslationEngine::feedbackConventionalHit(PageId vpage, Addr vaddr,
   uwt_.record(*slot, p_.layout.lineInPage(vaddr), e.ppage,
               static_cast<std::uint32_t>(way));
   ea_.count(id_.uwt_write);
-  ++feedbacks_;
 }
 
 void TranslationEngine::onLineFill(Addr paddr_line_base, WayIdx way) {
@@ -246,9 +241,6 @@ void TranslationEngine::saveState(ckpt::StateWriter& w) const {
   uwt_.saveState(w);
   wt_.saveState(w);
   last_entry_.saveState(w);
-  w.u64(way_lookups_);
-  w.u64(way_known_);
-  w.u64(feedbacks_);
   w.u8(suspended_ ? 1 : 0);
 }
 
@@ -259,9 +251,6 @@ void TranslationEngine::loadState(ckpt::StateReader& r) {
   uwt_.loadState(r);
   wt_.loadState(r);
   last_entry_.loadState(r);
-  way_lookups_ = r.u64();
-  way_known_ = r.u64();
-  feedbacks_ = r.u64();
   // Restore the raw flag, NOT through setSuspended(): the transition hook
   // flushes way tables on resume, which must not fire for a state copy.
   suspended_ = r.u8() != 0;

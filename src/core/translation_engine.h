@@ -58,7 +58,7 @@ class TranslationEngine {
   Result translate(PageId vpage);
 
   /// Way for a specific address given the current cycle's uWT slot.
-  /// Returns kWayUnknown without way tables. Increments coverage counters.
+  /// Returns kWayUnknown without way tables.
   WayIdx wayFor(std::uint32_t uwt_slot, Addr vaddr);
 
   /// A conventional access hit `way` after this engine answered "unknown":
@@ -77,23 +77,9 @@ class TranslationEngine {
   /// Cache line evicted — clear validity (reverse lookup path).
   void onLineEvict(Addr paddr_line_base);
 
-  [[nodiscard]] tlb::PageTable& pageTable() { return pt_; }
-  [[nodiscard]] const tlb::Tlb& utlb() const { return utlb_; }
-  [[nodiscard]] const tlb::Tlb& tlb() const { return tlb_; }
-  [[nodiscard]] bool wayTablesEnabled() const { return p_.way_tables; }
-
-  // --- statistics -----------------------------------------------------------
-  [[nodiscard]] std::uint64_t wayLookups() const { return way_lookups_; }
-  [[nodiscard]] std::uint64_t wayKnown() const { return way_known_; }
-  [[nodiscard]] std::uint64_t feedbackUpdates() const { return feedbacks_; }
-
-  /// Test access to the way tables.
-  [[nodiscard]] const waydet::WayTable& wt() const { return wt_; }
-  [[nodiscard]] const waydet::WayTable& uwt() const { return uwt_; }
-
   /// Checkpoint/restore of the full translation-side state: page table,
   /// uTLB/TLB (including replacement bookkeeping), uWT/WT, the last-entry
-  /// register, the bypass flag and every coverage counter.
+  /// register and the bypass flag.
   void saveState(ckpt::StateWriter& w) const;
   void loadState(ckpt::StateReader& r);
 
@@ -123,9 +109,6 @@ class TranslationEngine {
   waydet::WayTable uwt_;
   waydet::WayTable wt_;
   waydet::LastEntryRegister last_entry_;
-  std::uint64_t way_lookups_ = 0;
-  std::uint64_t way_known_ = 0;
-  std::uint64_t feedbacks_ = 0;
   bool suspended_ = false;
 
   // Last-translation memo: translate() replays the uTLB-hit bookkeeping for

@@ -378,7 +378,7 @@ void CoreModel::saveState(ckpt::StateWriter& w) const {
   for (const auto field : kCoreScaledCounterFields) w.u64(stats_.*field);
 }
 
-// lint:allow(ckpt-symmetry: readBounded() consumes exactly the one u64 length saveState writes inline for each ready ring — lexically unpairable, runtime matrix pins the identity)
+// lint:allow(ckpt-symmetry: readBounded() and r.count() each consume exactly the one u64 length saveState writes inline for a ready ring or dependency list — lexically unpairable, runtime matrix pins the identity)
 void CoreModel::loadState(ckpt::StateReader& r) {
   head_seq_ = r.u64();
   const std::uint64_t rob_n = r.u64();
@@ -405,7 +405,7 @@ void CoreModel::loadState(ckpt::StateReader& r) {
     const SeqNum seq = r.u64();
     MALEC_CHECK_MSG(inRob(seq), "dependency producer outside the ROB");
     std::vector<SeqNum>& deps = entry(seq).deps;
-    deps.resize(static_cast<std::size_t>(r.u64()));
+    deps.resize(r.count(sizeof(SeqNum)));
     for (SeqNum& d : deps) d = r.u64();
   }
   ready_exec_.clear();

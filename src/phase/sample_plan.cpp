@@ -237,10 +237,8 @@ bool loadBoundPlan(const std::string& plan_path,
     err = rd.error();
     return false;
   }
-  // A checksum-less (v1) trace reports checksum 0, so it can only be the
-  // plan's source if the plan was ALSO computed from a checksum-less trace
-  // — a nonzero stored checksum proves a v2 origin, so a count-matching v1
-  // file is a different capture, not the one the picks were clustered from.
+  // The record count and the header's record checksum identify the one
+  // capture the picks were clustered from.
   if (plan.trace_records != rd.total() ||
       plan.trace_checksum != rd.expectedChecksum()) {
     err = "sample plan '" + plan_path +

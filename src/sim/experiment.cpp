@@ -43,11 +43,9 @@ struct ResolvedSource {
   std::uint64_t instructions = 0;  ///< effective stream length
 };
 
-/// Abort unless the trace's captured AddressLayout (v2 headers) matches the
-/// layout this run simulates — shared by the full-replay and phase-sampled
-/// paths.
+/// Abort unless the trace's captured AddressLayout matches the layout this
+/// run simulates — shared by the full-replay and phase-sampled paths.
 void checkReplayLayout(const trace::TraceReader& rd, const RunConfig& rc) {
-  if (!rd.hasLayout()) return;
   const auto& p = rd.layoutParams();
   const AddressLayout& l = rc.system.layout;
   const bool match =

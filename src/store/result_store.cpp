@@ -37,8 +37,6 @@ bool ResultStore::load(const std::string& path, std::string& err) {
   r.endSection();
 
   r.openSection("segments");
-  segments_.reserve(segment_count);
-  runs_.reserve(static_cast<std::size_t>(run_count));
   for (std::uint32_t s = 0; s < segment_count; ++s) {
     StoreSegment seg;
     seg.suite = r.str();
@@ -58,8 +56,7 @@ bool ResultStore::load(const std::string& path, std::string& err) {
       run.segment = s;
       run.seed = seg.seed;
       run.instructions = seg.instructions;
-      const std::uint64_t blob_len = r.u64();
-      run.blob.resize(static_cast<std::size_t>(blob_len));
+      run.blob.resize(r.count(1));
       r.bytes(run.blob.data(), run.blob.size());
       runs_.push_back(std::move(run));
     }

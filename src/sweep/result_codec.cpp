@@ -193,8 +193,7 @@ bool readResultFile(const std::string& path, std::uint64_t fingerprint,
     return false;
   }
   r.openSection("run_output");
-  const std::uint64_t len = r.u64();
-  blob.assign(static_cast<std::size_t>(len), 0);
+  blob.assign(r.count(1), 0);
   r.bytes(blob.data(), blob.size());
   r.endSection();
   return decodeRunOutput(blob.data(), blob.size(), out, err);

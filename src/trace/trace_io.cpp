@@ -29,8 +29,10 @@ constexpr std::size_t kRecordBytes = 8 + 8 + 1 + 1 + 4 + 4;
 constexpr std::size_t kBlockRecords = 4096;
 constexpr std::size_t kBlockBytes = kBlockRecords * kRecordBytes;
 
-constexpr long kHeaderBytesV1 = 16;  // magic, version, count
-constexpr long kHeaderBytesV2 = 52;  // + checksum, AddressLayout params
+/// Magic, version, record count, record checksum, AddressLayout params.
+constexpr long kHeaderBytes = 52;
+/// Magic + version: checked before the rest of the header is read.
+constexpr long kIdentBytes = 8;
 constexpr long kCountOffset = 8;
 constexpr std::size_t kNumLayoutParams = 7;
 
@@ -81,7 +83,7 @@ TraceWriter::TraceWriter(const std::string& path, const AddressLayout& layout) {
     error_ = "cannot open '" + path + "' for writing";
     return;
   }
-  std::uint8_t hdr[kHeaderBytesV2] = {};
+  std::uint8_t hdr[kHeaderBytes] = {};
   put32(hdr + 0, kTraceMagic);
   put32(hdr + 4, kTraceVersion);
   put64(hdr + 8, 0);   // record count, patched on close
@@ -159,9 +161,9 @@ TraceReader::TraceReader(const std::string& path) : path_(path) {
     error_ = "cannot open '" + path + "'";
     return;
   }
-  std::uint8_t hdr[kHeaderBytesV2];
-  if (std::fread(hdr, 1, kHeaderBytesV1, f_) !=
-      static_cast<std::size_t>(kHeaderBytesV1)) {
+  std::uint8_t hdr[kHeaderBytes];
+  if (std::fread(hdr, 1, kIdentBytes, f_) !=
+      static_cast<std::size_t>(kIdentBytes)) {
     error_ = "'" + path + "' is too short to hold a trace header";
     return;
   }
@@ -169,34 +171,26 @@ TraceReader::TraceReader(const std::string& path) : path_(path) {
     error_ = "'" + path + "' is not a MALEC trace (bad magic)";
     return;
   }
-  version_ = get32(hdr + 4);
-  if (version_ != kTraceVersionV1 && version_ != kTraceVersion) {
+  const std::uint32_t version = get32(hdr + 4);
+  if (version != kTraceVersion) {
     error_ = "'" + path + "' has unsupported trace version " +
-             std::to_string(version_);
+             std::to_string(version);
+    return;
+  }
+  if (std::fread(hdr + kIdentBytes, 1, kHeaderBytes - kIdentBytes, f_) !=
+      static_cast<std::size_t>(kHeaderBytes - kIdentBytes)) {
+    error_ = "'" + path + "' is truncated inside the trace header";
     return;
   }
   total_ = get64(hdr + 8);
-  header_bytes_ = version_ == kTraceVersionV1 ? kHeaderBytesV1 : kHeaderBytesV2;
-  if (version_ == kTraceVersion) {
-    if (std::fread(hdr + kHeaderBytesV1, 1, kHeaderBytesV2 - kHeaderBytesV1,
-                   f_) !=
-        static_cast<std::size_t>(kHeaderBytesV2 - kHeaderBytesV1)) {
-      error_ = "'" + path + "' is truncated inside the v2 header";
-      return;
-    }
-    checksum_expect_ = get64(hdr + 16);
-    std::uint32_t params[kNumLayoutParams];
-    for (std::size_t i = 0; i < kNumLayoutParams; ++i)
-      params[i] = get32(hdr + 24 + 4 * i);
-    layout_params_.addr_bits = params[0];
-    layout_params_.page_bytes = params[1];
-    layout_params_.line_bytes = params[2];
-    layout_params_.sub_block_bytes = params[3];
-    layout_params_.l1_bytes = params[4];
-    layout_params_.l1_assoc = params[5];
-    layout_params_.l1_banks = params[6];
-    has_layout_ = true;
-  }
+  checksum_expect_ = get64(hdr + 16);
+  layout_params_.addr_bits = get32(hdr + 24);
+  layout_params_.page_bytes = get32(hdr + 28);
+  layout_params_.line_bytes = get32(hdr + 32);
+  layout_params_.sub_block_bytes = get32(hdr + 36);
+  layout_params_.l1_bytes = get32(hdr + 40);
+  layout_params_.l1_assoc = get32(hdr + 44);
+  layout_params_.l1_banks = get32(hdr + 48);
 
   // A header count that disagrees with the file size means the capture was
   // cut short (or bytes were appended) — fail at open instead of serving a
@@ -210,7 +204,7 @@ TraceReader::TraceReader(const std::string& path) : path_(path) {
   }
   const std::uint64_t file_size = static_cast<std::uint64_t>(fs_size);
   const std::uint64_t expect =
-      static_cast<std::uint64_t>(header_bytes_) +
+      static_cast<std::uint64_t>(kHeaderBytes) +
       total_ * static_cast<std::uint64_t>(kRecordBytes);
   if (file_size != expect) {
     error_ = "'" + path + "' is truncated or corrupt: header promises " +
@@ -219,7 +213,7 @@ TraceReader::TraceReader(const std::string& path) : path_(path) {
              " bytes";
     return;
   }
-  if (std::fseek(f_, header_bytes_, SEEK_SET) != 0) {
+  if (std::fseek(f_, kHeaderBytes, SEEK_SET) != 0) {
     error_ = "cannot seek in '" + path + "'";
     return;
   }
@@ -260,12 +254,10 @@ bool TraceReader::next(InstrRecord& out) {
     fail(err + " at record " + std::to_string(read_));
     return false;
   }
-  if (version_ == kTraceVersion)
-    checksum_run_ = fnv1a(checksum_run_, rec, kRecordBytes);
+  checksum_run_ = fnv1a(checksum_run_, rec, kRecordBytes);
   buf_pos_ += kRecordBytes;
   ++read_;
-  if (version_ == kTraceVersion && read_ == total_ &&
-      checksum_run_ != checksum_expect_) {
+  if (read_ == total_ && checksum_run_ != checksum_expect_) {
     fail("record checksum mismatch — the payload is corrupt");
     return false;
   }
@@ -273,7 +265,7 @@ bool TraceReader::next(InstrRecord& out) {
 }
 
 bool TraceReader::finishChecksum() {
-  if (!ok_ || version_ != kTraceVersion || read_ >= total_) return ok_;
+  if (!ok_ || read_ >= total_) return ok_;
   // Bytes already fetched into the block buffer but not yet served.
   checksum_run_ = fnv1a(checksum_run_, buf_.data() + buf_pos_,
                         buf_.size() - buf_pos_);
@@ -312,7 +304,7 @@ bool TraceReader::seekTo(std::uint64_t n, std::uint64_t checksum_run) {
   }
   // u64 math first, then a range check before the narrowing to fseek's
   // long — a Simpoint-scale offset must not wrap on 32-bit-long platforms.
-  const std::uint64_t off = static_cast<std::uint64_t>(header_bytes_) +
+  const std::uint64_t off = static_cast<std::uint64_t>(kHeaderBytes) +
                             n * static_cast<std::uint64_t>(kRecordBytes);
   if (off > static_cast<std::uint64_t>(std::numeric_limits<long>::max())) {
     fail("checkpointed position is beyond fseek range on this platform");
@@ -333,7 +325,7 @@ void TraceReader::reset() {
   // Sticky failure: rewinding must not resurrect a reader that reported an
   // I/O or corruption error — a replay loop would re-serve bad data.
   if (!ok_ || f_ == nullptr) return;
-  if (std::fseek(f_, header_bytes_, SEEK_SET) != 0) {
+  if (std::fseek(f_, kHeaderBytes, SEEK_SET) != 0) {
     fail("cannot rewind");
     return;
   }

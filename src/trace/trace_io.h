@@ -3,7 +3,7 @@
 // Lets users capture a synthetic stream once and replay it (or bring their
 // own traces from a real simulator) — the on-disk format is a fixed-width
 // little-endian record stream with a small header. The byte-level format
-// specification (v1/v2 header layouts, the 26-byte record, checksum and
+// specification (the v2 header layout, the 26-byte record, checksum and
 // compatibility rules) lives in docs/FILE_FORMATS.md; this header only
 // documents the API behaviour.
 //
@@ -26,11 +26,10 @@ namespace malec::trace {
 
 /// Magic bytes + version identifying a MALEC trace file.
 inline constexpr std::uint32_t kTraceMagic = 0x4D414C43;  // "MALC"
-/// Version written by TraceWriter; TraceReader also accepts v1.
+/// The one version TraceWriter writes and TraceReader accepts.
 inline constexpr std::uint32_t kTraceVersion = 2;
-inline constexpr std::uint32_t kTraceVersionV1 = 1;
 
-/// Writes records to a trace file (always the current v2 format). Throws
+/// Writes records to a trace file (the v2 format). Throws
 /// nothing; reports failures via ok()/error(). Records are staged in a
 /// block buffer and written in bulk; the file is finalised (header record
 /// count + checksum patched) on close().
@@ -67,7 +66,7 @@ class TraceWriter {
 /// Streams records back from a trace file; implements TraceSource.
 ///
 /// Failures are sticky: once ok() is false (unreadable/truncated/corrupt
-/// file, record with an out-of-range kind or size byte, v2 checksum
+/// file, record with an out-of-range kind or size byte, record checksum
 /// mismatch) next() keeps returning false and reset() will NOT resurrect
 /// the stream — callers must check ok() after draining, or a partial trace
 /// would silently masquerade as a short one.
@@ -80,15 +79,15 @@ class TraceReader final : public TraceSource {
 
   bool next(InstrRecord& out) override;
   void reset() override;
-  /// Verify the v2 record checksum even when the stream was NOT drained to
+  /// Verify the record checksum even when the stream was NOT drained to
   /// the end (a capped replay): hashes the unread remainder of the file and
   /// compares. Leaves the reader at end-of-stream (reset() to replay); a
-  /// mismatch is a sticky failure like any other. No-op for v1 files and
-  /// fully-drained streams (next() already verified those). Returns ok().
+  /// mismatch is a sticky failure like any other. No-op for fully-drained
+  /// streams (next() already verified those). Returns ok().
   bool finishChecksum();
   /// Records served so far — the stream position a checkpoint stores.
   [[nodiscard]] std::uint64_t consumed() const { return read_; }
-  /// Running FNV-1a over the served records (v2) — stored alongside the
+  /// Running FNV-1a over the served records — stored alongside the
   /// position so a restored reader can still verify the whole file.
   [[nodiscard]] std::uint64_t runningChecksum() const {
     return checksum_run_;
@@ -102,21 +101,16 @@ class TraceReader final : public TraceSource {
   /// Human-readable description of the first failure ("" while ok()).
   [[nodiscard]] const std::string& error() const { return error_; }
   [[nodiscard]] std::uint64_t total() const { return total_; }
-  /// The header's record checksum (0 for v1 files, which carry none).
+  /// The header's record checksum.
   [[nodiscard]] std::uint64_t expectedChecksum() const {
     return checksum_expect_;
   }
-  /// Format version of the open file (1 or 2; 0 if the open failed).
-  [[nodiscard]] std::uint32_t version() const { return version_; }
-  /// True for v2 files, whose header records the capturing AddressLayout.
-  [[nodiscard]] bool hasLayout() const { return has_layout_; }
   [[nodiscard]] const AddressLayout::Params& layoutParams() const {
     return layout_params_;
   }
-  /// The layout the trace was captured under: the v2 header's, or the
-  /// default Table-II layout for v1 files, which record none.
+  /// The layout the trace was captured under, as its header records it.
   [[nodiscard]] AddressLayout layout() const {
-    return has_layout_ ? AddressLayout(layout_params_) : AddressLayout{};
+    return AddressLayout(layout_params_);
   }
 
  private:
@@ -127,11 +121,8 @@ class TraceReader final : public TraceSource {
   bool ok_ = false;
   std::string error_;
   std::string path_;
-  std::uint32_t version_ = 0;
   std::uint64_t total_ = 0;
   std::uint64_t read_ = 0;
-  long header_bytes_ = 0;
-  bool has_layout_ = false;
   AddressLayout::Params layout_params_{};
   std::uint64_t checksum_expect_ = 0;
   std::uint64_t checksum_run_ = 0;

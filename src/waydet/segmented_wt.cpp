@@ -144,8 +144,8 @@ void SegmentedWayTable::loadState(ckpt::StateReader& r) {
     c.slot = r.u32();
     c.index = r.u32();
     c.lru = r.u64();
-    const std::uint64_t codes = r.u64();
-    c.codes.assign(static_cast<std::size_t>(codes), kCodeUnknown);
+    MALEC_CHECK_MSG(r.u64() == p_.lines_per_chunk,
+                    "segmented-WT checkpoint does not fit this chunk width");
     for (WayCode& code : c.codes) code = r.u8();
   }
   tick_ = r.u64();

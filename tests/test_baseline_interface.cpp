@@ -142,11 +142,11 @@ TEST(BaselineInterface, StoreCommitDrainsToMergeBuffer) {
   ASSERT_TRUE(rig.ifc->submit(MemOp{1, false, kPageA, 8}));
   rig.ifc->endCycle(0);
   rig.now = 1;
-  EXPECT_EQ(rig.ifc->storeBuffer().size(), 1u);
+  EXPECT_EQ(rig.ifc->backend().storeBuffer().size(), 1u);
   rig.ifc->notifyStoreCommit(1);
   rig.cycles(3);
-  EXPECT_EQ(rig.ifc->storeBuffer().size(), 0u);
-  EXPECT_EQ(rig.ifc->mergeBuffer().size(), 1u);
+  EXPECT_EQ(rig.ifc->backend().storeBuffer().size(), 0u);
+  EXPECT_EQ(rig.ifc->backend().mergeBuffer().size(), 1u);
 }
 
 TEST(BaselineInterface, MbEvictionEventuallyWritesCache) {

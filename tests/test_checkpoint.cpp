@@ -36,6 +36,7 @@ constexpr const char* kCheckpointAuditedClasses[] = {
     "EnergyAccount",
     "EventQueue",
     "InputBuffer",
+    "L1Backend",
     "L1Cache",
     "L2Cache",
     "LastEntryRegister",
@@ -280,7 +281,7 @@ TEST(Checkpoint, HugeSectionNameLengthIsRejectedNotOverflowed) {
   hdr[1] = 0x4B;
   hdr[2] = 0x43;
   hdr[3] = 0x4D;
-  hdr[4] = 1;               // version
+  hdr[4] = ckpt::kCkptVersion;
   hdr[8] = sizeof payload;  // payload bytes
   hdr[16] = 1;              // one section
   // Valid checksum so only the section-table scan can reject the file.
@@ -346,12 +347,17 @@ TEST(CheckpointDeathTest, ForeignFileAborts) {
 TEST(CheckpointDeathTest, VersionSkewAborts) {
   RunConfig rc = baseConfig("gcc", presetMalec(), 2'000);
   const std::string path = writeCheckpoint(rc, "version.mckpt");
-  std::FILE* f = std::fopen(path.c_str(), "r+b");
-  std::fseek(f, 4, SEEK_SET);
-  std::fputc(9, f);  // version 9
-  std::fclose(f);
   rc.start_ckpt = path;
-  EXPECT_DEATH((void)runOne(rc), "unsupported checkpoint version");
+  // Version 1 files predate the interface section's current field order.
+  for (const int version : {1, 9}) {
+    std::FILE* f = std::fopen(path.c_str(), "r+b");
+    std::fseek(f, 4, SEEK_SET);
+    std::fputc(version, f);
+    std::fclose(f);
+    const std::string expect =
+        "unsupported checkpoint version " + std::to_string(version);
+    EXPECT_DEATH((void)runOne(rc), expect);
+  }
   std::remove(path.c_str());
 }
 

@@ -188,11 +188,11 @@ TEST(MalecInterface, StoreDrainsThroughSbMbToCache) {
   ASSERT_TRUE(rig.submitStore(1, kPageA));
   rig.ifc->endCycle(0);
   rig.now = 1;
-  EXPECT_EQ(rig.ifc->storeBuffer().size(), 1u);
+  EXPECT_EQ(rig.ifc->backend().storeBuffer().size(), 1u);
   rig.ifc->notifyStoreCommit(1);
   rig.cycles(3);
-  EXPECT_EQ(rig.ifc->storeBuffer().size(), 0u);
-  EXPECT_EQ(rig.ifc->mergeBuffer().size(), 1u);
+  EXPECT_EQ(rig.ifc->backend().storeBuffer().size(), 0u);
+  EXPECT_EQ(rig.ifc->backend().mergeBuffer().size(), 1u);
 }
 
 TEST(MalecInterface, MbEvictionWritesL1) {

@@ -20,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "common/binio.h"
 #include "sim/presets.h"
 #include "sim/registry.h"
 #include "sim/reporting.h"
@@ -214,6 +215,42 @@ TEST(StoreDeathTest, EmptySegmentAborts) {
   StoreSegment seg;
   seg.fingerprint = 1;
   EXPECT_DEATH(rs.appendSegment(seg, {}), "empty store segment");
+}
+
+// A one-run store whose blob length is patched to 2^60, checksum
+// recomputed so only the count bound can catch it: load() fails with a
+// message naming the file instead of an uncaught std::bad_alloc.
+TEST(StoreDeathTest, HugeBlobLengthAbortsWithMessage) {
+  const std::string path = tmpPath("hugeblob.mstore");
+  std::remove(path.c_str());
+  ResultStore one;
+  const sim::RunOutput a = namedRun("gcc", "MALEC");
+  StoreSegment seg;
+  seg.suite = "fig4a";
+  seg.fingerprint = 7;
+  one.appendSegment(seg, {{"gcc", "MALEC", &a}});
+  std::string err;
+  ASSERT_TRUE(one.save(path, err)) << err;
+
+  // The run's u64 blob length sits right before the blob's bytes.
+  std::string bytes = slurp(path);
+  const std::vector<std::uint8_t>& blob = one.runs()[0].blob;
+  std::string needle(8, '\0');
+  binio::put64(reinterpret_cast<std::uint8_t*>(needle.data()), blob.size());
+  needle.append(reinterpret_cast<const char*>(blob.data()), 16);
+  const std::size_t at = bytes.find(needle);
+  ASSERT_NE(at, std::string::npos);
+  auto* raw = reinterpret_cast<std::uint8_t*>(bytes.data());
+  binio::put64(raw + at, 1ull << 60);
+  binio::put64(raw + 24, binio::fnv1a(binio::kFnvOffset, raw + 32,
+                                      bytes.size() - 32));
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+
+  ResultStore rs;
+  EXPECT_DEATH((void)rs.load(path, err),
+               "hugeblob.mstore': a count of 1152921504606846976 elements "
+               "overruns");
+  std::remove(path.c_str());
 }
 
 // --- StoreSink --------------------------------------------------------------

@@ -275,6 +275,33 @@ TEST(ResultCodec, ResultFileRoundTripAndBindingChecks) {
   EXPECT_FALSE(readResultFile(path, 42, 3, 1, back, blob, err));
 }
 
+// A length read from the file is checked against the bytes its section
+// holds before anything is sized by it: a blob count of 2^60 over a
+// three-byte section fails with a message naming the file, not with an
+// uncaught std::bad_alloc from the allocation.
+TEST(ResultCodecDeathTest, CountBeyondItsSectionAbortsWithMessage) {
+  const std::string path = tmpPath("hugecount.mres");
+  ckpt::StateWriter w;
+  w.beginSection("binding");
+  w.u64(42);
+  w.u32(3);
+  w.u32(1);
+  w.endSection();
+  w.beginSection("run_output");
+  w.u64(1ull << 60);
+  const std::uint8_t three[3] = {1, 2, 3};
+  w.bytes(three, sizeof three);
+  w.endSection();
+  std::string err;
+  ASSERT_TRUE(w.writeTo(path, err)) << err;
+  sim::RunOutput back;
+  std::vector<std::uint8_t> blob;
+  EXPECT_DEATH((void)readResultFile(path, 42, 3, 1, back, blob, err),
+               "hugecount.mres': a count of 1152921504606846976 elements "
+               "overruns the 3 bytes left in its section");
+  std::remove(path.c_str());
+}
+
 // --- fault-spec grammar -----------------------------------------------------
 
 TEST(FaultSpec, ParsesClausesAndMatchesAttemptWindows) {

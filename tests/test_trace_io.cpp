@@ -181,8 +181,6 @@ TEST(TraceIoV2, WriterProducesV2WithLayout) {
   }
   TraceReader rd(path);
   ASSERT_TRUE(rd.ok()) << rd.error();
-  EXPECT_EQ(rd.version(), 2u);
-  ASSERT_TRUE(rd.hasLayout());
   EXPECT_EQ(rd.layoutParams().page_bytes, 16u * 1024);
   EXPECT_EQ(rd.layoutParams().addr_bits, params.addr_bits);
   EXPECT_EQ(rd.layoutParams().l1_banks, params.l1_banks);
@@ -342,66 +340,24 @@ TEST(TraceIoV2, EmptyTraceIsCleanEof) {
   std::remove(path.c_str());
 }
 
-TEST(TraceIoV1, ReadCompat) {
-  // Hand-craft a v1 file (16-byte header, no checksum, no layout) the way
-  // the pre-v2 writer laid it out; the reader must still serve it.
+TEST(TraceIoV2, RefusesV1Header) {
+  // The pre-v2 layout: 16-byte header (magic, version 1, record count), no
+  // checksum, no layout, then records.
   const std::string path = tmpPath("v1.mtrace");
   std::FILE* f = std::fopen(path.c_str(), "wb");
   ASSERT_NE(f, nullptr);
   auto put32 = [&](std::uint32_t v) {
     for (int i = 0; i < 4; ++i) std::fputc((v >> (8 * i)) & 0xFF, f);
   };
-  auto put64 = [&](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i)
-      std::fputc(static_cast<int>((v >> (8 * i)) & 0xFF), f);
-  };
   put32(kTraceMagic);
-  put32(kTraceVersionV1);
-  put64(3);  // record count
-  for (std::uint64_t i = 0; i < 3; ++i) {
-    put64(i);              // seq
-    put64(0x1000 + i * 8); // vaddr
-    std::fputc(1, f);      // kind = load
-    std::fputc(8, f);      // size
-    put32(0);
-    put32(0);
-  }
-  std::fclose(f);
-
-  TraceReader rd(path);
-  ASSERT_TRUE(rd.ok()) << rd.error();
-  EXPECT_EQ(rd.version(), 1u);
-  EXPECT_FALSE(rd.hasLayout());
-  EXPECT_EQ(rd.total(), 3u);
-  InstrRecord r;
-  for (std::uint64_t i = 0; i < 3; ++i) {
-    ASSERT_TRUE(rd.next(r));
-    EXPECT_EQ(r.seq, i);
-    EXPECT_EQ(r.vaddr, 0x1000 + i * 8);
-    EXPECT_TRUE(r.isLoad());
-  }
-  EXPECT_FALSE(rd.next(r));
-  EXPECT_TRUE(rd.ok());
-  rd.reset();  // clean-EOF reset still replays
-  ASSERT_TRUE(rd.next(r));
-  EXPECT_EQ(r.seq, 0u);
-  std::remove(path.c_str());
-}
-
-TEST(TraceIoV1, TruncationCaughtAtOpenToo) {
-  const std::string path = tmpPath("v1trunc.mtrace");
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  auto put32 = [&](std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) std::fputc((v >> (8 * i)) & 0xFF, f);
-  };
-  put32(kTraceMagic);
-  put32(kTraceVersionV1);
-  for (int i = 0; i < 8; ++i) std::fputc(i == 0 ? 7 : 0, f);  // count = 7
-  // ... but zero records follow.
+  put32(1);
+  for (int i = 0; i < 8; ++i) std::fputc(i == 0 ? 1 : 0, f);  // count = 1
+  for (std::size_t i = 0; i < detail::kRecordBytes; ++i) std::fputc(0, f);
   std::fclose(f);
   TraceReader rd(path);
   EXPECT_FALSE(rd.ok());
-  EXPECT_NE(rd.error().find("truncated"), std::string::npos) << rd.error();
+  EXPECT_NE(rd.error().find("unsupported trace version 1"), std::string::npos)
+      << rd.error();
   std::remove(path.c_str());
 }
 
