@@ -112,6 +112,21 @@ void listSpecs() {
       sim::workloadRegistry().size(), sim::presetRegistry().size());
 }
 
+/// Strict --seed parse for the suite runner and `explore`: their options use
+/// seed 0 to mean "the spec's seed", so an explicit --seed 0 would silently
+/// run a different seed than the one asked for. (`query --seed 0` is a
+/// filter and parses with parseU64Strict directly.)
+std::uint64_t parseRunSeed(const char* value) {
+  const std::uint64_t seed = sim::parseU64Strict(value, "--seed");
+  if (seed == 0) {
+    std::fprintf(stderr,
+                 "--seed 0 is not a seed: 0 would select the spec's seed — "
+                 "pass a seed of 1 or more, or omit --seed\n");
+    std::exit(2);
+  }
+  return seed;
+}
+
 /// Shared "--flag needs a value" helper for the subcommand parsers.
 const char* needValueAt(int argc, char** argv, int& i) {
   if (i + 1 >= argc) {
@@ -222,7 +237,7 @@ int cmdExplore(int argc, char** argv) {
       ex.instructions =
           sim::parseU64Strict(needValueAt(argc, argv, i), "--instr");
     } else if (arg == "--seed") {
-      ex.seed = sim::parseU64Strict(needValueAt(argc, argv, i), "--seed");
+      ex.seed = parseRunSeed(needValueAt(argc, argv, i));
     } else if (arg == "--jobs") {
       const std::uint64_t jobs =
           sim::parseU64Strict(needValueAt(argc, argv, i), "--jobs");
@@ -315,7 +330,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--instr") {
       opts.instructions = sim::parseU64Strict(needValue(i), "--instr");
     } else if (arg == "--seed") {
-      opts.seed = sim::parseU64Strict(needValue(i), "--seed");
+      opts.seed = parseRunSeed(needValue(i));
     } else if (arg == "--jobs") {
       const std::uint64_t jobs = sim::parseU64Strict(needValue(i), "--jobs");
       if (jobs > std::numeric_limits<unsigned>::max()) {

@@ -5,13 +5,13 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 
 #include "common/check.h"
 #include "sim/presets.h"
 #include "sim/suite.h"
 #include "store/result_store.h"
+#include "sweep/fault.h"
 
 namespace malec::explore {
 
@@ -190,15 +190,6 @@ double geomean(const std::vector<double>& vs) {
   return std::exp(log_sum / static_cast<double>(vs.size()));
 }
 
-/// Strict crash-injection knob for the resume CI/tests: explore exits 17
-/// immediately after persisting its N-th fresh round (1-based). Unset /
-/// empty / 0 = off; a malformed value aborts (MALEC_FAULT_SPEC rules).
-std::uint64_t crashAfterRounds() {
-  const char* env = std::getenv("MALEC_EXPLORE_CRASH_AFTER");
-  if (env == nullptr || env[0] == '\0') return 0;
-  return sim::parseU64Strict(env, "MALEC_EXPLORE_CRASH_AFTER");
-}
-
 }  // namespace
 
 int runExplore(const ExploreOptions& opts,
@@ -241,7 +232,11 @@ int runExplore(const ExploreOptions& opts,
     MALEC_CHECK_MSG(false, msg.c_str());
   }
 
-  const std::uint64_t crash_after = crashAfterRounds();
+  // The injected crash that tests and CI resume from (sweep/fault.h,
+  // explore-crash): exit 17 right after persisting this many fresh rounds;
+  // 0 = never.
+  const std::uint64_t crash_after =
+      sweep::faultSpecFromEnv().exploreCrashRound();
   std::uint64_t fresh_rounds = 0;
 
   std::vector<Candidate> evaluated;   ///< evaluation (= file) order

@@ -152,7 +152,8 @@ class SegmentSource final : public trace::TraceSource {
   bool have_base_ = false;
 };
 
-RunOutput runOneSampled(const RunConfig& rc);
+RunOutput runOneSampled(const RunConfig& rc,
+                        const InterfaceDecorator& decorate);
 
 // --- checkpoint orchestration (.mckpt, src/ckpt) ----------------------------
 //
@@ -355,8 +356,7 @@ void loadSourceState(ckpt::StateReader& r, ResolvedSource& src) {
 /// the core's end-of-cycle hook, so everything sits at a consistent
 /// instruction boundary.
 void saveRunState(const RunConfig& rc, const ResolvedSource& src,
-                  const energy::EnergyAccount& ea,
-                  const core::MemInterface& ifc, const cpu::CoreModel& core) {
+                  const RunStack& stack, const cpu::CoreModel& core) {
   ckpt::StateWriter w;
   writeMetaSection(w, rc, src);
   saveSourceState(w, src);
@@ -364,10 +364,10 @@ void saveRunState(const RunConfig& rc, const ResolvedSource& src,
   core.saveState(w);
   w.endSection();
   w.beginSection("interface");
-  ifc.saveState(w);
+  stack.ifc().saveState(w);
   w.endSection();
   w.beginSection("energy");
-  ea.saveState(w);
+  stack.account().saveState(w);
   w.endSection();
   std::string err;
   if (!w.writeTo(rc.ckpt_out, err)) MALEC_CHECK_MSG(false, err.c_str());
@@ -375,8 +375,7 @@ void saveRunState(const RunConfig& rc, const ResolvedSource& src,
 
 /// Restore `rc.start_ckpt` into the freshly-constructed simulation stack.
 void restoreRunState(const RunConfig& rc, ResolvedSource& src,
-                     energy::EnergyAccount& ea, core::MemInterface& ifc,
-                     cpu::CoreModel& core) {
+                     const RunStack& stack, cpu::CoreModel& core) {
   ckpt::StateReader r(rc.start_ckpt);
   if (!r.ok()) MALEC_CHECK_MSG(false, r.error().c_str());
   checkMetaSection(r, rc.start_ckpt, rc, src);
@@ -385,10 +384,10 @@ void restoreRunState(const RunConfig& rc, ResolvedSource& src,
   core.loadState(r);
   r.endSection();
   r.openSection("interface");
-  ifc.loadState(r);
+  stack.ifc().loadState(r);
   r.endSection();
   r.openSection("energy");
-  ea.loadState(r);
+  stack.account().loadState(r);
   r.endSection();
 }
 
@@ -418,27 +417,35 @@ void finalizeDerivedMetrics(RunOutput& out, const energy::EnergyAccount& ea,
 
 }  // namespace
 
-RunOutput runOne(const RunConfig& rc) {
-  if (rc.workload.isSampled()) return runOneSampled(rc);
+RunStack::RunStack(const core::InterfaceConfig& cfg,
+                   const core::SystemConfig& sys, energy::EnergyAccount& ea,
+                   const InterfaceDecorator& decorate)
+    : ea_(ea) {
+  defineEnergies(ea, cfg, sys);
+  inner_ = makeInterface(cfg, sys, ea);
+  if (decorate) decorator_ = decorate(*inner_);
+  front_ = decorator_ ? decorator_.get() : inner_.get();
+}
+
+RunOutput runOne(const RunConfig& rc, const InterfaceDecorator& decorate) {
+  if (rc.workload.isSampled()) return runOneSampled(rc, decorate);
 
   energy::EnergyAccount ea;
-  defineEnergies(ea, rc.interface_cfg, rc.system);
-
+  const RunStack stack(rc.interface_cfg, rc.system, ea, decorate);
   ResolvedSource src = makeTraceSource(rc);
-  auto ifc = makeInterface(rc.interface_cfg, rc.system, ea);
-  cpu::CoreModel core(rc.system, rc.interface_cfg, *src.src, *ifc);
+  cpu::CoreModel core(rc.system, rc.interface_cfg, *src.src, stack.ifc());
 
   MALEC_CHECK_MSG(rc.ckpt_every == 0 || !rc.ckpt_out.empty(),
                   "ckpt_every has nowhere to write — set ckpt_out too");
-  if (!rc.start_ckpt.empty()) restoreRunState(rc, src, ea, *ifc, core);
+  if (!rc.start_ckpt.empty()) restoreRunState(rc, src, stack, core);
   bool wrote_ckpt = false;
   if (!rc.ckpt_out.empty()) {
     MALEC_CHECK_MSG(rc.ckpt_every != 0,
                     "a checkpoint output path needs an interval — set "
                     "ckpt_every (--ckpt-every)");
     core.setCheckpointHook(
-        rc.ckpt_every, [&rc, &src, &ea, &ifc, &core, &wrote_ckpt] {
-          saveRunState(rc, src, ea, *ifc, core);
+        rc.ckpt_every, [&rc, &src, &stack, &core, &wrote_ckpt] {
+          saveRunState(rc, src, stack, core);
           wrote_ckpt = true;
         });
   }
@@ -468,7 +475,7 @@ RunOutput runOne(const RunConfig& rc) {
   out.instructions = cs.instructions;
   out.ipc = cs.ipc();
   out.core = cs;
-  out.ifc = ifc->stats();
+  out.ifc = stack.ifc().stats();
   finalizeDerivedMetrics(out, ea, cs.cycles, rc.system.clock_ghz);
   return out;
 }
@@ -489,7 +496,8 @@ namespace {
 /// CoreModel, so the pipeline resets at segment boundaries exactly like
 /// at a SimPoint boundary. Every estimate is a deterministic fold in pick
 /// order, so repeated and parallel runs are bit-identical.
-RunOutput runOneSampled(const RunConfig& rc) {
+RunOutput runOneSampled(const RunConfig& rc,
+                        const InterfaceDecorator& decorate) {
   MALEC_CHECK_MSG(rc.workload.isTrace(),
                   "a sample plan needs a trace-backed workload — synthetic "
                   "profiles replay in full");
@@ -523,8 +531,8 @@ RunOutput runOneSampled(const RunConfig& rc) {
   std::vector<double> core_est(kNumCoreFields, 0.0);
 
   energy::EnergyAccount ea;
-  defineEnergies(ea, rc.interface_cfg, rc.system);
-  auto ifc = makeInterface(rc.interface_cfg, rc.system, ea);
+  const RunStack stack(rc.interface_cfg, rc.system, ea, decorate);
+  core::MemInterface& ifc = stack.ifc();
   // The event-id space is fixed once the interface is constructed — the
   // run only counts — so per-segment event deltas are plain snapshots.
   event_est.resize(ea.eventTypes(), 0.0);
@@ -551,7 +559,7 @@ RunOutput runOneSampled(const RunConfig& rc) {
       // the stats snapshot below removes its counters.
       energy::StatGate gate(ea);
       SegmentSource wsrc(rd, warm);
-      cpu::CoreModel wcore(rc.system, rc.interface_cfg, wsrc, *ifc);
+      cpu::CoreModel wcore(rc.system, rc.interface_cfg, wsrc, ifc);
       const cpu::CoreStats ws = wcore.run(warm * 60 + 100'000, sim_clock);
       sim_clock += ws.cycles;
       // An under-retired warmup (reader failure or the safety bound) would
@@ -560,13 +568,13 @@ RunOutput runOneSampled(const RunConfig& rc) {
                       "sampled warmup did not retire every instruction");
       gate.open();
     }
-    const core::InterfaceStats warm_snap = ifc->stats();
+    const core::InterfaceStats warm_snap = ifc.stats();
     for (energy::EnergyAccount::EventId id = 0; id < ea.eventTypes(); ++id)
       ev_snap[id] = ea.eventCount(id);
 
     const std::uint64_t measured = seg.end - seg.start;
     SegmentSource msrc(rd, measured);
-    cpu::CoreModel core(rc.system, rc.interface_cfg, msrc, *ifc);
+    cpu::CoreModel core(rc.system, rc.interface_cfg, msrc, ifc);
     const cpu::CoreStats cs = core.run(measured * 60 + 100'000, sim_clock);
     sim_clock += cs.cycles;
     MALEC_CHECK_MSG(rd.ok(), rd.error().c_str());
@@ -582,7 +590,7 @@ RunOutput runOneSampled(const RunConfig& rc) {
           static_cast<double>(cs.*cpu::kCoreScaledCounterFields[i]) * scale;
 
     const core::InterfaceStats delta =
-        core::statsDelta(ifc->stats(), warm_snap);
+        core::statsDelta(ifc.stats(), warm_snap);
     for (std::size_t i = 0; i < kNumIfcFields; ++i)
       ifc_est[i] += static_cast<double>(
                         delta.*core::kInterfaceCounterFields[i]) *

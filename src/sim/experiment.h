@@ -4,6 +4,8 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -11,6 +13,7 @@
 #include "core/interface_config.h"
 #include "core/mem_interface.h"
 #include "cpu/core_model.h"
+#include "energy/energy_account.h"
 #include "trace/workload_profile.h"
 
 namespace malec::sim {
@@ -65,13 +68,46 @@ struct RunOutput {
   StatSet energy_detail;
 };
 
+/// Builds a forwarding decorator in front of a run's interface: given the
+/// interface the configuration built, returns the one the core drives. The
+/// decorator forwards every call it does not observe; one that keeps the
+/// MemInterface default for the quiet hooks makes the core step every
+/// cycle. The stack owns what this returns.
+using InterfaceDecorator =
+    std::function<std::unique_ptr<core::MemInterface>(core::MemInterface&)>;
+
+/// The simulated stack under a core: `cfg`'s energies defined on the
+/// caller's account, the interface makeInterface() builds over them, and
+/// optionally a decorator in front of it. runOne, sampled replay and the
+/// tests build their stacks here, and a decorator attaches here. The
+/// account stays caller-owned and must outlive the stack: every interface
+/// component counts into it.
+class RunStack {
+ public:
+  RunStack(const core::InterfaceConfig& cfg, const core::SystemConfig& sys,
+           energy::EnergyAccount& ea, const InterfaceDecorator& decorate = {});
+
+  /// The interface the core drives: the decorator when there is one.
+  [[nodiscard]] core::MemInterface& ifc() const { return *front_; }
+  [[nodiscard]] energy::EnergyAccount& account() const { return ea_; }
+
+ private:
+  energy::EnergyAccount& ea_;
+  std::unique_ptr<core::MemInterface> inner_;
+  std::unique_ptr<core::MemInterface> decorator_;
+  core::MemInterface* front_ = nullptr;
+};
+
 /// Run one simulation. A workload with a sample_plan_path set runs in
 /// phase-sampled mode: only the plan's representative intervals are
 /// simulated (each primed by a stat-gated warmup prefix) and the output is
 /// the weighted phase combination estimating the full replay — bit-identical
 /// across repeated and parallel runs, several times faster than streaming
-/// the whole capture. rc.instructions must be 0 in that mode.
-[[nodiscard]] RunOutput runOne(const RunConfig& rc);
+/// the whole capture. rc.instructions must be 0 in that mode. `decorate`
+/// puts a decorator in front of the run's interface (see RunStack): a test
+/// seam, under which a decorator that only forwards moves no number.
+[[nodiscard]] RunOutput runOne(const RunConfig& rc,
+                               const InterfaceDecorator& decorate = {});
 
 /// Run a batch of arbitrary configurations across a std::thread pool.
 /// Every run is fully independent (own EnergyAccount, trace generator and

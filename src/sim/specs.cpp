@@ -645,14 +645,14 @@ ExperimentSpec specWayEncoding() {
     for (std::uint32_t page_kb : {4u, 16u, 64u}) {
       const std::uint32_t lines = page_kb * 1024 / sys.layout.lineBytes();
       for (std::uint32_t chunks : {64u, 128u}) {
-        waydet::SegmentedWayTable::Params sp;
-        sp.slots = sys.tlb_entries;
-        sp.lines_per_page = lines;
-        sp.lines_per_chunk = 16;
-        sp.chunks = chunks;
-        waydet::SegmentedWayTable seg(sp);
+        waydet::SegmentedWtGeometry g;
+        g.slots = sys.tlb_entries;
+        g.lines_per_page = lines;
+        g.lines_per_chunk = 16;
+        g.chunks = chunks;
         txt += strf("  %6u KB %8u %12u %12u\n", page_kb, chunks,
-                    seg.storageBits(), seg.flatStorageBits());
+                    waydet::segmentedWtStorageBits(g),
+                    waydet::flatWtStorageBits(g));
       }
     }
     ctx.emitText(txt);

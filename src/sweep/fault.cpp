@@ -17,7 +17,8 @@ namespace {
   const std::string msg = "invalid MALEC_FAULT_SPEC clause '" + spec + "': " +
                           why +
                           " (grammar: kill|hang|corrupt-result:task=K"
-                          "[:attempts=N] or truncate-journal[:task=K])";
+                          "[:attempts=N], truncate-journal[:task=K] or "
+                          "explore-crash:round=N)";
   MALEC_CHECK_MSG(false, msg.c_str());
 }
 
@@ -45,7 +46,10 @@ FaultClause parseClause(const std::string& clause) {
     fc.kind = FaultClause::Kind::kCorruptResult;
   else if (parts[0] == "truncate-journal")
     fc.kind = FaultClause::Kind::kTruncateJournal;
+  else if (parts[0] == "explore-crash")
+    fc.kind = FaultClause::Kind::kExploreCrash;
   else badSpec(clause, "unknown fault '" + parts[0] + "'");
+  const bool explore = fc.kind == FaultClause::Kind::kExploreCrash;
 
   for (std::size_t i = 1; i < parts.size(); ++i) {
     const std::size_t eq = parts[i].find('=');
@@ -53,7 +57,11 @@ FaultClause parseClause(const std::string& clause) {
       badSpec(clause, "expected key=value, got '" + parts[i] + "'");
     const std::string key = parts[i].substr(0, eq);
     const std::string val = parts[i].substr(eq + 1);
-    if (key == "task") {
+    if (explore != (key == "round")) {
+      badSpec(clause, "key '" + key + "' does not apply to " + parts[0]);
+    } else if (key == "round") {
+      fc.round = sim::parseU64Strict(val, "MALEC_FAULT_SPEC round");
+    } else if (key == "task") {
       fc.task = static_cast<std::uint32_t>(
           sim::parseU64Strict(val, "MALEC_FAULT_SPEC task"));
       fc.has_task = true;
@@ -64,7 +72,10 @@ FaultClause parseClause(const std::string& clause) {
       badSpec(clause, "unknown key '" + key + "'");
     }
   }
-  if (!fc.has_task && fc.kind != FaultClause::Kind::kTruncateJournal)
+  if (explore && fc.round == 0)
+    badSpec(clause, "explore-crash needs round=N with N >= 1");
+  if (!explore && !fc.has_task &&
+      fc.kind != FaultClause::Kind::kTruncateJournal)
     badSpec(clause, "worker faults need an explicit task=K");
   return fc;
 }
@@ -81,6 +92,12 @@ const FaultClause* FaultSpec::match(FaultClause::Kind kind,
     return &fc;
   }
   return nullptr;
+}
+
+std::uint64_t FaultSpec::exploreCrashRound() const {
+  for (const FaultClause& fc : clauses)
+    if (fc.kind == FaultClause::Kind::kExploreCrash) return fc.round;
+  return 0;
 }
 
 FaultSpec parseFaultSpec(const std::string& spec) {

@@ -1,4 +1,5 @@
-// Deterministic fault injection for sweep tests and CI (MALEC_FAULT_SPEC).
+// Deterministic fault injection for sweep and explore tests and CI
+// (MALEC_FAULT_SPEC).
 //
 // Every failure mode the coordinator defends against can be triggered on
 // purpose, at an exact (task, attempt), so the fault matrix is a set of
@@ -16,13 +17,17 @@
 //                                             and exits — the crash-mid-
 //                                             append scenario --resume exists
 //                                             for
+//   MALEC_FAULT_SPEC="explore-crash:round=2"  `malec_bench explore` exits 17
+//                                             right after persisting its 2nd
+//                                             freshly simulated round
 //
 // Clauses compose comma-separated. Worker-side clauses default to firing on
 // attempt 0 only (so retry-then-succeed is the natural shape); an explicit
 // `:attempts=N` fires on every attempt < N (attempts=99 ≈ always, the
 // quarantine scenario). The grammar is strict: an unknown clause or key, a
-// missing task= on a worker fault, or a malformed number aborts — a typo'd
-// fault spec must never silently test nothing.
+// missing task= on a worker fault, a missing or zero round= on
+// explore-crash (which takes no other key), or a malformed number aborts —
+// a typo'd fault spec must never silently test nothing.
 #pragma once
 
 #include <cstdint>
@@ -37,11 +42,13 @@ struct FaultClause {
     kHang,
     kCorruptResult,
     kTruncateJournal,
+    kExploreCrash,
   };
   Kind kind = Kind::kKill;
   std::uint32_t task = 0;
   bool has_task = false;       ///< truncate-journal may omit task (= any)
   std::uint32_t attempts = 1;  ///< fires while attempt < attempts
+  std::uint64_t round = 0;     ///< explore-crash: fresh rounds before exit
 };
 
 struct FaultSpec {
@@ -51,6 +58,9 @@ struct FaultSpec {
   [[nodiscard]] const FaultClause* match(FaultClause::Kind kind,
                                          std::uint32_t task,
                                          std::uint32_t attempt) const;
+
+  /// The explore-crash round (1-based), or 0 when no such clause is set.
+  [[nodiscard]] std::uint64_t exploreCrashRound() const;
 };
 
 /// Parse a spec string (strict; aborts on malformed input). Empty = none.

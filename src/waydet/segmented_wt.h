@@ -1,4 +1,5 @@
-// Segmented Way Table — the paper's Sec. VI-D extension for wide pages.
+// Segmented Way Table storage — the paper's Sec. VI-D extension for wide
+// pages.
 //
 // With pages larger than 4 KByte, a flat WT entry grows linearly (2 bits
 // per line), which the paper flags as the one scaling concern of
@@ -7,93 +8,30 @@
 // and replacing WT chunks in a FIFO or LRU manner, their number could be
 // smaller than required to represent full pages".
 //
-// SegmentedWayTable implements the second remedy: way codes are stored in
-// fixed-size chunks covering `lines_per_chunk` consecutive lines of a
-// page; a small pool of chunks is shared by all TLB slots and allocated on
-// demand (LRU replacement). Lookups for lines whose chunk is not resident
-// return "way unknown" — a coverage loss, traded against a WT capacity
-// that no longer scales with page size.
+// A segmented WT stores way codes in fixed-size chunks covering
+// `lines_per_chunk` consecutive lines of a page; a small pool of chunks is
+// shared by all TLB slots. No preset routes one into a run: what the
+// reproduction reports (the way_encoding suite) is its storage against a
+// flat WT's, and these two formulas are that comparison.
 #pragma once
 
 #include <cstdint>
-#include <optional>
-#include <vector>
-
-#include "common/types.h"
-#include "waydet/way_info.h"
-
-namespace malec::ckpt {
-class StateReader;
-class StateWriter;
-}  // namespace malec::ckpt
 
 namespace malec::waydet {
 
-class SegmentedWayTable {
- public:
-  struct Params {
-    std::uint32_t slots = 64;           ///< companion TLB entries
-    std::uint32_t lines_per_page = 64;  ///< grows with page size
-    std::uint32_t lines_per_chunk = 16; ///< chunk granularity
-    std::uint32_t chunks = 64;          ///< pooled chunk count
-    std::uint32_t banks = 4;
-    std::uint32_t assoc = 4;
-  };
-
-  explicit SegmentedWayTable(const Params& p);
-
-  /// Decoded way, or kWayUnknown when the line's chunk is not resident or
-  /// holds no validity for the line. Never allocates.
-  [[nodiscard]] WayIdx lookup(std::uint32_t slot, std::uint32_t line_in_page,
-                              std::uint32_t page_salt) const;
-
-  /// Record a way; allocates the chunk (possibly evicting the LRU chunk of
-  /// some other page region) if absent.
-  void record(std::uint32_t slot, std::uint32_t line_in_page,
-              std::uint32_t page_salt, std::uint32_t way);
-
-  /// Clear one line's validity (no allocation on absence).
-  void clearLine(std::uint32_t slot, std::uint32_t line_in_page);
-
-  /// Drop every chunk belonging to a slot (TLB eviction).
-  void invalidateSlot(std::uint32_t slot);
-
-  [[nodiscard]] std::uint32_t residentChunks() const;
-  [[nodiscard]] std::uint64_t chunkAllocations() const { return allocs_; }
-  [[nodiscard]] std::uint64_t chunkEvictions() const { return evictions_; }
-
-  /// Storage bits: chunk payloads + per-chunk tags (slot + chunk index).
-  [[nodiscard]] std::uint32_t storageBits() const;
-  /// Bits a flat WT for the same geometry would need.
-  [[nodiscard]] std::uint32_t flatStorageBits() const;
-
-  [[nodiscard]] const Params& params() const { return p_; }
-
-  /// Checkpoint/restore of all mutable state; restore requires an
-  /// identically-configured instance (geometry mismatches abort).
-  void saveState(ckpt::StateWriter& w) const;
-  void loadState(ckpt::StateReader& r);
-
- private:
-  struct Chunk {
-    bool valid = false;
-    std::uint32_t slot = 0;
-    std::uint32_t index = 0;  ///< chunk index within the page
-    std::uint64_t lru = 0;
-    std::vector<WayCode> codes;
-  };
-
-  [[nodiscard]] const Chunk* find(std::uint32_t slot,
-                                  std::uint32_t index) const;
-  [[nodiscard]] Chunk* find(std::uint32_t slot, std::uint32_t index);
-  Chunk& allocate(std::uint32_t slot, std::uint32_t index);
-
-  Params p_;  // lint:no-state(config)
-  std::uint32_t chunks_per_page_;  // lint:no-state(geometry, derived from config)
-  std::vector<Chunk> pool_;
-  std::uint64_t tick_ = 0;
-  std::uint64_t allocs_ = 0;
-  std::uint64_t evictions_ = 0;
+struct SegmentedWtGeometry {
+  std::uint32_t slots = 64;           ///< companion TLB entries
+  std::uint32_t lines_per_page = 64;  ///< grows with page size
+  std::uint32_t lines_per_chunk = 16; ///< chunk granularity
+  std::uint32_t chunks = 64;          ///< pooled chunk count
 };
+
+/// Storage bits of a segmented WT: chunk payloads (2 bits per line) plus a
+/// tag per chunk (slot id + chunk index within the page + valid).
+[[nodiscard]] std::uint32_t segmentedWtStorageBits(
+    const SegmentedWtGeometry& g);
+
+/// Bits a flat WT for the same slots and page size would need.
+[[nodiscard]] std::uint32_t flatWtStorageBits(const SegmentedWtGeometry& g);
 
 }  // namespace malec::waydet

@@ -18,7 +18,6 @@
 #include "sim/presets.h"
 #include "sim/registry.h"
 #include "trace/workloads.h"
-#include "waydet/segmented_wt.h"
 
 namespace malec::sim {
 namespace {
@@ -48,7 +47,6 @@ constexpr const char* kCheckpointAuditedClasses[] = {
     "PageTable",
     "RandomPolicy",
     "SecondChancePolicy",
-    "SegmentedWayTable",
     "StoreBuffer",
     "SyntheticTraceGenerator",
     "Tlb",
@@ -82,12 +80,6 @@ RunConfig baseConfig(const char* bench, core::InterfaceConfig cfg,
   return rc;
 }
 
-void expectBitIdentical(const RunOutput& a, const RunOutput& b) {
-  // Exhaustive field-by-field comparison (every counter plus the byte-exact
-  // energy table), the same rendering the golden-run corpus pins.
-  EXPECT_EQ(diffOutputs(a, b), "");
-}
-
 /// One matrix cell: run straight through; run again writing a checkpoint
 /// every `every` instructions (must not perturb anything); resume the last
 /// written checkpoint in a fresh stack and continue. All three bit-equal.
@@ -100,12 +92,12 @@ void expectCheckpointRoundTrip(const RunConfig& rc, std::uint64_t every,
   writing.ckpt_out = ckpt;
   writing.ckpt_every = every;
   const RunOutput with_ckpt = runOne(writing);
-  expectBitIdentical(straight, with_ckpt);
+  EXPECT_EQ(diffOutputs(straight, with_ckpt), "") << tag;
 
   RunConfig resuming = rc;
   resuming.start_ckpt = ckpt;
   const RunOutput resumed = runOne(resuming);
-  expectBitIdentical(straight, resumed);
+  EXPECT_EQ(diffOutputs(straight, resumed), "") << tag;
   std::remove(ckpt.c_str());
 }
 
@@ -205,45 +197,8 @@ TEST(Checkpoint, ResumeIsBitIdenticalUnderRunManyParallel) {
   // A mixed pool: fresh runs and resumed runs side by side.
   const auto outs = runManyParallel({rc, resuming, resuming, rc}, 4);
   ASSERT_EQ(outs.size(), 4u);
-  for (const auto& o : outs) expectBitIdentical(straight, o);
+  for (const auto& o : outs) EXPECT_EQ(diffOutputs(straight, o), "");
   std::remove(ckpt.c_str());
-}
-
-// The component-state audit covers the SegmentedWayTable too, although no
-// preset routes it into a full run: its chunk pool must survive a
-// checkpoint like every other way structure.
-TEST(Checkpoint, SegmentedWayTableStateRoundTrip) {
-  const std::string path = tmpPath("swt.mckpt");
-  waydet::SegmentedWayTable::Params p;
-  p.slots = 8;
-  p.lines_per_page = 32;
-  p.lines_per_chunk = 8;
-  p.chunks = 6;
-  waydet::SegmentedWayTable a(p);
-  for (std::uint32_t i = 0; i < 24; ++i)
-    a.record(i % p.slots, (i * 7) % p.lines_per_page, i, i % 3);
-
-  ckpt::StateWriter w;
-  w.beginSection("swt");
-  a.saveState(w);
-  w.endSection();
-  std::string err;
-  ASSERT_TRUE(w.writeTo(path, err)) << err;
-
-  waydet::SegmentedWayTable b(p);
-  ckpt::StateReader r(path);
-  ASSERT_TRUE(r.ok()) << r.error();
-  r.openSection("swt");
-  b.loadState(r);
-  r.endSection();
-  EXPECT_EQ(a.residentChunks(), b.residentChunks());
-  EXPECT_EQ(a.chunkAllocations(), b.chunkAllocations());
-  EXPECT_EQ(a.chunkEvictions(), b.chunkEvictions());
-  for (std::uint32_t s = 0; s < p.slots; ++s)
-    for (std::uint32_t l = 0; l < p.lines_per_page; ++l)
-      for (std::uint32_t salt = 0; salt < 4; ++salt)
-        EXPECT_EQ(a.lookup(s, l, salt), b.lookup(s, l, salt));
-  std::remove(path.c_str());
 }
 
 // --- the strict .mckpt rejection matrix -------------------------------------

@@ -2,8 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "energy/energy_account.h"
+#include "sim/experiment.h"
 #include "sim/presets.h"
-#include "sim/structures.h"
 #include "trace/trace_io.h"
 
 namespace malec::cpu {
@@ -40,14 +41,14 @@ InstrRecord store(SeqNum seq, Addr a) {
 
 /// Run a fixed instruction vector through a full MALEC (or baseline) stack.
 CoreStats run(std::vector<InstrRecord> recs,
-              core::InterfaceConfig cfg = sim::presetMalec()) {
+              core::InterfaceConfig cfg = sim::presetMalec(),
+              Cycle max_cycles = 500'000) {
   core::SystemConfig sys;
   energy::EnergyAccount ea;
-  sim::defineEnergies(ea, cfg, sys);
-  auto ifc = sim::makeInterface(cfg, sys, ea);
+  const sim::RunStack stack(cfg, sys, ea);
   trace::VectorTraceSource src(std::move(recs));
-  CoreModel core(sys, cfg, src, *ifc);
-  return core.run(/*max_cycles=*/500'000);
+  CoreModel core(sys, cfg, src, stack.ifc());
+  return core.run(max_cycles);
 }
 
 TEST(CoreModel, RetiresEveryInstruction) {
@@ -157,14 +158,8 @@ TEST(CoreModel, EmptyTraceFinishesImmediately) {
 TEST(CoreModel, MaxCyclesBoundsRunaway) {
   std::vector<InstrRecord> recs;
   for (SeqNum i = 0; i < 100'000; ++i) recs.push_back(alu(i, 1));
-  core::SystemConfig sys;
-  auto cfg = sim::presetMalec();
-  energy::EnergyAccount ea;
-  sim::defineEnergies(ea, cfg, sys);
-  auto ifc = sim::makeInterface(cfg, sys, ea);
-  trace::VectorTraceSource src(std::move(recs));
-  CoreModel core(sys, cfg, src, *ifc);
-  const auto st = core.run(/*max_cycles=*/1000);
+  const auto st =
+      run(std::move(recs), sim::presetMalec(), /*max_cycles=*/1000);
   EXPECT_EQ(st.cycles, 1000u);
 }
 

@@ -4,7 +4,8 @@
 // stores and frontier reports, and explore → crash → --resume in a FRESH
 // process lands on the byte-identical frontier. Plus the strict refusal
 // matrix: unknown objectives, --resume without a store, an existing store
-// without --resume, and a foreign store under --resume.
+// without --resume, a foreign store under --resume, and an explicit
+// --seed 0 (refused by the suite runner too).
 //
 // Subprocess scenarios exec the real malec_bench binary (MALEC_BENCH_PATH,
 // wired by CMake) on a tiny search: fig4a --filter gcc --instr 2000 with
@@ -104,7 +105,7 @@ TEST(ExploreProcess, CrashAfterRoundThenResumeLandsOnIdenticalFrontier) {
   std::remove(store.c_str());
   const std::string out = tmpPath("crash.txt");
   // Round 0 persists, then the injected crash kills the process (exit 17).
-  ASSERT_EQ(runBench("MALEC_EXPLORE_CRASH_AFTER=1 ",
+  ASSERT_EQ(runBench("MALEC_FAULT_SPEC=explore-crash:round=1 ",
                      std::string(kSearch) + " --store " + store, out),
             17);
   {
@@ -132,8 +133,9 @@ TEST(ExploreProcess, ResumeOfCompletedSearchRerunsNothing) {
   const std::string out = tmpPath("done.txt");
   ASSERT_EQ(runBench("", std::string(kSearch) + " --store " + store, out), 0);
   // A resume over the finished store replays both rounds from disk — if it
-  // simulated anything the injected always-crash knob would kill it.
-  ASSERT_EQ(runBench("MALEC_EXPLORE_CRASH_AFTER=1 ",
+  // simulated anything the injected crash after one fresh round would kill
+  // it.
+  ASSERT_EQ(runBench("MALEC_FAULT_SPEC=explore-crash:round=1 ",
                      std::string(kSearch) + " --store " + store + " --resume",
                      out),
             0)
@@ -183,6 +185,24 @@ TEST(ExploreProcess, RefusalMatrix) {
                              tmpPath("r3.mstore") + " --batch 0",
                      out),
             0);
+}
+
+TEST(ExploreProcess, SeedZeroIsRefused) {
+  // The suite runner and explore resolve seed 0 to the spec's seed, so an
+  // explicit --seed 0 must be refused, not silently run as another seed.
+  const std::string store = tmpPath("seed0.mstore");
+  std::remove(store.c_str());
+  const std::string out = tmpPath("seed0.txt");
+  for (const std::string& args :
+       {std::string("--suite fig4a --filter gcc --instr 2000 --seed 0"),
+        "explore --suite fig4a --filter gcc --instr 2000 --seed 0 --store " +
+            store}) {
+    EXPECT_NE(runBench("", args, out), 0) << args;
+    EXPECT_NE(slurp(out + ".err").find("0 would select the spec's seed"),
+              std::string::npos)
+        << args << ": " << slurp(out + ".err");
+  }
+  EXPECT_FALSE(std::filesystem::exists(store));
 }
 
 TEST(ExploreProcess, ResumeRefusesForeignStore) {

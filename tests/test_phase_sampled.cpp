@@ -50,12 +50,6 @@ std::string captureWithPlan(const char* bench, const char* name,
   return path;
 }
 
-void expectBitIdentical(const RunOutput& a, const RunOutput& b) {
-  // Exhaustive field-by-field comparison (every counter plus the byte-exact
-  // energy table), the same rendering the golden-run corpus pins.
-  EXPECT_EQ(diffOutputs(a, b), "");
-}
-
 RunConfig sampledConfig(const std::string& trace_path) {
   RunConfig rc;
   rc.workload = sampledWorkload(traceWorkload(trace_path));
@@ -74,11 +68,11 @@ TEST(PhaseSampled, BitIdenticalAcrossRepeatedAndParallelRuns) {
   // series, then the same runs through the parallel pool, all bit-equal.
   const RunOutput serial_a = runOne(rc);
   const RunOutput serial_b = runOne(rc);
-  expectBitIdentical(serial_a, serial_b);
+  EXPECT_EQ(diffOutputs(serial_a, serial_b), "");
 
   const auto outs = runManyParallel({rc, rc, rc, rc}, 4);
   ASSERT_EQ(outs.size(), 4u);
-  for (const auto& o : outs) expectBitIdentical(serial_a, o);
+  for (const auto& o : outs) EXPECT_EQ(diffOutputs(serial_a, o), "");
 
   EXPECT_EQ(serial_a.benchmark, "trace:det:sampled");
   // The estimate reports the FULL trace's instruction count...

@@ -2,133 +2,47 @@
 
 #include <gtest/gtest.h>
 
-#include "common/rng.h"
-#include "waydet/way_table.h"
-
 namespace malec::waydet {
 namespace {
 
-SegmentedWayTable::Params params(std::uint32_t chunks = 16,
-                                 std::uint32_t lines_per_chunk = 16,
-                                 std::uint32_t lines_per_page = 64) {
-  SegmentedWayTable::Params p;
-  p.slots = 64;
-  p.lines_per_page = lines_per_page;
-  p.lines_per_chunk = lines_per_chunk;
-  p.chunks = chunks;
-  return p;
-}
-
-TEST(SegmentedWt, UnknownBeforeAnyRecord) {
-  SegmentedWayTable wt(params());
-  EXPECT_EQ(wt.lookup(0, 0, 0), kWayUnknown);
-  EXPECT_EQ(wt.residentChunks(), 0u);
-}
-
-TEST(SegmentedWt, RecordAllocatesChunkAndRoundTrips) {
-  SegmentedWayTable wt(params());
-  wt.record(3, 17, /*salt=*/5, 2);
-  EXPECT_EQ(wt.lookup(3, 17, 5), 2);
-  EXPECT_EQ(wt.residentChunks(), 1u);
-  EXPECT_EQ(wt.chunkAllocations(), 1u);
-  // A line in the same chunk shares the allocation.
-  wt.record(3, 18, 5, 1);
-  EXPECT_EQ(wt.residentChunks(), 1u);
-  // A line in a different chunk allocates another.
-  wt.record(3, 40, 5, 1);
-  EXPECT_EQ(wt.residentChunks(), 2u);
-}
-
-TEST(SegmentedWt, ExcludedWayDegradesToUnknown) {
-  SegmentedWayTable wt(params());
-  const std::uint32_t line = 9, salt = 0;
-  const std::uint32_t excl = excludedWay(line, salt, 4, 4);
-  wt.record(0, line, salt, excl);
-  EXPECT_EQ(wt.lookup(0, line, salt), kWayUnknown);
-}
-
-TEST(SegmentedWt, LruChunkEvictionUnderPressure) {
-  SegmentedWayTable wt(params(/*chunks=*/2));
-  wt.record(0, 0, 0, 1);   // chunk (0,0)
-  wt.record(1, 0, 0, 1);   // chunk (1,0)
-  (void)wt.lookup(0, 0, 0);  // lookups do not refresh LRU (reads are free)
-  wt.record(0, 1, 0, 2);   // refreshes chunk (0,0)
-  wt.record(2, 0, 0, 1);   // evicts chunk (1,0)
-  EXPECT_EQ(wt.chunkEvictions(), 1u);
-  EXPECT_EQ(wt.lookup(1, 0, 0), kWayUnknown);
-  EXPECT_EQ(wt.lookup(0, 1, 0), 2);
-  EXPECT_EQ(wt.lookup(2, 0, 0), 1);
-}
-
-TEST(SegmentedWt, ClearLineAndInvalidateSlot) {
-  SegmentedWayTable wt(params());
-  wt.record(5, 10, 0, 3);
-  wt.record(5, 40, 0, 3);
-  wt.clearLine(5, 10);
-  EXPECT_EQ(wt.lookup(5, 10, 0), kWayUnknown);
-  EXPECT_EQ(wt.lookup(5, 40, 0), 3);
-  wt.invalidateSlot(5);
-  EXPECT_EQ(wt.lookup(5, 40, 0), kWayUnknown);
-  EXPECT_EQ(wt.residentChunks(), 0u);
-}
-
-TEST(SegmentedWt, ClearOnAbsentChunkIsNoOp) {
-  SegmentedWayTable wt(params());
-  wt.clearLine(0, 0);
-  EXPECT_EQ(wt.residentChunks(), 0u);
+SegmentedWtGeometry geometry(std::uint32_t chunks,
+                             std::uint32_t lines_per_page) {
+  SegmentedWtGeometry g;
+  g.slots = 64;
+  g.lines_per_page = lines_per_page;
+  g.lines_per_chunk = 16;
+  g.chunks = chunks;
+  return g;
 }
 
 TEST(SegmentedWt, StorageSavingsForWidePages) {
   // The Sec. VI-D scenario: 64 KByte pages => 1024 lines/page. A flat WT
   // would need 64 x 2048 bits; a 64-chunk pool stays near the 4 KByte-page
   // footprint.
-  SegmentedWayTable wt(params(/*chunks=*/64, /*lines_per_chunk=*/16,
-                              /*lines_per_page=*/1024));
-  EXPECT_LT(wt.storageBits() * 10, wt.flatStorageBits());
+  const SegmentedWtGeometry g = geometry(/*chunks=*/64,
+                                         /*lines_per_page=*/1024);
+  EXPECT_LT(segmentedWtStorageBits(g) * 10, flatWtStorageBits(g));
 }
 
-TEST(SegmentedWt, AgreesWithFlatWtWhileResident) {
-  // Property: as long as no chunk was evicted, the segmented WT answers
-  // exactly like the flat WayTable.
-  SegmentedWayTable seg(params(/*chunks=*/256));
-  WayTable flat(64, 64, 4, 4);
-  Rng rng(3);
-  for (int i = 0; i < 2000; ++i) {
-    const auto slot = static_cast<std::uint32_t>(rng.below(64));
-    const auto line = static_cast<std::uint32_t>(rng.below(64));
-    const auto salt = static_cast<std::uint32_t>(rng.below(1024));
-    const auto way = static_cast<std::uint32_t>(rng.below(4));
-    seg.record(slot, line, salt, way);
-    flat.record(slot, line, salt, way);
-    EXPECT_EQ(seg.lookup(slot, line, salt), flat.lookup(slot, line, salt));
-  }
-  EXPECT_EQ(seg.chunkEvictions(), 0u);
-}
-
-// Property sweep: smaller pools trade coverage, never correctness — a
-// resident answer always matches what was recorded last.
-class SegmentedWtProperty : public ::testing::TestWithParam<std::uint32_t> {};
-
-TEST_P(SegmentedWtProperty, ResidentAnswersAreCorrect) {
-  SegmentedWayTable seg(params(GetParam()));
-  WayTable flat(64, 64, 4, 4);
-  Rng rng(GetParam());
-  for (int i = 0; i < 3000; ++i) {
-    const auto slot = static_cast<std::uint32_t>(rng.below(64));
-    const auto line = static_cast<std::uint32_t>(rng.below(64));
-    const auto way = static_cast<std::uint32_t>(rng.below(4));
-    seg.record(slot, line, 0, way);
-    flat.record(slot, line, 0, way);
-    const WayIdx got = seg.lookup(slot, line, 0);
-    if (got != kWayUnknown) {
-      EXPECT_EQ(got, flat.lookup(slot, line, 0));
-    }
-    EXPECT_LE(seg.residentChunks(), GetParam());
+TEST(SegmentedWt, StorageTableOfTheWayEncodingSuite) {
+  // The way_encoding suite's "Segmented WT" table: 64-entry TLB, 64-byte
+  // lines, 16-line chunks. A chunk's tag is valid + 6 slot bits + the
+  // chunk index within the page (2, 4 or 6 bits).
+  struct Row {
+    std::uint32_t page_kb, seg64, seg128, flat;
+  };
+  for (const Row& r : {Row{4, 2'624, 5'248, 8'192},
+                       Row{16, 2'752, 5'504, 32'768},
+                       Row{64, 2'880, 5'760, 131'072}}) {
+    const std::uint32_t lines = r.page_kb * 1024 / 64;
+    EXPECT_EQ(segmentedWtStorageBits(geometry(64, lines)), r.seg64)
+        << r.page_kb << " KB";
+    EXPECT_EQ(segmentedWtStorageBits(geometry(128, lines)), r.seg128)
+        << r.page_kb << " KB";
+    EXPECT_EQ(flatWtStorageBits(geometry(64, lines)), r.flat)
+        << r.page_kb << " KB";
   }
 }
-
-INSTANTIATE_TEST_SUITE_P(PoolSizes, SegmentedWtProperty,
-                         ::testing::Values(1u, 2u, 4u, 16u, 64u));
 
 }  // namespace
 }  // namespace malec::waydet

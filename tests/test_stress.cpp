@@ -4,58 +4,55 @@
 // interface keeps its invariants, never wedges and always drains.
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <vector>
 
 #include "common/rng.h"
 #include "core/mem_interface.h"
+#include "energy/energy_account.h"
+#include "sim/experiment.h"
 #include "sim/presets.h"
-#include "sim/structures.h"
 
 namespace malec::core {
 namespace {
 
 struct Harness {
   explicit Harness(const InterfaceConfig& cfg_in, std::uint64_t seed)
-      : cfg(cfg_in), rng(seed) {
-    sim::defineEnergies(ea, cfg, sys);
-    ifc = sim::makeInterface(cfg, sys, ea);
-  }
+      : cfg(cfg_in), stack(cfg, sys, ea), ifc(stack.ifc()), rng(seed) {}
 
   /// Drive `cycles` cycles of random traffic.
   void drive(std::uint32_t cycles, double load_rate, double store_rate,
              std::uint32_t pages) {
     for (std::uint32_t c = 0; c < cycles; ++c) {
-      ifc->beginCycle(now);
-      ifc->drainCompletions(now, completed);
+      ifc.beginCycle(now);
+      ifc.drainCompletions(now, completed);
 
       // Commit a random pending store occasionally (out-of-order commit
       // arrival is not possible from the real core, but the SB drains in
       // buffer order regardless; commit notifications here arrive in
       // program order as the contract requires).
       if (!uncommitted.empty() && rng.chance(0.7)) {
-        ifc->notifyStoreCommit(uncommitted.front());
+        ifc.notifyStoreCommit(uncommitted.front());
         uncommitted.erase(uncommitted.begin());
       }
 
       // Bursty submissions.
       for (std::uint32_t k = 0; k < 4; ++k) {
-        if (rng.chance(load_rate) && ifc->canAcceptLoad()) {
+        if (rng.chance(load_rate) && ifc.canAcceptLoad()) {
           MemOp op{next_seq++, true, randomAddr(pages),
                    static_cast<std::uint8_t>(1u << rng.below(4))};
           op.vaddr &= ~static_cast<Addr>(op.size - 1);
-          EXPECT_TRUE(ifc->submit(op));
+          EXPECT_TRUE(ifc.submit(op));
           ++loads_submitted;
         }
-        if (rng.chance(store_rate) && ifc->canAcceptStore()) {
+        if (rng.chance(store_rate) && ifc.canAcceptStore()) {
           MemOp op{next_seq++, false, randomAddr(pages),
                    static_cast<std::uint8_t>(1u << rng.below(4))};
           op.vaddr &= ~static_cast<Addr>(op.size - 1);
-          EXPECT_TRUE(ifc->submit(op));
+          EXPECT_TRUE(ifc.submit(op));
           uncommitted.push_back(op.seq);
         }
       }
-      ifc->endCycle(now);
+      ifc.endCycle(now);
       ++now;
     }
   }
@@ -63,15 +60,15 @@ struct Harness {
   /// Commit stragglers and run until quiesced (bounded).
   bool drain(std::uint32_t bound = 5000) {
     for (std::uint32_t c = 0; c < bound; ++c) {
-      ifc->beginCycle(now);
-      ifc->drainCompletions(now, completed);
+      ifc.beginCycle(now);
+      ifc.drainCompletions(now, completed);
       if (!uncommitted.empty()) {
-        ifc->notifyStoreCommit(uncommitted.front());
+        ifc.notifyStoreCommit(uncommitted.front());
         uncommitted.erase(uncommitted.begin());
       }
-      ifc->endCycle(now);
+      ifc.endCycle(now);
       ++now;
-      if (uncommitted.empty() && ifc->quiesced()) return true;
+      if (uncommitted.empty() && ifc.quiesced()) return true;
     }
     return false;
   }
@@ -83,7 +80,8 @@ struct Harness {
   InterfaceConfig cfg;
   SystemConfig sys;
   energy::EnergyAccount ea;
-  std::unique_ptr<MemInterface> ifc;
+  sim::RunStack stack;
+  MemInterface& ifc;
   Rng rng;
   Cycle now = 0;
   SeqNum next_seq = 1;
@@ -141,14 +139,14 @@ TEST_P(StressAllInterfaces, StoreOnlyStream) {
   h.drive(2000, 0.0, 0.5, /*pages=*/8);
   EXPECT_TRUE(h.drain());
   EXPECT_EQ(h.loads_submitted, 0u);
-  EXPECT_GE(h.ifc->stats().stores_submitted, 100u);
+  EXPECT_GE(h.ifc.stats().stores_submitted, 100u);
 }
 
 TEST_P(StressAllInterfaces, EnergyCountsStayConsistent) {
   Harness h(config(GetParam()), 31);
   h.drive(2000, 0.3, 0.15, /*pages=*/32);
   h.drain();
-  const auto& s = h.ifc->stats();
+  const auto& s = h.ifc.stats();
   // Mode partition and hit/miss partition hold even under stress.
   EXPECT_EQ(s.reduced_accesses + s.conventional_accesses,
             s.load_l1_accesses + s.write_l1_accesses);

@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "ckpt/state_io.h"
+#include "sim/differential.h"
 #include "sim/presets.h"
 #include "sim/registry.h"
 #include "sim/suite.h"
@@ -200,27 +201,6 @@ TEST(Journal, CreateRefusesExistingFile) {
 
 // --- RunOutput wire codec ---------------------------------------------------
 
-void expectBitIdentical(const sim::RunOutput& a, const sim::RunOutput& b) {
-  EXPECT_EQ(a.benchmark, b.benchmark);
-  EXPECT_EQ(a.config, b.config);
-  EXPECT_EQ(a.cycles, b.cycles);
-  EXPECT_EQ(a.instructions, b.instructions);
-  EXPECT_EQ(a.ipc, b.ipc);
-  EXPECT_EQ(a.dynamic_pj, b.dynamic_pj);
-  EXPECT_EQ(a.leakage_pj, b.leakage_pj);
-  EXPECT_EQ(a.total_pj, b.total_pj);
-  EXPECT_EQ(a.way_coverage, b.way_coverage);
-  EXPECT_EQ(a.l1_load_miss_rate, b.l1_load_miss_rate);
-  EXPECT_EQ(a.merged_load_fraction, b.merged_load_fraction);
-  for (const auto field : core::kInterfaceCounterFields)
-    EXPECT_EQ(a.ifc.*field, b.ifc.*field);
-  EXPECT_EQ(a.core.cycles, b.core.cycles);
-  EXPECT_EQ(a.core.instructions, b.core.instructions);
-  for (const auto field : cpu::kCoreScaledCounterFields)
-    EXPECT_EQ(a.core.*field, b.core.*field);
-  EXPECT_EQ(a.energy_detail.toTable(), b.energy_detail.toTable());
-}
-
 sim::RunOutput smallRun() {
   sim::RunConfig rc;
   rc.workload = trace::workloadByName("gcc");
@@ -237,7 +217,7 @@ TEST(ResultCodec, RoundTripIsBitIdentical) {
   sim::RunOutput back;
   std::string err;
   ASSERT_TRUE(decodeRunOutput(blob.data(), blob.size(), back, err)) << err;
-  expectBitIdentical(out, back);
+  EXPECT_EQ(sim::diffOutputs(out, back), "");
 }
 
 TEST(ResultCodec, DecodeRejectsTruncationAndTrailingBytes) {
@@ -260,7 +240,7 @@ TEST(ResultCodec, ResultFileRoundTripAndBindingChecks) {
   std::vector<std::uint8_t> blob;
   std::string err;
   ASSERT_TRUE(readResultFile(path, 42, 3, 1, back, blob, err)) << err;
-  expectBitIdentical(out, back);
+  EXPECT_EQ(sim::diffOutputs(out, back), "");
   EXPECT_EQ(blob, encodeRunOutput(out));
 
   // Any binding mismatch is a refusal, not a crash: wrong grid, wrong
@@ -321,6 +301,10 @@ TEST(FaultSpec, ParsesClausesAndMatchesAttemptWindows) {
   // truncate-journal without task= matches any task.
   EXPECT_NE(spec.match(FaultClause::Kind::kTruncateJournal, 11, 0), nullptr);
 
+  EXPECT_EQ(spec.exploreCrashRound(), 0u);
+  EXPECT_EQ(parseFaultSpec("kill:task=1,explore-crash:round=2")
+                .exploreCrashRound(),
+            2u);
   EXPECT_TRUE(parseFaultSpec("").clauses.empty());
 }
 
@@ -329,6 +313,13 @@ TEST(FaultSpecDeathTest, MalformedSpecsAbort) {
   EXPECT_DEATH((void)parseFaultSpec("kill"), "explicit task=");
   EXPECT_DEATH((void)parseFaultSpec("kill:task=abc"), "MALEC_FAULT_SPEC");
   EXPECT_DEATH((void)parseFaultSpec("kill:task=1:bogus=2"), "unknown key");
+  EXPECT_DEATH((void)parseFaultSpec("explore-crash"), "round=N");
+  EXPECT_DEATH((void)parseFaultSpec("explore-crash:round=0"), "round=N");
+  EXPECT_DEATH((void)parseFaultSpec("explore-crash:round=x"),
+               "MALEC_FAULT_SPEC round");
+  EXPECT_DEATH((void)parseFaultSpec("explore-crash:round=1:task=1"),
+               "does not apply");
+  EXPECT_DEATH((void)parseFaultSpec("kill:task=1:round=1"), "does not apply");
 }
 
 // --- strictly-parsed supervision knobs --------------------------------------
