@@ -7,7 +7,7 @@
 #include "common/address.h"
 #include "common/rng.h"
 #include "core/arbitration_unit.h"
-#include "mem/l1_cache.h"
+#include "mem/cache.h"
 #include "sim/experiment.h"
 #include "sim/presets.h"
 #include "tlb/tlb.h"
@@ -21,11 +21,13 @@ namespace {
 using namespace malec;
 
 void BM_L1Probe(benchmark::State& state) {
-  mem::L1Cache::Params p;
-  mem::L1Cache l1(p);
+  const AddressLayout layout;
+  mem::Cache l1(layout.l1Sets(), layout.l1Assoc(), layout.lineBytes());
   Rng rng(7);
-  for (int i = 0; i < 512; ++i)
-    l1.fill(0x1000'0000ull + rng.below(1u << 20) * 64);
+  for (int i = 0; i < 512; ++i) {
+    const Addr a = 0x1000'0000ull + rng.below(1u << 20) * 64;
+    if (!l1.probe(a).has_value()) l1.fill(a, l1.allWays());
+  }
   Addr a = 0x1000'0000;
   for (auto _ : state) {
     benchmark::DoNotOptimize(l1.probe(a));

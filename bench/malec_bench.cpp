@@ -441,8 +441,9 @@ int main(int argc, char** argv) {
     // --all means "everything runnable": a suite whose preconditions this
     // sweep cannot meet is skipped with a note, never a mid-run abort.
     // Each trace-dependent spec declares its precondition via all_skip
-    // (no captures registered / no .mplan sidecars); an explicit --suite
-    // <name> bypasses the gates and fails loudly inside the suite.
+    // (no captures registered / no .mplan sidecars; test_suite checks that
+    // every trace:* spec has one); an explicit --suite <name> bypasses the
+    // gates and fails loudly inside the suite.
     for (const auto& name : sim::specRegistry().names()) {
       const sim::ExperimentSpec& spec = sim::specRegistry().get(name);
       if (spec.whole_stream_only && opts.instructions > 0) {
@@ -457,21 +458,6 @@ int main(int argc, char** argv) {
         if (!reason.empty()) {
           std::fprintf(stderr, "skipping suite '%s' (%s)\n", name.c_str(),
                        reason.c_str());
-          continue;
-        }
-      } else if (std::find(spec.workloads.begin(), spec.workloads.end(),
-                           "trace:*") != spec.workloads.end()) {
-        // Fallback for a future trace:*-wanting spec registered without
-        // its own all_skip gate: the trace:* expansion aborts when no
-        // captures are registered, and --all must never abort mid-sweep.
-        bool have_traces = false;
-        for (const auto& wl : sim::workloadRegistry().names())
-          have_traces = have_traces || wl.rfind("trace:", 0) == 0;
-        if (!have_traces) {
-          std::fprintf(stderr,
-                       "skipping suite '%s' (no trace workloads registered "
-                       "— set MALEC_TRACE_DIR to include it)\n",
-                       name.c_str());
           continue;
         }
       }

@@ -12,6 +12,10 @@
 #    envU64 or envOr in src/, bench/ and examples/) must equal the MALEC_*
 #    rows of README's environment table — an undocumented knob and a row
 #    for a knob nothing reads both fail.
+# 4. Every format docs/FILE_FORMATS.md documents under a
+#    "## … (`*.ext`)" heading must state, in its section's first `version`
+#    table row, the version its constant in src/ writes (kTraceVersion,
+#    kPlanVersion, kCkptVersion, kJournalVersion, kStoreVersion).
 #
 # Exits non-zero with one line per violation.
 set -euo pipefail
@@ -71,10 +75,48 @@ for var in $table_env; do
   fi
 done
 
+formats="docs/FILE_FORMATS.md"
+declare -A version_const=([mtrace]=kTraceVersion [mplan]=kPlanVersion
+                          [mckpt]=kCkptVersion [mjournal]=kJournalVersion
+                          [mstore]=kStoreVersion)
+# One "<ext> <documented version>" line per "## … (`*.ext`)" section; the
+# version is empty when the section has no `version` row.
+documented_versions=$(awk '
+  function flush() { if (ext != "") print ext, ver }
+  /^## / {
+    flush(); ext = ""; ver = ""; seen = 0
+    if (match($0, /\(`\*\.[a-z]+`\)/)) ext = substr($0, RSTART + 4, RLENGTH - 6)
+    next
+  }
+  ext != "" && !seen && /^\|/ {
+    n = split($0, cell, "|")
+    for (i = 2; i < n; i++) {
+      c = cell[i]; gsub(/^ +| +$/, "", c)
+      if (c == "version") { ver = cell[i + 1]; gsub(/[ `]/, "", ver); seen = 1; break }
+    }
+  }
+  END { flush() }' "$formats")
+format_count=0
+while read -r ext documented; do
+  [[ -z "$ext" ]] && continue
+  format_count=$((format_count + 1))
+  const="${version_const[$ext]:-}"
+  if [[ -z "$const" ]]; then
+    echo "check_docs: $formats documents *.$ext, which has no version constant in this script"
+    fail=1
+    continue
+  fi
+  actual=$(grep -rhoE "\b$const = [0-9]+" src | grep -oE '[0-9]+$' | head -1 || true)
+  if [[ "$documented" != "$actual" ]]; then
+    echo "check_docs: $formats gives *.$ext version ${documented:-(none)} but $const is ${actual:-(not found)}"
+    fail=1
+  fi
+done <<< "$documented_versions"
+
 if [[ "$fail" -ne 0 ]]; then
-  echo "check_docs: FAILED — docs are out of sync with the spec registry or the environment knobs" >&2
+  echo "check_docs: FAILED — docs are out of sync with the spec registry, the environment knobs or the format versions" >&2
   exit 1
 fi
 count=$(wc -w <<< "$registered")
 env_count=$(wc -w <<< "$read_env")
-echo "check_docs: OK — $count specs all mapped in $mapping, $env_count env vars all in README.md"
+echo "check_docs: OK — $count specs all mapped in $mapping, $env_count env vars all in README.md, $format_count format versions match $formats"

@@ -146,9 +146,10 @@ bool StateWriter::writeTo(const std::string& path, std::string& err) const {
   // Temp + rename: a reader (possibly in another process of a parallel
   // sweep) must only ever see a complete checkpoint under `path`. The temp
   // name is unique per writer — with a shared name, two racing writers of
-  // the same checkpoint (e.g. parallel first-runs populating one warmup
-  // cache) would interleave writes into one inode and expose a torn file
-  // under `path`; with unique temps the last atomic rename simply wins.
+  // the same file (e.g. two processes appending to one `.mstore`, or two
+  // runs of one parallel batch given the same checkpoint path) would
+  // interleave writes into one inode and expose a torn file under `path`;
+  // with unique temps the last atomic rename simply wins.
   // A worker SIGKILLed mid-write (sweep supervision does exactly that on
   // timeouts) leaves its unique temp behind forever — sweep one up per
   // write so checkpoint directories do not accumulate dead `.tmp.*` files.

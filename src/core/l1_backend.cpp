@@ -2,27 +2,11 @@
 
 #include "ckpt/state_io.h"
 #include "common/check.h"
+#include "waydet/way_info.h"
 
 namespace malec::core {
 
 namespace {
-
-mem::L1Cache::Params l1Params(WayDetKind waydet, const SystemConfig& sys) {
-  mem::L1Cache::Params p;
-  p.layout = sys.layout;
-  // The 3-way allocation restriction only applies when Way Tables encode
-  // ways (Sec. V); the WDU and no-waydet variants use all four ways.
-  p.restrict_alloc_ways = waydet == WayDetKind::kWayTables;
-  p.seed = sys.seed * 11 + 5;
-  return p;
-}
-
-mem::L2Cache::Params l2Params(const SystemConfig& sys) {
-  mem::L2Cache::Params p;
-  p.line_bytes = sys.layout.lineBytes();
-  p.seed = sys.seed * 13 + 7;
-  return p;
-}
 
 TranslationEngine::Params engineParams(const InterfaceConfig& cfg,
                                        WayDetKind waydet,
@@ -62,8 +46,10 @@ L1Backend::L1Backend(const InterfaceConfig& cfg, const SystemConfig& sys,
                                                 : WayDetKind::kNone),
       ea_(ea),
       id_(ea, waydet_ == WayDetKind::kWdu),
-      l1_(l1Params(waydet_, sys)),
-      l2_(l2Params(sys)),
+      l1_(sys.layout.l1Sets(), sys.layout.l1Assoc(), sys.layout.lineBytes()),
+      l2_(static_cast<std::uint32_t>(mem::kL2Bytes / mem::kL2Ways /
+                                     sys.layout.lineBytes()),
+          mem::kL2Ways, sys.layout.lineBytes()),
       hier_(l1_, l2_, {sys.l2_latency, sys.dram_latency, sys.mshrs}),
       engine_(engineParams(cfg, waydet_, sys), ea),
       sb_(sys.sb_entries, sys.layout),
@@ -205,6 +191,14 @@ void L1Backend::learnWay(Addr vaddr, Addr paddr, WayIdx way) {
   }
 }
 
+std::uint64_t L1Backend::fillWays(Addr paddr) const {
+  if (waydet_ != WayDetKind::kWayTables) return l1_.allWays();
+  const std::uint32_t excluded = waydet::excludedWay(
+      sys_.layout.lineInPage(paddr), sys_.layout.pageId(paddr),
+      sys_.layout.l1Banks(), sys_.layout.l1Assoc());
+  return l1_.allWays() & ~(1ull << excluded);
+}
+
 WayIdx L1Backend::access(Addr vaddr, Addr paddr, std::uint32_t uwt_slot,
                          bool write) {
   ea_.count(id_.ctrl);
@@ -248,7 +242,8 @@ Cycle L1Backend::load(Addr vaddr, const TranslationEngine::Result& tr,
   ++window_misses_;
   // The returning fill supplies the critical word; delivery costs one L1
   // latency on top of the fill arrival.
-  return hier_.missAccess(paddr, now, /*is_store=*/false).ready_cycle +
+  return hier_.missAccess(paddr, now, /*is_store=*/false, fillWays(paddr))
+             .ready_cycle +
          cfg_.l1_latency;
 }
 
@@ -262,7 +257,7 @@ void L1Backend::write(Addr vaddr, const TranslationEngine::Result& tr,
     return;
   // Write-allocate on MBE miss.
   ++stats_.write_l1_misses;
-  (void)hier_.missAccess(paddr, now, /*is_store=*/true);
+  (void)hier_.missAccess(paddr, now, /*is_store=*/true, fillWays(paddr));
 }
 
 bool L1Backend::drainCompletions(Cycle now, std::vector<SeqNum>& out) {

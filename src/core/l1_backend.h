@@ -21,8 +21,7 @@
 #include "energy/energy_account.h"
 #include "lsq/merge_buffer.h"
 #include "lsq/store_buffer.h"
-#include "mem/l1_cache.h"
-#include "mem/l2_cache.h"
+#include "mem/cache.h"
 #include "mem/memory_hierarchy.h"
 #include "waydet/wdu.h"
 
@@ -92,6 +91,9 @@ class L1Backend {
   WayIdx lookupWay(std::uint32_t uwt_slot, Addr vaddr, Addr paddr);
   /// Record way knowledge gained by a conventional hit.
   void learnWay(Addr vaddr, Addr paddr, WayIdx way);
+  /// The L1 ways a missing line may be allocated into: all but its
+  /// WT-excluded way when Way Tables encode ways (Sec. V), else all.
+  [[nodiscard]] std::uint64_t fillWays(Addr paddr) const;
   /// Close an adaptive-bypass window: suspend or resume way determination.
   void evaluateBypassWindow();
 
@@ -109,8 +111,8 @@ class L1Backend {
   energy::EnergyAccount& ea_;  // lint:no-state(wiring ref; checkpoints itself)
   EventIds id_;  // lint:no-state(construction-time EventId cache)
 
-  mem::L1Cache l1_;
-  mem::L2Cache l2_;
+  mem::Cache l1_;
+  mem::Cache l2_;
   mem::MemoryHierarchy hier_;
   TranslationEngine engine_;
   std::unique_ptr<waydet::Wdu> wdu_;

@@ -14,7 +14,7 @@ namespace {
 constexpr std::size_t kPendingReserve = 64;
 }  // namespace
 
-MemoryHierarchy::MemoryHierarchy(L1Cache& l1, L2Cache& l2, const Params& p)
+MemoryHierarchy::MemoryHierarchy(Cache& l1, Cache& l2, const Params& p)
     : l1_(l1), l2_(l2), p_(p) {
   MALEC_CHECK(p.mshrs >= 1);
   pending_.reserve(kPendingReserve);
@@ -40,21 +40,25 @@ bool MemoryHierarchy::mshrAvailable(Cycle now) const {
   return live < p_.mshrs;
 }
 
-MemoryHierarchy::MissOutcome MemoryHierarchy::missAccess(Addr paddr,
-                                                         Cycle now,
-                                                         bool is_store) {
-  const Addr line_base = l1_.layout().lineBase(paddr);
+MemoryHierarchy::MissOutcome MemoryHierarchy::missAccess(
+    Addr paddr, Cycle now, bool is_store, std::uint64_t l1_ways) {
+  const Addr line_base = l1_.lineBase(paddr);
 
   // MSHR merge: a miss to an in-flight line completes with it and performs
-  // no additional fill or L2 traffic.
+  // no additional L2 traffic. A line evicted inside its own fill window is
+  // installed again; its data still arrives with the outstanding fill.
   if (const std::size_t i = dropExpiredAndFind(now, line_base);
       i < pending_.size()) {
-    ++mshr_merges_;
     MissOutcome out;
     out.ready_cycle = pending_[i].ready;
     out.merged_mshr = true;
-    out.l1_way = pending_[i].way;
-    if (is_store) l1_.markDirty(paddr, pending_[i].way);
+    if (const auto way = l1_.probe(paddr); way.has_value()) {
+      out.l1_way = *way;
+      if (is_store) l1_.markDirty(paddr, *way);
+    } else {
+      out.l1_way = installL1(paddr, l1_ways, is_store);
+      pending_[i].way = out.l1_way;
+    }
     return out;
   }
 
@@ -62,41 +66,41 @@ MemoryHierarchy::MissOutcome MemoryHierarchy::missAccess(Addr paddr,
   Cycle latency = p_.l2_latency;
   if (auto l2way = l2_.probe(paddr); l2way.has_value()) {
     out.l2_hit = true;
-    ++l2_hits_;
     l2_.touch(paddr, *l2way);
   } else {
-    ++l2_misses_;
     latency += p_.dram_latency;
-    const auto l2fill = l2_.fill(paddr);
-    (void)l2fill;  // L2 victim writeback to DRAM is outside the energy scope
+    // The L2 victim's writeback to DRAM is outside the energy scope.
+    (void)l2_.fill(paddr, l2_.allWays());
   }
 
   // Eager tag-state fill (data arrives at ready_cycle; the simulator only
   // observes timing through the returned cycle).
-  const auto fill = l1_.fill(paddr);
+  out.ready_cycle = now + latency;
+  out.l1_way = installL1(paddr, l1_ways, is_store);
+  // lint:allow(hot-alloc: reserved at construction; a burst past that grows it once and the capacity is kept)
+  pending_.push_back(PendingFill{line_base, out.ready_cycle, out.l1_way});
+  return out;
+}
+
+WayIdx MemoryHierarchy::installL1(Addr paddr, std::uint64_t l1_ways,
+                                  bool is_store) {
+  const auto fill = l1_.fill(paddr, l1_ways);
   if (fill.evicted) {
     if (fill.evicted_dirty) {
-      ++l1_writebacks_;
       // Write the victim back into L2 (allocate on writeback miss).
       if (auto w = l2_.probe(fill.evicted_line_base); w.has_value()) {
         l2_.markDirty(fill.evicted_line_base, *w);
       } else {
-        const auto wb = l2_.fill(fill.evicted_line_base);
+        const auto wb = l2_.fill(fill.evicted_line_base, l2_.allWays());
         l2_.markDirty(fill.evicted_line_base, wb.way);
       }
     }
     if (on_evict_) on_evict_(fill.evicted_line_base);
   }
   if (is_store) l1_.markDirty(paddr, fill.way);
-  if (on_fill_) on_fill_(line_base, fill.way);
-
-  out.ready_cycle = now + latency;
-  out.l1_way = fill.way;
-  // lint:allow(hot-alloc: reserved at construction; a burst past that grows it once and the capacity is kept)
-  pending_.push_back(PendingFill{line_base, out.ready_cycle, fill.way});
-  return out;
+  if (on_fill_) on_fill_(l1_.lineBase(paddr), fill.way);
+  return fill.way;
 }
-
 
 void MemoryHierarchy::saveState(ckpt::StateWriter& w) const {
   // pending_ is unordered — serialize sorted by line base so the same
@@ -112,10 +116,6 @@ void MemoryHierarchy::saveState(ckpt::StateWriter& w) const {
     w.u64(rdy.first);
     w.u8(static_cast<std::uint8_t>(rdy.second));
   }
-  w.u64(l2_hits_);
-  w.u64(l2_misses_);
-  w.u64(l1_writebacks_);
-  w.u64(mshr_merges_);
 }
 
 void MemoryHierarchy::loadState(ckpt::StateReader& r) {
@@ -128,10 +128,6 @@ void MemoryHierarchy::loadState(ckpt::StateReader& r) {
     f.way = static_cast<WayIdx>(r.u8());
     pending_.push_back(f);
   }
-  l2_hits_ = r.u64();
-  l2_misses_ = r.u64();
-  l1_writebacks_ = r.u64();
-  mshr_merges_ = r.u64();
 }
 
 }  // namespace malec::mem

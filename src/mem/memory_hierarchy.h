@@ -5,7 +5,9 @@
 // call missAccess(), which walks L2 -> DRAM, performs the L1 (and L2) fills,
 // fires fill/eviction callbacks (used to maintain Way Table validity bits,
 // Sec. V) and returns the cycle at which data is available. Outstanding
-// misses to the same line are merged MSHR-style.
+// misses to the same line are merged MSHR-style. The caller decides which
+// L1 ways a line may be allocated into; this layer knows nothing of Way
+// Tables.
 #pragma once
 
 #include <cstdint>
@@ -13,8 +15,7 @@
 #include <vector>
 
 #include "common/types.h"
-#include "mem/l1_cache.h"
-#include "mem/l2_cache.h"
+#include "mem/cache.h"
 
 namespace malec::ckpt {
 class StateReader;
@@ -36,7 +37,7 @@ class MemoryHierarchy {
   using FillCallback = std::function<void(Addr line_base, WayIdx way)>;
   using EvictCallback = std::function<void(Addr line_base)>;
 
-  MemoryHierarchy(L1Cache& l1, L2Cache& l2, const Params& p);
+  MemoryHierarchy(Cache& l1, Cache& l2, const Params& p);
 
   void setFillCallback(FillCallback cb) { on_fill_ = std::move(cb); }
   void setEvictCallback(EvictCallback cb) { on_evict_ = std::move(cb); }
@@ -49,21 +50,16 @@ class MemoryHierarchy {
   };
 
   /// Handle an established L1 miss for `paddr` at time `now`; performs the
-  /// fills eagerly (tag state) and returns data-ready timing. `is_store`
-  /// marks the filled line dirty (write-allocate).
-  MissOutcome missAccess(Addr paddr, Cycle now, bool is_store);
+  /// fills eagerly (tag state) and returns data-ready timing. The L1 fill
+  /// allocates into one of `l1_ways` (bit i = way i). `is_store` marks the
+  /// filled line dirty (write-allocate).
+  MissOutcome missAccess(Addr paddr, Cycle now, bool is_store,
+                         std::uint64_t l1_ways);
 
   /// True if a new distinct line miss can be tracked at `now`.
   [[nodiscard]] bool mshrAvailable(Cycle now) const;
 
-  // --- statistics ----------------------------------------------------------
-  [[nodiscard]] std::uint64_t l2Hits() const { return l2_hits_; }
-  [[nodiscard]] std::uint64_t l2Misses() const { return l2_misses_; }
-  [[nodiscard]] std::uint64_t l1Writebacks() const { return l1_writebacks_; }
-  [[nodiscard]] std::uint64_t mshrMerges() const { return mshr_merges_; }
-
-  /// Checkpoint/restore of outstanding-miss tracking and counters; restore requires an
-  /// identically-configured instance (geometry mismatches abort).
+  /// Checkpoint/restore of outstanding-miss tracking.
   void saveState(ckpt::StateWriter& w) const;
   void loadState(ckpt::StateReader& r);
 
@@ -80,8 +76,13 @@ class MemoryHierarchy {
   /// past the end when there is none.
   std::size_t dropExpiredAndFind(Cycle now, Addr line_base);
 
-  L1Cache& l1_;  // lint:no-state(wiring ref; checkpoints itself)
-  L2Cache& l2_;  // lint:no-state(wiring ref; checkpoints itself)
+  /// Fill `paddr`'s line into the L1 within `l1_ways`, write a dirty victim
+  /// back to the L2, fire the evict and fill hooks and, for a store, dirty
+  /// the line. Returns the way the line landed in.
+  WayIdx installL1(Addr paddr, std::uint64_t l1_ways, bool is_store);
+
+  Cache& l1_;  // lint:no-state(wiring ref; checkpoints itself)
+  Cache& l2_;  // lint:no-state(wiring ref; checkpoints itself)
   Params p_;     // lint:no-state(config)
   FillCallback on_fill_;   // lint:no-state(wiring callback, rebuilt at construction)
   EvictCallback on_evict_;  // lint:no-state(wiring callback, rebuilt at construction)
@@ -89,10 +90,6 @@ class MemoryHierarchy {
   /// table with a linear find: it only holds the misses of the last
   /// L2 + DRAM latency, a few dozen lines.
   std::vector<PendingFill> pending_;
-  std::uint64_t l2_hits_ = 0;
-  std::uint64_t l2_misses_ = 0;
-  std::uint64_t l1_writebacks_ = 0;
-  std::uint64_t mshr_merges_ = 0;
 };
 
 }  // namespace malec::mem

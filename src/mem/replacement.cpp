@@ -12,14 +12,6 @@ LruPolicy::LruPolicy(std::uint32_t sets, std::uint32_t ways)
   MALEC_CHECK(sets > 0 && ways > 0 && ways <= 64);
 }
 
-void LruPolicy::touch(std::uint32_t set, std::uint32_t way) {
-  stamp_[static_cast<std::size_t>(set) * ways_ + way] = ++tick_;
-}
-
-void LruPolicy::fill(std::uint32_t set, std::uint32_t way) {
-  touch(set, way);
-}
-
 std::uint32_t LruPolicy::victim(std::uint32_t set, std::uint64_t allowed_mask) {
   MALEC_CHECK_MSG(allowed_mask != 0, "no allowed ways for victim selection");
   std::uint32_t best = 0;
@@ -134,9 +126,6 @@ std::unique_ptr<ReplacementPolicy> makePolicy(ReplacementKind kind,
                                               std::uint32_t sets,
                                               std::uint32_t ways, Rng rng) {
   switch (kind) {
-    case ReplacementKind::kLru:
-      // lint:allow(hot-alloc: construction-time factory — every call site is a ctor init-list)
-      return std::make_unique<LruPolicy>(sets, ways);
     case ReplacementKind::kRandom:
       // lint:allow(hot-alloc: construction-time factory — every call site is a ctor init-list)
       return std::make_unique<RandomPolicy>(sets, ways, rng);

@@ -1,8 +1,9 @@
 // Replacement policies for set-associative structures.
 //
-// The paper uses LRU-style replacement for caches, random replacement for
-// the main TLB and the second-chance (clock) algorithm for the uTLB — the
-// latter chosen to reduce uWT->WT writeback traffic (Sec. V).
+// The paper uses LRU-style replacement for caches (`Cache` holds an
+// LruPolicy by value), random replacement for the main TLB and the
+// second-chance (clock) algorithm for the uTLB — the latter chosen to
+// reduce uWT->WT writeback traffic (Sec. V).
 #pragma once
 
 #include <cstdint>
@@ -39,12 +40,15 @@ class ReplacementPolicy {
   virtual void loadState(ckpt::StateReader& r) = 0;
 };
 
-/// True LRU via per-set recency stamps.
+/// True LRU via per-set recency stamps. `touch` and `fill` are defined
+/// here because `Cache` runs them on every L1 hit and fill.
 class LruPolicy final : public ReplacementPolicy {
  public:
   LruPolicy(std::uint32_t sets, std::uint32_t ways);
-  void touch(std::uint32_t set, std::uint32_t way) override;
-  void fill(std::uint32_t set, std::uint32_t way) override;
+  void touch(std::uint32_t set, std::uint32_t way) override {
+    stamp_[static_cast<std::size_t>(set) * ways_ + way] = ++tick_;
+  }
+  void fill(std::uint32_t set, std::uint32_t way) override { touch(set, way); }
   [[nodiscard]] std::uint32_t victim(std::uint32_t set,
                                      std::uint64_t allowed_mask) override;
   void saveState(ckpt::StateWriter& w) const override;
@@ -91,9 +95,9 @@ class SecondChancePolicy final : public ReplacementPolicy {
   std::vector<std::uint32_t> hand_;   ///< clock hand per set
 };
 
-enum class ReplacementKind { kLru, kRandom, kSecondChance };
+enum class ReplacementKind { kRandom, kSecondChance };
 
-/// Factory used by cache/TLB constructors.
+/// Factory used by the TLB constructor.
 [[nodiscard]] std::unique_ptr<ReplacementPolicy> makePolicy(
     ReplacementKind kind, std::uint32_t sets, std::uint32_t ways, Rng rng);
 

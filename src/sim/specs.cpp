@@ -13,6 +13,7 @@
 
 #include "energy/array_model.h"
 #include "energy/energy_account.h"
+#include "mem/cache.h"
 #include "phase/sample_plan.h"
 #include "sim/presets.h"
 #include "sim/structures.h"
@@ -561,8 +562,11 @@ ExperimentSpec specTab1Tab2() {
         static_cast<unsigned long long>(presetMalec().l1_latency),
         sys.layout.lineBytes(), sys.layout.l1Assoc(), sys.layout.l1Banks(),
         sys.layout.subBlockBytes() * 8);
-    txt += strf("L2 cache      1 MByte, %llu cycle latency, 16-way set-assoc.\n",
-                static_cast<unsigned long long>(sys.l2_latency));
+    txt += strf("L2 cache      %llu MByte, %llu cycle latency, %u-way "
+                "set-assoc.\n",
+                static_cast<unsigned long long>(mem::kL2Bytes >> 20),
+                static_cast<unsigned long long>(sys.l2_latency),
+                mem::kL2Ways);
     txt += strf("DRAM          256 MByte, %llu cycle latency\n",
                 static_cast<unsigned long long>(sys.dram_latency));
     txt += "Energy model  mini-CACTI, 32 nm, low-dynamic-power objective, "

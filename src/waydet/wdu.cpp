@@ -1,91 +1,46 @@
 #include "waydet/wdu.h"
 
-#include <algorithm>
-
 #include "ckpt/state_io.h"
 #include "common/check.h"
 
 namespace malec::waydet {
 
-Wdu::Wdu(std::uint32_t entries) : capacity_(entries), slots_(entries) {
-  MALEC_CHECK(entries >= 1);
-}
+Wdu::Wdu(std::uint32_t entries)
+    : lines_(/*sets=*/1, entries, /*line_bytes=*/1),
+      way_(entries, kWayUnknown) {}
 
 std::optional<WayIdx> Wdu::lookup(LineAddr line) {
-  ++searches_;
-  for (Slot& s : slots_) {
-    if (s.valid && s.line == line) {
-      s.lru = ++tick_;
-      ++hits_;
-      return s.way;
-    }
-  }
-  return std::nullopt;
+  const auto slot = lines_.probe(line);
+  if (!slot.has_value()) return std::nullopt;
+  lines_.touch(line, *slot);
+  return way_[static_cast<std::size_t>(*slot)];
 }
 
 void Wdu::record(LineAddr line, WayIdx way) {
   MALEC_CHECK(way != kWayUnknown);
-  for (Slot& s : slots_) {
-    if (s.valid && s.line == line) {
-      s.way = way;
-      s.lru = ++tick_;
-      return;
-    }
+  auto slot = lines_.probe(line);
+  if (slot.has_value()) {
+    lines_.touch(line, *slot);
+  } else {
+    // An invalid slot first, else the LRU one.
+    slot = lines_.fill(line, lines_.allWays()).way;
   }
-  // Allocate: invalid slot first, else LRU.
-  Slot* victim = nullptr;
-  for (Slot& s : slots_) {
-    if (!s.valid) {
-      victim = &s;
-      break;
-    }
-  }
-  if (victim == nullptr) {
-    victim = &*std::min_element(
-        slots_.begin(), slots_.end(),
-        [](const Slot& a, const Slot& b) { return a.lru < b.lru; });
-  }
-  victim->valid = true;
-  victim->line = line;
-  victim->way = way;
-  victim->lru = ++tick_;
+  way_[static_cast<std::size_t>(*slot)] = way;
 }
 
-void Wdu::invalidate(LineAddr line) {
-  for (Slot& s : slots_) {
-    if (s.valid && s.line == line) {
-      s.valid = false;
-      return;
-    }
-  }
-}
-
+void Wdu::invalidate(LineAddr line) { (void)lines_.invalidate(line); }
 
 void Wdu::saveState(ckpt::StateWriter& w) const {
-  w.u64(slots_.size());
-  for (const Slot& s : slots_) {
-    w.u8(s.valid ? 1 : 0);
-    w.u64(s.line);
-    w.u8(static_cast<std::uint8_t>(s.way));
-    w.u64(s.lru);
-  }
-  w.u64(tick_);
-  w.u64(searches_);
-  w.u64(hits_);
+  lines_.saveState(w);
+  w.u64(way_.size());
+  for (const WayIdx way : way_) w.u8(static_cast<std::uint8_t>(way));
 }
 
 void Wdu::loadState(ckpt::StateReader& r) {
-  MALEC_CHECK_MSG(r.u64() == slots_.size(),
+  lines_.loadState(r);
+  MALEC_CHECK_MSG(r.u64() == way_.size(),
                   "WDU checkpoint state does not fit this geometry");
-  for (Slot& s : slots_) {
-    s.valid = r.u8() != 0;
-    s.line = r.u64();
-    s.way = static_cast<WayIdx>(r.u8());
-    s.lru = r.u64();
-  }
-  tick_ = r.u64();
-  searches_ = r.u64();
-  hits_ = r.u64();
+  for (WayIdx& way : way_) way = static_cast<WayIdx>(r.u8());
 }
 
 }  // namespace malec::waydet

@@ -12,6 +12,10 @@
 // WDU needs one fully-associative, tag-sized lookup port per parallel
 // memory reference — four for the evaluated MALEC configuration — which is
 // what makes it the energy-losing option at this access parallelism.
+//
+// The buffer itself is a `mem::Cache` of one set with 1-byte "lines", so
+// its tag is the whole line address and its replacement is the caches'
+// LRU; beside it sits the L1 way each slot is bound to.
 #pragma once
 
 #include <cstdint>
@@ -19,6 +23,7 @@
 #include <vector>
 
 #include "common/types.h"
+#include "mem/cache.h"
 
 namespace malec::ckpt {
 class StateReader;
@@ -32,7 +37,7 @@ class Wdu {
   /// `entries`: 8, 16 or 32 in the paper's sweep.
   explicit Wdu(std::uint32_t entries);
 
-  /// Look up the way for a line address; counts one associative search.
+  /// Look up the way for a line address (one associative search).
   [[nodiscard]] std::optional<WayIdx> lookup(LineAddr line);
 
   /// Record/refresh a line->way binding (on cache access or fill).
@@ -41,9 +46,7 @@ class Wdu {
   /// Drop a line (cache eviction) — the validity extension.
   void invalidate(LineAddr line);
 
-  [[nodiscard]] std::uint32_t entries() const { return capacity_; }
-  [[nodiscard]] std::uint64_t searches() const { return searches_; }
-  [[nodiscard]] std::uint64_t hits() const { return hits_; }
+  [[nodiscard]] std::uint32_t entries() const { return lines_.ways(); }
 
   /// Checkpoint/restore of all mutable state; restore requires an
   /// identically-configured instance (geometry mismatches abort).
@@ -51,18 +54,8 @@ class Wdu {
   void loadState(ckpt::StateReader& r);
 
  private:
-  struct Slot {
-    bool valid = false;
-    LineAddr line = 0;
-    WayIdx way = kWayUnknown;
-    std::uint64_t lru = 0;
-  };
-
-  std::uint32_t capacity_;  // lint:no-state(config; bounds-checked on load)
-  std::vector<Slot> slots_;
-  std::uint64_t tick_ = 0;
-  std::uint64_t searches_ = 0;
-  std::uint64_t hits_ = 0;
+  mem::Cache lines_;         ///< one set, one slot per way
+  std::vector<WayIdx> way_;  ///< the L1 way bound to each slot
 };
 
 }  // namespace malec::waydet

@@ -2,20 +2,33 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <utility>
 #include <vector>
+
+#include "common/address.h"
 
 namespace malec::mem {
 namespace {
 
+/// Table II: a 128-set 4-way L1 and a 1024-set 16-way L2, 64-byte lines.
 struct Fixture {
-  L1Cache l1{L1Cache::Params{}};
-  L2Cache l2{L2Cache::Params{}};
+  AddressLayout layout;
+  Cache l1{layout.l1Sets(), layout.l1Assoc(), layout.lineBytes()};
+  Cache l2{kL2Bytes / kL2Ways / 64, kL2Ways, 64};
   MemoryHierarchy hier{l1, l2, MemoryHierarchy::Params{}};
+  /// Addresses this far apart share an L1 set.
+  Addr stride = static_cast<Addr>(layout.l1Sets()) * layout.lineBytes();
+
+  MemoryHierarchy::MissOutcome miss(Addr paddr, Cycle now,
+                                    bool is_store = false) {
+    return hier.missAccess(paddr, now, is_store, l1.allWays());
+  }
 };
 
 TEST(MemoryHierarchy, L2MissCostsDramLatency) {
   Fixture f;
-  const auto out = f.hier.missAccess(0x1000, /*now=*/100, false);
+  const auto out = f.miss(0x1000, /*now=*/100);
   EXPECT_FALSE(out.l2_hit);
   // Table II: 12-cycle L2 + 54-cycle DRAM.
   EXPECT_EQ(out.ready_cycle, 100u + 12 + 54);
@@ -25,27 +38,26 @@ TEST(MemoryHierarchy, L2MissCostsDramLatency) {
 
 TEST(MemoryHierarchy, L2HitCostsL2LatencyOnly) {
   Fixture f;
-  f.l2.fill(0x2000);
-  const auto out = f.hier.missAccess(0x2000, 50, false);
+  f.l2.fill(0x2000, f.l2.allWays());
+  const auto out = f.miss(0x2000, 50);
   EXPECT_TRUE(out.l2_hit);
   EXPECT_EQ(out.ready_cycle, 50u + 12);
 }
 
 TEST(MemoryHierarchy, MshrMergesSameLine) {
   Fixture f;
-  const auto a = f.hier.missAccess(0x3000, 10, false);
-  const auto b = f.hier.missAccess(0x3008, 12, false);  // same line
+  const auto a = f.miss(0x3000, 10);
+  const auto b = f.miss(0x3008, 12);  // same line
   EXPECT_TRUE(b.merged_mshr);
   EXPECT_EQ(b.ready_cycle, a.ready_cycle);
   EXPECT_EQ(b.l1_way, a.l1_way);
-  EXPECT_EQ(f.hier.mshrMerges(), 1u);
 }
 
 TEST(MemoryHierarchy, MergeExpiresAfterReady) {
   Fixture f;
-  const auto a = f.hier.missAccess(0x3000, 10, false);
+  const auto a = f.miss(0x3000, 10);
   f.l1.invalidate(0x3000);
-  const auto b = f.hier.missAccess(0x3000, a.ready_cycle + 1, false);
+  const auto b = f.miss(0x3000, a.ready_cycle + 1);
   EXPECT_FALSE(b.merged_mshr);
 }
 
@@ -54,24 +66,23 @@ TEST(MemoryHierarchy, MergeFindsItsLineAfterExpiredFillsCompact) {
   // the table by the next miss, and later merges still find their own
   // line's fill.
   Fixture f;
-  const auto a = f.hier.missAccess(0x1000, 0, false);   // ready 66
-  const auto b = f.hier.missAccess(0x2000, 10, false);  // ready 76
-  const auto c = f.hier.missAccess(0x3000, 20, false);  // ready 86
-  (void)f.hier.missAccess(0x4000, a.ready_cycle, false);  // drops a
-  const auto c2 = f.hier.missAccess(0x3010, 70, false);
+  const auto a = f.miss(0x1000, 0);   // ready 66
+  const auto b = f.miss(0x2000, 10);  // ready 76
+  const auto c = f.miss(0x3000, 20);  // ready 86
+  (void)f.miss(0x4000, a.ready_cycle);  // drops a
+  const auto c2 = f.miss(0x3010, 70);
   EXPECT_TRUE(c2.merged_mshr);
   EXPECT_EQ(c2.ready_cycle, c.ready_cycle);
-  const auto b2 = f.hier.missAccess(0x2020, 71, false);
+  const auto b2 = f.miss(0x2020, 71);
   EXPECT_TRUE(b2.merged_mshr);
   EXPECT_EQ(b2.ready_cycle, b.ready_cycle);
   f.l1.invalidate(0x1000);
-  EXPECT_FALSE(f.hier.missAccess(0x1000, 72, false).merged_mshr);
-  EXPECT_EQ(f.hier.mshrMerges(), 2u);
+  EXPECT_FALSE(f.miss(0x1000, 72).merged_mshr);
 }
 
 TEST(MemoryHierarchy, StoreMissMarksLineDirty) {
   Fixture f;
-  f.hier.missAccess(0x4000, 0, /*is_store=*/true);
+  f.miss(0x4000, 0, /*is_store=*/true);
   // Evicting that line later must be a dirty eviction.
   const auto inv = f.l1.invalidate(0x4000);
   ASSERT_TRUE(inv.has_value());
@@ -80,8 +91,8 @@ TEST(MemoryHierarchy, StoreMissMarksLineDirty) {
 
 TEST(MemoryHierarchy, StoreMergeOntoPendingLineMarksDirty) {
   Fixture f;
-  f.hier.missAccess(0x5000, 0, false);
-  f.hier.missAccess(0x5010, 1, /*is_store=*/true);  // merges, dirties
+  f.miss(0x5000, 0);
+  f.miss(0x5010, 1, /*is_store=*/true);  // merges, dirties
   const auto inv = f.l1.invalidate(0x5000);
   ASSERT_TRUE(inv.has_value());
   EXPECT_TRUE(*inv);
@@ -94,40 +105,54 @@ TEST(MemoryHierarchy, FillAndEvictCallbacksFire) {
       [&](Addr line, WayIdx) { fills.push_back(line); });
   f.hier.setEvictCallback([&](Addr line) { evicts.push_back(line); });
 
-  f.hier.missAccess(0x6000, 0, false);
+  f.miss(0x6000, 0);
   ASSERT_EQ(fills.size(), 1u);
   EXPECT_EQ(fills[0], 0x6000u);
   EXPECT_TRUE(evicts.empty());
 
   // Force an L1 set conflict to trigger an eviction.
-  const Addr stride =
-      static_cast<Addr>(f.l1.layout().l1Sets()) * f.l1.layout().lineBytes();
-  for (int i = 1; i <= 4; ++i)
-    f.hier.missAccess(0x6000 + i * stride, i * 100, false);
+  for (int i = 1; i <= 4; ++i) f.miss(0x6000 + i * f.stride, i * 100);
   EXPECT_FALSE(evicts.empty());
   EXPECT_EQ(evicts[0], 0x6000u);
 }
 
 TEST(MemoryHierarchy, DirtyVictimWritesBackToL2) {
   Fixture f;
-  f.hier.missAccess(0x7000, 0, /*is_store=*/true);
-  const Addr stride =
-      static_cast<Addr>(f.l1.layout().l1Sets()) * f.l1.layout().lineBytes();
-  for (int i = 1; i <= 4; ++i)
-    f.hier.missAccess(0x7000 + i * stride, i * 100, false);
-  EXPECT_EQ(f.hier.l1Writebacks(), 1u);
+  f.miss(0x7000, 0, /*is_store=*/true);
+  for (int i = 1; i <= 4; ++i) f.miss(0x7000 + i * f.stride, i * 100);
+  EXPECT_FALSE(f.l1.probe(0x7000).has_value());
   // The victim line must be L2-resident and dirty there.
-  const auto w = f.l2.probe(0x7000);
-  ASSERT_TRUE(w.has_value());
+  EXPECT_EQ(f.l2.invalidate(0x7000), std::optional<bool>(true));
 }
 
-TEST(MemoryHierarchy, HitAndMissCountersAdvance) {
+TEST(MemoryHierarchy, MergeAfterEvictionReinstallsTheLine) {
+  // A line evicted inside its own fill window, then missed again by a
+  // store: the store merges onto the outstanding fill, the line is
+  // installed again, and only that line turns dirty.
   Fixture f;
-  f.hier.missAccess(0x8000, 0, false);  // L2 miss
-  f.l1.invalidate(0x8000);
-  f.hier.missAccess(0x8000, 1000, false);  // now an L2 hit
-  EXPECT_EQ(f.hier.l2Misses(), 1u);
-  EXPECT_EQ(f.hier.l2Hits(), 1u);
+  std::vector<std::pair<Addr, WayIdx>> fills;
+  std::vector<Addr> evicts;
+  f.hier.setFillCallback(
+      [&](Addr line, WayIdx way) { fills.push_back({line, way}); });
+  f.hier.setEvictCallback([&](Addr line) { evicts.push_back(line); });
+  const Addr a = 0x8000;
+  const auto first = f.miss(a, 0);  // fill due at cycle 66
+  for (int i = 1; i <= 4; ++i) f.miss(a + i * f.stride, i);  // evicts a
+  ASSERT_FALSE(f.l1.probe(a).has_value());
+  fills.clear();
+  evicts.clear();
+
+  const auto out = f.miss(a, 10, /*is_store=*/true);
+  EXPECT_TRUE(out.merged_mshr);
+  EXPECT_EQ(out.ready_cycle, first.ready_cycle);
+  EXPECT_EQ(f.l1.probe(a), std::optional<WayIdx>(out.l1_way));
+  ASSERT_EQ(fills.size(), 1u);
+  EXPECT_EQ(fills[0], std::make_pair(a, out.l1_way));
+  EXPECT_EQ(evicts, std::vector<Addr>{a + f.stride});  // the LRU line
+  EXPECT_EQ(f.l1.invalidate(a), std::optional<bool>(true));
+  for (int i = 1; i <= 4; ++i)
+    EXPECT_NE(f.l1.invalidate(a + i * f.stride), std::optional<bool>(true))
+        << i;
 }
 
 TEST(MemoryHierarchy, MshrAvailability) {
@@ -136,8 +161,8 @@ TEST(MemoryHierarchy, MshrAvailability) {
   Fixture f;
   MemoryHierarchy h(f.l1, f.l2, p);
   EXPECT_TRUE(h.mshrAvailable(0));
-  h.missAccess(0x100, 0, false);
-  h.missAccess(0x10000, 0, false);
+  h.missAccess(0x100, 0, false, f.l1.allWays());
+  h.missAccess(0x10000, 0, false, f.l1.allWays());
   EXPECT_FALSE(h.mshrAvailable(0));
   // After both fills complete, slots free up.
   EXPECT_TRUE(h.mshrAvailable(1000));

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+
+#include <algorithm>
 #include <cstdlib>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -66,6 +71,38 @@ TEST(SpecRegistryDeathTest, TraceReplayWithoutTracesExplains) {
         runSuiteByName("trace_replay", opts, {});
       },
       "none are registered.*MALEC_TRACE_DIR");
+}
+
+// `malec_bench --all` relies on every spec that expands "trace:*" to gate
+// itself: with no captures registered that expansion aborts, and --all
+// must never abort mid-sweep.
+TEST(SpecRegistry, TraceSpecsDeclareAnAllGate) {
+  int trace_specs = 0;
+  for (const auto& name : specRegistry().names()) {
+    const ExperimentSpec& spec = specRegistry().get(name);
+    if (std::find(spec.workloads.begin(), spec.workloads.end(), "trace:*") ==
+        spec.workloads.end())
+      continue;
+    ++trace_specs;
+    EXPECT_TRUE(static_cast<bool>(spec.all_skip)) << name;
+  }
+  EXPECT_GE(trace_specs, 2);
+}
+
+// malec_bench --all: every runnable suite runs, and the two trace suites
+// are skipped with a note instead of aborting the sweep.
+TEST(MalecBenchAll, SkipsTheTraceSuitesAndExitsZero) {
+  const std::string err = std::string(::testing::TempDir()) + "all.err";
+  const int rc = std::system(("env -u MALEC_TRACE_DIR MALEC_INSTR=2000 " +
+                              std::string(MALEC_BENCH_PATH) +
+                              " --all --filter gcc > /dev/null 2> " + err)
+                                 .c_str());
+  EXPECT_TRUE(WIFEXITED(rc) && WEXITSTATUS(rc) == 0) << rc;
+  std::ifstream in(err);
+  const std::string text{std::istreambuf_iterator<char>(in), {}};
+  for (const std::string suite : {"trace_replay", "phase_sampled"})
+    EXPECT_NE(text.find("skipping suite '" + suite + "'"), std::string::npos)
+        << text;
 }
 
 // The port's keystone: the fig4a spec (one runMatrixParallel batch through

@@ -1296,7 +1296,7 @@ const std::map<std::string, std::set<std::string>>& layerAllowedDeps() {
     t["ckpt"] = {"common"};
     t["mem"] = {"common", "ckpt"};
     t["tlb"] = {"common", "ckpt", "mem"};
-    t["waydet"] = {"common", "ckpt"};
+    t["waydet"] = {"common", "ckpt", "mem"};
     t["lsq"] = {"common", "ckpt"};
     t["energy"] = {"common", "ckpt"};
     t["trace"] = {"common", "ckpt"};
