@@ -6,7 +6,9 @@
 # 1. Runs `malec_lint` over the tree (default: this repo) with the tree's
 #    file-scope allowlist, if present. Any finding — checkpoint-state,
 #    eventid, determinism, udc-order, strict-parse, or a malformed
-#    waiver — fails.
+#    waiver — fails. So does an allowlist entry that silences nothing:
+#    each `<rule> <path-suffix>` must match a finding of its rule in a
+#    lint run without the allowlist, at a path-component boundary.
 # 2. Drift check (when <root>/tests/test_checkpoint.cpp exists): the
 #    stateful-class inventory reported by `malec_lint --list-stateful`
 #    must match, both ways, the audited matrix between the
@@ -46,6 +48,28 @@ if [[ -f "$allowlist" ]]; then
 fi
 if ! "$lint" "${args[@]}"; then
   fail=1
+fi
+
+# --- 1b. Stale allowlist entries --------------------------------------------
+if [[ -f "$allowlist" ]]; then
+  # "<rule> <file>" per finding of a lint run without the allowlist.
+  found=$("$lint" --root "$root" 2> /dev/null |
+      sed -n 's/^\([^:]*\):[0-9]*: \[\([^]]*\)\].*/\2 \1/p' || true)
+  while read -r rule suffix _; do
+    [[ -z "$rule" || "$rule" == \#* ]] && continue
+    hit=0
+    while read -r frule file; do
+      if [[ "$frule" == "$rule" && ("$file" == "$suffix" ||
+            "$file" == */"$suffix") ]]; then
+        hit=1
+        break
+      fi
+    done <<< "$found"
+    if [[ "$hit" -eq 0 ]]; then
+      echo "check_lint: $allowlist entry '$rule $suffix' silences no finding — delete it"
+      fail=1
+    fi
+  done < "$allowlist"
 fi
 
 # --- 2. Checkpoint-matrix drift check ---------------------------------------

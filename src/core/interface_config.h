@@ -70,20 +70,6 @@ struct InterfaceConfig {
   bool last_entry_feedback = true;
   std::uint32_t last_entry_depth = 4;
 
-  // --- run-time bypass extension (Sec. VI-D discussion) --------------------
-  /// Suspend way determination when the recent L1 load miss rate exceeds
-  /// `bypass_threshold` AND coverage sits below `bypass_min_coverage`
-  /// (streaming phases where the WT machinery costs more than it saves).
-  /// Way tables are flushed on resume for safety. Note: under this
-  /// repository's parallel-conventional-access energy model, moderate
-  /// coverage still pays for itself, so the coverage guard keeps the
-  /// bypass away from mcf-class workloads and reserves it for truly
-  /// way-information-free streams.
-  bool adaptive_bypass = false;
-  std::uint32_t bypass_window = 1024;  ///< accesses per evaluation window
-  double bypass_threshold = 0.15;
-  double bypass_min_coverage = 0.10;
-
   [[nodiscard]] std::uint32_t aguTotal() const {
     return agu_load_only + agu_load_store + agu_store_only;
   }

@@ -81,17 +81,11 @@ bool L1Backend::submitStore(const MemOp& op) {
 }
 
 bool L1Backend::tick() {
-  // Run-time bypass (Sec. VI-D): suspend way determination through
-  // streaming phases where its updates cost energy without paying off.
-  const bool window_done = cfg_.adaptive_bypass &&
-                           waydet_ == WayDetKind::kWayTables &&
-                           window_accesses_ >= cfg_.bypass_window;
-  if (window_done) evaluateBypassWindow();
   // One committed store per cycle drains into the Merge Buffer, unless the
   // MB is full and its last eviction is still waiting (backpressure).
-  if (mb_.full() && pending_mbe_.has_value()) return window_done;
+  if (mb_.full() && pending_mbe_.has_value()) return false;
   const auto entry = sb_.popCommitted();
-  if (!entry.has_value()) return window_done;
+  if (!entry.has_value()) return false;
   if (mb_.absorb(entry->vaddr, entry->size)) return true;
   if (mb_.full()) {
     pending_mbe_ = mb_.evictLru();
@@ -99,35 +93,6 @@ bool L1Backend::tick() {
   }
   mb_.allocate(entry->vaddr, entry->size);
   return true;
-}
-
-void L1Backend::evaluateBypassWindow() {
-  const double miss_rate = static_cast<double>(window_misses_) /
-                           static_cast<double>(window_accesses_);
-  // While suspended no lookups happen; treat coverage as zero then (the
-  // resume decision rests on the miss rate alone, so no deadlock).
-  const double coverage =
-      window_lookups_ == 0 ? 0.0
-                           : static_cast<double>(window_known_) /
-                                 static_cast<double>(window_lookups_);
-  // Hysteresis: suspend only after two consecutive windows that are both
-  // high-miss AND low-coverage (cold-start compulsory misses must not trip
-  // the bypass, and any useful coverage is worth keeping); resume once the
-  // miss rate falls clearly below the threshold.
-  const bool losing =
-      miss_rate > cfg_.bypass_threshold &&
-      (engine_.suspended() || coverage < cfg_.bypass_min_coverage);
-  if (losing) {
-    if (++high_miss_windows_ >= 2) engine_.setSuspended(true);
-  } else if (miss_rate < cfg_.bypass_threshold * 0.5 ||
-             coverage >= cfg_.bypass_min_coverage) {
-    high_miss_windows_ = 0;
-    engine_.setSuspended(false);
-  }
-  window_accesses_ = 0;
-  window_misses_ = 0;
-  window_lookups_ = 0;
-  window_known_ = 0;
 }
 
 Addr L1Backend::takePendingMbe() {
@@ -156,11 +121,7 @@ WayIdx L1Backend::lookupWay(std::uint32_t uwt_slot, Addr vaddr, Addr paddr) {
     case WayDetKind::kWayTables: {
       const WayIdx w = engine_.wayFor(uwt_slot, vaddr);
       ++stats_.way_lookups;
-      ++window_lookups_;
-      if (w != kWayUnknown) {
-        ++stats_.way_known;
-        ++window_known_;
-      }
+      if (w != kWayUnknown) ++stats_.way_known;
       return w;
     }
     case WayDetKind::kWdu: {
@@ -233,13 +194,11 @@ Cycle L1Backend::load(Addr vaddr, const TranslationEngine::Result& tr,
   const Addr paddr =
       sys_.layout.compose(tr.ppage, sys_.layout.pageOffset(vaddr));
   ++stats_.load_l1_accesses;
-  ++window_accesses_;
   if (access(vaddr, paddr, tr.uwt_slot, /*write=*/false) != kWayUnknown) {
     ++stats_.load_l1_hits;
     return now + cfg_.l1_latency;
   }
   ++stats_.load_l1_misses;
-  ++window_misses_;
   // The returning fill supplies the critical word; delivery costs one L1
   // latency on top of the fill arrival.
   return hier_.missAccess(paddr, now, /*is_store=*/false, fillWays(paddr))
@@ -280,11 +239,6 @@ void L1Backend::saveState(ckpt::StateWriter& w) const {
   if (pending_mbe_.has_value()) lsq::MergeBuffer::saveEntry(w, *pending_mbe_);
   completions_.saveState(w);
   for (const auto field : kInterfaceCounterFields) w.u64(stats_.*field);
-  w.u64(window_accesses_);
-  w.u64(window_misses_);
-  w.u64(window_lookups_);
-  w.u64(window_known_);
-  w.u32(high_miss_windows_);
 }
 
 void L1Backend::loadState(ckpt::StateReader& r) {
@@ -306,11 +260,6 @@ void L1Backend::loadState(ckpt::StateReader& r) {
   }
   completions_.loadState(r);
   for (const auto field : kInterfaceCounterFields) stats_.*field = r.u64();
-  window_accesses_ = r.u64();
-  window_misses_ = r.u64();
-  window_lookups_ = r.u64();
-  window_known_ = r.u64();
-  high_miss_windows_ = r.u32();
 }
 
 }  // namespace malec::core

@@ -38,9 +38,9 @@ class L1Backend {
   bool submitStore(const MemOp& op);
   void commitStore(SeqNum seq) { sb_.markCommitted(seq); }
 
-  /// Per-cycle upkeep before the scheduler's accesses: the adaptive-bypass
-  /// window check (Sec. VI-D) and the drain of one committed store into
-  /// the Merge Buffer. Returns true when either changed state.
+  /// Per-cycle upkeep before the scheduler's accesses: the drain of one
+  /// committed store into the Merge Buffer. Returns true when it changed
+  /// state.
   bool tick();
 
   /// A Merge Buffer eviction is waiting for its L1 write.
@@ -94,8 +94,6 @@ class L1Backend {
   /// The L1 ways a missing line may be allocated into: all but its
   /// WT-excluded way when Way Tables encode ways (Sec. V), else all.
   [[nodiscard]] std::uint64_t fillWays(Addr paddr) const;
-  /// Close an adaptive-bypass window: suspend or resume way determination.
-  void evaluateBypassWindow();
 
   /// Event handles resolved once at construction (hot path = integer ids).
   struct EventIds {
@@ -123,13 +121,6 @@ class L1Backend {
 
   EventQueue completions_;  ///< (data-ready cycle, seq) load completions
   InterfaceStats stats_;
-
-  // Run-time bypass monitor (adaptive_bypass extension, Sec. VI-D).
-  std::uint64_t window_accesses_ = 0;
-  std::uint64_t window_misses_ = 0;
-  std::uint64_t window_lookups_ = 0;
-  std::uint64_t window_known_ = 0;
-  std::uint32_t high_miss_windows_ = 0;  ///< consecutive, for hysteresis
 };
 
 }  // namespace malec::core

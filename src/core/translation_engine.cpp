@@ -102,15 +102,14 @@ TranslationEngine::Result TranslationEngine::translate(PageId vpage) {
   ea_.count(id_.utlb_search);
   // Memoized repeat of the previous translation: replays the exact uTLB-hit
   // bookkeeping (replacement touch, hit counter, uWT read, last-entry push)
-  // without the associative scan. suspended_ is checked here, not at memo
-  // install, so setSuspended() needs no invalidation.
+  // without the associative scan.
   if (memo_valid_ && vpage == memo_vpage_) {
     utlb_.repeatHit(memo_slot_);
     r.utlb_hit = true;
     r.ppage = utlb_.entry(memo_slot_).ppage;
     r.uwt_slot = memo_slot_;
     r.extra_latency = 0;
-    if (p_.way_tables && !suspended_) {
+    if (p_.way_tables) {
       ea_.count(id_.uwt_read);
       last_entry_.push(memo_slot_, vpage);
     }
@@ -121,7 +120,7 @@ TranslationEngine::Result TranslationEngine::translate(PageId vpage) {
     r.ppage = utlb_.entry(*uslot).ppage;
     r.uwt_slot = *uslot;
     r.extra_latency = 0;
-    if (p_.way_tables && !suspended_) {
+    if (p_.way_tables) {
       ea_.count(id_.uwt_read);
       last_entry_.push(*uslot, vpage);
     }
@@ -163,29 +162,15 @@ TranslationEngine::Result TranslationEngine::translate(PageId vpage) {
   return r;
 }
 
-void TranslationEngine::setSuspended(bool suspended) {
-  if (suspended_ == suspended) return;
-  suspended_ = suspended;
-  if (!suspended) {
-    // Way information accumulated before the bypass window is stale: the
-    // cache changed underneath without validity maintenance. Flush.
-    for (std::uint32_t s = 0; s < p_.utlb_entries; ++s)
-      uwt_.invalidateSlot(s);
-    for (std::uint32_t s = 0; s < p_.tlb_entries; ++s)
-      wt_.invalidateSlot(s);
-    last_entry_.clear();
-  }
-}
-
 WayIdx TranslationEngine::wayFor(std::uint32_t uwt_slot, Addr vaddr) {
-  if (!p_.way_tables || suspended_) return kWayUnknown;
+  if (!p_.way_tables) return kWayUnknown;
   const std::uint32_t salt = utlb_.entry(uwt_slot).ppage;
   return uwt_.lookup(uwt_slot, p_.layout.lineInPage(vaddr), salt);
 }
 
 void TranslationEngine::feedbackConventionalHit(PageId vpage, Addr vaddr,
                                                 WayIdx way) {
-  if (!p_.way_tables || !p_.last_entry_feedback || suspended_) return;
+  if (!p_.way_tables || !p_.last_entry_feedback) return;
   MALEC_DCHECK(way != kWayUnknown);
   const auto slot = last_entry_.match(vpage);
   if (!slot.has_value()) return;
@@ -199,7 +184,7 @@ void TranslationEngine::feedbackConventionalHit(PageId vpage, Addr vaddr,
 }
 
 void TranslationEngine::onLineFill(Addr paddr_line_base, WayIdx way) {
-  if (!p_.way_tables || suspended_) return;
+  if (!p_.way_tables) return;
   MALEC_DCHECK(way != kWayUnknown);
   const PageId ppage = p_.layout.pageId(paddr_line_base);
   const std::uint32_t line = p_.layout.lineInPage(paddr_line_base);
@@ -218,7 +203,7 @@ void TranslationEngine::onLineFill(Addr paddr_line_base, WayIdx way) {
 }
 
 void TranslationEngine::onLineEvict(Addr paddr_line_base) {
-  if (!p_.way_tables || suspended_) return;
+  if (!p_.way_tables) return;
   const PageId ppage = p_.layout.pageId(paddr_line_base);
   const std::uint32_t line = p_.layout.lineInPage(paddr_line_base);
   ea_.count(id_.utlb_psearch);
@@ -241,7 +226,6 @@ void TranslationEngine::saveState(ckpt::StateWriter& w) const {
   uwt_.saveState(w);
   wt_.saveState(w);
   last_entry_.saveState(w);
-  w.u8(suspended_ ? 1 : 0);
 }
 
 void TranslationEngine::loadState(ckpt::StateReader& r) {
@@ -251,9 +235,6 @@ void TranslationEngine::loadState(ckpt::StateReader& r) {
   uwt_.loadState(r);
   wt_.loadState(r);
   last_entry_.loadState(r);
-  // Restore the raw flag, NOT through setSuspended(): the transition hook
-  // flushes way tables on resume, which must not fire for a state copy.
-  suspended_ = r.u8() != 0;
   memo_valid_ = false;
 }
 

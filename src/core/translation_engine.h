@@ -65,21 +65,14 @@ class TranslationEngine {
   /// repair the uWT through the last-entry register (no uTLB lookup).
   void feedbackConventionalHit(PageId vpage, Addr vaddr, WayIdx way);
 
-  /// Suspend/resume way-table maintenance (run-time bypass, Sec. VI-D).
-  /// While suspended, translations skip the uWT read, way queries answer
-  /// "unknown" and fills/evictions perform no reverse lookups. Resuming
-  /// invalidates all way information (it is stale by then).
-  void setSuspended(bool suspended);
-  [[nodiscard]] bool suspended() const { return suspended_; }
-
   /// Cache line filled into `way` — set validity (reverse lookup path).
   void onLineFill(Addr paddr_line_base, WayIdx way);
   /// Cache line evicted — clear validity (reverse lookup path).
   void onLineEvict(Addr paddr_line_base);
 
   /// Checkpoint/restore of the full translation-side state: page table,
-  /// uTLB/TLB (including replacement bookkeeping), uWT/WT, the last-entry
-  /// register and the bypass flag.
+  /// uTLB/TLB (including replacement bookkeeping), uWT/WT and the
+  /// last-entry register.
   void saveState(ckpt::StateWriter& w) const;
   void loadState(ckpt::StateReader& r);
 
@@ -109,7 +102,6 @@ class TranslationEngine {
   waydet::WayTable uwt_;
   waydet::WayTable wt_;
   waydet::LastEntryRegister last_entry_;
-  bool suspended_ = false;
 
   // Last-translation memo: translate() replays the uTLB-hit bookkeeping for
   // a repeated vpage without the associative scan (hot loops translate the

@@ -5,17 +5,6 @@
 
 namespace malec::energy {
 
-namespace {
-
-/// Abort with a message that owns the event name (a raw c_str() of a caller
-/// temporary must not be handed to the failure path).
-[[noreturn]] void unknownEventFailure(const std::string& name) {
-  const std::string msg = "unknown energy event '" + name + "'";
-  detail::checkFailed("hasEvent(name)", __FILE__, __LINE__, msg.c_str());
-}
-
-}  // namespace
-
 EnergyAccount::EventId EnergyAccount::defineEvent(const std::string& name,
                                                   double pj_per_event) {
   MALEC_CHECK_MSG(pj_per_event >= 0.0, "event energy must be non-negative");
@@ -36,14 +25,6 @@ EnergyAccount::EventId EnergyAccount::resolveEvent(const std::string& name) {
 void EnergyAccount::defineLeakage(const std::string& structure, double mw) {
   MALEC_CHECK_MSG(mw >= 0.0, "leakage must be non-negative");
   leakage_mw_[structure] = mw;
-}
-
-void EnergyAccount::count(const std::string& name, std::uint64_t n) {
-  const auto it = index_.find(name);
-  if (it == index_.end()) unknownEventFailure(name);
-  // Honour the stat gate like the EventId path — the two APIs must never
-  // diverge on what gets counted.
-  events_[it->second].count += n * counting_;
 }
 
 std::uint64_t EnergyAccount::eventCount(const std::string& name) const {

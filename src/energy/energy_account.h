@@ -9,8 +9,8 @@
 // or more events per cycle, so counting must not touch strings or tree-based
 // containers. defineEvent()/resolveEvent() hand out dense EventId handles;
 // counts live in a flat vector indexed by id, and count(EventId) is a
-// bounds-checked array increment. The string-keyed API survives as a
-// resolve-once wrapper for definition, tests and reporting.
+// bounds-checked array increment. Counting takes an EventId only; names
+// remain for definition, queries and reporting.
 #pragma once
 
 #include <cstdint>
@@ -65,10 +65,6 @@ class EnergyAccount {
   /// dynamic-event counting is gated.
   void setCounting(bool on) { counting_ = on ? 1 : 0; }
   [[nodiscard]] bool counting() const { return counting_ != 0; }
-
-  /// Record `n` occurrences of `name`. The event must have been defined.
-  /// Reporting-edge convenience; resolves through the name index per call.
-  void count(const std::string& name, std::uint64_t n = 1);
 
   [[nodiscard]] std::uint64_t eventCount(const std::string& name) const;
   [[nodiscard]] double eventEnergyPj(const std::string& name) const;

@@ -86,15 +86,11 @@ WayIdx MemoryHierarchy::installL1(Addr paddr, std::uint64_t l1_ways,
                                   bool is_store) {
   const auto fill = l1_.fill(paddr, l1_ways);
   if (fill.evicted) {
-    if (fill.evicted_dirty) {
-      // Write the victim back into L2 (allocate on writeback miss).
-      if (auto w = l2_.probe(fill.evicted_line_base); w.has_value()) {
-        l2_.markDirty(fill.evicted_line_base, *w);
-      } else {
-        const auto wb = l2_.fill(fill.evicted_line_base, l2_.allWays());
-        l2_.markDirty(fill.evicted_line_base, wb.way);
-      }
-    }
+    // Write the victim back into L2 (allocate on writeback miss). The L2
+    // copy stays clean: an L2 victim's writeback to DRAM is outside the
+    // energy scope, so nothing would read an L2 dirty bit.
+    if (fill.evicted_dirty && !l2_.probe(fill.evicted_line_base))
+      (void)l2_.fill(fill.evicted_line_base, l2_.allWays());
     if (on_evict_) on_evict_(fill.evicted_line_base);
   }
   if (is_store) l1_.markDirty(paddr, fill.way);

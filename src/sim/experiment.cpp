@@ -248,10 +248,6 @@ std::uint64_t runBindingHash(const RunConfig& rc) {
   h.u64(c.wdu_entries);
   h.u64(c.last_entry_feedback ? 1 : 0);
   h.u64(c.last_entry_depth);
-  h.u64(c.adaptive_bypass ? 1 : 0);
-  h.u64(c.bypass_window);
-  h.f64(c.bypass_threshold);
-  h.f64(c.bypass_min_coverage);
   const core::SystemConfig& s = rc.system;
   hashLayout(h, s.layout);
   h.u64(s.rob_entries);

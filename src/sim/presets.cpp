@@ -104,13 +104,6 @@ core::InterfaceConfig presetMalecNoMerge() {
   return c;
 }
 
-core::InterfaceConfig presetMalecAdaptive() {
-  core::InterfaceConfig c = presetMalec();
-  c.name = "MALEC_adaptive";
-  c.adaptive_bypass = true;
-  return c;
-}
-
 core::InterfaceConfig presetMalec4ld2st() {
   core::InterfaceConfig c = presetMalec();
   c.name = "MALEC_4ld2st";

@@ -36,8 +36,6 @@ namespace malec::sim {
 [[nodiscard]] core::InterfaceConfig presetMalecNoFeedback();
 /// MALEC without same-line load merging (merge-contribution ablation).
 [[nodiscard]] core::InterfaceConfig presetMalecNoMerge();
-/// MALEC with the run-time way-determination bypass (Sec. VI-D extension).
-[[nodiscard]] core::InterfaceConfig presetMalecAdaptive();
 /// The scaled Fig. 2a configuration: up to 4 loads + 2 stores per cycle,
 /// 3 carried loads, 4 result buses.
 [[nodiscard]] core::InterfaceConfig presetMalec4ld2st();

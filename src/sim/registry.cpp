@@ -178,7 +178,7 @@ Registry<PresetFn>& presetRegistry() {
       reg->add(name, std::move(fn));
     };
     // Table I interfaces, then the Fig. 4 latency variants, then the
-    // Sec. V / VI-C / VI-D ablation and extension variants.
+    // Sec. V / VI-C / VI-D ablation variants.
     add(&presetBase1ldst);
     add(&presetBase2ld1st);
     add(&presetMalec);
@@ -190,7 +190,6 @@ Registry<PresetFn>& presetRegistry() {
     add(&presetMalecNoWaydet);
     add(&presetMalecNoFeedback);
     add(&presetMalecNoMerge);
-    add(&presetMalecAdaptive);
     add(&presetMalec4ld2st);
     return reg;
   }();

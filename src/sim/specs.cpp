@@ -6,7 +6,6 @@
 #include <chrono>
 #include <cstdarg>
 #include <cstdio>
-#include <iterator>
 #include <map>
 #include <string>
 #include <vector>
@@ -368,37 +367,6 @@ ExperimentSpec specSensitivityWaydet() {
     return std::vector<double>{
         100.0 * outs[1].dynamic_pj / outs[0].dynamic_pj,
         100.0 * outs[0].way_coverage};
-  };
-  s.tables.push_back(std::move(t));
-  return s;
-}
-
-ExperimentSpec specSensitivityAdaptive() {
-  ExperimentSpec s;
-  s.name = "sensitivity_adaptive";
-  s.title = "Sec. VI-D extension — adaptive run-time bypass";
-  s.paper_anchor =
-      "(the coverage guard keeps the bypass off whenever way\n"
-      " determination still pays for itself — on these benchmarks\n"
-      " it never engages, i.e. the scheme is strictly no-harm; it\n"
-      " triggers only on coverage-free streams, see the\n"
-      " AdaptiveBypass tests)";
-  s.workloads = sensitivityPicks();
-  s.configs = [] {
-    return std::vector<core::InterfaceConfig>{presetMalec(),
-                                              presetMalecAdaptive()};
-  };
-  s.default_instructions = 80'000;
-  TableSpec t;
-  t.name = "sensitivity_adaptive";
-  t.title = "Adaptive bypass: total energy [%] (plain MALEC = 100)";
-  t.columns = {"adaptive E%", "plain cover%", "adaptive cover%"};
-  t.row = [](const SuiteContext& ctx, std::size_t w) {
-    const auto& outs = ctx.results[w];
-    return std::vector<double>{
-        100.0 * outs[1].total_pj / outs[0].total_pj,
-        100.0 * outs[0].way_coverage + 1e-6,
-        100.0 * outs[1].way_coverage + 1e-6};
   };
   s.tables.push_back(std::move(t));
   return s;
@@ -899,69 +867,6 @@ ExperimentSpec specPhaseSampled() {
   return s;
 }
 
-// --- host microbenchmark: energy-accounting throughput (custom) -------------
-
-ExperimentSpec specEnergyAccount() {
-  ExperimentSpec s;
-  s.name = "energy_account";
-  s.title =
-      "host microbench — string vs EventId energy-accounting throughput";
-  s.default_instructions = 20'000'000;  // counts per path, not instructions
-  s.custom = [](SuiteContext& ctx) {
-    static const char* const kEventNames[] = {
-        "l1.ctrl",      "l1.tag_read",   "l1.data_read", "l1.data_write",
-        "l1.tag_write", "l1.line_write", "l1.line_read", "utlb.search",
-        "tlb.search",   "utlb.psearch",  "tlb.psearch",  "uwt.read",
-        "uwt.write",    "wt.read",       "wt.write",     "wdu.search",
-    };
-    constexpr std::size_t kNumEvents = std::size(kEventNames);
-    // Whole passes over the event mix keep the per-event sanity check
-    // valid for any requested count.
-    std::uint64_t iters = ctx.instructions;
-    iters -= iters % kNumEvents;
-    if (iters == 0) iters = kNumEvents;
-
-    energy::EnergyAccount ea;
-    std::vector<energy::EnergyAccount::EventId> ids;
-    for (const char* name : kEventNames)
-      ids.push_back(ea.defineEvent(name, 1.0));
-
-    auto secondsSince = [](std::chrono::steady_clock::time_point t0) {
-      return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                           t0)
-          .count();
-    };
-
-    // String path: what every count() call site paid before interning.
-    const auto t_str = std::chrono::steady_clock::now();
-    for (std::uint64_t i = 0; i < iters; ++i)
-      ea.count(kEventNames[i % kNumEvents]);
-    const double s_str = secondsSince(t_str);
-
-    // EventId path: resolve once (done above), then array increments.
-    const auto t_id = std::chrono::steady_clock::now();
-    for (std::uint64_t i = 0; i < iters; ++i)
-      ea.count(ids[i % kNumEvents]);
-    const double s_id = secondsSince(t_id);
-
-    const std::uint64_t per_event = 2 * iters / kNumEvents;
-    for (const char* name : kEventNames)
-      MALEC_CHECK_MSG(ea.eventCount(name) == per_event,
-                      "energy_account microbench count mismatch");
-
-    const double mps_str = static_cast<double>(iters) / s_str / 1e6;
-    const double mps_id = static_cast<double>(iters) / s_id / 1e6;
-    std::string txt;
-    txt += strf("events: %zu types, %llu counts per path\n", kNumEvents,
-                static_cast<unsigned long long>(iters));
-    txt += strf("string API : %8.1f Mevents/s  (%.3f s)\n", mps_str, s_str);
-    txt += strf("EventId API: %8.1f Mevents/s  (%.3f s)\n", mps_id, s_id);
-    txt += strf("speedup    : %8.1fx\n", mps_id / mps_str);
-    ctx.emitText(txt);
-  };
-  return s;
-}
-
 }  // namespace
 
 void registerBuiltinSpecs(Registry<ExperimentSpec>& reg) {
@@ -982,11 +887,9 @@ void registerBuiltinSpecs(Registry<ExperimentSpec>& reg) {
   add(specSensitivityCarry());
   add(specSensitivityBuses());
   add(specSensitivityWaydet());
-  add(specSensitivityAdaptive());
   add(specSensitivityScaling());
   add(specTraceReplay());
   add(specPhaseSampled());
-  add(specEnergyAccount());
 }
 
 }  // namespace malec::sim

@@ -58,16 +58,6 @@ void WayTable::copyEntryFrom(std::uint32_t slot, const WayTable& src,
                 static_cast<std::ptrdiff_t>(slot) * lines_per_page_);
 }
 
-std::uint32_t WayTable::validLines(std::uint32_t slot) const {
-  MALEC_DCHECK(slot < slots_);
-  std::uint32_t n = 0;
-  for (std::uint32_t l = 0; l < lines_per_page_; ++l)
-    if (codes_[static_cast<std::size_t>(slot) * lines_per_page_ + l] !=
-        kCodeUnknown)
-      ++n;
-  return n;
-}
-
 std::uint32_t WayTable::naiveEntryBits() const {
   // 1 valid bit + ceil(log2(assoc)) way bits per line.
   std::uint32_t way_bits = 0;

@@ -61,9 +61,6 @@ class WayTable {
   void copyEntryFrom(std::uint32_t slot, const WayTable& src,
                      std::uint32_t src_slot);
 
-  /// Number of valid (known-way) lines in a slot.
-  [[nodiscard]] std::uint32_t validLines(std::uint32_t slot) const;
-
   [[nodiscard]] std::uint32_t slots() const { return slots_; }
   [[nodiscard]] std::uint32_t linesPerPage() const { return lines_per_page_; }
   /// Bits per entry under the paper's combined encoding (128 by default).
@@ -102,8 +99,6 @@ class LastEntryRegister {
 
   /// Find the remembered slot for `vpage`, if still tracked.
   [[nodiscard]] std::optional<std::uint32_t> match(PageId vpage) const;
-
-  void clear() { fifo_.clear(); }
 
   /// Checkpoint/restore of all mutable state; restore requires an
   /// identically-configured instance (geometry mismatches abort).

@@ -1,10 +1,9 @@
-// Tests of the run-time way-determination bypass extension (the paper's
-// Sec. VI-D discussion: apply run-time cache-bypassing-style schemes so
-// streaming phases stop paying for way-table maintenance).
+// What a coverage-free streaming phase costs MALEC, and the scaled Fig. 2a
+// configuration. The paper's Sec. VI-D suggests run-time bypassing so that
+// streaming phases stop paying for way determination; this repository does
+// not model such a bypass. MALEC_noWayDet bounds what one could save.
 #include <gtest/gtest.h>
 
-#include "core/malec_interface.h"
-#include "core/translation_engine.h"
 #include "sim/experiment.h"
 #include "sim/presets.h"
 #include "trace/workloads.h"
@@ -12,52 +11,8 @@
 namespace malec::sim {
 namespace {
 
-TEST(AdaptiveBypass, EngineSuspensionAnswersUnknown) {
-  energy::EnergyAccount ea;
-  for (const char* e : {"utlb.search", "tlb.search", "utlb.psearch",
-                        "tlb.psearch", "uwt.read", "uwt.write", "wt.read",
-                        "wt.write"})
-    ea.defineEvent(e, 1.0);
-  core::TranslationEngine::Params p;
-  p.way_tables = true;
-  core::TranslationEngine te(p, ea);
-
-  const AddressLayout L;
-  const auto tr = te.translate(100);
-  // Pick a way the 2-bit code can represent for line 0 of this page.
-  const WayIdx way = static_cast<WayIdx>((tr.ppage + 1) % 4);
-  te.onLineFill(L.lineBase(L.compose(tr.ppage, 0)), way);
-  EXPECT_EQ(te.wayFor(tr.uwt_slot, L.compose(100, 0)), way);
-
-  te.setSuspended(true);
-  EXPECT_EQ(te.wayFor(tr.uwt_slot, L.compose(100, 0)), kWayUnknown);
-  const auto uwt_writes = ea.eventCount("uwt.write");
-  te.onLineFill(L.lineBase(L.compose(tr.ppage, 64)), way);  // ignored
-  EXPECT_EQ(ea.eventCount("uwt.write"), uwt_writes);
-
-  // Resume flushes: the pre-suspension information must be gone.
-  te.setSuspended(false);
-  EXPECT_EQ(te.wayFor(tr.uwt_slot, L.compose(100, 0)), kWayUnknown);
-}
-
-TEST(AdaptiveBypass, SuspendedTranslationSkipsUwtRead) {
-  energy::EnergyAccount ea;
-  for (const char* e : {"utlb.search", "tlb.search", "utlb.psearch",
-                        "tlb.psearch", "uwt.read", "uwt.write", "wt.read",
-                        "wt.write"})
-    ea.defineEvent(e, 1.0);
-  core::TranslationEngine::Params p;
-  p.way_tables = true;
-  core::TranslationEngine te(p, ea);
-  te.translate(100);
-  const auto reads = ea.eventCount("uwt.read");
-  te.setSuspended(true);
-  te.translate(100);  // uTLB hit, but no uWT read while suspended
-  EXPECT_EQ(ea.eventCount("uwt.read"), reads);
-}
-
 /// A pure streaming profile with essentially no reuse: way information
-/// never pays off (the run-time-bypass target class, Sec. VI-D).
+/// never pays off (the class a run-time bypass would target, Sec. VI-D).
 trace::WorkloadProfile pathologicalStream() {
   trace::WorkloadProfile p;
   p.name = "pathological-stream";
@@ -74,73 +29,25 @@ trace::WorkloadProfile pathologicalStream() {
   return p;
 }
 
-TEST(AdaptiveBypass, TriggersOnPathologicalStream) {
-  RunConfig rc;
-  rc.workload = pathologicalStream();
-  rc.interface_cfg = presetMalecAdaptive();
-  rc.system = defaultSystem();
-  rc.instructions = 40'000;
-  const auto out = runOne(rc);
-  // High miss rate and near-zero coverage: the bypass must engage and
-  // coverage collapses (lookups stop being answered).
-  EXPECT_EQ(out.instructions, 40'000u);
-  EXPECT_LT(out.way_coverage, 0.15);
-}
-
-TEST(AdaptiveBypass, StaysOnForModerateCoverageStreaming) {
-  // mcf misses heavily but still reaches ~50 % coverage — under this
-  // model's conventional-access cost that coverage is worth keeping, so
-  // the coverage guard must hold the bypass off.
-  RunConfig rc;
-  rc.workload = trace::workloadByName("mcf");
-  rc.system = defaultSystem();
-  rc.instructions = 40'000;
-  rc.interface_cfg = presetMalecAdaptive();
-  const auto adaptive = runOne(rc);
-  rc.interface_cfg = presetMalec();
-  const auto plain = runOne(rc);
-  EXPECT_NEAR(adaptive.way_coverage, plain.way_coverage, 0.05);
-  EXPECT_LT(adaptive.total_pj, plain.total_pj * 1.03);
-}
-
-TEST(AdaptiveBypass, StaysOffForCacheFriendlyWorkload) {
-  RunConfig rc;
-  rc.workload = trace::workloadByName("eon");
-  rc.system = defaultSystem();
-  rc.instructions = 40'000;
-  rc.interface_cfg = presetMalecAdaptive();
-  const auto adaptive = runOne(rc);
-  rc.interface_cfg = presetMalec();
-  const auto plain = runOne(rc);
-  // eon's miss rate is far below the threshold: behaviour (and coverage)
-  // must match plain MALEC closely.
-  EXPECT_NEAR(adaptive.way_coverage, plain.way_coverage, 0.02);
-}
-
-TEST(AdaptiveBypass, SavesWayTableEnergyOnStreaming) {
+TEST(StreamingCost, WayDeterminationCostIsBoundedOnPathologicalStream) {
   RunConfig rc;
   rc.workload = pathologicalStream();
   rc.system = defaultSystem();
   rc.instructions = 40'000;
   rc.interface_cfg = presetMalec();
-  const auto plain = runOne(rc);
-  rc.interface_cfg = presetMalecAdaptive();
-  const auto adaptive = runOne(rc);
-  // The point of the scheme: less uWT/WT/psearch traffic on mcf.
-  const double wt_dyn_plain =
-      plain.energy_detail.get("dyn_pj.uwt.read") +
-      plain.energy_detail.get("dyn_pj.uwt.write") +
-      plain.energy_detail.get("dyn_pj.utlb.psearch") +
-      plain.energy_detail.get("dyn_pj.tlb.psearch");
-  const double wt_dyn_adaptive =
-      adaptive.energy_detail.get("dyn_pj.uwt.read") +
-      adaptive.energy_detail.get("dyn_pj.uwt.write") +
-      adaptive.energy_detail.get("dyn_pj.utlb.psearch") +
-      adaptive.energy_detail.get("dyn_pj.tlb.psearch");
-  EXPECT_LT(wt_dyn_adaptive, wt_dyn_plain * 0.6);
+  const auto malec = runOne(rc);
+  rc.interface_cfg = presetMalecNoWaydet();
+  const auto no_waydet = runOne(rc);
+  // Way information almost never applies, so MALEC pays for uWT/WT upkeep
+  // without reduced accesses to show for it. That upkeep is what a bypass
+  // would save: MALEC's total energy over MALEC_noWayDet's (measured 1.098).
+  EXPECT_EQ(malec.instructions, 40'000u);
+  EXPECT_LT(malec.way_coverage, 0.15);
+  EXPECT_GT(malec.total_pj, no_waydet.total_pj);
+  EXPECT_LT(malec.total_pj, no_waydet.total_pj * 1.12);
 }
 
-TEST(AdaptiveBypass, ScaledFigure2aConfigRuns) {
+TEST(ScaledMalec, ScaledFigure2aConfigRuns) {
   // The 4-load + 2-store Fig. 2a configuration must run and outperform
   // (or at least match) the evaluated 3-AGU MALEC.
   RunConfig rc;

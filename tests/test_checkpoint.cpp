@@ -302,8 +302,8 @@ TEST(CheckpointDeathTest, VersionSkewAborts) {
   RunConfig rc = baseConfig("gcc", presetMalec(), 2'000);
   const std::string path = writeCheckpoint(rc, "version.mckpt");
   rc.start_ckpt = path;
-  // Versions 1 and 2 predate the interface section's current field order.
-  for (const int version : {1, 2, 9}) {
+  // Versions 1 to 3 predate the interface section's current field order.
+  for (const int version : {1, 2, 3, 9}) {
     std::FILE* f = std::fopen(path.c_str(), "r+b");
     std::fseek(f, 4, SEEK_SET);
     std::fputc(version, f);

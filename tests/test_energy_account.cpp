@@ -2,18 +2,15 @@
 
 #include <gtest/gtest.h>
 
-#include <string>
-#include <vector>
-
 namespace malec::energy {
 namespace {
 
 TEST(EnergyAccount, CountsTimesEnergy) {
   EnergyAccount ea;
-  ea.defineEvent("read", 2.0);
-  ea.defineEvent("write", 3.0);
-  ea.count("read", 10);
-  ea.count("write");
+  const auto read = ea.defineEvent("read", 2.0);
+  const auto write = ea.defineEvent("write", 3.0);
+  ea.count(read, 10);
+  ea.count(write);
   EXPECT_DOUBLE_EQ(ea.dynamicPj(), 23.0);
   EXPECT_EQ(ea.eventCount("read"), 10u);
   EXPECT_DOUBLE_EQ(ea.eventEnergyPj("write"), 3.0);
@@ -32,20 +29,20 @@ TEST(EnergyAccount, LeakageIntegratesOverTime) {
 
 TEST(EnergyAccount, TotalCombines) {
   EnergyAccount ea;
-  ea.defineEvent("e", 5.0);
+  const auto e = ea.defineEvent("e", 5.0);
   ea.defineLeakage("s", 1.0);
-  ea.count("e", 2);
+  ea.count(e, 2);
   EXPECT_DOUBLE_EQ(ea.totalPj(100, 1.0), 10.0 + 100.0);
 }
 
 TEST(EnergyAccount, PrefixRollups) {
   EnergyAccount ea;
-  ea.defineEvent("l1.tag_read", 1.0);
-  ea.defineEvent("l1.data_read", 2.0);
-  ea.defineEvent("tlb.search", 4.0);
-  ea.count("l1.tag_read", 3);
-  ea.count("l1.data_read", 3);
-  ea.count("tlb.search", 1);
+  const auto tag_read = ea.defineEvent("l1.tag_read", 1.0);
+  const auto data_read = ea.defineEvent("l1.data_read", 2.0);
+  const auto tlb_search = ea.defineEvent("tlb.search", 4.0);
+  ea.count(tag_read, 3);
+  ea.count(data_read, 3);
+  ea.count(tlb_search, 1);
   EXPECT_DOUBLE_EQ(ea.dynamicPjFor("l1."), 9.0);
   EXPECT_DOUBLE_EQ(ea.dynamicPjFor("tlb."), 4.0);
   ea.defineLeakage("l1.tag", 0.5);
@@ -56,8 +53,8 @@ TEST(EnergyAccount, PrefixRollups) {
 
 TEST(EnergyAccount, RedefinitionOverwritesEnergyKeepsCount) {
   EnergyAccount ea;
-  ea.defineEvent("e", 1.0);
-  ea.count("e", 4);
+  const auto e = ea.defineEvent("e", 1.0);
+  ea.count(e, 4);
   ea.defineEvent("e", 2.0);
   EXPECT_EQ(ea.eventCount("e"), 4u);
   EXPECT_DOUBLE_EQ(ea.dynamicPj(), 8.0);
@@ -65,20 +62,20 @@ TEST(EnergyAccount, RedefinitionOverwritesEnergyKeepsCount) {
 
 TEST(EnergyAccount, ClearCountsKeepsDefinitions) {
   EnergyAccount ea;
-  ea.defineEvent("e", 1.0);
-  ea.count("e", 4);
+  const auto e = ea.defineEvent("e", 1.0);
+  ea.count(e, 4);
   ea.clearCounts();
   EXPECT_EQ(ea.eventCount("e"), 0u);
   EXPECT_TRUE(ea.hasEvent("e"));
-  ea.count("e");
+  ea.count(e);
   EXPECT_DOUBLE_EQ(ea.dynamicPj(), 1.0);
 }
 
 TEST(EnergyAccount, ReportContainsRollups) {
   EnergyAccount ea;
-  ea.defineEvent("x", 2.0);
+  const auto x = ea.defineEvent("x", 2.0);
   ea.defineLeakage("s", 1.0);
-  ea.count("x", 5);
+  ea.count(x, 5);
   const StatSet r = ea.report(200, 1.0);
   EXPECT_DOUBLE_EQ(r.get("count.x"), 5.0);
   EXPECT_DOUBLE_EQ(r.get("dyn_pj.x"), 10.0);
@@ -86,32 +83,6 @@ TEST(EnergyAccount, ReportContainsRollups) {
   EXPECT_DOUBLE_EQ(r.get("total.dynamic_pj"), 10.0);
   EXPECT_DOUBLE_EQ(r.get("total.leakage_pj"), 200.0);
   EXPECT_DOUBLE_EQ(r.get("total.energy_pj"), 210.0);
-}
-
-TEST(EnergyAccount, EventIdCountingMatchesStringCounting) {
-  // Two accounts with identical definitions, one counted through cached
-  // ids, one through the string API: report() must be byte-identical.
-  EnergyAccount by_id;
-  EnergyAccount by_name;
-  const char* names[] = {"l1.ctrl", "l1.tag_read", "utlb.search", "wt.write"};
-  std::vector<EnergyAccount::EventId> ids;
-  double pj = 0.5;
-  for (const char* n : names) {
-    ids.push_back(by_id.defineEvent(n, pj));
-    by_name.defineEvent(n, pj);
-    pj += 1.25;
-  }
-  by_id.defineLeakage("l1.tag", 0.75);
-  by_name.defineLeakage("l1.tag", 0.75);
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    by_id.count(ids[i], i + 1);
-    by_name.count(names[i], i + 1);
-  }
-  by_id.count(ids[0]);
-  by_name.count(names[0]);
-  EXPECT_EQ(by_id.report(1234, 2.0).toTable(),
-            by_name.report(1234, 2.0).toTable());
-  EXPECT_EQ(by_id.dynamicPj(), by_name.dynamicPj());
 }
 
 TEST(EnergyAccount, DefineEventReturnsStableDenseIds) {
@@ -149,7 +120,6 @@ TEST(EnergyAccount, StatGateDropsCountsWhileClosed) {
     StatGate gate(ea);  // closes the gate: warmup accesses charge nothing
     EXPECT_FALSE(ea.counting());
     ea.count(id, 100);
-    ea.count("l1.ctrl", 100);  // the string path honours the gate too
     EXPECT_EQ(ea.eventCount(id), 3u);
     gate.open();
     EXPECT_TRUE(ea.counting());
@@ -185,20 +155,6 @@ TEST(EnergyAccount, StatGateReopensOnDestruction) {
   EXPECT_TRUE(ea.counting());
   ea.count(id, 2);
   EXPECT_EQ(ea.eventCount(id), 2u);
-}
-
-TEST(EnergyAccountDeath, CountingUndefinedEventAborts) {
-  EnergyAccount ea;
-  EXPECT_DEATH(ea.count("nope"), "nope");
-}
-
-TEST(EnergyAccountDeath, UnknownEventMessageNamesTheEvent) {
-  EnergyAccount ea;
-  ea.defineEvent("real.event", 1.0);
-  // The failure message must carry the offending name (built from storage
-  // owned by the failure path, not a dangling c_str of a temporary).
-  EXPECT_DEATH(ea.count(std::string("bogus.") + "name"),
-               "unknown energy event 'bogus.name'");
 }
 
 TEST(EnergyAccountDeath, OutOfRangeEventIdAborts) {

@@ -8,8 +8,9 @@
 //    scripts/check_lint.sh are exec'd per fixture; every seeded rule
 //    family must make the gate exit non-zero, and the clean/waived trees
 //    must exit zero. bad_drift proves the checkpoint-matrix cross-check
-//    fails even though the lint itself is clean, and schema_drift proves
-//    the same for the committed-schema regenerate-and-diff gate.
+//    fails even though the lint itself is clean, schema_drift proves
+//    the same for the committed-schema regenerate-and-diff gate, and
+//    stale_allowlist for an allowlist entry that silences nothing.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -299,6 +300,16 @@ TEST(LintExitCodes, CheckLintFailsEverySeededRuleFamily) {
 
 TEST(LintExitCodes, CheckLintFailsOnCheckpointMatrixDrift) {
   EXPECT_EQ(checkLintExit("bad_drift"), 1);
+}
+
+TEST(LintExitCodes, CheckLintFailsOnStaleAllowlistEntry) {
+  // The stale_allowlist tree lints clean under its allowlist, but one
+  // entry silences no finding; the gate must name it and fail.
+  const std::string root = fixtureRoot("stale_allowlist");
+  EXPECT_EQ(runCommand(std::string(MALEC_LINT_BIN) + " --root " + root +
+                       " --allowlist " + root + "/tools/lint/allowlist.txt"),
+            0);
+  EXPECT_EQ(checkLintExit("stale_allowlist"), 1);
 }
 
 TEST(LintExitCodes, CheckLintFailsOnSchemaDrift) {

@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "sim/differential.h"
+#include "sim/experiment.h"
+#include "sim/presets.h"
 #include "trace/workloads.h"
 
 namespace malec::sim {
@@ -59,15 +66,37 @@ TEST(WorkloadRegistryDeathTest, UnknownWorkloadMessage) {
 
 TEST(PresetRegistry, EveryPresetProducesItsOwnName) {
   const auto& reg = presetRegistry();
-  EXPECT_GE(reg.size(), 13u);
+  EXPECT_GE(reg.size(), 12u);
   for (const auto& name : reg.names()) {
     const core::InterfaceConfig cfg = reg.get(name)();
     EXPECT_EQ(cfg.name, name);
   }
   // The Table I trio plus the headline ablations must be reachable.
   for (const char* name : {"Base1ldst", "Base2ld1st", "MALEC", "MALEC_WDU16",
-                           "MALEC_noWayDet", "MALEC_adaptive"})
+                           "MALEC_noWayDet"})
     EXPECT_TRUE(reg.has(name)) << name;
+}
+
+TEST(PresetRegistry, EveryPresetChangesTheRun) {
+  // A preset that prints another preset's bytes is a knob no run turns on.
+  // mcf tells every pair apart at this budget; on gcc and djpeg at 20k,
+  // MALEC_noFeedback still prints MALEC's bytes.
+  const auto& reg = presetRegistry();
+  std::vector<std::pair<std::string, RunOutput>> runs;
+  for (const auto& name : reg.names()) {
+    RunConfig rc;
+    rc.workload = trace::workloadByName("mcf");
+    rc.interface_cfg = reg.get(name)();
+    rc.system = defaultSystem();
+    rc.instructions = 20'000;
+    RunOutput out = runOne(rc);
+    out.config.clear();
+    runs.emplace_back(name, std::move(out));
+  }
+  for (std::size_t i = 0; i < runs.size(); ++i)
+    for (std::size_t j = i + 1; j < runs.size(); ++j)
+      EXPECT_NE(diffOutputs(runs[i].second, runs[j].second), "")
+          << runs[j].first << " runs like " << runs[i].first;
 }
 
 }  // namespace

@@ -100,7 +100,6 @@ class StressAllInterfaces : public ::testing::TestWithParam<int> {
       case 2: return sim::presetMalec();
       case 3: return sim::presetMalecWdu(8);
       case 4: return sim::presetMalecNoWaydet();
-      case 5: return sim::presetMalecAdaptive();
       default: return sim::presetMalec4ld2st();
     }
   }
@@ -155,7 +154,7 @@ TEST_P(StressAllInterfaces, EnergyCountsStayConsistent) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Configs, StressAllInterfaces,
-                         ::testing::Range(0, 7),
+                         ::testing::Range(0, 6),
                          [](const ::testing::TestParamInfo<int>& info) {
                            return StressAllInterfaces::config(info.param)
                                .name;

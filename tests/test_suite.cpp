@@ -46,8 +46,8 @@ TEST(SpecRegistry, EnumeratesAtLeastTenSuites) {
        {"fig1", "tab1_tab2", "fig4a", "fig4b", "wdu_vs_wt",
         "coverage_ablation", "merge_contribution", "arbitration_window",
         "way_encoding", "sensitivity_latency", "sensitivity_carry",
-        "sensitivity_buses", "sensitivity_waydet", "sensitivity_adaptive",
-        "sensitivity_scaling", "trace_replay", "energy_account"})
+        "sensitivity_buses", "sensitivity_waydet", "sensitivity_scaling",
+        "trace_replay"})
     EXPECT_TRUE(reg.has(name)) << name;
   // Every spec carries a --list description.
   for (const auto& name : reg.names())

@@ -218,7 +218,7 @@ TEST(WakeLoop, SampledReplayMatchesStepping) {
   EXPECT_EQ(segs[1].start, segs[0].end);
   EXPECT_EQ(segs[2].warm_start, 9'000u);
 
-  for (const char* preset : {"MALEC", "MALEC_adaptive", "Base2ld1st"}) {
+  for (const char* preset : {"MALEC", "MALEC_WDU16", "Base2ld1st"}) {
     sim::RunConfig rc;
     rc.workload = sim::sampledWorkload(sim::traceWorkload(trace_path));
     rc.interface_cfg = sim::presetRegistry().get(preset)();
