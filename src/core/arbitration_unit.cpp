@@ -23,8 +23,9 @@ ArbOutcome ArbitrationUnit::arbitrate(
 
 void ArbitrationUnit::arbitrate(const std::vector<ArbCandidate>& candidates,
                                 ArbOutcome& out) const {
-  out.action.assign(candidates.size(), ArbOutcome::Action::kHeld);
-  out.winner_of.assign(candidates.size(), 0);
+  MALEC_CHECK_MSG(candidates.size() <= kInputBufferCapacity,
+                  "page group larger than the Input Buffer");
+  // Every candidate's action is written exactly once below.
   out.mbe.reset();
   out.bank_conflicts = 0;
   out.bus_rejects = 0;
@@ -45,6 +46,7 @@ void ArbitrationUnit::arbitrate(const std::vector<ArbCandidate>& candidates,
 
   for (std::size_t i = 0; i < candidates.size(); ++i) {
     const ArbCandidate& c = candidates[i];
+    out.action[i] = ArbOutcome::Action::kHeld;
     if (c.is_mbe) continue;  // handled after loads
 
     if (buses_used >= p_.result_buses) {
@@ -63,7 +65,7 @@ void ArbitrationUnit::arbitrate(const std::vector<ArbCandidate>& candidates,
         ++out.compares;
         if (w.key == key) {
           out.action[i] = ArbOutcome::Action::kMerged;
-          out.winner_of[i] = w.cand_index;
+          out.winner_of[i] = static_cast<std::uint8_t>(w.cand_index);
           ++buses_used;
           merged = true;
           break;

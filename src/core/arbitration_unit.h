@@ -15,6 +15,7 @@
 // (doubling merge probability relative to single-sub-block reads).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -22,6 +23,7 @@
 #include "common/address.h"
 #include "common/check.h"
 #include "common/types.h"
+#include "core/input_buffer.h"
 
 namespace malec::core {
 
@@ -38,10 +40,12 @@ struct ArbOutcome {
     kMerged,  ///< shares a winner's data read
     kHeld,    ///< stays in the Input Buffer for a later cycle
   };
-  /// Per input candidate, aligned with the call's `candidates`.
-  std::vector<Action> action;
+  /// Per input candidate, aligned with the call's `candidates`: arbitrate()
+  /// writes entries [0, candidates.size()), and a group holds at most the
+  /// Input Buffer's entries.
+  std::array<Action, kInputBufferCapacity> action{};
   /// For kMerged candidates: index (into `candidates`) of their winner.
-  std::vector<std::size_t> winner_of;
+  std::array<std::uint8_t, kInputBufferCapacity> winner_of{};
   /// Serviced MBE candidate index, if any.
   std::optional<std::size_t> mbe;
   std::uint32_t bank_conflicts = 0;
@@ -72,8 +76,7 @@ class ArbitrationUnit {
   [[nodiscard]] ArbOutcome arbitrate(
       const std::vector<ArbCandidate>& candidates) const;
 
-  /// Allocation-free variant for the per-cycle hot path: writes into `out`,
-  /// whose vectors keep their capacity across calls.
+  /// Allocation-free variant for the per-cycle hot path: writes into `out`.
   void arbitrate(const std::vector<ArbCandidate>& candidates,
                  ArbOutcome& out) const;
 

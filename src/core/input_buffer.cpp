@@ -28,10 +28,10 @@ InputBuffer::InputBuffer(std::uint32_t carry_slots, std::uint32_t agu_slots,
       group_comparators_(group_comparators),
       layout_(layout) {
   MALEC_CHECK(agu_slots >= 1);
-  // remove() marks entries in a 64-bit mask; loads plus the MBE slot must
-  // fit in it.
+  // remove() takes a 64-bit mask; loads plus the MBE slot must fit in it.
   const std::size_t capacity = std::size_t{carry_slots} + agu_slots + 1;
-  MALEC_CHECK_MSG(capacity <= 64, "InputBuffer capacity exceeds the removal mask");
+  MALEC_CHECK_MSG(capacity <= kInputBufferCapacity,
+                  "InputBuffer capacity exceeds the removal mask");
   ops_.reserve(capacity);
   not_before_.reserve(capacity);
   arrival_.reserve(capacity);
@@ -141,14 +141,11 @@ Cycle InputBuffer::nextReadyCycle() const {
   return next;
 }
 
-void InputBuffer::remove(const std::vector<std::size_t>& indices) {
-  std::uint64_t doomed = 0;
-  for (const std::size_t i : indices) {
-    MALEC_CHECK(i < ops_.size());
-    MALEC_DCHECK(((doomed >> i) & 1) == 0);
-    doomed |= std::uint64_t{1} << i;
-  }
+void InputBuffer::remove(std::uint64_t doomed) {
   if (doomed == 0) return;
+  // Every marked entry must exist (a 64-bit shift by 64 would be undefined).
+  MALEC_CHECK(ops_.size() == kInputBufferCapacity ||
+              (doomed >> ops_.size()) == 0);
   if (mbe_pos_ != kNoMbe) {
     if (((doomed >> mbe_pos_) & 1) != 0) {
       mbe_pos_ = kNoMbe;

@@ -34,9 +34,15 @@ class StateWriter;
 
 namespace malec::core {
 
+/// Most entries an Input Buffer holds (carry + AGU slots + the MBE slot):
+/// remove() takes its victims as a 64-bit mask, and the Arbitration Unit
+/// sizes its per-candidate outcome arrays by it.
+inline constexpr std::size_t kInputBufferCapacity = 64;
+
 class InputBuffer {
  public:
-  /// carry_slots + agu_slots + 1 (the MBE slot) must not exceed 64.
+  /// carry_slots + agu_slots + 1 (the MBE slot) must not exceed
+  /// kInputBufferCapacity.
   InputBuffer(std::uint32_t carry_slots, std::uint32_t agu_slots,
               std::uint32_t group_comparators, AddressLayout layout);
 
@@ -68,9 +74,9 @@ class InputBuffer {
   /// cycle), or kNever when the buffer is empty.
   [[nodiscard]] Cycle nextReadyCycle() const;
 
-  /// Remove serviced entries (distinct indices into the buffer; any order)
+  /// Remove the serviced entries — bit i of `doomed` set removes entry i —
   /// in one stable compaction pass.
-  void remove(const std::vector<std::size_t>& indices);
+  void remove(std::uint64_t doomed);
 
   // --- per-entry accessors (index = position in age order) ---------------
   [[nodiscard]] std::size_t size() const { return ops_.size(); }

@@ -56,21 +56,24 @@ L1Backend::L1Backend(const InterfaceConfig& cfg, const SystemConfig& sys,
       mb_(sys.mb_entries, sys.layout) {
   if (waydet_ == WayDetKind::kWdu)
     wdu_ = std::make_unique<waydet::Wdu>(cfg.wdu_entries);
+}
 
-  // Line fill/eviction hooks: fill energy, WT validity and WDU maintenance.
-  hier_.setFillCallback([this](Addr line_base, WayIdx way) {
-    ea_.count(id_.tag_write);
-    ea_.count(id_.line_write);
-    engine_.onLineFill(line_base, way);
-    if (wdu_) wdu_->record(sys_.layout.lineAddr(line_base), way);
-  });
-  hier_.setEvictCallback([this](Addr line_base) {
+Cycle L1Backend::miss(Addr paddr, Cycle now, bool is_store) {
+  const auto m = hier_.missAccess(paddr, now, is_store, fillWays(paddr));
+  if (!m.installed) return m.ready_cycle;
+  if (m.evicted) {
     // Dirty victims are read out for writeback; the read is charged
     // unconditionally as a conservative model of the eviction sequence.
     ea_.count(id_.line_read);
-    engine_.onLineEvict(line_base);
-    if (wdu_) wdu_->invalidate(sys_.layout.lineAddr(line_base));
-  });
+    engine_.onLineEvict(m.evicted_line);
+    if (wdu_) wdu_->invalidate(sys_.layout.lineAddr(m.evicted_line));
+  }
+  const Addr line_base = l1_.lineBase(paddr);
+  ea_.count(id_.tag_write);
+  ea_.count(id_.line_write);
+  engine_.onLineFill(line_base, m.l1_way);
+  if (wdu_) wdu_->record(sys_.layout.lineAddr(line_base), m.l1_way);
+  return m.ready_cycle;
 }
 
 bool L1Backend::submitStore(const MemOp& op) {
@@ -201,9 +204,7 @@ Cycle L1Backend::load(Addr vaddr, const TranslationEngine::Result& tr,
   ++stats_.load_l1_misses;
   // The returning fill supplies the critical word; delivery costs one L1
   // latency on top of the fill arrival.
-  return hier_.missAccess(paddr, now, /*is_store=*/false, fillWays(paddr))
-             .ready_cycle +
-         cfg_.l1_latency;
+  return miss(paddr, now, /*is_store=*/false) + cfg_.l1_latency;
 }
 
 void L1Backend::write(Addr vaddr, const TranslationEngine::Result& tr,
@@ -216,7 +217,7 @@ void L1Backend::write(Addr vaddr, const TranslationEngine::Result& tr,
     return;
   // Write-allocate on MBE miss.
   ++stats_.write_l1_misses;
-  (void)hier_.missAccess(paddr, now, /*is_store=*/true, fillWays(paddr));
+  (void)miss(paddr, now, /*is_store=*/true);
 }
 
 bool L1Backend::drainCompletions(Cycle now, std::vector<SeqNum>& out) {

@@ -1,6 +1,6 @@
 // The L1 data side every memory interface schedules onto (paper Table I):
 // the uTLB/TLB translation engine with its Way Tables, the L1/L2 hierarchy
-// and its fill/evict hooks, the optional WDU, the SB -> MB store drain with
+// with the upkeep its fills and evictions need, the optional WDU, the SB -> MB store drain with
 // the Merge Buffer eviction waiting for its L1 write (the MBE), SB/MB
 // forwarding, the L1 load and MBE-write access, the completion queue and
 // the InterfaceStats counters. An access is reduced (tag arrays bypassed,
@@ -94,6 +94,11 @@ class L1Backend {
   /// The L1 ways a missing line may be allocated into: all but its
   /// WT-excluded way when Way Tables encode ways (Sec. V), else all.
   [[nodiscard]] std::uint64_t fillWays(Addr paddr) const;
+  /// Send an L1 miss down the hierarchy, then apply the upkeep of the line
+  /// it installed and of the line that install displaced — fill and
+  /// eviction energy, Way Table validity, WDU entries — eviction first.
+  /// Returns the fill's arrival cycle.
+  Cycle miss(Addr paddr, Cycle now, bool is_store);
 
   /// Event handles resolved once at construction (hot path = integer ids).
   struct EventIds {

@@ -97,39 +97,33 @@ void MalecInterface::serviceGroup(Cycle now) {
   stats.bank_conflicts += arb.bank_conflicts;
   stats.bus_rejects += arb.bus_rejects;
 
-  // Gather per-winner parties: winner first, merged followers after.
-  std::vector<std::size_t>& serviced = serviced_scratch_;  // ib indices
-  serviced.clear();
-
+  // One pass in candidate order: held members stay (counted as hold
+  // events); each winner is serviced with its party, the winner first and
+  // then the loads merged onto it. Merged loads sit at most merge_window
+  // candidates after their winner, so the party scan stops there.
+  const std::size_t window = cfg_.merge_loads ? cfg_.merge_window : 0;
+  std::uint64_t serviced = 0;  // Input Buffer entries to remove
   for (std::size_t i = 0; i < cands.size(); ++i) {
-    if (arb.action[i] != ArbOutcome::Action::kWinner) continue;
+    const ArbOutcome::Action action = arb.action[i];
+    if (action == ArbOutcome::Action::kHeld) {
+      ++stats.ib_hold_events;
+      continue;
+    }
+    if (action != ArbOutcome::Action::kWinner) continue;  // in a party
     const ArbCandidate& c = cands[i];
+    serviced |= std::uint64_t{1} << c.ib_index;
+    ++stats.group_entries;
 
     if (c.is_mbe) {
       backend_.write(c.vaddr, tr, now);
-      // lint:allow(hot-alloc: serviced_scratch_ retains capacity across cycles)
-      serviced.push_back(c.ib_index);
-      ++stats.group_entries;
       continue;
     }
-
-    // Collect this winner's party (the loads merged onto it).
-    std::vector<std::size_t>& party = party_scratch_;  // cand indices
-    party.clear();
-    // lint:allow(hot-alloc: party_scratch_ retains capacity across cycles)
-    party.push_back(i);
-    for (std::size_t j = 0; j < cands.size(); ++j)
-      if (arb.action[j] == ArbOutcome::Action::kMerged &&
-          arb.winner_of[j] == i)
-        // lint:allow(hot-alloc: party_scratch_ retains capacity across cycles)
-        party.push_back(j);
 
     // Store/Merge Buffer forwarding first; the first non-forwarded member
     // performs the L1 read, the rest share its data.
     Cycle l1_ready = 0;
     bool l1_done = false;
-    for (std::size_t pj = 0; pj < party.size(); ++pj) {
-      const ArbCandidate& m = cands[party[pj]];
+    auto serve = [&](const ArbCandidate& m) {
       Cycle ready;
       if (backend_.forwards(m.vaddr, m.size, /*split=*/true)) {
         ready = now + cfg_.l1_latency;  // buffer read, same pipeline depth
@@ -142,15 +136,18 @@ void MalecInterface::serviceGroup(Cycle now) {
         ++stats.merged_loads;
       }
       backend_.complete(ib_.op(m.ib_index).seq, ready);
-      // lint:allow(hot-alloc: serviced_scratch_ retains capacity across cycles)
-      serviced.push_back(m.ib_index);
+    };
+    serve(c);
+    const std::size_t last = std::min(cands.size() - 1, i + window);
+    for (std::size_t j = i + 1; j <= last; ++j) {
+      if (arb.action[j] != ArbOutcome::Action::kMerged ||
+          arb.winner_of[j] != i)
+        continue;
+      serviced |= std::uint64_t{1} << cands[j].ib_index;
       ++stats.group_entries;
+      serve(cands[j]);
     }
   }
-
-  // Held members stay; count the hold events for the stats.
-  for (std::size_t i = 0; i < cands.size(); ++i)
-    if (arb.action[i] == ArbOutcome::Action::kHeld) ++stats.ib_hold_events;
 
   ib_.remove(serviced);
 }

@@ -64,8 +64,6 @@ class MalecInterface final : public MemInterface {
   std::vector<std::size_t> group_scratch_;   // lint:no-state(per-cycle scratch)
   std::vector<ArbCandidate> cand_scratch_;   // lint:no-state(per-cycle scratch)
   ArbOutcome arb_scratch_;                   // lint:no-state(per-cycle scratch)
-  std::vector<std::size_t> serviced_scratch_;  // lint:no-state(per-cycle scratch)
-  std::vector<std::size_t> party_scratch_;     // lint:no-state(per-cycle scratch)
 
   Cycle now_ = 0;
   /// Set whenever this cycle changes state beyond the stall counter; reset

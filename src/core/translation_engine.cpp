@@ -50,42 +50,27 @@ TranslationEngine::TranslationEngine(const Params& p,
           p.layout.l1Assoc()),
       last_entry_(p.last_entry_depth) {
   pt_.setWalkLatency(p.walk_latency);
-
-  // uTLB eviction: write the (possibly updated) uWT entry back to the WT if
-  // the page is still TLB-resident; otherwise the way information is lost.
-  utlb_.setEvictCallback([this](std::uint32_t slot) {
-    if (!p_.way_tables) return;
-    const PageId vpage = utlb_.entry(slot).vpage;
-    if (auto tlb_slot = tlb_.probeV(vpage); tlb_slot.has_value()) {
-      wt_.copyEntryFrom(*tlb_slot, uwt_, slot);
-      ea_.count(id_.wt_write);
-    }
-    uwt_.invalidateSlot(slot);
-    memo_valid_ = false;
-  });
-
-  // TLB eviction invalidates the WT entry and any shadowing uTLB/uWT slot
-  // (Fig. 3 note: "update uTLB&uWT on ... TLB evictions").
-  tlb_.setEvictCallback([this](std::uint32_t slot) {
-    if (p_.way_tables) wt_.invalidateSlot(slot);
-    const PageId vpage = tlb_.entry(slot).vpage;
-    if (auto uslot = utlb_.probeV(vpage); uslot.has_value()) {
-      if (p_.way_tables) uwt_.invalidateSlot(*uslot);
-      utlb_.invalidate(*uslot);
-      memo_valid_ = false;
-    }
-  });
 }
 
 void TranslationEngine::installIntoUtlb(PageId vpage, PageId ppage,
                                         std::uint32_t tlb_slot,
                                         bool tlb_entry_fresh) {
-  // Defensive: insert() below may recycle the memoized slot (the evict
-  // callback also clears the memo, but an invalid-slot reuse does not fire
-  // it). Callers re-arm the memo with the new mapping before returning.
+  // insert() below may recycle the memoized slot. Callers re-arm the memo
+  // with the new mapping before returning.
   memo_valid_ = false;
-  const std::uint32_t uslot = utlb_.insert(vpage, ppage);
+  const tlb::Tlb::Insertion ins = utlb_.insert(vpage, ppage);
   if (!p_.way_tables) return;
+  const std::uint32_t uslot = ins.slot;
+  // uTLB eviction: write the (possibly updated) uWT entry back to the WT if
+  // the page is still TLB-resident; otherwise the way information is lost
+  // when the new page's entry overwrites the slot below.
+  if (ins.displaced.valid) {
+    if (auto tlb_slot = tlb_.probeV(ins.displaced.vpage);
+        tlb_slot.has_value()) {
+      wt_.copyEntryFrom(*tlb_slot, uwt_, uslot);
+      ea_.count(id_.wt_write);
+    }
+  }
   if (tlb_entry_fresh) {
     // Newly walked page: no way information exists yet.
     uwt_.invalidateSlot(uslot);
@@ -149,7 +134,17 @@ TranslationEngine::Result TranslationEngine::translate(PageId vpage) {
   // Page walk.
   r.ppage = pt_.translate(vpage);
   r.extra_latency = pt_.walkLatency();
-  const std::uint32_t tslot = tlb_.insert(vpage, r.ppage);
+  const tlb::Tlb::Insertion ins = tlb_.insert(vpage, r.ppage);
+  const std::uint32_t tslot = ins.slot;
+  if (ins.displaced.valid) {
+    // TLB eviction invalidates any shadowing uTLB/uWT slot (Fig. 3 note:
+    // "update uTLB&uWT on ... TLB evictions").
+    if (auto uslot = utlb_.probeV(ins.displaced.vpage); uslot.has_value()) {
+      if (p_.way_tables) uwt_.invalidateSlot(*uslot);
+      utlb_.invalidate(*uslot);
+    }
+  }
+  // The slot's WT entry described the displaced page, or nothing.
   if (p_.way_tables) wt_.invalidateSlot(tslot);
   installIntoUtlb(vpage, r.ppage, tslot, /*tlb_entry_fresh=*/true);
   const auto uslot = utlb_.probeV(vpage);

@@ -17,6 +17,17 @@ static_assert(sizeof(CoreStats) ==
                       sizeof(std::uint64_t),
               "kCoreScaledCounterFields is out of sync with CoreStats");
 
+namespace {
+
+/// The ROB ring's slot count: the smallest power of two holding `entries`.
+std::size_t ringSlots(std::uint32_t entries) {
+  std::size_t n = 1;
+  while (n < entries) n <<= 1;
+  return n;
+}
+
+}  // namespace
+
 CoreModel::CoreModel(const core::SystemConfig& sys,
                      const core::InterfaceConfig& ifc,
                      trace::TraceSource& src, core::MemInterface& mem)
@@ -25,32 +36,48 @@ CoreModel::CoreModel(const core::SystemConfig& sys,
       src_(src),
       mem_(mem),
       lq_(sys.lq_entries),
-      rob_slots_(sys.rob_entries),
+      rob_slots_(ringSlots(sys.rob_entries)),
+      rob_mask_(rob_slots_.size() - 1),
       ready_exec_(sys.rob_entries),
       ready_loads_(sys.rob_entries),
-      store_order_(sys.rob_entries) {}
+      store_order_(sys.rob_entries) {
+  // A WakeLink holds a slot index and one more bit.
+  MALEC_CHECK_MSG(rob_slots_.size() <= (std::size_t{1} << 31),
+                  "ROB too large for its wakeup links");
+}
 
 bool CoreModel::inRob(SeqNum seq) const {
-  return rob_size_ > 0 && seq >= head_seq_ && seq < head_seq_ + rob_size_;
+  // A seq below the head wraps to a huge offset.
+  return seq - head_seq_ < rob_size_;
 }
 
 CoreModel::RobEntry& CoreModel::entry(SeqNum seq) {
   MALEC_DCHECK(inRob(seq));
-  std::size_t i = rob_head_ + static_cast<std::size_t>(seq - head_seq_);
-  if (i >= rob_slots_.size()) i -= rob_slots_.size();
-  return rob_slots_[i];
+  return rob_slots_[seq & rob_mask_];
 }
 
 const CoreModel::RobEntry& CoreModel::slot(std::size_t logical) const {
   MALEC_DCHECK(logical < rob_size_);
-  std::size_t i = rob_head_ + logical;
-  if (i >= rob_slots_.size()) i -= rob_slots_.size();
-  return rob_slots_[i];
+  return rob_slots_[(head_seq_ + logical) & rob_mask_];
 }
 
-void CoreModel::enqueueReady(SeqNum seq) {
-  RobEntry& e = entry(seq);
+void CoreModel::addWaiter(RobEntry& producer, SeqNum dependent,
+                          unsigned link) {
+  const auto node =
+      static_cast<WakeLink>(((dependent & rob_mask_) << 1) | link);
+  if (producer.waiters == 0) {
+    producer.first_waiter = node;
+  } else {
+    const WakeLink tail = producer.last_waiter;
+    rob_slots_[tail >> 1].next_waiter[tail & 1] = node;
+  }
+  producer.last_waiter = node;
+  ++producer.waiters;
+}
+
+void CoreModel::enqueueReady(const RobEntry& e) {
   MALEC_DCHECK(e.pending_deps == 0);
+  const SeqNum seq = e.instr.seq;
   switch (e.instr.kind) {
     case trace::InstrKind::kOther:
       // lint:allow(hot-alloc: FixedRing::push_back writes into a preallocated slab — no allocation)
@@ -71,20 +98,22 @@ void CoreModel::markCompleted(SeqNum seq) {
   RobEntry& e = entry(seq);
   if (e.completed) return;
   e.completed = true;
-  for (SeqNum dep : e.deps) {
-    if (!inRob(dep)) continue;  // dependent already retired (cannot happen
-                                // for true deps, defensive anyway)
-    RobEntry& d = entry(dep);
+  // Dependents are younger than their producer and commit in order after
+  // it, so every one is still in the ROB.
+  WakeLink node = e.first_waiter;
+  for (std::uint32_t n = e.waiters; n > 0; --n) {
+    RobEntry& d = rob_slots_[node >> 1];
+    node = d.next_waiter[node & 1];
     MALEC_DCHECK(d.pending_deps > 0);
-    if (--d.pending_deps == 0) enqueueReady(dep);
+    if (--d.pending_deps == 0) enqueueReady(d);
   }
-  e.deps.clear();
+  e.waiters = 0;
 }
 
 void CoreModel::doCommit() {
   std::uint32_t committed = 0;
   while (committed < sys_.commit_width && rob_size_ > 0) {
-    RobEntry& head = rob_slots_[rob_head_];
+    RobEntry& head = entry(head_seq_);
     if (head.instr.isStore()) {
       if (!head.agu_done) break;  // store not yet buffered
       mem_.notifyStoreCommit(head.instr.seq);
@@ -95,9 +124,6 @@ void CoreModel::doCommit() {
     // A store's dependents (if any) were woken at submit; make sure the
     // completion bookkeeping is consistent before retiring.
     if (!head.completed) markCompleted(head.instr.seq);
-    head.deps.clear();  // defensive; markCompleted already drained it
-    ++rob_head_;
-    if (rob_head_ == rob_slots_.size()) rob_head_ = 0;
     --rob_size_;
     ++head_seq_;
     ++stats_.instructions;
@@ -348,22 +374,25 @@ void CoreModel::saveState(ckpt::StateWriter& w) const {
   w.u64(run_base_);
   w.u8(has_staged_ ? 1 : 0);
   if (has_staged_) saveRecord(w, staged_);
-  // Dependency lists: walking the ROB head→tail is ascending producer seq,
-  // exactly the sorted-by-producer order the old unordered_map side table
-  // serialized. Each list keeps its insertion order (the wakeup order). A
-  // producer has a non-empty list only while !completed, matching the old
-  // map's erase-on-completion lifetime.
+  // Dependency lists: walking the ROB head→tail is ascending producer seq.
+  // Each list is written in its wakeup order. A producer has a non-empty
+  // list only while !completed.
   std::uint64_t producers = 0;
   for (std::size_t i = 0; i < rob_size_; ++i)
-    if (!slot(i).deps.empty()) ++producers;
+    if (slot(i).waiters != 0) ++producers;
   w.u64(producers);
   for (std::size_t i = 0; i < rob_size_; ++i) {
     const RobEntry& e = slot(i);
-    if (e.deps.empty()) continue;
+    if (e.waiters == 0) continue;
     MALEC_DCHECK(!e.completed);
     w.u64(e.instr.seq);
-    w.u64(e.deps.size());
-    for (const SeqNum d : e.deps) w.u64(d);
+    w.u64(e.waiters);
+    WakeLink node = e.first_waiter;
+    for (std::uint32_t n = 0; n < e.waiters; ++n) {
+      const RobEntry& dependent = rob_slots_[node >> 1];
+      w.u64(dependent.instr.seq);
+      node = dependent.next_waiter[node & 1];
+    }
   }
   w.u64(ready_exec_.size());
   for (std::size_t i = 0; i < ready_exec_.size(); ++i) w.u64(ready_exec_[i]);
@@ -382,32 +411,56 @@ void CoreModel::saveState(ckpt::StateWriter& w) const {
 void CoreModel::loadState(ckpt::StateReader& r) {
   head_seq_ = r.u64();
   const std::uint64_t rob_n = r.u64();
-  MALEC_CHECK_MSG(rob_n <= rob_slots_.size(),
+  MALEC_CHECK_MSG(rob_n <= sys_.rob_entries,
                   "ROB checkpoint exceeds this capacity");
-  rob_head_ = 0;
   rob_size_ = static_cast<std::size_t>(rob_n);
   for (std::uint64_t i = 0; i < rob_n; ++i) {
-    RobEntry& e = rob_slots_[i];
+    RobEntry& e = entry(head_seq_ + i);
     loadRecord(r, e.instr);
+    MALEC_CHECK_MSG(e.instr.seq == head_seq_ + i,
+                    "ROB checkpoint entries are out of sequence");
     e.pending_deps = r.u8();
     const std::uint8_t f = r.u8();
     e.agu_done = (f & 1) != 0;
     e.completed = (f & 2) != 0;
-    e.deps.clear();
+    e.waiters = 0;
   }
   trace_done_ = r.u8() != 0;
   now_ = r.u64();
   run_base_ = r.u64();
   has_staged_ = r.u8() != 0;
   if (has_staged_) loadRecord(r, staged_);
+  // The wakeup lists are intrusive: a bad dependent would send
+  // markCompleted through foreign slots, so every one is checked. A
+  // dependent waits on at most two producers (data and address), has one
+  // link per producer, and pending_deps counts the lists it is on.
   const std::uint64_t producers = r.u64();
+  std::vector<std::uint8_t> links(rob_slots_.size(), 0);
   for (std::uint64_t i = 0; i < producers; ++i) {
     const SeqNum seq = r.u64();
     MALEC_CHECK_MSG(inRob(seq), "dependency producer outside the ROB");
-    std::vector<SeqNum>& deps = entry(seq).deps;
-    deps.resize(r.count(sizeof(SeqNum)));
-    for (SeqNum& d : deps) d = r.u64();
+    RobEntry& producer = entry(seq);
+    MALEC_CHECK_MSG(!producer.completed,
+                    "checkpoint lists dependents under a completed producer");
+    for (std::uint64_t n = r.count(sizeof(SeqNum)); n > 0; --n) {
+      const SeqNum dependent = r.u64();
+      MALEC_CHECK_MSG(inRob(dependent),
+                      "checkpoint dependency list names a dependent outside "
+                      "the ROB");
+      MALEC_CHECK_MSG(dependent > seq,
+                      "checkpoint dependency list names a dependent that is "
+                      "not younger than its producer");
+      std::uint8_t& used = links[dependent & rob_mask_];
+      MALEC_CHECK_MSG(used < 2,
+                      "checkpoint lists a dependent under three producers");
+      addWaiter(producer, dependent, used++);
+    }
   }
+  for (std::size_t i = 0; i < rob_size_; ++i)
+    MALEC_CHECK_MSG(slot(i).pending_deps ==
+                        links[(head_seq_ + i) & rob_mask_],
+                    "checkpoint dependency count disagrees with the lists "
+                    "naming the dependent");
   ready_exec_.clear();
   for (std::uint64_t i = 0, n = readBounded(r, ready_exec_); i < n; ++i)
     ready_exec_.push_back(r.u64());
@@ -427,16 +480,19 @@ void CoreModel::loadState(ckpt::StateReader& r) {
 }
 
 void CoreModel::dispatchRecord(const trace::InstrRecord& r) {
-  MALEC_DCHECK(rob_size_ < rob_slots_.size());
-  std::size_t tail = rob_head_ + rob_size_;
-  if (tail >= rob_slots_.size()) tail -= rob_slots_.size();
-  RobEntry& e = rob_slots_[tail];
+  // The ring maps a seq to its slot, so the stream must number records
+  // consecutively from the first one the core saw.
+  MALEC_CHECK_MSG(r.seq == head_seq_ + rob_size_,
+                  "instruction stream out of sequence: record seqs must be "
+                  "0, 1, 2, ... in stream order");
+  MALEC_DCHECK(rob_size_ < sys_.rob_entries);
+  ++rob_size_;
+  RobEntry& e = entry(r.seq);
   e.instr = r;
   e.pending_deps = 0;
   e.agu_done = false;
   e.completed = false;
-  e.deps.clear();  // recycled slot: drop stale list, keep its capacity
-  ++rob_size_;
+  e.waiters = 0;
   if (r.isLoad()) {
     lq_.allocate(r.seq);
     ++stats_.loads;
@@ -444,24 +500,24 @@ void CoreModel::dispatchRecord(const trace::InstrRecord& r) {
     ++stats_.stores;
   }
 
-  // Register dependencies: data input and (for memory ops) address input.
-  auto addDep = [&](std::uint32_t distance) {
+  // Register dependencies: data input (link 0) and, for memory ops,
+  // address input (link 1).
+  auto addDep = [&](std::uint32_t distance, unsigned link) {
     if (distance == 0 || distance > r.seq) return;
     const SeqNum target = r.seq - distance;
     if (!inRob(target)) return;           // producer already retired
     RobEntry& t = entry(target);
     if (t.completed) return;              // producer done
-    // lint:allow(hot-alloc: dep lists keep their capacity when ROB slots recycle)
-    t.deps.push_back(r.seq);
+    addWaiter(t, r.seq, link);
     ++e.pending_deps;
   };
-  addDep(r.dep_distance);
+  addDep(r.dep_distance, 0);
   if (r.isMem() && r.addr_dep_distance != r.dep_distance)
-    addDep(r.addr_dep_distance);
+    addDep(r.addr_dep_distance, 1);
 
   // lint:allow(hot-alloc: FixedRing::push_back writes into a preallocated slab — no allocation)
   if (r.isStore()) store_order_.push_back(r.seq);
-  if (e.pending_deps == 0) enqueueReady(r.seq);
+  if (e.pending_deps == 0) enqueueReady(e);
 }
 
 }  // namespace malec::cpu

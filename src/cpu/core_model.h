@@ -111,24 +111,37 @@ class CoreModel {
   void loadState(ckpt::StateReader& r);
 
  private:
+  /// A dependent's place in one producer's wakeup list: the dependent's
+  /// ROB slot shifted left by one, with the low bit naming which of its
+  /// two links continues that list (0 in its data producer's list, 1 in
+  /// its address producer's).
+  using WakeLink = std::uint32_t;
+
   struct RobEntry {
     trace::InstrRecord instr;
     std::uint8_t pending_deps = 0;
     bool agu_done = false;   ///< mem op handed to the interface
     bool completed = false;  ///< result available / retire-eligible
-    /// Wakeup list of this producer's dependents. Non-empty only while
-    /// !completed (markCompleted drains and clears it); the vector keeps
-    /// its capacity across slot reuse, so the steady state allocates
-    /// nothing. Replaces the old seq-keyed unordered_map side table.
-    std::vector<SeqNum> deps;
+    /// Intrusive FIFO of this producer's waiting dependents, in the order
+    /// they dispatched (the wakeup order). Non-empty only while
+    /// !completed; markCompleted drains it.
+    std::uint32_t waiters = 0;
+    WakeLink first_waiter = 0;
+    WakeLink last_waiter = 0;
+    /// This entry's successors in the lists of the (at most two)
+    /// producers it waits on.
+    WakeLink next_waiter[2] = {0, 0};
   };
 
   [[nodiscard]] bool inRob(SeqNum seq) const;
   [[nodiscard]] RobEntry& entry(SeqNum seq);
   /// ROB entry by logical position: 0 = oldest (head) — ascending seq.
   [[nodiscard]] const RobEntry& slot(std::size_t logical) const;
+  /// Append `dependent` to `producer`'s wakeup list through the
+  /// dependent's link `link` (0 or 1).
+  void addWaiter(RobEntry& producer, SeqNum dependent, unsigned link);
   void markCompleted(SeqNum seq);
-  void enqueueReady(SeqNum seq);
+  void enqueueReady(const RobEntry& e);
   void doCommit();
   void doExecute();
   void doAgu();
@@ -156,15 +169,13 @@ class CoreModel {
   core::MemInterface& mem_;  // lint:no-state(wiring ref; checkpoints itself)
   lsq::LoadQueue lq_;
 
-  /// Arena-allocated ROB: a fixed slab of sys_.rob_entries slots used as a
-  /// ring. In-flight seqs are consecutive [head_seq_, head_seq_ + rob_size_),
-  /// so a seq maps straight to its slot — no per-instruction allocation, no
-  /// hashing. Slots are recycled in place (their deps vectors keep their
-  /// capacity).
+  /// Arena-allocated ROB: a power-of-two ring of slots, at least
+  /// sys_.rob_entries of them. In-flight seqs are consecutive
+  /// [head_seq_, head_seq_ + rob_size_), so seq & rob_mask_ is a seq's
+  /// slot — no per-instruction allocation, no hashing, no wrap arithmetic.
   // lint:no-state(serialized via slot() in logical head-first order)
   std::vector<RobEntry> rob_slots_;
-  /// Physical slot of the oldest entry.
-  std::size_t rob_head_ = 0;  // lint:no-state(physical origin; checkpoints store logical order, loadState resets it to 0)
+  std::size_t rob_mask_;  // lint:no-state(config; rob_slots_.size() - 1)
   std::size_t rob_size_ = 0;
   SeqNum head_seq_ = 0;  ///< seq of the oldest ROB entry
   bool trace_done_ = false;

@@ -56,7 +56,7 @@ MemoryHierarchy::MissOutcome MemoryHierarchy::missAccess(
       out.l1_way = *way;
       if (is_store) l1_.markDirty(paddr, *way);
     } else {
-      out.l1_way = installL1(paddr, l1_ways, is_store);
+      installL1(paddr, l1_ways, is_store, out);
       pending_[i].way = out.l1_way;
     }
     return out;
@@ -76,26 +76,25 @@ MemoryHierarchy::MissOutcome MemoryHierarchy::missAccess(
   // Eager tag-state fill (data arrives at ready_cycle; the simulator only
   // observes timing through the returned cycle).
   out.ready_cycle = now + latency;
-  out.l1_way = installL1(paddr, l1_ways, is_store);
+  installL1(paddr, l1_ways, is_store, out);
   // lint:allow(hot-alloc: reserved at construction; a burst past that grows it once and the capacity is kept)
   pending_.push_back(PendingFill{line_base, out.ready_cycle, out.l1_way});
   return out;
 }
 
-WayIdx MemoryHierarchy::installL1(Addr paddr, std::uint64_t l1_ways,
-                                  bool is_store) {
+void MemoryHierarchy::installL1(Addr paddr, std::uint64_t l1_ways,
+                                bool is_store, MissOutcome& out) {
   const auto fill = l1_.fill(paddr, l1_ways);
-  if (fill.evicted) {
-    // Write the victim back into L2 (allocate on writeback miss). The L2
-    // copy stays clean: an L2 victim's writeback to DRAM is outside the
-    // energy scope, so nothing would read an L2 dirty bit.
-    if (fill.evicted_dirty && !l2_.probe(fill.evicted_line_base))
-      (void)l2_.fill(fill.evicted_line_base, l2_.allWays());
-    if (on_evict_) on_evict_(fill.evicted_line_base);
-  }
+  // Write a dirty victim back into L2 (allocate on writeback miss). The L2
+  // copy stays clean: an L2 victim's writeback to DRAM is outside the
+  // energy scope, so nothing would read an L2 dirty bit.
+  if (fill.evicted_dirty && !l2_.probe(fill.evicted_line_base))
+    (void)l2_.fill(fill.evicted_line_base, l2_.allWays());
   if (is_store) l1_.markDirty(paddr, fill.way);
-  if (on_fill_) on_fill_(l1_.lineBase(paddr), fill.way);
-  return fill.way;
+  out.l1_way = fill.way;
+  out.installed = true;
+  out.evicted = fill.evicted;
+  out.evicted_line = fill.evicted_line_base;
 }
 
 void MemoryHierarchy::saveState(ckpt::StateWriter& w) const {

@@ -464,6 +464,18 @@ RunOutput runOne(const RunConfig& rc, const InterfaceDecorator& decorate) {
   if (src.reader != nullptr)
     verifyReaderTail(*src.reader, rc.workload.trace_path);
 
+  // A run that stopped at the safety bound describes a truncated stream:
+  // refuse it, as sampled replay refuses an under-retired warmup. (An
+  // unbounded synthetic stream, instructions == 0, has nothing to reach.)
+  if (cs.instructions < src.instructions) {
+    const std::string msg =
+        "run retired " + std::to_string(cs.instructions) + " of its " +
+        std::to_string(src.instructions) +
+        " instructions before the cycle bound — the pipeline stopped "
+        "making progress";
+    MALEC_CHECK_MSG(false, msg.c_str());
+  }
+
   RunOutput out;
   out.benchmark = rc.workload.name;
   out.config = rc.interface_cfg.name;

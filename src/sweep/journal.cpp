@@ -14,6 +14,8 @@ using binio::get32;
 using binio::get64;
 using binio::put32;
 using binio::put64;
+using binio::putStr;
+using binio::putU32;
 
 namespace {
 
@@ -22,52 +24,6 @@ namespace {
 constexpr std::size_t kHeaderBytes = 24;
 /// Frame overhead around a record payload: type(1) + length(4) + FNV(8).
 constexpr std::size_t kFrameBytes = 13;
-
-void putU32(std::vector<std::uint8_t>& v, std::uint32_t x) {
-  const std::size_t at = v.size();
-  v.resize(at + 4);
-  put32(v.data() + at, x);
-}
-
-void putU64(std::vector<std::uint8_t>& v, std::uint64_t x) {
-  const std::size_t at = v.size();
-  v.resize(at + 8);
-  put64(v.data() + at, x);
-}
-
-void putStr(std::vector<std::uint8_t>& v, const std::string& s) {
-  putU32(v, static_cast<std::uint32_t>(s.size()));
-  v.insert(v.end(), s.begin(), s.end());
-}
-
-/// Bounds-checked payload reader for the scan side; any overrun flips
-/// `ok` and the caller reports the record as corrupt (the checksum already
-/// passed, so an overrun here means a buggy or incompatible producer).
-struct PayloadReader {
-  const std::uint8_t* p;
-  std::size_t n;
-  std::size_t at = 0;
-  bool ok = true;
-
-  std::uint32_t u32() {
-    if (n - at < 4) { ok = false; return 0; }
-    const std::uint32_t v = get32(p + at);
-    at += 4;
-    return v;
-  }
-  std::string str() {
-    const std::uint32_t len = u32();
-    if (!ok || n - at < len) { ok = false; return {}; }
-    std::string s(reinterpret_cast<const char*>(p + at), len);
-    at += len;
-    return s;
-  }
-  std::vector<std::uint8_t> rest() {
-    std::vector<std::uint8_t> b(p + at, p + n);
-    at = n;
-    return b;
-  }
-};
 
 }  // namespace
 
@@ -139,7 +95,9 @@ JournalScan scanJournal(const std::string& path) {
     }
 
     JournalRecord rec;
-    PayloadReader pr{data.data() + at + 5, len};
+    // The checksum already passed, so an overrun of the payload means a
+    // buggy or incompatible producer.
+    binio::SpanReader pr{data.data() + at + 5, len};
     rec.task = pr.u32();
     rec.attempt = pr.u32();
     switch (type) {
@@ -257,13 +215,15 @@ bool JournalWriter::reopen(const std::string& path, std::uint64_t valid_bytes,
 void JournalWriter::append(RecordType type,
                            const std::vector<std::uint8_t>& payload) {
   MALEC_CHECK_MSG(f_ != nullptr, "journal writer is not open");
-  std::vector<std::uint8_t> frame;
-  frame.reserve(kFrameBytes + payload.size());
-  frame.push_back(static_cast<std::uint8_t>(type));
-  putU32(frame, static_cast<std::uint32_t>(payload.size()));
-  frame.insert(frame.end(), payload.begin(), payload.end());
-  putU64(frame,
-         binio::fnv1a(binio::kFnvOffset, frame.data(), frame.size()));
+  // type(1) + length(4) + payload, then the FNV-1a of those bytes.
+  const std::size_t body = 5 + payload.size();
+  std::vector<std::uint8_t> frame(body + 8);
+  frame[0] = static_cast<std::uint8_t>(type);
+  put32(frame.data() + 1, static_cast<std::uint32_t>(payload.size()));
+  if (!payload.empty())
+    std::memcpy(frame.data() + 5, payload.data(), payload.size());
+  put64(frame.data() + body,
+        binio::fnv1a(binio::kFnvOffset, frame.data(), body));
   // Append + flush + fsync: the record is durable before the coordinator
   // acts on it. A failed append is fatal — simulating on without it would
   // make the journal silently lie about what survives a crash.

@@ -1,6 +1,5 @@
 #include "sweep/result_codec.h"
 
-#include <cstring>
 #include <iterator>
 
 #include "ckpt/state_io.h"
@@ -9,64 +8,12 @@
 
 namespace malec::sweep {
 
+using binio::putF64;
+using binio::putStr;
+using binio::putU32;
+using binio::putU64;
+
 namespace {
-
-void putU32(std::vector<std::uint8_t>& v, std::uint32_t x) {
-  const std::size_t at = v.size();
-  v.resize(at + 4);
-  binio::put32(v.data() + at, x);
-}
-
-void putU64(std::vector<std::uint8_t>& v, std::uint64_t x) {
-  const std::size_t at = v.size();
-  v.resize(at + 8);
-  binio::put64(v.data() + at, x);
-}
-
-void putF64(std::vector<std::uint8_t>& v, double x) {
-  std::uint64_t bits;
-  static_assert(sizeof bits == sizeof x, "IEEE-754 double expected");
-  std::memcpy(&bits, &x, sizeof bits);
-  putU64(v, bits);
-}
-
-void putStr(std::vector<std::uint8_t>& v, const std::string& s) {
-  putU32(v, static_cast<std::uint32_t>(s.size()));
-  v.insert(v.end(), s.begin(), s.end());
-}
-
-struct BlobReader {
-  const std::uint8_t* p;
-  std::size_t n;
-  std::size_t at = 0;
-  bool ok = true;
-
-  std::uint32_t u32() {
-    if (n - at < 4) { ok = false; return 0; }
-    const std::uint32_t v = binio::get32(p + at);
-    at += 4;
-    return v;
-  }
-  std::uint64_t u64() {
-    if (n - at < 8) { ok = false; return 0; }
-    const std::uint64_t v = binio::get64(p + at);
-    at += 8;
-    return v;
-  }
-  double f64() {
-    const std::uint64_t bits = u64();
-    double v;
-    std::memcpy(&v, &bits, sizeof v);
-    return v;
-  }
-  std::string str() {
-    const std::uint32_t len = u32();
-    if (!ok || n - at < len) { ok = false; return {}; }
-    std::string s(reinterpret_cast<const char*>(p + at), len);
-    at += len;
-    return s;
-  }
-};
 
 constexpr std::size_t kIfcFields = std::size(core::kInterfaceCounterFields);
 constexpr std::size_t kCoreFields = std::size(cpu::kCoreScaledCounterFields);
@@ -107,7 +54,7 @@ std::vector<std::uint8_t> encodeRunOutput(const sim::RunOutput& out) {
 
 bool decodeRunOutput(const std::uint8_t* p, std::size_t n,
                      sim::RunOutput& out, std::string& err) {
-  BlobReader r{p, n};
+  binio::SpanReader r{p, n};
   out = sim::RunOutput{};
   out.benchmark = r.str();
   out.config = r.str();

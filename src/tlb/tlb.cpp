@@ -35,31 +35,32 @@ std::optional<std::uint32_t> Tlb::lookupP(PageId ppage) const {
   return std::nullopt;
 }
 
-std::uint32_t Tlb::insert(PageId vpage, PageId ppage) {
+Tlb::Insertion Tlb::insert(PageId vpage, PageId ppage) {
+  Insertion ins;
   // Reuse an existing mapping slot for the same vpage if present.
   if (auto slot = probeV(vpage); slot.has_value()) {
     slots_[*slot].ppage = ppage;
     repl_->touch(0, *slot);
-    return *slot;
+    ins.slot = *slot;
+    return ins;
   }
   // Prefer an invalid slot.
   for (std::uint32_t i = 0; i < slots_.size(); ++i) {
     if (!slots_[i].valid) {
       slots_[i] = Entry{true, vpage, ppage};
       repl_->fill(0, i);
-      return i;
+      ins.slot = i;
+      return ins;
     }
   }
   const std::uint64_t all =
       slots_.size() >= 64 ? ~0ull : ((1ull << slots_.size()) - 1);
-  const std::uint32_t victim = repl_->victim(0, all);
-  if (slots_[victim].valid) {
-    ++evictions_;
-    if (on_evict_) on_evict_(victim);
-  }
-  slots_[victim] = Entry{true, vpage, ppage};
-  repl_->fill(0, victim);
-  return victim;
+  ins.slot = repl_->victim(0, all);
+  ins.displaced = slots_[ins.slot];
+  if (ins.displaced.valid) ++evictions_;
+  slots_[ins.slot] = Entry{true, vpage, ppage};
+  repl_->fill(0, ins.slot);
+  return ins;
 }
 
 void Tlb::invalidate(std::uint32_t slot) {

@@ -1,7 +1,7 @@
 // Translation lookaside buffer with reverse (physical) lookup.
 //
 // MALEC couples a Way Table entry to every TLB entry, so this TLB exposes
-// slot indices, fires an eviction callback when a slot is recycled, and —
+// slot indices, reports the entry an insert displaced, and —
 // because the L1 is PIPT and line fills/evictions carry physical tags —
 // additionally supports lookups by *physical* page ID (paper Sec. V: "the
 // uTLB and TLB need to be modified to allow lookups based on physical, in
@@ -15,7 +15,7 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -44,12 +44,7 @@ class Tlb {
     PageId ppage = 0;
   };
 
-  /// Fired just before a valid slot is recycled for a different page.
-  using EvictCallback = std::function<void(std::uint32_t slot)>;
-
   explicit Tlb(const Params& p);
-
-  void setEvictCallback(EvictCallback cb) { on_evict_ = std::move(cb); }
 
   /// Forward lookup by virtual page; returns the slot index on a hit and
   /// updates replacement state.
@@ -71,8 +66,15 @@ class Tlb {
     ++hits_;
   }
 
-  /// Insert a translation; evicts if full. Returns the slot used.
-  std::uint32_t insert(PageId vpage, PageId ppage);
+  struct Insertion {
+    std::uint32_t slot = 0;  ///< the slot now holding the translation
+    /// The valid entry the insert recycled `slot` from (valid == false
+    /// when it displaced none).
+    Entry displaced{};
+  };
+
+  /// Insert a translation; evicts if full.
+  Insertion insert(PageId vpage, PageId ppage);
 
   /// Invalidate a slot (tests / shootdowns).
   void invalidate(std::uint32_t slot);
@@ -93,7 +95,6 @@ class Tlb {
  private:
   std::vector<Entry> slots_;
   std::unique_ptr<mem::ReplacementPolicy> repl_;
-  EvictCallback on_evict_;  // lint:no-state(wiring callback, rebuilt at construction)
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
   std::uint64_t evictions_ = 0;

@@ -254,6 +254,14 @@ bool TraceReader::next(InstrRecord& out) {
     fail(err + " at record " + std::to_string(read_));
     return false;
   }
+  if (out.seq != read_) {
+    // A replay indexes its ROB by seq: records are numbered 0, 1, 2, ...
+    // in file order.
+    fail("record " + std::to_string(read_) + " has seq " +
+         std::to_string(out.seq) + " (records must be numbered 0, 1, 2, "
+         "... in file order)");
+    return false;
+  }
   checksum_run_ = fnv1a(checksum_run_, rec, kRecordBytes);
   buf_pos_ += kRecordBytes;
   ++read_;

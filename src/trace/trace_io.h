@@ -66,8 +66,8 @@ class TraceWriter {
 /// Streams records back from a trace file; implements TraceSource.
 ///
 /// Failures are sticky: once ok() is false (unreadable/truncated/corrupt
-/// file, record with an out-of-range kind or size byte, record checksum
-/// mismatch) next() keeps returning false and reset() will NOT resurrect
+/// file, record with an out-of-range kind or size byte, record whose seq is
+/// not its index in the file, record checksum mismatch) next() keeps returning false and reset() will NOT resurrect
 /// the stream — callers must check ok() after draining, or a partial trace
 /// would silently masquerade as a short one.
 class TraceReader final : public TraceSource {

@@ -139,8 +139,32 @@ TEST(Arbitration, MbeNeedsNoResultBus) {
 TEST(Arbitration, EmptyGroupIsEmptyOutcome) {
   ArbitrationUnit arb = makeArb();
   const auto out = arb.arbitrate({});
-  EXPECT_TRUE(out.action.empty());
   EXPECT_FALSE(out.mbe.has_value());
+  EXPECT_EQ(out.bank_conflicts, 0u);
+  EXPECT_EQ(out.bus_rejects, 0u);
+  EXPECT_EQ(out.compares, 0u);
+}
+
+// The hot path reuses one outcome for every group: a group arbitrated into
+// an outcome that held a larger group must read exactly as a fresh one.
+TEST(Arbitration, ReusedOutcomeMatchesAFreshOne) {
+  ArbitrationUnit arb = makeArb();
+  ArbOutcome reused;
+  arb.arbitrate({ld(0, kPage + 0 * 64), ld(1, kPage + 0 * 64 + 8),
+                 ld(2, kPage + 4 * 64), ld(3, kPage + 1 * 64),
+                 mbe(4, kPage + 2 * 64)},
+                reused);
+  const std::vector<ArbCandidate> small = {ld(0, kPage + 4 * 64),
+                                           ld(1, kPage + 0 * 64)};
+  arb.arbitrate(small, reused);
+  const ArbOutcome fresh = arb.arbitrate(small);
+  for (std::size_t i = 0; i < small.size(); ++i)
+    EXPECT_EQ(reused.action[i], fresh.action[i]) << i;
+  EXPECT_EQ(reused.action[1], Action::kHeld);  // bank 0 taken by line 4
+  EXPECT_FALSE(reused.mbe.has_value());
+  EXPECT_EQ(reused.bank_conflicts, fresh.bank_conflicts);
+  EXPECT_EQ(reused.bus_rejects, fresh.bus_rejects);
+  EXPECT_EQ(reused.compares, fresh.compares);
 }
 
 // Property sweep over bus counts: winners+merged never exceed the buses,

@@ -9,14 +9,20 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ckpt/state_io.h"
+#include "common/check.h"
+#include "cpu/core_model.h"
+#include "energy/energy_account.h"
 #include "sim/differential.h"
 #include "sim/experiment.h"
 #include "sim/presets.h"
 #include "sim/registry.h"
+#include "trace/trace_io.h"
 #include "trace/workloads.h"
 
 namespace malec::sim {
@@ -180,6 +186,203 @@ TEST(Checkpoint, TraceReplayRoundTripAcrossTableIPresets) {
   capped.workload = traceWorkload(path);
   expectCheckpointRoundTrip(capped, 1'500, "trace_ck_capped");
   std::remove(path.c_str());
+}
+
+// --- the core's dependency lists ---------------------------------------------
+//
+// CoreModel keeps its wakeup lists intrusive: a producer holds the head,
+// tail and length of its dependents' list, and each dependent holds one
+// link per producer it waits on (at most two: data and address). The
+// checkpoint writes each list in wakeup order; these tests resume through
+// a dependent on two lists and feed loadState lists it must refuse.
+
+/// Producer seq -> its waiting dependents, in wakeup order.
+using DependencyLists = std::vector<std::pair<SeqNum, std::vector<SeqNum>>>;
+
+void writeRecord(ckpt::StateWriter& w, const trace::InstrRecord& r) {
+  w.u64(r.seq);
+  w.u8(static_cast<std::uint8_t>(r.kind));
+  w.u64(r.vaddr);
+  w.u8(r.size);
+  w.u32(r.dep_distance);
+  w.u32(r.addr_dep_distance);
+}
+
+void skipRecord(ckpt::StateReader& r) {
+  r.u64();
+  r.u8();
+  r.u64();
+  r.u8();
+  r.u32();
+  r.u32();
+}
+
+/// The dependency lists of a checkpoint's core section, read in the
+/// layout CoreModel::saveState writes (tools/lint/schemas/CoreModel.schema).
+DependencyLists readDependencyLists(const std::string& path) {
+  ckpt::StateReader r(path);
+  EXPECT_TRUE(r.ok()) << r.error();
+  r.openSection("core");
+  r.u64();  // head seq
+  const std::uint64_t rob = r.u64();
+  for (std::uint64_t i = 0; i < rob; ++i) {
+    skipRecord(r);
+    r.u8();  // pending dependencies
+    r.u8();  // flags
+  }
+  r.u8();   // trace done
+  r.u64();  // clock
+  r.u64();  // run base
+  if (r.u8() != 0) skipRecord(r);
+  DependencyLists lists(r.u64());
+  for (auto& [producer, dependents] : lists) {
+    producer = r.u64();
+    dependents.resize(r.u64());
+    for (SeqNum& d : dependents) d = r.u64();
+  }
+  return lists;
+}
+
+/// Groups of three: a load L missing to its own line, an ALU op A on L's
+/// result, and a load B whose data comes from L and whose address comes
+/// from A — so L's list holds A then B, and B sits on two lists.
+void writeDependentPairsTrace(const std::string& path, std::uint64_t groups) {
+  trace::TraceWriter w(path);
+  for (std::uint64_t k = 0; k < groups; ++k) {
+    trace::InstrRecord l;
+    l.seq = 3 * k;
+    l.kind = trace::InstrKind::kLoad;
+    l.vaddr = 0x100'0000 + k * 320;
+    l.size = 8;
+    trace::InstrRecord a;
+    a.seq = 3 * k + 1;
+    a.dep_distance = 1;
+    trace::InstrRecord b;
+    b.seq = 3 * k + 2;
+    b.kind = trace::InstrKind::kLoad;
+    b.vaddr = 0x200'0000 + (k % 32) * 8;
+    b.size = 8;
+    b.dep_distance = 2;
+    b.addr_dep_distance = 1;
+    w.write(l);
+    w.write(a);
+    w.write(b);
+  }
+  ASSERT_TRUE(w.close());
+}
+
+TEST(Checkpoint, ResumesThroughSharedAndTwoProducerDependents) {
+  const std::string trace_path = tmpPath("ck_deps.mtrace");
+  const std::string ckpt = tmpPath("ck_deps.mckpt");
+  writeDependentPairsTrace(trace_path, 3'000);
+  RunConfig rc = baseConfig("gcc", presetMalec(), 0);
+  rc.workload = traceWorkload(trace_path);
+  const RunOutput straight = runOne(rc);
+
+  RunConfig writing = rc;
+  writing.ckpt_out = ckpt;
+  writing.ckpt_every = 4'000;
+  EXPECT_EQ(diffOutputs(straight, runOne(writing)), "");
+
+  // The checkpoint caught a producer with two waiting dependents, one of
+  // which waits on a second producer too.
+  std::map<SeqNum, int> lists_naming;
+  bool shared = false;
+  for (const auto& [producer, dependents] : readDependencyLists(ckpt)) {
+    shared |= dependents.size() >= 2;
+    for (const SeqNum d : dependents) ++lists_naming[d];
+  }
+  EXPECT_TRUE(shared);
+  bool two_producers = false;
+  for (const auto& [dependent, n] : lists_naming) two_producers |= n == 2;
+  EXPECT_TRUE(two_producers);
+
+  RunConfig resuming = rc;
+  resuming.start_ckpt = ckpt;
+  EXPECT_EQ(diffOutputs(straight, runOne(resuming)), "");
+  std::remove(ckpt.c_str());
+  std::remove(trace_path.c_str());
+}
+
+/// A core section holding `rob` (seqs from 0; pending counts `pending`)
+/// and the dependency `lists`, with empty queues and zero statistics.
+std::string writeCoreSection(const char* name,
+                             const std::vector<trace::InstrRecord>& rob,
+                             const std::vector<std::uint8_t>& pending,
+                             const DependencyLists& lists) {
+  const std::string path = tmpPath(name);
+  ckpt::StateWriter w;
+  w.beginSection("core");
+  w.u64(0);  // head seq
+  w.u64(rob.size());
+  for (std::size_t i = 0; i < rob.size(); ++i) {
+    writeRecord(w, rob[i]);
+    w.u8(pending[i]);
+    w.u8(0);  // not issued, not completed
+  }
+  w.u8(0);   // trace not done
+  w.u64(5);  // clock
+  w.u64(0);  // run base
+  w.u8(0);   // nothing staged
+  w.u64(lists.size());
+  for (const auto& [producer, dependents] : lists) {
+    w.u64(producer);
+    w.u64(dependents.size());
+    for (const SeqNum d : dependents) w.u64(d);
+  }
+  for (int queue = 0; queue < 3; ++queue) w.u64(0);  // ready, loads, stores
+  w.u64(0);  // execution events
+  w.u64(0);  // load queue entries
+  w.u64(0);  // load queue peak
+  for (int stat = 0; stat < 8; ++stat) w.u64(0);
+  w.endSection();
+  std::string err;
+  EXPECT_TRUE(w.writeTo(path, err)) << err;
+  return path;
+}
+
+/// Restore a fresh MALEC core from the core section at `path`.
+void loadCore(const std::string& path) {
+  const RunConfig rc = baseConfig("gcc", presetMalec(), 100);
+  energy::EnergyAccount ea;
+  const RunStack stack(rc.interface_cfg, rc.system, ea);
+  trace::VectorTraceSource src({});
+  cpu::CoreModel core(rc.system, rc.interface_cfg, src, stack.ifc());
+  ckpt::StateReader r(path);
+  MALEC_CHECK_MSG(r.ok(), r.error().c_str());
+  r.openSection("core");
+  core.loadState(r);
+  r.endSection();
+}
+
+std::vector<trace::InstrRecord> robOf(std::size_t n) {
+  std::vector<trace::InstrRecord> rob(n);
+  for (std::size_t i = 0; i < n; ++i) rob[i].seq = i;
+  return rob;
+}
+
+TEST(CheckpointDeathTest, BadDependencyListsAreRefused) {
+  // Valid: seq 0 wakes 1 then 2; 2 also waits on 1.
+  const std::string good =
+      writeCoreSection("deps_good.mckpt", robOf(3), {0, 1, 2},
+                       {{0, {1, 2}}, {1, {2}}});
+  loadCore(good);
+
+  const std::string outside = writeCoreSection(
+      "deps_outside.mckpt", robOf(3), {0, 1, 2}, {{0, {1, 5}}, {1, {2}}});
+  EXPECT_DEATH(loadCore(outside), "dependent outside the ROB");
+  const std::string older = writeCoreSection(
+      "deps_older.mckpt", robOf(3), {1, 1, 0}, {{0, {1}}, {1, {0}}});
+  EXPECT_DEATH(loadCore(older), "not younger than its producer");
+  const std::string three =
+      writeCoreSection("deps_three.mckpt", robOf(4), {0, 0, 0, 3},
+                       {{0, {3}}, {1, {3}}, {2, {3}}});
+  EXPECT_DEATH(loadCore(three), "under three producers");
+  const std::string miscounted = writeCoreSection(
+      "deps_count.mckpt", robOf(3), {0, 1, 1}, {{0, {1, 2}}, {1, {2}}});
+  EXPECT_DEATH(loadCore(miscounted), "dependency count disagrees");
+  for (const std::string& p : {good, outside, older, three, miscounted})
+    std::remove(p.c_str());
 }
 
 TEST(Checkpoint, ResumeIsBitIdenticalUnderRunManyParallel) {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <memory>
+#include <vector>
 
 #include "sim/presets.h"
 #include "trace/workloads.h"
@@ -117,6 +119,46 @@ TEST(ExperimentDeathTest, MalformedParallelJobsAborts) {
         (void)parallelJobs(3);
       },
       "invalid MALEC_JOBS: 'four'");
+}
+
+/// Forwards every call except drainCompletions, which swallows every
+/// completed load: the core behind it never retires a load again.
+class DropCompletions final : public core::MemInterface {
+ public:
+  explicit DropCompletions(core::MemInterface& inner) : inner_(inner) {}
+
+  void beginCycle(Cycle now) override { inner_.beginCycle(now); }
+  bool canAcceptLoad() const override { return inner_.canAcceptLoad(); }
+  bool canAcceptStore() const override { return inner_.canAcceptStore(); }
+  bool submit(const core::MemOp& op) override { return inner_.submit(op); }
+  void notifyStoreCommit(SeqNum seq) override {
+    inner_.notifyStoreCommit(seq);
+  }
+  void endCycle(Cycle now) override { inner_.endCycle(now); }
+  void drainCompletions(Cycle now, std::vector<SeqNum>&) override {
+    std::vector<SeqNum> dropped;
+    inner_.drainCompletions(now, dropped);
+  }
+  bool quiesced() const override { return inner_.quiesced(); }
+  const core::InterfaceStats& stats() const override {
+    return inner_.stats();
+  }
+  void saveState(ckpt::StateWriter& w) const override { inner_.saveState(w); }
+  void loadState(ckpt::StateReader& r) override { inner_.loadState(r); }
+
+ private:
+  core::MemInterface& inner_;
+};
+
+// A run whose pipeline stops retiring ends at the cycle bound; runOne must
+// refuse it rather than return a RunOutput of the truncated prefix.
+TEST(ExperimentDeathTest, RunThatStopsRetiringAborts) {
+  const RunConfig rc = quickRun("gcc", presetMalec(), 300);
+  const InterfaceDecorator drop = [](core::MemInterface& inner) {
+    return std::make_unique<DropCompletions>(inner);
+  };
+  EXPECT_DEATH((void)runOne(rc, drop), "run retired [0-9]+ of its 300 "
+                                       "instructions before the cycle bound");
 }
 
 TEST(Experiment, ParseU64Strict) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <initializer_list>
+
 namespace malec::core {
 namespace {
 
@@ -10,6 +12,13 @@ MemOp mbe(Addr a) { return MemOp{0, false, a, 64}; }
 
 constexpr Addr kPageA = 0x100 * 4096;
 constexpr Addr kPageB = 0x200 * 4096;
+
+/// remove()'s mask marking the entries at `indices`.
+std::uint64_t entries(std::initializer_list<std::size_t> indices) {
+  std::uint64_t mask = 0;
+  for (const std::size_t i : indices) mask |= std::uint64_t{1} << i;
+  return mask;
+}
 
 InputBuffer makeIb(std::uint32_t carry = 2, std::uint32_t agu = 3,
                    std::uint32_t comparators = 5) {
@@ -50,7 +59,7 @@ TEST(InputBuffer, MbeIsLowestPriority) {
   ASSERT_TRUE(head.has_value());
   EXPECT_FALSE(ib.isMbe(*head));
   // With only the MBE present it becomes the head.
-  ib.remove({*head});
+  ib.remove(entries({*head}));
   const auto head2 = ib.selectHead(0);
   ASSERT_TRUE(head2.has_value());
   EXPECT_TRUE(ib.isMbe(*head2));
@@ -106,7 +115,7 @@ TEST(InputBuffer, RemoveKeepsOthersIntact) {
   ib.addLoad(load(1, kPageA), 0);
   ib.addLoad(load(2, kPageB), 0);
   ib.addLoad(load(3, kPageA + 64), 0);
-  ib.remove({0, 2});
+  ib.remove(entries({0, 2}));
   ASSERT_EQ(ib.size(), 1u);
   EXPECT_EQ(ib.op(0).seq, 2u);
 }
@@ -117,12 +126,12 @@ TEST(InputBuffer, RemoveKeepsTrackOfTheMbeSlot) {
   ib.addLoad(load(2, kPageB), 0);
   ib.addMbe(mbe(kPageA + 128), 0);
   ib.addLoad(load(3, kPageA + 64), 0);
-  ib.remove({1, 0});  // both entries below the MBE, in any order
+  ib.remove(entries({1, 0}));  // both entries below the MBE, in any order
   ASSERT_EQ(ib.size(), 2u);
   EXPECT_TRUE(ib.isMbe(0));
   EXPECT_EQ(ib.op(1).seq, 3u);
   EXPECT_FALSE(ib.hasMbeSpace());
-  ib.remove({0});  // the MBE itself
+  ib.remove(entries({0}));  // the MBE itself
   EXPECT_TRUE(ib.hasMbeSpace());
   ASSERT_EQ(ib.size(), 1u);
   EXPECT_EQ(ib.op(0).seq, 3u);
@@ -145,7 +154,7 @@ TEST(InputBuffer, OverCommittedCountsCarriedLoadsOnly) {
   EXPECT_FALSE(ib.overCommitted(0));
   // One cycle later all three are carried: exceeds the two carry slots.
   EXPECT_TRUE(ib.overCommitted(1));
-  ib.remove({0});
+  ib.remove(entries({0}));
   EXPECT_FALSE(ib.overCommitted(1));
 }
 
@@ -160,7 +169,7 @@ TEST(InputBuffer, OrderContractIndexOrderIsAgeOrder) {
   // insertion (age) order and group() needs no sort.
   InputBuffer ib = makeIb(/*carry=*/4, /*agu=*/4);
   for (SeqNum i = 0; i < 6; ++i) ib.addLoad(load(i, kPageA + i * 8), 0);
-  ib.remove({1, 4});
+  ib.remove(entries({1, 4}));
   ASSERT_EQ(ib.size(), 4u);
   const SeqNum expect[] = {0, 2, 3, 5};
   for (std::size_t i = 0; i < 4; ++i) EXPECT_EQ(ib.op(i).seq, expect[i]);

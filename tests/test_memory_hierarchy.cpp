@@ -98,22 +98,28 @@ TEST(MemoryHierarchy, StoreMergeOntoPendingLineMarksDirty) {
   EXPECT_TRUE(*inv);
 }
 
-TEST(MemoryHierarchy, FillAndEvictCallbacksFire) {
+TEST(MemoryHierarchy, OutcomeReportsInstallAndDisplacedLine) {
   Fixture f;
-  std::vector<Addr> fills, evicts;
-  f.hier.setFillCallback(
-      [&](Addr line, WayIdx) { fills.push_back(line); });
-  f.hier.setEvictCallback([&](Addr line) { evicts.push_back(line); });
+  const auto first = f.miss(0x6010, 0);
+  EXPECT_TRUE(first.installed);
+  EXPECT_EQ(f.l1.probe(0x6000), std::optional<WayIdx>(first.l1_way));
+  EXPECT_FALSE(first.evicted);
 
-  f.miss(0x6000, 0);
-  ASSERT_EQ(fills.size(), 1u);
-  EXPECT_EQ(fills[0], 0x6000u);
-  EXPECT_TRUE(evicts.empty());
+  // Fill the rest of the set, then force an L1 set conflict.
+  for (int i = 1; i <= 3; ++i)
+    EXPECT_FALSE(f.miss(0x6000 + i * f.stride, i * 100).evicted) << i;
+  const auto conflict = f.miss(0x6000 + 4 * f.stride, 400);
+  EXPECT_TRUE(conflict.installed);
+  ASSERT_TRUE(conflict.evicted);
+  EXPECT_EQ(conflict.evicted_line, 0x6000u);  // the LRU line
+  EXPECT_EQ(conflict.l1_way, first.l1_way);
 
-  // Force an L1 set conflict to trigger an eviction.
-  for (int i = 1; i <= 4; ++i) f.miss(0x6000 + i * f.stride, i * 100);
-  EXPECT_FALSE(evicts.empty());
-  EXPECT_EQ(evicts[0], 0x6000u);
+  // A miss merging onto a fill whose line is still resident installs
+  // nothing.
+  const auto merged = f.miss(0x6000 + 4 * f.stride + 8, 401);
+  EXPECT_TRUE(merged.merged_mshr);
+  EXPECT_FALSE(merged.installed);
+  EXPECT_FALSE(merged.evicted);
 }
 
 TEST(MemoryHierarchy, DirtyVictimWritesBackToL2) {
@@ -131,25 +137,18 @@ TEST(MemoryHierarchy, MergeAfterEvictionReinstallsTheLine) {
   // store: the store merges onto the outstanding fill, the line is
   // installed again, and only that line turns dirty.
   Fixture f;
-  std::vector<std::pair<Addr, WayIdx>> fills;
-  std::vector<Addr> evicts;
-  f.hier.setFillCallback(
-      [&](Addr line, WayIdx way) { fills.push_back({line, way}); });
-  f.hier.setEvictCallback([&](Addr line) { evicts.push_back(line); });
   const Addr a = 0x8000;
   const auto first = f.miss(a, 0);  // fill due at cycle 66
   for (int i = 1; i <= 4; ++i) f.miss(a + i * f.stride, i);  // evicts a
   ASSERT_FALSE(f.l1.probe(a).has_value());
-  fills.clear();
-  evicts.clear();
 
   const auto out = f.miss(a, 10, /*is_store=*/true);
   EXPECT_TRUE(out.merged_mshr);
   EXPECT_EQ(out.ready_cycle, first.ready_cycle);
   EXPECT_EQ(f.l1.probe(a), std::optional<WayIdx>(out.l1_way));
-  ASSERT_EQ(fills.size(), 1u);
-  EXPECT_EQ(fills[0], std::make_pair(a, out.l1_way));
-  EXPECT_EQ(evicts, std::vector<Addr>{a + f.stride});  // the LRU line
+  EXPECT_TRUE(out.installed);
+  ASSERT_TRUE(out.evicted);
+  EXPECT_EQ(out.evicted_line, a + f.stride);  // the LRU line
   EXPECT_EQ(f.l1.invalidate(a), std::optional<bool>(true));
   for (int i = 1; i <= 4; ++i)
     EXPECT_NE(f.l1.invalidate(a + i * f.stride), std::optional<bool>(true))

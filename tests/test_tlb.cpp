@@ -19,7 +19,7 @@ Tlb::Params params(std::uint32_t entries,
 TEST(Tlb, MissThenHit) {
   Tlb t(params(4));
   EXPECT_FALSE(t.lookupV(10).has_value());
-  const std::uint32_t slot = t.insert(10, 99);
+  const std::uint32_t slot = t.insert(10, 99).slot;
   const auto hit = t.lookupV(10);
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(*hit, slot);
@@ -50,32 +50,33 @@ TEST(Tlb, InsertExistingUpdatesInPlace) {
   Tlb t(params(4));
   const auto s1 = t.insert(7, 70);
   const auto s2 = t.insert(7, 71);
-  EXPECT_EQ(s1, s2);
-  EXPECT_EQ(t.entry(s1).ppage, 71u);
+  EXPECT_EQ(s1.slot, s2.slot);
+  EXPECT_FALSE(s2.displaced.valid);
+  EXPECT_EQ(t.entry(s1.slot).ppage, 71u);
   EXPECT_EQ(t.evictions(), 0u);
 }
 
-TEST(Tlb, EvictionCallbackFiresBeforeOverwrite) {
+TEST(Tlb, InsertReportsTheDisplacedEntry) {
   Tlb t(params(2));
-  std::vector<PageId> evicted_vpages;
-  t.setEvictCallback([&](std::uint32_t slot) {
-    evicted_vpages.push_back(t.entry(slot).vpage);
-  });
-  t.insert(1, 10);
-  t.insert(2, 20);
-  t.insert(3, 30);  // evicts one of {1,2}
-  ASSERT_EQ(evicted_vpages.size(), 1u);
-  EXPECT_TRUE(evicted_vpages[0] == 1 || evicted_vpages[0] == 2);
+  EXPECT_FALSE(t.insert(1, 10).displaced.valid);
+  EXPECT_FALSE(t.insert(2, 20).displaced.valid);
+  const Tlb::Insertion ins = t.insert(3, 30);  // evicts one of {1,2}
+  ASSERT_TRUE(ins.displaced.valid);
+  const PageId gone = ins.displaced.vpage;
+  EXPECT_TRUE(gone == 1 || gone == 2);
+  EXPECT_EQ(ins.displaced.ppage, gone * 10);
+  EXPECT_EQ(t.entry(ins.slot).vpage, 3u);
+  EXPECT_FALSE(t.probeV(gone).has_value());
   EXPECT_EQ(t.evictions(), 1u);
 }
 
 TEST(Tlb, InvalidateFreesSlot) {
   Tlb t(params(2));
-  const auto slot = t.insert(1, 10);
+  const auto slot = t.insert(1, 10).slot;
   t.invalidate(slot);
   EXPECT_FALSE(t.lookupV(1).has_value());
   // The freed slot is reused without an eviction.
-  t.insert(2, 20);
+  EXPECT_FALSE(t.insert(2, 20).displaced.valid);
   EXPECT_EQ(t.evictions(), 0u);
 }
 
@@ -103,7 +104,7 @@ TEST(Tlb, SixtyFourEntryFullCapacity) {
 
 TEST(Tlb, SlotsAreStableAcrossHits) {
   Tlb t(params(8));
-  const auto slot = t.insert(42, 4200);
+  const auto slot = t.insert(42, 4200).slot;
   for (int i = 0; i < 10; ++i) {
     const auto h = t.lookupV(42);
     ASSERT_TRUE(h.has_value());

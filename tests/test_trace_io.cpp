@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "trace/synth_generator.h"
 #include "trace/workloads.h"
@@ -248,6 +249,53 @@ TEST(TraceIoV2, BadSizeByteRejectedAtRead) {
   EXPECT_EQ(served, 1u);
   EXPECT_FALSE(rd.ok());
   EXPECT_NE(rd.error().find("invalid access size"), std::string::npos)
+      << rd.error();
+  std::remove(path.c_str());
+}
+
+/// Write ALU records numbered `seqs`, in that order.
+void writeNumbered(const std::string& path,
+                   const std::vector<SeqNum>& seqs) {
+  TraceWriter w(path);
+  ASSERT_TRUE(w.ok());
+  for (const SeqNum seq : seqs) {
+    InstrRecord r;
+    r.seq = seq;
+    w.write(r);
+  }
+  ASSERT_TRUE(w.close());
+}
+
+/// Drain `path`; returns the records served before the stream stopped.
+std::size_t drainCount(TraceReader& rd) {
+  InstrRecord r;
+  std::size_t served = 0;
+  while (rd.next(r)) ++served;
+  return served;
+}
+
+TEST(TraceIoV2, RecordsNotNumberedFromZeroAreRefused) {
+  const std::string path = tmpPath("seqstart.mtrace");
+  writeNumbered(path, {5, 6, 7, 8});
+  TraceReader rd(path);
+  ASSERT_TRUE(rd.ok()) << rd.error();
+  EXPECT_EQ(drainCount(rd), 0u);
+  EXPECT_FALSE(rd.ok());
+  EXPECT_NE(rd.error().find("record 0 has seq 5"), std::string::npos)
+      << rd.error();
+  EXPECT_NE(rd.error().find("numbered 0, 1, 2"), std::string::npos)
+      << rd.error();
+  std::remove(path.c_str());
+}
+
+TEST(TraceIoV2, GapInRecordNumbersIsRefused) {
+  const std::string path = tmpPath("seqgap.mtrace");
+  writeNumbered(path, {0, 1, 2, 4, 5});
+  TraceReader rd(path);
+  ASSERT_TRUE(rd.ok()) << rd.error();
+  EXPECT_EQ(drainCount(rd), 3u);
+  EXPECT_FALSE(rd.ok());
+  EXPECT_NE(rd.error().find("record 3 has seq 4"), std::string::npos)
       << rd.error();
   std::remove(path.c_str());
 }

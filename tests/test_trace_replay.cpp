@@ -169,6 +169,42 @@ TEST(TraceReplayDeathTest, CappedReplayStillVerifiesChecksum) {
   std::remove(path.c_str());
 }
 
+// A capture's records are numbered 0, 1, 2, ... (docs/FILE_FORMATS.md).
+// Renumbered copies — every seq shifted, or one seq skipped — are refused
+// with the reader's message naming the record, on a baseline and on MALEC
+// alike, instead of indexing the ROB off its end or reporting a run that
+// retired nothing.
+TEST(TraceReplayDeathTest, MisnumberedRecordsAbortWithTheRecord) {
+  const std::string good = tmpPath("seq_good.mtrace");
+  captureTrace(syntheticConfig("gcc", presetMalec(), 2'000), good);
+  std::vector<trace::InstrRecord> recs;
+  {
+    trace::TraceReader rd(good);
+    recs = trace::drain(rd);
+  }
+  ASSERT_EQ(recs.size(), 2'000u);
+  auto rewrite = [&](const std::string& path, auto renumber) {
+    trace::TraceWriter w(path);
+    for (trace::InstrRecord r : recs) {
+      r.seq = renumber(r.seq);
+      w.write(r);
+    }
+    ASSERT_TRUE(w.close());
+  };
+  const std::string shifted = tmpPath("seq_shifted.mtrace");
+  rewrite(shifted, [](SeqNum s) { return s + 100'000; });
+  const std::string gapped = tmpPath("seq_gapped.mtrace");
+  rewrite(gapped, [](SeqNum s) { return s < 700 ? s : s + 1; });
+
+  RunConfig rc = syntheticConfig("gcc", presetBase2ld1st(), 2'000);
+  rc.workload = traceWorkload(shifted);
+  EXPECT_DEATH((void)runOne(rc), "record 0 has seq 100000");
+  rc.interface_cfg = presetMalec();
+  rc.workload = traceWorkload(gapped);
+  EXPECT_DEATH((void)runOne(rc), "record 700 has seq 701");
+  for (const std::string& p : {good, shifted, gapped}) std::remove(p.c_str());
+}
+
 TEST(TraceReplayDeathTest, LayoutMismatchAborts) {
   const std::string path = tmpPath("death_layout.mtrace");
   RunConfig rc = syntheticConfig("gcc", presetMalec(), 64);

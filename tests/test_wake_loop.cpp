@@ -132,22 +132,37 @@ TEST(WakeLoop, EveryPresetMatchesSteppingOnSynthWorkloads) {
 }
 
 TEST(WakeLoop, PinnedExecutedCycleCount) {
-  // MALEC, synth mcf, 300k instructions, seed 1: the cycles the wake-driven
-  // loop steps (a host-side work count — it changes only when the skip
-  // logic does) against the simulated cycles, which never change. The
-  // skipping Probe's beginCycle count is the core's own counter.
-  const sim::RunConfig rc = synthConfig(sim::presetMalec(), "mcf", 300'000, 1);
-  energy::EnergyAccount ea;
-  std::uint64_t begin_cycles = 0;
-  const sim::RunStack stack(rc.interface_cfg, rc.system, ea,
-                            probe(/*stepping=*/false, begin_cycles));
-  trace::SyntheticTraceGenerator gen(rc.workload, rc.system.layout,
-                                     rc.instructions, rc.seed);
-  cpu::CoreModel core(rc.system, rc.interface_cfg, gen, stack.ifc());
-  const cpu::CoreStats cs = core.run(rc.instructions * 60 + 100'000);
-  EXPECT_EQ(cs.cycles, 912'637u);
-  EXPECT_EQ(core.executedCycles(), 291'462u);
-  EXPECT_EQ(begin_cycles, core.executedCycles());
+  // 300k instructions, seed 1: the cycles the wake-driven loop steps (a
+  // host-side work count — it changes only when the skip logic does)
+  // against the simulated cycles, which never change. The skipping Probe's
+  // beginCycle count is the core's own counter.
+  struct Pin {
+    core::InterfaceConfig cfg;
+    const char* bench;
+    Cycle cycles;
+    std::uint64_t executed;
+  };
+  const Pin pins[] = {
+      {sim::presetMalec(), "mcf", 912'637, 291'462},
+      {sim::presetMalec(), "gcc", 170'435, 120'332},
+      {sim::presetMalec(), "djpeg", 85'800, 75'836},
+      {sim::presetBase2ld1st(), "mcf", 903'988, 269'338},
+  };
+  for (const Pin& pin : pins) {
+    const sim::RunConfig rc = synthConfig(pin.cfg, pin.bench, 300'000, 1);
+    energy::EnergyAccount ea;
+    std::uint64_t begin_cycles = 0;
+    const sim::RunStack stack(rc.interface_cfg, rc.system, ea,
+                              probe(/*stepping=*/false, begin_cycles));
+    trace::SyntheticTraceGenerator gen(rc.workload, rc.system.layout,
+                                       rc.instructions, rc.seed);
+    cpu::CoreModel core(rc.system, rc.interface_cfg, gen, stack.ifc());
+    const cpu::CoreStats cs = core.run(rc.instructions * 60 + 100'000);
+    const std::string tag = pin.cfg.name + " " + pin.bench;
+    EXPECT_EQ(cs.cycles, pin.cycles) << tag;
+    EXPECT_EQ(core.executedCycles(), pin.executed) << tag;
+    EXPECT_EQ(begin_cycles, core.executedCycles()) << tag;
+  }
 }
 
 TEST(WakeLoop, TraceReplayCheckpointsAndResumesLikeStepping) {
