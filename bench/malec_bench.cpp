@@ -438,48 +438,16 @@ int main(int argc, char** argv) {
     }
   }
   if (all) {
-    // --all means "everything runnable": a suite whose preconditions this
-    // sweep cannot meet is skipped with a note, never a mid-run abort.
-    // Each trace-dependent spec declares its precondition via all_skip
-    // (no captures registered / no .mplan sidecars; test_suite checks that
-    // every trace:* spec has one); an explicit --suite <name> bypasses the
-    // gates and fails loudly inside the suite.
+    // --all means "everything runnable": a suite this sweep cannot run is
+    // skipped with a note, never a mid-run abort; an explicit --suite
+    // <name> fails loudly inside the suite instead.
     for (const auto& name : sim::specRegistry().names()) {
-      const sim::ExperimentSpec& spec = sim::specRegistry().get(name);
-      if (spec.whole_stream_only && opts.instructions > 0) {
-        std::fprintf(stderr,
-                     "skipping suite '%s' (replays whole traces/plans — "
-                     "--instr does not compose with it)\n",
-                     name.c_str());
+      const std::string why =
+          sim::allSkipReason(sim::specRegistry().get(name), opts);
+      if (!why.empty()) {
+        std::fprintf(stderr, "skipping suite '%s' (%s)\n", name.c_str(),
+                     why.c_str());
         continue;
-      }
-      if (spec.all_skip) {
-        const std::string reason = spec.all_skip(opts);
-        if (!reason.empty()) {
-          std::fprintf(stderr, "skipping suite '%s' (%s)\n", name.c_str(),
-                       reason.c_str());
-          continue;
-        }
-      }
-      // Generic --filter gate, after the per-spec gates: their
-      // diagnostics (MALEC_TRACE_DIR / trace_tools hints) are more
-      // actionable than a filter mismatch.
-      // A suite none of whose workloads match the filter
-      // would abort inside runSuite's empty-filter-match check — under
-      // --all that suite is simply not what the filter was aimed at.
-      if (!opts.workload_filter.empty()) {
-        const auto names = sim::suiteWorkloadNames(spec);
-        const bool any = std::any_of(
-            names.begin(), names.end(), [&](const std::string& n) {
-              return n.find(opts.workload_filter) != std::string::npos;
-            });
-        if (!any) {
-          std::fprintf(stderr,
-                       "skipping suite '%s' (workload filter '%s' matches "
-                       "none of its workloads)\n",
-                       name.c_str(), opts.workload_filter.c_str());
-          continue;
-        }
       }
       suites.push_back(name);
     }

@@ -27,7 +27,7 @@ namespace malec::ckpt {
 
 /// Magic bytes + version identifying a MALEC checkpoint file ("MCKP").
 inline constexpr std::uint32_t kCkptMagic = 0x4D434B50;
-inline constexpr std::uint32_t kCkptVersion = 4;
+inline constexpr std::uint32_t kCkptVersion = 5;
 
 class StateWriter {
  public:

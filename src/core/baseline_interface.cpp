@@ -69,7 +69,7 @@ void BaselineInterface::serviceLoads(Cycle now) {
     ++serviced;
 
     const auto tr = backend_.translate(sys_.layout.pageId(op.vaddr));
-    const Cycle ready = backend_.forwards(op.vaddr, op.size, /*split=*/false)
+    const Cycle ready = backend_.forwards(op.vaddr, op.size)
                             ? now + cfg_.l1_latency
                             : backend_.load(op.vaddr, tr, now);
     backend_.complete(op.seq, ready + tr.extra_latency);

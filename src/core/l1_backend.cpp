@@ -52,7 +52,7 @@ L1Backend::L1Backend(const InterfaceConfig& cfg, const SystemConfig& sys,
           mem::kL2Ways, sys.layout.lineBytes()),
       hier_(l1_, l2_, {sys.l2_latency, sys.dram_latency, sys.mshrs}),
       engine_(engineParams(cfg, waydet_, sys), ea),
-      sb_(sys.sb_entries, sys.layout),
+      sb_(sys.sb_entries),
       mb_(sys.mb_entries, sys.layout) {
   if (waydet_ == WayDetKind::kWdu)
     wdu_ = std::make_unique<waydet::Wdu>(cfg.wdu_entries);
@@ -91,8 +91,9 @@ bool L1Backend::tick() {
   if (!entry.has_value()) return false;
   if (mb_.absorb(entry->vaddr, entry->size)) return true;
   if (mb_.full()) {
-    pending_mbe_ = mb_.evictLru();
-    MALEC_CHECK(pending_mbe_.has_value());
+    const auto evicted = mb_.evictLru();
+    MALEC_CHECK(evicted.has_value());
+    pending_mbe_ = evicted->line_base;
   }
   mb_.allocate(entry->vaddr, entry->size);
   return true;
@@ -100,17 +101,17 @@ bool L1Backend::tick() {
 
 Addr L1Backend::takePendingMbe() {
   MALEC_CHECK(pending_mbe_.has_value());
-  const Addr line_base = pending_mbe_->line_base;
+  const Addr line_base = *pending_mbe_;
   pending_mbe_.reset();
   return line_base;
 }
 
-bool L1Backend::forwards(Addr vaddr, std::uint8_t size, bool split) {
-  if (sb_.coversLoad(vaddr, size, split)) {
+bool L1Backend::forwards(Addr vaddr, std::uint8_t size) {
+  if (sb_.coversLoad(vaddr, size)) {
     ++stats_.sb_forwards;
     return true;
   }
-  if (mb_.coversLoad(vaddr, size, split)) {
+  if (mb_.coversLoad(vaddr, size)) {
     ++stats_.mb_forwards;
     return true;
   }
@@ -237,7 +238,7 @@ void L1Backend::saveState(ckpt::StateWriter& w) const {
   sb_.saveState(w);
   mb_.saveState(w);
   w.u8(pending_mbe_.has_value() ? 1 : 0);
-  if (pending_mbe_.has_value()) lsq::MergeBuffer::saveEntry(w, *pending_mbe_);
+  if (pending_mbe_.has_value()) w.u64(*pending_mbe_);
   completions_.saveState(w);
   for (const auto field : kInterfaceCounterFields) w.u64(stats_.*field);
 }
@@ -255,7 +256,7 @@ void L1Backend::loadState(ckpt::StateReader& r) {
   sb_.loadState(r);
   mb_.loadState(r);
   if (r.u8() != 0) {
-    pending_mbe_ = lsq::MergeBuffer::loadEntry(r);
+    pending_mbe_ = r.u64();
   } else {
     pending_mbe_.reset();
   }

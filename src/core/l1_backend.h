@@ -53,9 +53,8 @@ class L1Backend {
   TranslationEngine::Result translate(PageId vpage) {
     return engine_.translate(vpage);
   }
-  /// Does the SB or MB hold the load's bytes? Counts the forward. `split`
-  /// selects MALEC's shared page-ID comparison.
-  bool forwards(Addr vaddr, std::uint8_t size, bool split);
+  /// Does the SB or MB hold the load's bytes? Counts the forward.
+  bool forwards(Addr vaddr, std::uint8_t size);
   /// L1 read for a load translated by `tr`; returns the data-ready cycle.
   Cycle load(Addr vaddr, const TranslationEngine::Result& tr, Cycle now);
   /// L1 write of the MBE at `vaddr` (write-allocate on a miss).
@@ -121,8 +120,8 @@ class L1Backend {
   std::unique_ptr<waydet::Wdu> wdu_;
   lsq::StoreBuffer sb_;
   lsq::MergeBuffer mb_;
-  /// MB eviction waiting for its L1 write.
-  std::optional<lsq::MergeBuffer::Entry> pending_mbe_;
+  /// Line base of the MB eviction waiting for its L1 write.
+  std::optional<Addr> pending_mbe_;
 
   EventQueue completions_;  ///< (data-ready cycle, seq) load completions
   InterfaceStats stats_;

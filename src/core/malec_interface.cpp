@@ -125,7 +125,7 @@ void MalecInterface::serviceGroup(Cycle now) {
     bool l1_done = false;
     auto serve = [&](const ArbCandidate& m) {
       Cycle ready;
-      if (backend_.forwards(m.vaddr, m.size, /*split=*/true)) {
+      if (backend_.forwards(m.vaddr, m.size)) {
         ready = now + cfg_.l1_latency;  // buffer read, same pipeline depth
       } else if (!l1_done) {
         ready = backend_.load(m.vaddr, tr, now);

@@ -2,8 +2,7 @@
 //
 // The LQ tracks in-flight loads from dispatch to commit. Its energy is
 // excluded from the paper's accounting (similar across configurations), so
-// this model only enforces the structural limit and collects occupancy
-// statistics.
+// this model only enforces the structural limit.
 //
 // Loads allocate in dispatch order (strictly ascending seq) and release at
 // commit, which is program order — the LQ is a strict FIFO. The ring
@@ -40,7 +39,6 @@ class LoadQueue {
                     "duplicate or out-of-order LQ allocation");
     // lint:allow(hot-alloc: FixedRing::push_back writes into a preallocated slab — no allocation)
     ring_.push_back(seq);
-    peak_ = ring_.size() > peak_ ? ring_.size() : peak_;
   }
 
   /// Release at commit (program order — always the oldest live load).
@@ -50,15 +48,11 @@ class LoadQueue {
     ring_.pop_front();
   }
 
-  [[nodiscard]] std::size_t peakOccupancy() const { return peak_; }
-
-  /// Checkpoint/restore of the in-flight load set and peak statistic.
-  /// Ring order is ascending seq, so the bytes match the sorted-set
-  /// serialization this layout replaced.
+  /// Checkpoint/restore of the in-flight load set, in ring order, which
+  /// is ascending seq.
   void saveState(ckpt::StateWriter& w) const {
     w.u64(ring_.size());
     for (std::size_t i = 0; i < ring_.size(); ++i) w.u64(ring_[i]);
-    w.u64(peak_);
   }
   void loadState(ckpt::StateReader& r) {
     ring_.clear();
@@ -66,12 +60,10 @@ class LoadQueue {
     MALEC_CHECK_MSG(n <= ring_.capacity(),
                     "LQ checkpoint exceeds this capacity");
     for (std::uint64_t i = 0; i < n; ++i) ring_.push_back(r.u64());
-    peak_ = static_cast<std::size_t>(r.u64());
   }
 
  private:
   common::FixedRing<SeqNum> ring_;
-  std::size_t peak_ = 0;
 };
 
 }  // namespace malec::lsq

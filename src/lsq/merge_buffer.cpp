@@ -21,8 +21,6 @@ bool MergeBuffer::absorb(Addr vaddr, std::uint8_t size) {
     if (line_base_[i] == line) {
       byte_mask_[i] |= maskFor(vaddr, size);
       lru_[i] = ++tick_;
-      ++merged_[i];
-      ++merges_;
       return true;
     }
   }
@@ -34,8 +32,6 @@ void MergeBuffer::allocate(Addr vaddr, std::uint8_t size) {
   line_base_.push_back(layout_.lineBase(vaddr));
   byte_mask_.push_back(maskFor(vaddr, size));
   lru_.push_back(++tick_);
-  merged_.push_back(1);
-  page_.push_back(layout_.pageId(line_base_.back()));
 }
 
 std::optional<MergeBuffer::Entry> MergeBuffer::evictLru() {
@@ -46,66 +42,29 @@ std::optional<MergeBuffer::Entry> MergeBuffer::evictLru() {
   std::size_t victim = 0;
   for (std::size_t i = 1; i < lru_.size(); ++i)
     if (lru_[i] < lru_[victim]) victim = i;
-  Entry e{line_base_[victim], byte_mask_[victim], lru_[victim],
-          merged_[victim]};
+  Entry e{line_base_[victim], byte_mask_[victim]};
   line_base_.erase(line_base_.begin() + static_cast<std::ptrdiff_t>(victim));
   byte_mask_.erase(byte_mask_.begin() + static_cast<std::ptrdiff_t>(victim));
   lru_.erase(lru_.begin() + static_cast<std::ptrdiff_t>(victim));
-  merged_.erase(merged_.begin() + static_cast<std::ptrdiff_t>(victim));
-  page_.erase(page_.begin() + static_cast<std::ptrdiff_t>(victim));
   return e;
 }
 
-bool MergeBuffer::coversLoad(Addr vaddr, std::uint8_t size,
-                             bool split_lookup) {
+bool MergeBuffer::coversLoad(Addr vaddr, std::uint8_t size) const {
   const Addr line = layout_.lineBase(vaddr);
   const std::uint64_t need = maskFor(vaddr, size);
-  bool covered = false;
-  if (split_lookup) {
-    const PageId page = layout_.pageId(vaddr);
-    page_compares_ += line_base_.size();
-    for (std::size_t i = 0; i < line_base_.size(); ++i) {
-      if (page_[i] != page) continue;
-      ++offset_compares_;
-      if (line_base_[i] == line && (byte_mask_[i] & need) == need)
-        covered = true;
-    }
-  } else {
-    full_compares_ += line_base_.size();
-    for (std::size_t i = 0; i < line_base_.size(); ++i)
-      if (line_base_[i] == line && (byte_mask_[i] & need) == need)
-        covered = true;
-  }
-  if (covered) ++forwards_;
-  return covered;
-}
-
-void MergeBuffer::saveEntry(ckpt::StateWriter& w, const Entry& e) {
-  w.u64(e.line_base);
-  w.u64(e.byte_mask);
-  w.u64(e.lru);
-  w.u32(e.merged_stores);
-}
-
-MergeBuffer::Entry MergeBuffer::loadEntry(ckpt::StateReader& r) {
-  Entry e;
-  e.line_base = r.u64();
-  e.byte_mask = r.u64();
-  e.lru = r.u64();
-  e.merged_stores = r.u32();
-  return e;
+  for (std::size_t i = 0; i < line_base_.size(); ++i)
+    if (line_base_[i] == line && (byte_mask_[i] & need) == need) return true;
+  return false;
 }
 
 void MergeBuffer::saveState(ckpt::StateWriter& w) const {
   w.u64(line_base_.size());
-  for (std::size_t i = 0; i < line_base_.size(); ++i)
-    saveEntry(w, Entry{line_base_[i], byte_mask_[i], lru_[i], merged_[i]});
+  for (std::size_t i = 0; i < line_base_.size(); ++i) {
+    w.u64(line_base_[i]);
+    w.u64(byte_mask_[i]);
+    w.u64(lru_[i]);
+  }
   w.u64(tick_);
-  w.u64(merges_);
-  w.u64(forwards_);
-  w.u64(page_compares_);
-  w.u64(offset_compares_);
-  w.u64(full_compares_);
 }
 
 void MergeBuffer::loadState(ckpt::StateReader& r) {
@@ -115,22 +74,12 @@ void MergeBuffer::loadState(ckpt::StateReader& r) {
   line_base_.clear();
   byte_mask_.clear();
   lru_.clear();
-  merged_.clear();
-  page_.clear();
   for (std::uint64_t i = 0; i < n; ++i) {
-    const Entry e = loadEntry(r);
-    line_base_.push_back(e.line_base);
-    byte_mask_.push_back(e.byte_mask);
-    lru_.push_back(e.lru);
-    merged_.push_back(e.merged_stores);
-    page_.push_back(layout_.pageId(e.line_base));
+    line_base_.push_back(r.u64());
+    byte_mask_.push_back(r.u64());
+    lru_.push_back(r.u64());
   }
   tick_ = r.u64();
-  merges_ = r.u64();
-  forwards_ = r.u64();
-  page_compares_ = r.u64();
-  offset_compares_ = r.u64();
-  full_compares_ = r.u64();
 }
 
 }  // namespace malec::lsq

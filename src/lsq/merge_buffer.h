@@ -19,17 +19,11 @@ namespace malec::lsq {
 
 class MergeBuffer {
  public:
+  /// An evicted entry (MBE): the line it writes and the bytes written.
   struct Entry {
     Addr line_base = 0;         ///< virtual line base the entry covers
     std::uint64_t byte_mask = 0;///< bit i = byte i of the line written
-    std::uint64_t lru = 0;
-    std::uint32_t merged_stores = 0;
   };
-
-  /// Shared Entry checkpoint codec — the buffer itself and every holder
-  /// of a pending eviction serialize through this one field list.
-  static void saveEntry(ckpt::StateWriter& w, const Entry& e);
-  [[nodiscard]] static Entry loadEntry(ckpt::StateReader& r);
 
   MergeBuffer(std::uint32_t capacity, AddressLayout layout)
       : capacity_(capacity), layout_(layout) {}
@@ -47,12 +41,7 @@ class MergeBuffer {
   [[nodiscard]] std::optional<Entry> evictLru();
 
   /// Forwarding: does a Merge Buffer entry hold every byte of the load?
-  /// Counters mirror StoreBuffer's split vs full-width lookup organisation.
-  [[nodiscard]] bool coversLoad(Addr vaddr, std::uint8_t size,
-                                bool split_lookup);
-
-  [[nodiscard]] std::uint64_t forwards() const { return forwards_; }
-  [[nodiscard]] std::uint64_t mergesTotal() const { return merges_; }
+  [[nodiscard]] bool coversLoad(Addr vaddr, std::uint8_t size) const;
 
   /// Checkpoint/restore of all mutable state; restore requires an
   /// identically-configured instance (geometry mismatches abort).
@@ -66,21 +55,12 @@ class MergeBuffer {
   AddressLayout layout_;    // lint:no-state(config)
 
   // Parallel arrays in allocation order (struct-of-arrays: the per-cycle
-  // forwarding scan streams cached page IDs / line bases instead of
-  // striding over structs).
+  // forwarding scan streams line bases instead of striding over structs).
   std::vector<Addr> line_base_;  ///< virtual line base each entry covers
   std::vector<std::uint64_t> byte_mask_;  ///< bit i = byte i written
   std::vector<std::uint64_t> lru_;  ///< unique last-merge ticks
-  std::vector<std::uint32_t> merged_;  ///< stores coalesced per entry
-  // lint:no-state(derived from line_base_; recomputed in loadState)
-  std::vector<PageId> page_;
 
   std::uint64_t tick_ = 0;
-  std::uint64_t merges_ = 0;
-  std::uint64_t forwards_ = 0;
-  std::uint64_t page_compares_ = 0;
-  std::uint64_t offset_compares_ = 0;
-  std::uint64_t full_compares_ = 0;
 };
 
 }  // namespace malec::lsq

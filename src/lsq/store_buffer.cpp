@@ -10,7 +10,6 @@ void StoreBuffer::insert(SeqNum seq, Addr vaddr, std::uint8_t size) {
   seq_.push_back(seq);
   vaddr_.push_back(vaddr);
   size8_.push_back(size);
-  page_.push_back(layout_.pageId(vaddr));
 }
 
 void StoreBuffer::markCommitted(SeqNum seq) {
@@ -33,7 +32,6 @@ std::optional<StoreBuffer::Entry> StoreBuffer::popCommitted() {
   seq_.erase(seq_.begin() + static_cast<std::ptrdiff_t>(i));
   vaddr_.erase(vaddr_.begin() + static_cast<std::ptrdiff_t>(i));
   size8_.erase(size8_.begin() + static_cast<std::ptrdiff_t>(i));
-  page_.erase(page_.begin() + static_cast<std::ptrdiff_t>(i));
   // Close the gap in the mask: bits below i keep their position, bits
   // above shift down by one.
   const std::uint64_t below = committed_mask_ & ((std::uint64_t{1} << i) - 1);
@@ -42,42 +40,15 @@ std::optional<StoreBuffer::Entry> StoreBuffer::popCommitted() {
   return e;
 }
 
-bool StoreBuffer::coversLoad(Addr vaddr, std::uint8_t size,
-                             bool split_lookup) {
+bool StoreBuffer::coversLoad(Addr vaddr, std::uint8_t size) const {
   const Addr lo = vaddr;
   const Addr hi = vaddr + size;
-  bool covered = false;
-  if (split_lookup) {
-    // Shared page-ID segment evaluated once per candidate; the narrow
-    // offset comparator only fires for entries on the matching page.
-    // Branch-free: every entry is evaluated and masked by its page match.
-    const PageId page = layout_.pageId(vaddr);
-    page_compares_ += seq_.size();
-    std::uint64_t offset_fires = 0;
-    unsigned hit = 0;
-    for (std::size_t i = 0; i < seq_.size(); ++i) {
-      const unsigned same_page = page_[i] == page ? 1u : 0u;
-      offset_fires += same_page;
-      hit |= same_page & (vaddr_[i] <= lo ? 1u : 0u) &
-             (vaddr_[i] + size8_[i] >= hi ? 1u : 0u);
-    }
-    offset_compares_ += offset_fires;
-    covered = hit != 0;
-  } else {
-    full_compares_ += seq_.size();
-    for (std::size_t i = 0; i < seq_.size(); ++i)
-      if (vaddr_[i] <= lo && vaddr_[i] + size8_[i] >= hi) covered = true;
-  }
-  if (covered) ++forwards_;
-  return covered;
-}
-
-bool StoreBuffer::hasOverlap(Addr vaddr, std::uint8_t size) const {
-  const Addr lo = vaddr;
-  const Addr hi = vaddr + size;
+  // Branch-free: every entry is evaluated.
+  unsigned hit = 0;
   for (std::size_t i = 0; i < seq_.size(); ++i)
-    if (vaddr_[i] < hi && vaddr_[i] + size8_[i] > lo) return true;
-  return false;
+    hit |= (vaddr_[i] <= lo ? 1u : 0u) &
+           (vaddr_[i] + size8_[i] >= hi ? 1u : 0u);
+  return hit != 0;
 }
 
 void StoreBuffer::saveState(ckpt::StateWriter& w) const {
@@ -88,10 +59,6 @@ void StoreBuffer::saveState(ckpt::StateWriter& w) const {
     w.u8(size8_[i]);
     w.u8(((committed_mask_ >> i) & 1) != 0 ? 1 : 0);
   }
-  w.u64(full_compares_);
-  w.u64(page_compares_);
-  w.u64(offset_compares_);
-  w.u64(forwards_);
 }
 
 void StoreBuffer::loadState(ckpt::StateReader& r) {
@@ -101,19 +68,13 @@ void StoreBuffer::loadState(ckpt::StateReader& r) {
   seq_.clear();
   vaddr_.clear();
   size8_.clear();
-  page_.clear();
   committed_mask_ = 0;
   for (std::uint64_t i = 0; i < n; ++i) {
     seq_.push_back(r.u64());
     vaddr_.push_back(r.u64());
     size8_.push_back(r.u8());
     if (r.u8() != 0) committed_mask_ |= std::uint64_t{1} << i;
-    page_.push_back(layout_.pageId(vaddr_.back()));
   }
-  full_compares_ = r.u64();
-  page_compares_ = r.u64();
-  offset_compares_ = r.u64();
-  forwards_ = r.u64();
 }
 
 }  // namespace malec::lsq

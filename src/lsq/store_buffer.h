@@ -2,16 +2,15 @@
 // (24 entries, paper Table II).
 //
 // Loads must search the SB for younger-store forwarding. MALEC splits that
-// lookup into one shared page-ID comparison (all in-flight candidates are
-// known to share the page being accessed this cycle) plus narrow per-port
-// offset comparators (paper Sec. IV); the baselines compare full addresses
-// on every port. The SB's energy is excluded from the paper's totals, but
-// we still count comparator activity so the simplification is visible in
-// the stats.
+// lookup into one shared page-ID comparison plus narrow per-port offset
+// comparators (paper Sec. IV); the baselines compare full addresses. The
+// split is not modelled: an access never crosses a line, so both layouts
+// forward exactly the same loads, and the SB's energy is outside the
+// paper's totals.
 //
 // Layout: struct-of-arrays in buffer (allocation) order plus a committed
-// bitmask, so the per-cycle forwarding scan streams flat arrays of cached
-// page IDs and popCommitted() finds the oldest committed store with a
+// bitmask, so the per-cycle forwarding scan streams flat arrays and
+// popCommitted() finds the oldest committed store with a
 // count-trailing-zeros instead of a scan.
 #pragma once
 
@@ -19,7 +18,6 @@
 #include <optional>
 #include <vector>
 
-#include "common/address.h"
 #include "common/check.h"
 #include "common/types.h"
 
@@ -39,8 +37,7 @@ class StoreBuffer {
     bool committed = false;
   };
 
-  StoreBuffer(std::uint32_t capacity, AddressLayout layout)
-      : capacity_(capacity), layout_(layout) {
+  explicit StoreBuffer(std::uint32_t capacity) : capacity_(capacity) {
     MALEC_CHECK_MSG(capacity <= 64, "StoreBuffer capacity exceeds bitmask");
   }
 
@@ -57,24 +54,7 @@ class StoreBuffer {
   [[nodiscard]] std::optional<Entry> popCommitted();
 
   /// Forwarding check: does some store fully cover [vaddr, vaddr+size)?
-  /// `split_lookup` selects MALEC's shared-page + narrow-offset comparator
-  /// organisation for the activity counters (result is identical).
-  [[nodiscard]] bool coversLoad(Addr vaddr, std::uint8_t size,
-                                bool split_lookup);
-
-  /// True if any store to the same line is older than `seq` (used to hold
-  /// loads that would bypass an unresolved overlapping store).
-  [[nodiscard]] bool hasOverlap(Addr vaddr, std::uint8_t size) const;
-
-  // --- activity counters (informational; energy excluded per paper VI-A) ---
-  [[nodiscard]] std::uint64_t fullWidthCompares() const {
-    return full_compares_;
-  }
-  [[nodiscard]] std::uint64_t pageCompares() const { return page_compares_; }
-  [[nodiscard]] std::uint64_t offsetCompares() const {
-    return offset_compares_;
-  }
-  [[nodiscard]] std::uint64_t forwards() const { return forwards_; }
+  [[nodiscard]] bool coversLoad(Addr vaddr, std::uint8_t size) const;
 
   /// Checkpoint/restore of all mutable state; restore requires an
   /// identically-configured instance (geometry mismatches abort).
@@ -83,24 +63,16 @@ class StoreBuffer {
 
  private:
   std::uint32_t capacity_;  // lint:no-state(config; bounds-checked on load)
-  AddressLayout layout_;    // lint:no-state(config)
 
   // Parallel arrays ordered oldest -> youngest (buffer order).
   std::vector<SeqNum> seq_;
   std::vector<Addr> vaddr_;
   std::vector<std::uint8_t> size8_;
-  // lint:no-state(derived from vaddr_; recomputed in loadState)
-  std::vector<PageId> page_;
   /// Bit i set = entry i committed. Commits can arrive out of buffer order
   /// (test_store_buffer pins this), so this is a mask, not a prefix
   /// counter; the lowest set bit is always the oldest committed store in
   /// buffer order — exactly what popCommitted must drain first.
   std::uint64_t committed_mask_ = 0;
-
-  std::uint64_t full_compares_ = 0;
-  std::uint64_t page_compares_ = 0;
-  std::uint64_t offset_compares_ = 0;
-  std::uint64_t forwards_ = 0;
 };
 
 }  // namespace malec::lsq

@@ -57,7 +57,6 @@ MemoryHierarchy::MissOutcome MemoryHierarchy::missAccess(
       if (is_store) l1_.markDirty(paddr, *way);
     } else {
       installL1(paddr, l1_ways, is_store, out);
-      pending_[i].way = out.l1_way;
     }
     return out;
   }
@@ -78,7 +77,7 @@ MemoryHierarchy::MissOutcome MemoryHierarchy::missAccess(
   out.ready_cycle = now + latency;
   installL1(paddr, l1_ways, is_store, out);
   // lint:allow(hot-alloc: reserved at construction; a burst past that grows it once and the capacity is kept)
-  pending_.push_back(PendingFill{line_base, out.ready_cycle, out.l1_way});
+  pending_.push_back(PendingFill{line_base, out.ready_cycle});
   return out;
 }
 
@@ -100,16 +99,14 @@ void MemoryHierarchy::installL1(Addr paddr, std::uint64_t l1_ways,
 void MemoryHierarchy::saveState(ckpt::StateWriter& w) const {
   // pending_ is unordered — serialize sorted by line base so the same
   // state always produces the same checkpoint bytes.
-  std::vector<std::pair<Addr, std::pair<Cycle, WayIdx>>> pend;
+  std::vector<std::pair<Addr, Cycle>> pend;
   pend.reserve(pending_.size());
-  for (const PendingFill& f : pending_)
-    pend.push_back({f.line_base, {f.ready, f.way}});
+  for (const PendingFill& f : pending_) pend.emplace_back(f.line_base, f.ready);
   std::sort(pend.begin(), pend.end());
   w.u64(pend.size());
-  for (const auto& [line, rdy] : pend) {
+  for (const auto& [line, ready] : pend) {
     w.u64(line);
-    w.u64(rdy.first);
-    w.u8(static_cast<std::uint8_t>(rdy.second));
+    w.u64(ready);
   }
 }
 
@@ -120,7 +117,6 @@ void MemoryHierarchy::loadState(ckpt::StateReader& r) {
     PendingFill f;
     f.line_base = r.u64();
     f.ready = r.u64();
-    f.way = static_cast<WayIdx>(r.u8());
     pending_.push_back(f);
   }
 }

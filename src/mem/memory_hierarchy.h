@@ -67,7 +67,6 @@ class MemoryHierarchy {
   struct PendingFill {
     Addr line_base;
     Cycle ready;
-    WayIdx way;
   };
 
   /// Drop the fills complete by `now` (one in-place compaction pass) and

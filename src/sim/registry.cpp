@@ -27,11 +27,25 @@ std::string traceStem(const std::string& path) {
          s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
 }
 
+/// The naming/sidecar convention of sampledWorkload alone — no plan load.
+/// Only for the directory scan, whose loadBoundPlan call already decided.
+trace::WorkloadProfile sampledWorkloadUnchecked(
+    const trace::WorkloadProfile& wl, const std::string& plan_path) {
+  MALEC_CHECK_MSG(wl.isTrace(),
+                  "sampledWorkload() needs a trace-backed workload");
+  trace::WorkloadProfile out = wl;
+  out.sample_plan_path =
+      plan_path.empty() ? phase::planSidecarPath(wl.trace_path) : plan_path;
+  out.name = wl.name + kSampledSuffix;
+  return out;
+}
+
 /// One trace-replay workload per *.mtrace in `dir`, sorted by filename so
 /// the registration (and table-row) order is stable across platforms. A
 /// trace with a VALID `.mplan` sidecar additionally registers its
 /// phase-sampled variant ("trace:<stem>:sampled"); a missing or unusable
-/// sidecar just skips the variant — the phase_sampled suite reports why.
+/// sidecar just skips the variant — a suite that selects sampled replays
+/// and finds none names each capture's reason (see resolveSuiteContext).
 void registerTraceDir(Registry<trace::WorkloadProfile>& reg,
                       const std::string& dir) {
   std::error_code ec;
@@ -53,7 +67,7 @@ void registerTraceDir(Registry<trace::WorkloadProfile>& reg,
     std::string err;
     if (!phase::loadBoundPlan(phase::planSidecarPath(p), p, plan, err))
       continue;
-    const auto sampled = sampledWorkloadUnchecked(wl);
+    const auto sampled = sampledWorkloadUnchecked(wl, "");
     reg.add(sampled.name, sampled);
   }
 }
@@ -90,20 +104,8 @@ trace::WorkloadProfile traceWorkload(const std::string& path) {
   return wl;
 }
 
-trace::WorkloadProfile sampledWorkloadUnchecked(
-    const trace::WorkloadProfile& wl, const std::string& plan_path) {
-  MALEC_CHECK_MSG(wl.isTrace(),
-                  "sampledWorkload() needs a trace-backed workload");
-  trace::WorkloadProfile out = wl;
-  out.sample_plan_path =
-      plan_path.empty() ? phase::planSidecarPath(wl.trace_path) : plan_path;
-  out.name = wl.name + ":sampled";
-  return out;
-}
-
 trace::WorkloadProfile sampledWorkload(const trace::WorkloadProfile& wl,
-                                       const std::string& plan_path,
-                                       phase::SamplePlan* out_plan) {
+                                       const std::string& plan_path) {
   trace::WorkloadProfile out = sampledWorkloadUnchecked(wl, plan_path);
   phase::SamplePlan plan;
   std::string err;
@@ -113,8 +115,19 @@ trace::WorkloadProfile sampledWorkload(const trace::WorkloadProfile& wl,
         "`";
     MALEC_CHECK_MSG(false, msg.c_str());
   }
-  if (out_plan != nullptr) *out_plan = std::move(plan);
   return out;
+}
+
+std::string fullReplayName(const std::string& name) {
+  // The suffix only counts when a non-empty base remains after stripping
+  // it: the degenerate name "trace:sampled" means the path "sampled", not
+  // a sampled nothing.
+  const std::size_t scheme = std::string(kTraceScheme).size();
+  const std::size_t suffix = std::string(kSampledSuffix).size();
+  if (name.rfind(kTraceScheme, 0) != 0 || !endsWith(name, kSampledSuffix) ||
+      name.size() <= scheme + suffix)
+    return "";
+  return name.substr(0, name.size() - suffix);
 }
 
 trace::WorkloadProfile resolveWorkload(const std::string& name) {
@@ -123,15 +136,9 @@ trace::WorkloadProfile resolveWorkload(const std::string& name) {
   if (name.rfind(kTraceScheme, 0) == 0) {
     // A ":sampled" suffix selects phase-sampled replay of the named trace
     // — it must never be swallowed into the file path (a path ending in
-    // ":sampled" is no trace anyone captured). The suffix only counts when
-    // a non-empty base remains after stripping it: the degenerate name
-    // "trace:sampled" means the path "sampled", not a sampled nothing.
-    if (endsWith(name, kSampledSuffix) &&
-        name.size() >
-            std::string(kTraceScheme).size() +
-                std::string(kSampledSuffix).size()) {
-      const std::string base_name =
-          name.substr(0, name.size() - std::string(kSampledSuffix).size());
+    // ":sampled" is no trace anyone captured).
+    if (const std::string base_name = fullReplayName(name);
+        !base_name.empty()) {
       // "trace:<stem>:sampled" for a registered stem whose sidecar was
       // missing/stale at scan time: resolve through the registered base so
       // the error names the plan, not a nonexistent file called "<stem>".

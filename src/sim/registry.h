@@ -15,10 +15,6 @@
 #include "core/interface_config.h"
 #include "trace/workload_profile.h"
 
-namespace malec::phase {
-struct SamplePlan;
-}
-
 namespace malec::sim {
 
 template <typename T>
@@ -116,19 +112,15 @@ void registerTraceWorkloadsFrom(const std::string& dir);
 /// sidecar next to the trace, see phase::planSidecarPath) and the name
 /// suffixed ":sampled". The plan file is loaded and validated up front so a
 /// missing or corrupt plan aborts here — with a `trace_tools phases` hint —
-/// rather than deep inside a sweep. `out_plan` (optional) receives that
-/// parsed plan, so callers that report on it (the phase_sampled suite)
-/// need no second load. This helper owns the sidecar/naming convention —
-/// never hand-build sampled profiles elsewhere.
+/// rather than deep inside a sweep. This helper owns the sidecar/naming
+/// convention — never hand-build sampled profiles elsewhere.
 [[nodiscard]] trace::WorkloadProfile sampledWorkload(
-    const trace::WorkloadProfile& wl, const std::string& plan_path = "",
-    phase::SamplePlan* out_plan = nullptr);
-
-/// The naming/sidecar convention alone — no plan load, no validation.
-/// Only for callers that have ALREADY validated the plan themselves (the
-/// phase_sampled suite); everything else goes through sampledWorkload.
-[[nodiscard]] trace::WorkloadProfile sampledWorkloadUnchecked(
     const trace::WorkloadProfile& wl, const std::string& plan_path = "");
+
+/// The name of the full replay a sampled workload name estimates
+/// ("trace:gcc:sampled" -> "trace:gcc"); empty when `name` selects no
+/// sampled replay. The bare "trace:sampled" is the trace file "sampled".
+[[nodiscard]] std::string fullReplayName(const std::string& name);
 
 /// All interface-configuration presets of presets.h, keyed by the
 /// configuration name they produce (e.g. "MALEC", "MALEC_WDU16").

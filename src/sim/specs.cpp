@@ -3,7 +3,6 @@
 // columns, normalisation rule and paper anchors. `malec_bench --suite
 // <name>` drives any spec by name.
 #include <algorithm>
-#include <chrono>
 #include <cstdarg>
 #include <cstdio>
 #include <map>
@@ -673,21 +672,6 @@ ExperimentSpec specTraceReplay() {
   };
   // 0 = replay each trace in full; MALEC_INSTR / --instr still cap it.
   s.default_instructions = 0;
-  // --all gate: without any registered capture matching the sweep's
-  // filter, the suite body (trace:* expansion / the empty-filter-match
-  // check) would abort the sweep mid-stream.
-  s.all_skip = [](const SuiteOptions& opts) {
-    for (const auto& name : workloadRegistry().names()) {
-      if (!workloadRegistry().get(name).isTrace()) continue;
-      if (!opts.workload_filter.empty() &&
-          name.find(opts.workload_filter) == std::string::npos)
-        continue;
-      return std::string();
-    }
-    return std::string(
-        "no trace workloads registered (or none match --filter) — set "
-        "MALEC_TRACE_DIR to include it");
-  };
   TableSpec tt;
   tt.name = "trace_replay_time";
   tt.title = "Trace replay — normalized execution time [%] (Base1ldst = 100)";
@@ -721,149 +705,103 @@ ExperimentSpec specTraceReplay() {
 
 // --- phase-sampled replay: sampled vs full on captured traces ---------------
 
+/// The row holding workload `w`'s full replay: `w` itself unless it is a
+/// sampled replay, whose capture "trace:*:sampled" lists right before it.
+std::size_t fullReplayRow(const SuiteContext& ctx, std::size_t w) {
+  const std::string full = fullReplayName(ctx.workloads[w].name);
+  if (full.empty()) return w;
+  for (std::size_t i = 0; i < ctx.workloads.size(); ++i)
+    if (ctx.workloads[i].name == full) return i;
+  const std::string msg = "suite '" + ctx.spec.name + "' has no row '" +
+                          full + "' to compare '" + ctx.workloads[w].name +
+                          "' against";
+  MALEC_CHECK_MSG(false, msg.c_str());
+  return w;
+}
+
+/// Row rule: `metric` x `scale` of every configuration, each followed by
+/// its error [%] against the same configuration's full replay.
+RowFn valueAndErrorFn(double RunOutput::*metric, double scale) {
+  return [metric, scale](const SuiteContext& ctx, std::size_t w) {
+    const auto& outs = ctx.results[w];
+    const auto& full = ctx.results[fullReplayRow(ctx, w)];
+    std::vector<double> row;
+    row.reserve(2 * outs.size());
+    for (std::size_t c = 0; c < outs.size(); ++c) {
+      row.push_back(outs[c].*metric * scale);
+      row.push_back(100.0 * (outs[c].*metric - full[c].*metric) /
+                    full[c].*metric);
+    }
+    return row;
+  };
+}
+
 ExperimentSpec specPhaseSampled() {
   ExperimentSpec s;
   s.name = "phase_sampled";
   s.title =
       "Phase sampling — BBV-interval sampled replay vs full replay "
-      "(error + speedup)";
+      "(error + cost ratio)";
   s.paper_anchor =
       "(the paper simulates one representative Simpoint phase per\n"
       " benchmark instead of the whole run; this suite is the\n"
       " reproduction's analogue — k representative intervals per capture,\n"
       " warmup-primed, weighted back to a whole-trace estimate. err% =\n"
-      " sampled estimate vs measured full replay; speedup = full wall\n"
-      " clock / sampled wall clock. Write plans with `trace_tools phases\n"
-      " <capture>`)";
-  s.workloads = {"trace:*"};
-  // Both replays always stream their plan/trace in full: --instr aborts
-  // and MALEC_INSTR resolves to 0 (see ExperimentSpec::whole_stream_only).
+      " sampled estimate vs the capture's full replay; cost ratio = trace\n"
+      " records / simulated records, warmup included. Write plans with\n"
+      " `trace_tools phases <capture>`)";
+  s.workloads = {"trace:*:sampled"};
+  s.configs = [] {
+    return std::vector<core::InterfaceConfig>{
+        presetBase1ldst(), presetBase2ld1st(), presetMalec()};
+  };
+  // Sampled rows make the suite whole-stream: both replays stream their
+  // plan/trace in full (see resolveSuiteContext).
   s.default_instructions = 0;
-  s.whole_stream_only = true;
-  // --all gate: without at least one FILTER-MATCHING capture carrying a
-  // .mplan sidecar the suite body's "no plan anywhere" check would abort
-  // a whole --all sweep mid-stream (the gate honours --filter exactly
-  // like the body's workload resolution does). An explicit --suite
-  // phase_sampled still fails loudly.
-  s.all_skip = [](const SuiteOptions& opts) {
-    bool any_trace = false;
-    for (const auto& name : workloadRegistry().names()) {
-      const trace::WorkloadProfile& wl = workloadRegistry().get(name);
-      if (!wl.isTrace()) continue;
-      if (!opts.workload_filter.empty() &&
-          name.find(opts.workload_filter) == std::string::npos)
-        continue;
-      any_trace = true;
-      // The suite is runnable iff at least one matching capture would NOT
-      // be skipped by the body — same predicate, so the body's ran > 0
-      // check can never abort a sweep this gate admitted.
+  std::vector<std::string> cols;
+  for (const auto& cfg : s.configs()) {
+    cols.push_back(cfg.name);
+    cols.push_back(cfg.name + " err%");
+  }
+  TableSpec ti;
+  ti.name = "phase_sampled_ipc";
+  ti.title = "Phase sampling — IPC, err% vs the capture's full replay";
+  ti.columns = cols;
+  ti.row = valueAndErrorFn(&RunOutput::ipc, 1.0);
+  ti.precision = 3;
+  s.tables.push_back(std::move(ti));
+  TableSpec te;
+  te.name = "phase_sampled_energy";
+  te.title =
+      "Phase sampling — total energy [uJ], err% vs the capture's full "
+      "replay";
+  te.columns = cols;
+  te.row = valueAndErrorFn(&RunOutput::total_pj, 1e-6);
+  te.precision = 3;
+  s.tables.push_back(std::move(te));
+  TableSpec tc;
+  tc.name = "phase_sampled_cost";
+  tc.title =
+      "Phase sampling — cost: trace records over simulated records "
+      "(warmup included)";
+  tc.columns = {"records", "simulated", "ratio x"};
+  tc.row = [](const SuiteContext& ctx, std::size_t w) {
+    const trace::WorkloadProfile& wl = ctx.workloads[w];
+    // Every replay here streams the whole capture, and a sampled estimate
+    // reports the capture's record count too.
+    const auto records = static_cast<double>(ctx.results[w][0].instructions);
+    double simulated = records;
+    if (wl.isSampled()) {
       phase::SamplePlan plan;
-      std::string why;
-      if (phase::loadBoundPlan(phase::planSidecarPath(wl.trace_path),
-                               wl.trace_path, plan, why))
-        return std::string();
+      std::string err;
+      if (!phase::loadSamplePlan(wl.sample_plan_path, plan, err))
+        MALEC_CHECK_MSG(false, err.c_str());
+      simulated = static_cast<double>(plan.simulatedInstructions());
     }
-    if (!any_trace)
-      return std::string(
-          "no trace workloads registered (or none match --filter) — set "
-          "MALEC_TRACE_DIR to include it");
-    return std::string(
-        "no matching capture has a usable .mplan sidecar — run "
-        "`trace_tools phases <capture>`");
+    return std::vector<double>{records, simulated, records / simulated};
   };
-  s.custom = [](SuiteContext& ctx) {
-    ctx.configs = {presetBase1ldst(), presetBase2ld1st(), presetMalec()};
-    Table t("Phase-sampled vs full replay (whole-capture estimates)",
-            {"IPC full", "IPC smpl", "IPC err%", "E full uJ", "E smpl uJ",
-             "E err%", "speedup x"});
-    std::string notes;
-    std::size_t ran = 0;
-    auto seconds = [](std::chrono::steady_clock::time_point t0) {
-      return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                           t0)
-          .count();
-    };
-    for (const auto& wl : ctx.workloads) {
-      // An explicitly-named sampled workload (a registry ":sampled" entry
-      // or an ad-hoc "trace:<path>:sampled") IS the sampled half of its
-      // row; its full-replay half simply strips the plan. A plain trace
-      // workload derives its sampled half from the .mplan sidecar.
-      trace::WorkloadProfile full_wl = wl;
-      trace::WorkloadProfile sampled;
-      phase::SamplePlan plan;
-      if (wl.isSampled()) {
-        full_wl.sample_plan_path.clear();
-        sampled = wl;
-        std::string err;
-        // Suite materialization validated this plan up front; a file that
-        // changed since is a hard error, not a skip.
-        if (!phase::loadSamplePlan(wl.sample_plan_path, plan, err))
-          MALEC_CHECK_MSG(false, err.c_str());
-      } else {
-        const std::string plan_path = phase::planSidecarPath(wl.trace_path);
-        // Keep a plan-less, corrupt-plan or stale-plan capture from
-        // aborting a directory-wide run (malec_bench --all with
-        // MALEC_TRACE_DIR set); the final check below still fails loudly —
-        // with these notes emitted first — when NO capture has a usable
-        // plan.
-        std::string why;
-        if (!phase::loadBoundPlan(plan_path, wl.trace_path, plan, why)) {
-          notes += "skipping " + wl.name + " (" + why +
-                   " — run `trace_tools phases " + wl.trace_path + "`)\n";
-          continue;
-        }
-        // Unchecked variant: loadBoundPlan just validated this exact plan,
-        // so only the naming/sidecar convention is needed.
-        sampled = sampledWorkloadUnchecked(wl, plan_path);
-      }
-      notes += strf(
-          "%s: %llu records, %llu intervals of %llu, %zu phases, "
-          "simulates %.1f%% (warmup %llu/pick)\n",
-          wl.name.c_str(),
-          static_cast<unsigned long long>(plan.trace_records),
-          static_cast<unsigned long long>(plan.totalIntervals()),
-          static_cast<unsigned long long>(plan.interval_size),
-          plan.picks.size(),
-          100.0 * static_cast<double>(plan.simulatedInstructions()) /
-              static_cast<double>(plan.trace_records),
-          static_cast<unsigned long long>(plan.warmup_instructions));
-      for (const auto& cfg : ctx.configs) {
-        RunConfig full;
-        full.workload = full_wl;
-        full.interface_cfg = cfg;
-        full.system = defaultSystem();
-        full.instructions = 0;  // whole trace / whole plan
-        full.seed = ctx.seed;
-        RunConfig smpl = full;
-        smpl.workload = sampled;
-
-        const auto t_full = std::chrono::steady_clock::now();
-        const RunOutput o_full = runOne(full);
-        const double s_full = seconds(t_full);
-        const auto t_smpl = std::chrono::steady_clock::now();
-        const RunOutput o_smpl = runOne(smpl);
-        const double s_smpl = seconds(t_smpl);
-
-        t.addRow(wl.name + " " + cfg.name,
-                 {o_full.ipc, o_smpl.ipc,
-                  100.0 * (o_smpl.ipc - o_full.ipc) / o_full.ipc,
-                  o_full.total_pj * 1e-6, o_smpl.total_pj * 1e-6,
-                  100.0 * (o_smpl.total_pj - o_full.total_pj) /
-                      o_full.total_pj,
-                  s_smpl > 0.0 ? s_full / s_smpl : 0.0});
-        ++ran;
-      }
-    }
-    ctx.progressDots();
-    // Notes first: when the check below aborts an explicit --suite run,
-    // the per-workload skip notes naming the searched plan paths are the
-    // diagnostic the user needs.
-    ctx.emitText(notes + "\n");
-    MALEC_CHECK_MSG(ran > 0,
-                    "phase_sampled found no capture with a .mplan sidecar — "
-                    "run `trace_tools phases <capture>` first");
-    ctx.emitTable(t, "phase_sampled", 3);
-  };
+  tc.precision = 2;
+  s.tables.push_back(std::move(tc));
   return s;
 }
 

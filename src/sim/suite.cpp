@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/binio.h"
+#include "phase/sample_plan.h"
 
 namespace malec::sim {
 
@@ -33,6 +34,25 @@ void SuiteContext::progressDots() const {
   std::fputc('\n', stderr);
 }
 
+namespace {
+
+constexpr const char* kTraceSelector = "trace:*";
+constexpr const char* kSampledSelector = "trace:*:sampled";
+
+bool isTraceName(const std::string& n) { return n.rfind("trace:", 0) == 0; }
+bool isSampledName(const std::string& n) { return !fullReplayName(n).empty(); }
+
+bool listsSelector(const ExperimentSpec& spec, const char* selector) {
+  return std::find(spec.workloads.begin(), spec.workloads.end(), selector) !=
+         spec.workloads.end();
+}
+
+bool keptByFilter(const SuiteOptions& opts, const std::string& n) {
+  return n.find(opts.workload_filter) != std::string::npos;
+}
+
+}  // namespace
+
 std::vector<std::string> suiteWorkloadNames(const ExperimentSpec& spec) {
   const auto& reg = workloadRegistry();
   // "trace:*" in a spec's workload list expands to every registered
@@ -41,7 +61,7 @@ std::vector<std::string> suiteWorkloadNames(const ExperimentSpec& spec) {
   // An empty spec workload list means "the paper's benchmark set", NOT
   // "everything registered": MALEC_TRACE_DIR captures must never leak
   // extra rows (and shifted geomeans) into fig4a & friends — trace
-  // workloads run only where a spec asks for them by name or "trace:*".
+  // workloads run only where a spec asks for them by name or selector.
   std::vector<std::string> base;
   if (spec.workloads.empty()) {
     for (const auto& n : reg.names())
@@ -51,14 +71,20 @@ std::vector<std::string> suiteWorkloadNames(const ExperimentSpec& spec) {
   }
   std::vector<std::string> names;
   for (const auto& name : base) {
-    if (name == "trace:*") {
+    if (name == kTraceSelector) {
       // Plain replays only: the scan also registers "trace:<stem>:sampled"
-      // variants, and those must not leak extra rows into trace_replay (or
-      // sampled-of-sampled workloads into phase_sampled) — sampled
-      // workloads run where a spec names them explicitly.
+      // variants, and those must not leak extra rows into trace_replay —
+      // sampled workloads run where a spec selects them.
       for (const auto& n : reg.names())
-        if (n.rfind("trace:", 0) == 0 && !reg.get(n).isSampled())
-          names.push_back(n);
+        if (isTraceName(n) && !reg.get(n).isSampled()) names.push_back(n);
+    } else if (name == kSampledSelector) {
+      // Each sampled replay right after the capture it estimates, so a
+      // table can hold every sampled row against its full replay.
+      for (const auto& n : reg.names()) {
+        if (!reg.get(n).isSampled()) continue;
+        names.push_back(fullReplayName(n));
+        names.push_back(n);
+      }
     } else {
       names.push_back(name);
     }
@@ -68,28 +94,63 @@ std::vector<std::string> suiteWorkloadNames(const ExperimentSpec& spec) {
 
 namespace {
 
+/// Abort when a trace selector of `spec` expanded to nothing, naming what
+/// to fix: with no capture registered, MALEC_TRACE_DIR; with captures but
+/// no sampled replay, each capture and the reason its plan does not bind.
+void checkTraceSelectors(const ExperimentSpec& spec,
+                         const std::vector<std::string>& names) {
+  const bool sampled = listsSelector(spec, kSampledSelector);
+  if (!sampled && !listsSelector(spec, kTraceSelector)) return;
+  if (std::any_of(names.begin(), names.end(),
+                  sampled ? isSampledName : isTraceName))
+    return;
+  const auto& reg = workloadRegistry();
+  std::string captures;
+  for (const auto& n : reg.names()) {
+    const trace::WorkloadProfile& wl = reg.get(n);
+    if (!wl.isTrace()) continue;
+    // The one binding decision: the scan registered no sampled variant
+    // for a capture because this call refused its plan.
+    phase::SamplePlan plan;
+    std::string why;
+    (void)phase::loadBoundPlan(phase::planSidecarPath(wl.trace_path),
+                               wl.trace_path, plan, why);
+    captures += "\n  " + n + ": " + why;
+  }
+  std::string msg;
+  if (captures.empty()) {
+    msg = "suite '" + spec.name + "' wants trace workloads ('" +
+          (sampled ? kSampledSelector : kTraceSelector) +
+          "') but none are registered — point MALEC_TRACE_DIR at a "
+          "directory of *.mtrace captures or list trace:<path> workloads "
+          "explicitly";
+  } else {
+    msg = "suite '" + spec.name + "' wants sampled replays ('" +
+          kSampledSelector +
+          "') but no registered capture has a usable .mplan sidecar — run "
+          "`trace_tools phases <capture>`:" +
+          captures;
+  }
+  MALEC_CHECK_MSG(false, msg.c_str());
+}
+
 std::vector<trace::WorkloadProfile> resolveWorkloads(
     const ExperimentSpec& spec, const SuiteOptions& opts) {
-  std::vector<trace::WorkloadProfile> wls;
   const std::vector<std::string> names = suiteWorkloadNames(spec);
-  const bool wants_traces =
-      std::find(spec.workloads.begin(), spec.workloads.end(), "trace:*") !=
-      spec.workloads.end();
-  if (wants_traces &&
-      std::none_of(names.begin(), names.end(), [](const std::string& n) {
-        return n.rfind("trace:", 0) == 0;
-      })) {
-    const std::string msg =
-        "suite '" + spec.name +
-        "' wants trace workloads ('trace:*') but none are registered — "
-        "point MALEC_TRACE_DIR at a directory of *.mtrace captures or "
-        "list trace:<path> workloads explicitly";
-    MALEC_CHECK_MSG(false, msg.c_str());
-  }
+  checkTraceSelectors(spec, names);
+  std::vector<trace::WorkloadProfile> wls;
   for (const auto& name : names) {
-    if (!opts.workload_filter.empty() &&
-        name.find(opts.workload_filter) == std::string::npos)
-      continue;
+    if (!keptByFilter(opts, name)) continue;
+    // A sampled row is read against its full replay: a filter must not
+    // split the pair.
+    if (const std::string full = fullReplayName(name);
+        !full.empty() && !keptByFilter(opts, full) &&
+        std::find(names.begin(), names.end(), full) != names.end()) {
+      const std::string msg = "workload filter '" + opts.workload_filter +
+                              "' keeps '" + name + "' but drops '" + full +
+                              "', the full replay it estimates";
+      MALEC_CHECK_MSG(false, msg.c_str());
+    }
     trace::WorkloadProfile wl = resolveWorkload(name);
     // Sampled workloads carry a plan path that would otherwise only be
     // opened mid-sweep — validate it now (the sampled counterpart of the
@@ -128,10 +189,46 @@ Table buildTable(const TableSpec& ts, const SuiteContext& ctx) {
 
 }  // namespace
 
+std::string allSkipReason(const ExperimentSpec& spec,
+                          const SuiteOptions& opts) {
+  std::vector<std::string> names;
+  for (const auto& n : suiteWorkloadNames(spec))
+    if (keptByFilter(opts, n)) names.push_back(n);
+  if (names.empty()) {
+    std::string why = opts.workload_filter.empty()
+                          ? std::string("its workload selector matches "
+                                        "nothing registered")
+                          : "workload filter '" + opts.workload_filter +
+                                "' matches none of its workloads";
+    if (listsSelector(spec, kSampledSelector))
+      why += " — set MALEC_TRACE_DIR to captures with `trace_tools phases` "
+             "plans to include it";
+    else if (listsSelector(spec, kTraceSelector))
+      why += " — set MALEC_TRACE_DIR to include it";
+    return why;
+  }
+  if (opts.instructions > 0 &&
+      std::any_of(names.begin(), names.end(), isSampledName))
+    return "replays whole traces/plans — --instr does not compose with it";
+  return "";
+}
+
 void resolveSuiteContext(SuiteContext& ctx) {
   const ExperimentSpec& spec = ctx.spec;
   const SuiteOptions& opts = ctx.opts;
-  if (spec.whole_stream_only) {
+  ctx.workloads = resolveWorkloads(spec, opts);
+  if (!opts.workload_filter.empty() && ctx.workloads.empty()) {
+    // An exit-0 run with an empty table and all-zero geomeans would look
+    // like a successful result to scripted sink consumers.
+    const std::string msg = "workload filter '" + opts.workload_filter +
+                            "' matches no workload of suite '" + spec.name +
+                            "'";
+    MALEC_CHECK_MSG(false, msg.c_str());
+  }
+  if (std::any_of(ctx.workloads.begin(), ctx.workloads.end(),
+                  [](const trace::WorkloadProfile& wl) {
+                    return wl.isSampled();
+                  })) {
     if (opts.instructions > 0) {
       const std::string msg =
           "suite '" + spec.name +
@@ -147,15 +244,6 @@ void resolveSuiteContext(SuiteContext& ctx) {
   }
   ctx.seed = opts.seed > 0 ? opts.seed : spec.seed;
   ctx.jobs = opts.jobs > 0 ? opts.jobs : parallelJobs();
-  ctx.workloads = resolveWorkloads(spec, opts);
-  if (!opts.workload_filter.empty() && ctx.workloads.empty()) {
-    // An exit-0 run with an empty table and all-zero geomeans would look
-    // like a successful result to scripted sink consumers.
-    const std::string msg = "workload filter '" + opts.workload_filter +
-                            "' matches no workload of suite '" + spec.name +
-                            "'";
-    MALEC_CHECK_MSG(false, msg.c_str());
-  }
   if (spec.configs) ctx.configs = spec.configs();
 }
 

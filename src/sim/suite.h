@@ -88,40 +88,38 @@ struct ExperimentSpec {
   /// Configuration set factory; null for custom suites without a grid.
   std::function<std::vector<core::InterfaceConfig>()> configs;
   std::uint64_t default_instructions = 100'000;
-  /// This suite always streams whole traces/plans (phase_sampled): an
-  /// explicit --instr is a hard error — a cap does not compose with a
-  /// sample plan — while the blanket MALEC_INSTR knob resolves to 0 so a
-  /// job-wide CI budget neither breaks `--all` nor shows up untruthfully
-  /// in SuiteInfo (0 = whole stream, which is what actually runs).
-  bool whole_stream_only = false;
-  /// Optional `--all` gate: return a non-empty reason and the suite is
-  /// skipped (with a note) in an --all sweep whose preconditions it cannot
-  /// meet — an --all run must never abort mid-stream over one
-  /// inapplicable suite. Receives the sweep's options so the gate can
-  /// honour --filter exactly like the suite body will. An explicit
-  /// `--suite <name>` ignores this and fails loudly inside the suite.
-  std::function<std::string(const SuiteOptions&)> all_skip;
   std::uint64_t seed = 1;
   std::vector<TableSpec> tables;
   /// Escape hatch for suites that are not a plain (workload x config)
   /// grid (Fig. 1 locality analysis, the Table I/II methodology dump, the
-  /// host microbenchmarks): when set, runSuite() resolves options and
+  /// way-encoding study): when set, runSuite() resolves options and
   /// workloads, then hands control to this body instead of the matrix +
   /// tables path.
   std::function<void(SuiteContext&)> custom;
 };
 
 /// All registered experiment specs. First use registers the builtin specs
-/// (specs.cpp), one per paper figure, table and host microbenchmark.
+/// (specs.cpp), one per paper figure and table.
 [[nodiscard]] Registry<ExperimentSpec>& specRegistry();
 
 /// The workload names `spec` resolves to BEFORE --filter is applied: an
 /// empty spec list expands to the paper set, "trace:*" to every
-/// registered trace workload (possibly none here — resolveWorkloads
-/// aborts on that with a MALEC_TRACE_DIR hint, the --all gating in
-/// malec_bench skips with a note instead).
+/// registered plain trace workload and "trace:*:sampled" to every
+/// registered "trace:<stem>:sampled", each preceded by its capture
+/// "trace:<stem>". Either selector may expand to nothing here —
+/// resolveSuiteContext aborts on that with a MALEC_TRACE_DIR (or, for
+/// the sampled selector, a per-capture plan) diagnostic, and
+/// `malec_bench --all` skips the suite with a note instead.
 [[nodiscard]] std::vector<std::string> suiteWorkloadNames(
     const ExperimentSpec& spec);
+
+/// Why `malec_bench --all` skips `spec` under `opts` ("" = run it): no
+/// workload is left after --filter (the note names MALEC_TRACE_DIR for a
+/// trace selector, and `trace_tools phases` for the sampled one), or a
+/// sampled workload meets an explicit --instr. resolveSuiteContext would
+/// abort on either; an explicit `--suite` still does.
+[[nodiscard]] std::string allSkipReason(const ExperimentSpec& spec,
+                                        const SuiteOptions& opts);
 
 /// Resolve a SuiteContext's options, workloads and configurations —
 /// everything runSuite does BEFORE any simulation. Shared with the sweep
@@ -129,7 +127,12 @@ struct ExperimentSpec {
 /// in-process run would execute: budget/seed/jobs fallbacks, workload
 /// resolution + filtering (sampled sidecars validated up front), the
 /// empty-filter-match hard error and the config-set factory all live here
-/// once.
+/// once. A suite whose workloads include a sampled replay streams whole
+/// traces and plans: an explicit --instr is refused (a cap does not
+/// compose with a sample plan) and MALEC_INSTR resolves to 0, so a
+/// job-wide CI budget neither breaks `--all` nor shows up untruthfully in
+/// SuiteInfo. A --filter that keeps a sampled replay but drops the full
+/// replay it estimates is refused too.
 void resolveSuiteContext(SuiteContext& ctx);
 
 /// The SuiteInfo sinks are introduced with, derived from a resolved ctx.

@@ -1,7 +1,7 @@
 // Query engine over a loaded `.mstore`: select / filter / sort /
-// group-geomean over the columnar directory, rendered as an aligned text
-// table or JSON-lines — `malec_bench query`'s engine, separated so tests
-// drive it directly.
+// group-geomean over the stored runs' query fields, rendered as an aligned
+// text table or JSON-lines — `malec_bench query`'s engine, separated so
+// tests drive it directly.
 //
 // Determinism contract: rows start in file order (segment append order,
 // matrix order within a segment); sorts are stable, so equal keys keep

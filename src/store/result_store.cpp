@@ -1,26 +1,10 @@
 #include "store/result_store.h"
 
-#include <cstring>
-
 #include "ckpt/state_io.h"
 #include "common/check.h"
 #include "sweep/result_codec.h"
 
 namespace malec::store {
-
-namespace {
-
-/// Doubles are compared as bit patterns everywhere in this file: the
-/// directory is a cache of the blob's values, and "equal" means the exact
-/// bits a re-run would produce — an epsilon here would let a corrupted
-/// index hide behind rounding.
-std::uint64_t bits(double v) {
-  std::uint64_t b;
-  std::memcpy(&b, &v, sizeof b);
-  return b;
-}
-
-}  // namespace
 
 bool ResultStore::load(const std::string& path, std::string& err) {
   segments_.clear();
@@ -58,6 +42,21 @@ bool ResultStore::load(const std::string& path, std::string& err) {
       run.instructions = seg.instructions;
       run.blob.resize(r.count(1));
       r.bytes(run.blob.data(), run.blob.size());
+      // The blob is the record: the query columns are read out of it.
+      sim::RunOutput out;
+      std::string decode_err;
+      if (!sweep::decodeRunOutput(run.blob.data(), run.blob.size(), out,
+                                  decode_err)) {
+        err = "'" + path + "': run " + std::to_string(runs_.size()) +
+              "'s blob does not decode (" + decode_err +
+              ") — the store is corrupt";
+        return false;
+      }
+      run.workload = std::move(out.benchmark);
+      run.config = std::move(out.config);
+      run.cycles = out.cycles;
+      run.ipc = out.ipc;
+      run.total_pj = out.total_pj;
       runs_.push_back(std::move(run));
     }
     segments_.push_back(std::move(seg));
@@ -68,52 +67,6 @@ bool ResultStore::load(const std::string& path, std::string& err) {
           " runs but the segments hold " + std::to_string(runs_.size()) +
           " — the store is corrupt";
     return false;
-  }
-
-  // The columnar directory, cross-checked field by field against the
-  // decoded blobs: a query must never answer from an index the payload
-  // disagrees with.
-  r.openSection("columns");
-  const std::uint64_t dir_count = r.u64();
-  if (dir_count != run_count) {
-    err = "'" + path + "': column directory holds " +
-          std::to_string(dir_count) + " entries for " +
-          std::to_string(run_count) + " runs — the store is corrupt";
-    return false;
-  }
-  for (StoreRun& run : runs_) run.segment = r.u32();
-  for (StoreRun& run : runs_) run.workload = r.str();
-  for (StoreRun& run : runs_) run.config = r.str();
-  for (StoreRun& run : runs_) run.seed = r.u64();
-  for (StoreRun& run : runs_) run.instructions = r.u64();
-  for (StoreRun& run : runs_) run.cycles = r.u64();
-  for (StoreRun& run : runs_) run.ipc = r.f64();
-  for (StoreRun& run : runs_) run.total_pj = r.f64();
-  r.endSection();
-
-  std::size_t at = 0;
-  for (std::uint32_t s = 0; s < segment_count; ++s) {
-    const StoreSegment& seg = segments_[s];
-    for (std::uint32_t i = 0; i < seg.run_count; ++i, ++at) {
-      const StoreRun& run = runs_[at];
-      sim::RunOutput out;
-      std::string decode_err;
-      const bool index_ok =
-          run.segment == s && run.seed == seg.seed &&
-          run.instructions == seg.instructions &&
-          sweep::decodeRunOutput(run.blob.data(), run.blob.size(), out,
-                                 decode_err) &&
-          out.benchmark == run.workload && out.config == run.config &&
-          out.cycles == run.cycles && bits(out.ipc) == bits(run.ipc) &&
-          bits(out.total_pj) == bits(run.total_pj);
-      if (!index_ok) {
-        err = "'" + path + "': column directory disagrees with run " +
-              std::to_string(at) + "'s blob" +
-              (decode_err.empty() ? "" : " (" + decode_err + ")") +
-              " — the store is corrupt";
-        return false;
-      }
-    }
   }
   return true;
 }
@@ -170,18 +123,6 @@ bool ResultStore::save(const std::string& path, std::string& err) const {
       w.bytes(run.blob.data(), run.blob.size());
     }
   }
-  w.endSection();
-
-  w.beginSection("columns");
-  w.u64(static_cast<std::uint64_t>(runs_.size()));
-  for (const StoreRun& run : runs_) w.u32(run.segment);
-  for (const StoreRun& run : runs_) w.str(run.workload);
-  for (const StoreRun& run : runs_) w.str(run.config);
-  for (const StoreRun& run : runs_) w.u64(run.seed);
-  for (const StoreRun& run : runs_) w.u64(run.instructions);
-  for (const StoreRun& run : runs_) w.u64(run.cycles);
-  for (const StoreRun& run : runs_) w.f64(run.ipc);
-  for (const StoreRun& run : runs_) w.f64(run.total_pj);
   w.endSection();
 
   return w.writeTo(path, err);

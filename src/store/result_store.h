@@ -1,4 +1,4 @@
-// The `.mstore` v1 result store: a durable, queryable home for sweep
+// The `.mstore` v2 result store: a durable, queryable home for sweep
 // results — the layer between "a sweep printed tables" and "thousands of
 // configs, millions of runs".
 //
@@ -8,11 +8,9 @@
 // One segment = one executed grid: its suite name, resolved budget and
 // seed, the grid fingerprint (sim::gridFingerprintParts — the identity the
 // sweep journal binds to) and every cell's full RunOutput encoded with the
-// sweep result codec. Beside the segments sits a columnar DIRECTORY
-// (workload / config / seed / budget / cycles / IPC / energy per run) so
-// queries never decode a blob; the directory is cross-checked against the
-// blobs at load, so a store whose index disagrees with its payload is a
-// hard error, not a wrong answer.
+// sweep result codec. Load decodes every blob and reads each run's query
+// fields (workload / config / cycles / IPC / energy) out of it, so there
+// is no separate index that could disagree with the payload.
 //
 // Two writers append segments: StoreSink (suite grids, fed by runSuite or
 // the sweep coordinator — a `--resume` of a journal lands there too) and
@@ -20,7 +18,7 @@
 //
 // Like every MALEC format the store is strict: bad magic, version skew,
 // truncation, checksum mismatch, count mismatches, duplicate segment
-// fingerprints and index/blob disagreement all fail loudly. Byte-level
+// fingerprints and a blob that does not decode all fail loudly. Byte-level
 // layout: docs/FILE_FORMATS.md. Writes rewrite the whole file atomically —
 // append = load + appendSegment + save — which keeps the on-disk bytes a
 // pure function of the segment history, the property the CI determinism
@@ -37,7 +35,7 @@ namespace malec::store {
 
 /// Magic bytes + version identifying a MALEC result store ("MSTR").
 inline constexpr std::uint32_t kStoreMagic = 0x4D535452;
-inline constexpr std::uint32_t kStoreVersion = 1;
+inline constexpr std::uint32_t kStoreVersion = 2;
 
 /// One appended grid: the identity every run in it shares.
 struct StoreSegment {
@@ -48,9 +46,9 @@ struct StoreSegment {
   std::uint32_t run_count = 0;
 };
 
-/// One stored run: the columnar directory entry plus the full encoded
-/// RunOutput blob (sweep::encodeRunOutput). The directory fields answer
-/// queries without decoding; the blob holds every counter for when a
+/// One stored run: the query fields, filled from its segment and its
+/// decoded blob, plus the full encoded RunOutput blob
+/// (sweep::encodeRunOutput), which holds every counter for when a
 /// consumer wants the rest.
 struct StoreRun {
   std::uint32_t segment = 0;  ///< index into segments()

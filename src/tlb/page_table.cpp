@@ -17,7 +17,6 @@ PageTable::PageTable(std::uint32_t phys_pages, std::uint64_t seed)
 PageId PageTable::translate(PageId vpage) {
   auto it = map_.find(vpage);
   if (it != map_.end()) return it->second;
-  ++walks_;
   // splitmix-style mix keyed by the seed picks the preferred frame...
   std::uint64_t x = (static_cast<std::uint64_t>(vpage) + seed_) *
                     0x9E3779B97F4A7C15ull;
@@ -43,7 +42,6 @@ PageId PageTable::translate(PageId vpage) {
   return ppage;
 }
 
-
 void PageTable::saveState(ckpt::StateWriter& w) const {
   // map_ is an unordered map — serialize sorted by virtual page so the
   // same state always produces the same checkpoint bytes. used_ is NOT
@@ -56,7 +54,6 @@ void PageTable::saveState(ckpt::StateWriter& w) const {
     w.u32(vpage);
     w.u32(ppage);
   }
-  w.u64(walks_);
 }
 
 void PageTable::loadState(ckpt::StateReader& r) {
@@ -69,7 +66,6 @@ void PageTable::loadState(ckpt::StateReader& r) {
     map_.emplace(vpage, ppage);
     used_.insert(ppage);
   }
-  walks_ = r.u64();
 }
 
 }  // namespace malec::tlb

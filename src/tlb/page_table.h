@@ -36,8 +36,6 @@ class PageTable {
   [[nodiscard]] Cycle walkLatency() const { return walk_latency_; }
   void setWalkLatency(Cycle c) { walk_latency_ = c; }
 
-  [[nodiscard]] std::uint64_t walks() const { return walks_; }
-
   /// Checkpoint/restore of all mutable state; restore requires an
   /// a page table built with the same seed and frame count.
   void saveState(ckpt::StateWriter& w) const;
@@ -49,7 +47,6 @@ class PageTable {
   Cycle walk_latency_ = 30;   // lint:no-state(config)
   std::unordered_map<PageId, PageId> map_;
   std::unordered_set<PageId> used_;  // lint:no-state(derived; rebuilt from map_ in loadState)
-  std::uint64_t walks_ = 0;
 };
 
 }  // namespace malec::tlb

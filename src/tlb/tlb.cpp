@@ -15,11 +15,9 @@ std::optional<std::uint32_t> Tlb::lookupV(PageId vpage) {
   for (std::uint32_t i = 0; i < slots_.size(); ++i) {
     if (slots_[i].valid && slots_[i].vpage == vpage) {
       repl_->touch(0, i);
-      ++hits_;
       return i;
     }
   }
-  ++misses_;
   return std::nullopt;
 }
 
@@ -57,7 +55,6 @@ Tlb::Insertion Tlb::insert(PageId vpage, PageId ppage) {
       slots_.size() >= 64 ? ~0ull : ((1ull << slots_.size()) - 1);
   ins.slot = repl_->victim(0, all);
   ins.displaced = slots_[ins.slot];
-  if (ins.displaced.valid) ++evictions_;
   slots_[ins.slot] = Entry{true, vpage, ppage};
   repl_->fill(0, ins.slot);
   return ins;
@@ -73,7 +70,6 @@ const Tlb::Entry& Tlb::entry(std::uint32_t slot) const {
   return slots_[slot];
 }
 
-
 void Tlb::saveState(ckpt::StateWriter& w) const {
   w.u64(slots_.size());
   for (const Entry& e : slots_) {
@@ -82,9 +78,6 @@ void Tlb::saveState(ckpt::StateWriter& w) const {
     w.u32(e.ppage);
   }
   repl_->saveState(w);
-  w.u64(hits_);
-  w.u64(misses_);
-  w.u64(evictions_);
 }
 
 void Tlb::loadState(ckpt::StateReader& r) {
@@ -96,9 +89,6 @@ void Tlb::loadState(ckpt::StateReader& r) {
     e.ppage = r.u32();
   }
   repl_->loadState(r);
-  hits_ = r.u64();
-  misses_ = r.u64();
-  evictions_ = r.u64();
 }
 
 }  // namespace malec::tlb

@@ -58,13 +58,10 @@ class Tlb {
   [[nodiscard]] std::optional<std::uint32_t> probeV(PageId vpage) const;
 
   /// Replay the bookkeeping of a lookupV hit on an already-known slot
-  /// (memoized translation fast path): the identical replacement touch and
-  /// hit count, without the associative scan. Caller guarantees the slot
-  /// still maps the page it memoized.
-  void repeatHit(std::uint32_t slot) {
-    repl_->touch(0, slot);
-    ++hits_;
-  }
+  /// (memoized translation fast path): the identical replacement touch,
+  /// without the associative scan. Caller guarantees the slot still maps
+  /// the page it memoized.
+  void repeatHit(std::uint32_t slot) { repl_->touch(0, slot); }
 
   struct Insertion {
     std::uint32_t slot = 0;  ///< the slot now holding the translation
@@ -83,9 +80,6 @@ class Tlb {
   [[nodiscard]] std::uint32_t entries() const {
     return static_cast<std::uint32_t>(slots_.size());
   }
-  [[nodiscard]] std::uint64_t hits() const { return hits_; }
-  [[nodiscard]] std::uint64_t misses() const { return misses_; }
-  [[nodiscard]] std::uint64_t evictions() const { return evictions_; }
 
   /// Checkpoint/restore of all mutable state; restore requires an
   /// identically-configured instance (geometry mismatches abort).
@@ -95,9 +89,6 @@ class Tlb {
  private:
   std::vector<Entry> slots_;
   std::unique_ptr<mem::ReplacementPolicy> repl_;
-  std::uint64_t hits_ = 0;
-  std::uint64_t misses_ = 0;
-  std::uint64_t evictions_ = 0;
 };
 
 }  // namespace malec::tlb

@@ -333,7 +333,6 @@ std::string writeCoreSection(const char* name,
   for (int queue = 0; queue < 3; ++queue) w.u64(0);  // ready, loads, stores
   w.u64(0);  // execution events
   w.u64(0);  // load queue entries
-  w.u64(0);  // load queue peak
   for (int stat = 0; stat < 8; ++stat) w.u64(0);
   w.endSection();
   std::string err;
@@ -505,8 +504,8 @@ TEST(CheckpointDeathTest, VersionSkewAborts) {
   RunConfig rc = baseConfig("gcc", presetMalec(), 2'000);
   const std::string path = writeCheckpoint(rc, "version.mckpt");
   rc.start_ckpt = path;
-  // Versions 1 to 3 predate the interface section's current field order.
-  for (const int version : {1, 2, 3, 9}) {
+  // Versions 1 to 4 predate the interface section's current field order.
+  for (const int version : {1, 2, 3, 4, 9}) {
     std::FILE* f = std::fopen(path.c_str(), "r+b");
     std::fseek(f, 4, SEEK_SET);
     std::fputc(version, f);

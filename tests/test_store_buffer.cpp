@@ -6,7 +6,7 @@ namespace malec::lsq {
 namespace {
 
 StoreBuffer makeSb(std::uint32_t cap = 24) {
-  return StoreBuffer(cap, AddressLayout{});
+  return StoreBuffer(cap);
 }
 
 TEST(StoreBuffer, InsertAndCapacity) {
@@ -40,29 +40,25 @@ TEST(StoreBuffer, CommittedDrainInOrder) {
 TEST(StoreBuffer, ForwardingRequiresFullContainment) {
   StoreBuffer sb = makeSb();
   sb.insert(1, 0x1000, 8);
-  EXPECT_TRUE(sb.coversLoad(0x1000, 8, false));
-  EXPECT_TRUE(sb.coversLoad(0x1004, 4, false));
-  EXPECT_FALSE(sb.coversLoad(0x1004, 8, false));  // spills past the store
-  EXPECT_FALSE(sb.coversLoad(0x0FFC, 8, false));  // starts before it
-  EXPECT_FALSE(sb.coversLoad(0x2000, 8, false));
-  EXPECT_EQ(sb.forwards(), 2u);
+  EXPECT_TRUE(sb.coversLoad(0x1000, 8));
+  EXPECT_TRUE(sb.coversLoad(0x1004, 4));
+  EXPECT_FALSE(sb.coversLoad(0x1004, 8));  // spills past the store
+  EXPECT_FALSE(sb.coversLoad(0x0FFC, 8));  // starts before it
+  EXPECT_FALSE(sb.coversLoad(0x2000, 8));
 }
 
-TEST(StoreBuffer, SplitLookupSameResultFewerNarrowCompares) {
+// Any one buffered store covering the load forwards it, whichever page the
+// other stores sit on; the same offset on another page does not.
+TEST(StoreBuffer, ForwardsFromTheCoveringStoreAmongMany) {
   StoreBuffer sb = makeSb();
-  // Three stores on one page, one on another.
   sb.insert(1, 0x10'1000, 8);
   sb.insert(2, 0x10'1010, 8);
   sb.insert(3, 0x10'1020, 8);
   sb.insert(4, 0x20'0000, 8);
-
-  EXPECT_TRUE(sb.coversLoad(0x10'1010, 8, /*split=*/true));
-  EXPECT_TRUE(sb.coversLoad(0x10'1010, 8, /*split=*/false));
-  // Split organisation: 4 shared page compares, but only the 3 same-page
-  // entries activate the narrow offset comparators (paper Sec. IV).
-  EXPECT_EQ(sb.pageCompares(), 4u);
-  EXPECT_EQ(sb.offsetCompares(), 3u);
-  EXPECT_EQ(sb.fullWidthCompares(), 4u);
+  EXPECT_TRUE(sb.coversLoad(0x10'1010, 8));
+  EXPECT_TRUE(sb.coversLoad(0x20'0004, 4));
+  EXPECT_FALSE(sb.coversLoad(0x20'1010, 8));
+  EXPECT_FALSE(sb.coversLoad(0x10'1030, 8));
 }
 
 // ORDER CONTRACT regression: commits arrive in arbitrary order relative to
@@ -99,15 +95,6 @@ TEST(StoreBuffer, OrderContractCommitMaskSurvivesInterleavedPops) {
   ASSERT_TRUE(e.has_value());
   EXPECT_EQ(e->seq, 5u);
   EXPECT_EQ(sb.size(), 0u);
-}
-
-TEST(StoreBuffer, OverlapDetection) {
-  StoreBuffer sb = makeSb();
-  sb.insert(1, 0x1000, 8);
-  EXPECT_TRUE(sb.hasOverlap(0x1004, 8));   // partial overlap
-  EXPECT_TRUE(sb.hasOverlap(0x0FFC, 8));   // tail overlap
-  EXPECT_FALSE(sb.hasOverlap(0x1008, 8));  // adjacent, no overlap
-  EXPECT_FALSE(sb.hasOverlap(0x0FF0, 8));
 }
 
 TEST(StoreBuffer, TableIICapacityDefault) {

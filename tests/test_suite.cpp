@@ -4,8 +4,8 @@
 
 #include <sys/wait.h>
 
-#include <algorithm>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <string>
@@ -73,22 +73,6 @@ TEST(SpecRegistryDeathTest, TraceReplayWithoutTracesExplains) {
       "none are registered.*MALEC_TRACE_DIR");
 }
 
-// `malec_bench --all` relies on every spec that expands "trace:*" to gate
-// itself: with no captures registered that expansion aborts, and --all
-// must never abort mid-sweep.
-TEST(SpecRegistry, TraceSpecsDeclareAnAllGate) {
-  int trace_specs = 0;
-  for (const auto& name : specRegistry().names()) {
-    const ExperimentSpec& spec = specRegistry().get(name);
-    if (std::find(spec.workloads.begin(), spec.workloads.end(), "trace:*") ==
-        spec.workloads.end())
-      continue;
-    ++trace_specs;
-    EXPECT_TRUE(static_cast<bool>(spec.all_skip)) << name;
-  }
-  EXPECT_GE(trace_specs, 2);
-}
-
 // malec_bench --all: every runnable suite runs, and the two trace suites
 // are skipped with a note instead of aborting the sweep.
 TEST(MalecBenchAll, SkipsTheTraceSuitesAndExitsZero) {
@@ -103,6 +87,42 @@ TEST(MalecBenchAll, SkipsTheTraceSuitesAndExitsZero) {
   for (const std::string suite : {"trace_replay", "phase_sampled"})
     EXPECT_NE(text.find("skipping suite '" + suite + "'"), std::string::npos)
         << text;
+}
+
+// malec_bench --all over captures without plans: trace_replay runs them,
+// and phase_sampled, whose sampled selector expands to nothing, is skipped
+// with a note naming both fixes instead of aborting the sweep.
+TEST(MalecBenchAll, RunsTraceReplayAndSkipsPhaseSampledWithoutPlans) {
+  const std::string dir = std::string(::testing::TempDir()) + "all_traces";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  RunConfig rc;
+  rc.workload = trace::workloadByName("gcc");
+  rc.interface_cfg = presetMalec();
+  rc.system = defaultSystem();
+  rc.instructions = 3'000;
+  captureTrace(rc, dir + "/gcc.mtrace");
+  const std::string out = dir + ".out", err = dir + ".err";
+  const int rc_all = std::system(
+      ("env MALEC_TRACE_DIR=" + dir + " MALEC_INSTR=2000 " +
+       std::string(MALEC_BENCH_PATH) + " --all --filter trace: > " + out +
+       " 2> " + err)
+          .c_str());
+  EXPECT_TRUE(WIFEXITED(rc_all) && WEXITSTATUS(rc_all) == 0) << rc_all;
+  std::ifstream out_in(out), err_in(err);
+  const std::string stdout_text{std::istreambuf_iterator<char>(out_in), {}};
+  const std::string stderr_text{std::istreambuf_iterator<char>(err_in), {}};
+  EXPECT_NE(stdout_text.find("Trace replay — IPC"), std::string::npos)
+      << stdout_text;
+  EXPECT_NE(stdout_text.find("trace:gcc"), std::string::npos);
+  EXPECT_EQ(stderr_text.find("skipping suite 'trace_replay'"),
+            std::string::npos)
+      << stderr_text;
+  const std::size_t skip = stderr_text.find("skipping suite 'phase_sampled'");
+  ASSERT_NE(skip, std::string::npos) << stderr_text;
+  const std::string note = stderr_text.substr(skip, stderr_text.find('\n', skip) - skip);
+  EXPECT_NE(note.find("MALEC_TRACE_DIR"), std::string::npos) << note;
+  EXPECT_NE(note.find("trace_tools phases"), std::string::npos) << note;
 }
 
 // The port's keystone: the fig4a spec (one runMatrixParallel batch through

@@ -445,8 +445,6 @@ TEST(TraceReplay, AdHocSampledRunsThroughSuite) {
   const std::string name = "trace:" + path + ":sampled";
   ExperimentSpec spec = specRegistry().get("trace_replay");
   spec.workloads = {name};
-  // Sampled replay streams whole plans; instruction budgets don't compose.
-  spec.whole_stream_only = true;
   SuiteOptions opts;
   opts.progress = false;
   CaptureSink sink;
@@ -467,7 +465,6 @@ TEST(TraceReplayDeathTest, StaleSampledPlanFailsBeforeAnySimulation) {
   ExperimentSpec spec = specRegistry().get("trace_replay");
   spec.workloads = {"trace:" + path};  // a good row first...
   spec.workloads.push_back("trace:" + path + ":sampled");  // ...then the bad
-  spec.whole_stream_only = true;
   SuiteOptions opts;
   opts.progress = false;
   EXPECT_DEATH(runSuite(spec, opts, {}), "different trace");
