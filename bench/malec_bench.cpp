@@ -10,8 +10,8 @@
 //   malec_bench --json PATH                 JSON-lines output file ('-' = stdout)
 //   malec_bench --instr N --seed N --jobs N budget / seed / worker overrides
 //
-// Fault-tolerant process sharding (docs/ARCHITECTURE.md, "Fault-tolerance
-// contract"): one suite's grid spread over supervised worker PROCESSES
+// Fault-tolerant process sharding (docs/ARCHITECTURE.md, "Fault
+// tolerance"): one suite's grid spread over supervised worker PROCESSES
 // with a crash-resumable journal —
 //
 //   malec_bench --suite fig4a --workers 4 --journal sweep.mjournal
@@ -22,7 +22,7 @@
 // MALEC_SWEEP_RETRIES / MALEC_SWEEP_BACKOFF_MS tune supervision,
 // MALEC_FAULT_SPEC injects deterministic faults for tests.)
 //
-// Result store (docs/FILE_FORMATS.md, ".mstore v1"): every sink run can
+// Result store (docs/FILE_FORMATS.md, ".mstore v2"): every sink run can
 // land durably in a queryable store, and two subcommands work on it —
 //
 //   malec_bench --suite fig4a --sink store --store results.mstore
@@ -296,6 +296,18 @@ int main(int argc, char** argv) {
     }
     return argv[++i];
   };
+  // --task and --attempt are 32-bit: a larger value must be refused, not
+  // wrapped onto another task.
+  auto needU32 = [&](int& i) -> std::uint32_t {
+    const char* flag = argv[i];
+    const std::uint64_t v = sim::parseU64Strict(needValue(i), flag);
+    if (v > std::numeric_limits<std::uint32_t>::max()) {
+      std::fprintf(stderr, "%s %llu exceeds the supported range\n", flag,
+                   static_cast<unsigned long long>(v));
+      std::exit(2);
+    }
+    return static_cast<std::uint32_t>(v);
+  };
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -362,12 +374,10 @@ int main(int argc, char** argv) {
     } else if (arg == "--worker") {
       worker_mode = true;
     } else if (arg == "--task") {
-      worker_task = static_cast<std::uint32_t>(
-          sim::parseU64Strict(needValue(i), "--task"));
+      worker_task = needU32(i);
       have_task = true;
     } else if (arg == "--attempt") {
-      worker_attempt = static_cast<std::uint32_t>(
-          sim::parseU64Strict(needValue(i), "--attempt"));
+      worker_attempt = needU32(i);
     } else if (arg == "--result") {
       worker_result = needValue(i);
       have_result = true;

@@ -80,8 +80,6 @@ class ArbitrationUnit {
   void arbitrate(const std::vector<ArbCandidate>& candidates,
                  ArbOutcome& out) const;
 
-  [[nodiscard]] const Params& params() const { return p_; }
-
  private:
   /// Merge granularity key: sub-block pair (default) or single sub-block.
   [[nodiscard]] std::uint64_t mergeKey(Addr vaddr) const;

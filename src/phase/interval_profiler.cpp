@@ -8,6 +8,14 @@ namespace malec::phase {
 
 namespace {
 
+/// Buckets of the hashed page-region histogram (the BBV analogue).
+constexpr std::uint32_t kRegionBuckets = 32;
+/// Pages per address region: consecutive pages that fall into the same
+/// histogram slot before hashing (captures medium-range locality).
+constexpr std::uint32_t kPagesPerRegion = 16;
+/// Buckets of the log2 |consecutive-load stride| histogram.
+constexpr std::uint32_t kStrideBuckets = 8;
+
 /// SplitMix64-style finaliser, spreading consecutive region ids across the
 /// histogram buckets. Pure u64 math — identical on every platform.
 std::uint64_t mix64(std::uint64_t x) {
@@ -24,7 +32,7 @@ std::uint64_t mix64(std::uint64_t x) {
 /// shrink-the-delta loop (rather than grow-the-shift) cannot shift past
 /// the operand width, so a full-range 64-bit delta (external traces may
 /// span the canonical-address halves) stays defined and terminates.
-std::uint32_t strideBucket(Addr a, Addr b, std::uint32_t buckets) {
+std::uint32_t strideBucket(Addr a, Addr b) {
   std::uint64_t delta = a > b ? a - b : b - a;
   if (delta == 0) return 0;
   std::uint32_t lg = 0;
@@ -33,23 +41,19 @@ std::uint32_t strideBucket(Addr a, Addr b, std::uint32_t buckets) {
     ++lg;
   }
   const std::uint32_t bucket = 1 + lg;
-  return bucket < buckets ? bucket : buckets - 1;
+  return bucket < kStrideBuckets ? bucket : kStrideBuckets - 1;
 }
 
 }  // namespace
 
-IntervalProfiler::IntervalProfiler(AddressLayout layout, Params params)
+IntervalProfiler::IntervalProfiler(AddressLayout layout,
+                                   std::uint64_t interval_size)
     : layout_(layout),
-      params_(params),
-      region_hist_(params.region_buckets, 0),
-      stride_hist_(params.stride_buckets, 0),
+      interval_size_(interval_size),
+      region_hist_(kRegionBuckets, 0),
+      stride_hist_(kStrideBuckets, 0),
       loc_(layout, {0}) {
-  MALEC_CHECK_MSG(params_.interval_size > 0,
-                  "interval size must be positive");
-  MALEC_CHECK_MSG(params_.region_buckets > 0 && params_.stride_buckets > 0,
-                  "histogram bucket counts must be positive");
-  MALEC_CHECK_MSG(params_.pages_per_region > 0,
-                  "pages_per_region must be positive");
+  MALEC_CHECK_MSG(interval_size_ > 0, "interval size must be positive");
 }
 
 void IntervalProfiler::observe(const trace::InstrRecord& r) {
@@ -60,19 +64,17 @@ void IntervalProfiler::observe(const trace::InstrRecord& r) {
     if (r.isLoad()) {
       ++loads_;
       if (have_prev_load_)
-        ++stride_hist_[strideBucket(r.vaddr, prev_load_addr_,
-                                    params_.stride_buckets)];
+        ++stride_hist_[strideBucket(r.vaddr, prev_load_addr_)];
       prev_load_addr_ = r.vaddr;
       have_prev_load_ = true;
     } else {
       ++stores_;
     }
     const std::uint64_t region =
-        static_cast<std::uint64_t>(layout_.pageId(r.vaddr)) /
-        params_.pages_per_region;
-    ++region_hist_[mix64(region) % params_.region_buckets];
+        static_cast<std::uint64_t>(layout_.pageId(r.vaddr)) / kPagesPerRegion;
+    ++region_hist_[mix64(region) % kRegionBuckets];
   }
-  if (in_interval_ >= params_.interval_size) closeInterval();
+  if (in_interval_ >= interval_size_) closeInterval();
 }
 
 void IntervalProfiler::closeInterval() {
@@ -106,8 +108,8 @@ void IntervalProfiler::closeInterval() {
 
   in_interval_ = 0;
   mem_refs_ = loads_ = stores_ = 0;
-  region_hist_.assign(params_.region_buckets, 0);
-  stride_hist_.assign(params_.stride_buckets, 0);
+  region_hist_.assign(kRegionBuckets, 0);
+  stride_hist_.assign(kStrideBuckets, 0);
   loc_ = trace::LocalityAnalyzer(layout_, {0});
   have_prev_load_ = false;
   prev_load_addr_ = 0;

@@ -35,20 +35,10 @@ struct IntervalFeatures {
 /// Streaming profiler: feed records in program order, then finish().
 class IntervalProfiler {
  public:
-  struct Params {
-    /// Instructions per interval. The final interval keeps its (shorter)
-    /// actual length; the clusterer weights by instruction count.
-    std::uint64_t interval_size = 100'000;
-    /// Buckets of the hashed page-region histogram (the BBV analogue).
-    std::uint32_t region_buckets = 32;
-    /// Pages per address region: consecutive pages that fall into the same
-    /// histogram slot before hashing (captures medium-range locality).
-    std::uint32_t pages_per_region = 16;
-    /// Buckets of the log2 |consecutive-load stride| histogram.
-    std::uint32_t stride_buckets = 8;
-  };
-
-  IntervalProfiler(AddressLayout layout, Params params);
+  /// `interval_size` instructions per interval (> 0). The final interval
+  /// keeps its (shorter) actual length; the clusterer weights by
+  /// instruction count.
+  IntervalProfiler(AddressLayout layout, std::uint64_t interval_size);
 
   void observe(const trace::InstrRecord& r);
 
@@ -56,13 +46,11 @@ class IntervalProfiler {
   /// in stream order. The profiler is spent afterwards.
   [[nodiscard]] std::vector<IntervalFeatures> finish();
 
-  [[nodiscard]] const Params& params() const { return params_; }
-
  private:
   void closeInterval();
 
   AddressLayout layout_;
-  Params params_;
+  std::uint64_t interval_size_;
   std::vector<IntervalFeatures> intervals_;
 
   // --- current-interval accumulators ---------------------------------------

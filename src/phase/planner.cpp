@@ -14,9 +14,7 @@ SamplePlan buildSamplePlan(const std::string& trace_path,
 
   trace::TraceReader rd(trace_path);
   if (!rd.ok()) MALEC_CHECK_MSG(false, rd.error().c_str());
-  IntervalProfiler::Params pp;
-  pp.interval_size = params.interval_size;
-  IntervalProfiler profiler(rd.layout(), pp);
+  IntervalProfiler profiler(rd.layout(), params.interval_size);
   trace::InstrRecord r;
   while (rd.next(r)) profiler.observe(r);
   if (!rd.ok()) MALEC_CHECK_MSG(false, rd.error().c_str());

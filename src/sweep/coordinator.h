@@ -2,7 +2,7 @@
 // (workload x configuration) grid across supervised worker PROCESSES and
 // journals every scheduling decision, so the sweep survives worker
 // crashes, hangs, corrupt results and even the coordinator's own death
-// (docs/ARCHITECTURE.md, "Fault-tolerance contract").
+// (docs/ARCHITECTURE.md, "Fault tolerance").
 //
 // Execution model: each grid cell is one task (task = w * configs + c,
 // the runMatrixParallel flattening). The coordinator keeps up to
@@ -23,9 +23,9 @@
 //     skips completed tasks, re-grants orphaned or quarantined ones, and
 //     the merged report is bit-identical to an uninterrupted run.
 //
-// Custom-body suites (fig1, tab1_tab2, the host microbenches) are not a
-// grid and cannot be sharded — asking for --workers on one is a hard
-// error naming the suite.
+// Custom-body suites (fig1, tab1_tab2, way_encoding) are not a grid and
+// cannot be sharded — asking for --workers on one is a hard error naming
+// the suite.
 #pragma once
 
 #include <cstdint>

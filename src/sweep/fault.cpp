@@ -4,6 +4,7 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <thread>
 
 #include "common/check.h"
@@ -37,6 +38,17 @@ std::vector<std::string> split(const std::string& s, char sep) {
   return parts;
 }
 
+/// A task= or attempts= value: it is held in 32 bits, and a larger one
+/// would wrap onto another task or attempt count, so it is refused.
+std::uint32_t clauseU32(const std::string& clause, const std::string& val,
+                        const char* what) {
+  const std::uint64_t v = sim::parseU64Strict(val, what);
+  if (v > std::numeric_limits<std::uint32_t>::max())
+    badSpec(clause, std::string(what) + " " + val +
+                        " exceeds the supported range");
+  return static_cast<std::uint32_t>(v);
+}
+
 FaultClause parseClause(const std::string& clause) {
   const std::vector<std::string> parts = split(clause, ':');
   FaultClause fc;
@@ -62,12 +74,12 @@ FaultClause parseClause(const std::string& clause) {
     } else if (key == "round") {
       fc.round = sim::parseU64Strict(val, "MALEC_FAULT_SPEC round");
     } else if (key == "task") {
-      fc.task = static_cast<std::uint32_t>(
-          sim::parseU64Strict(val, "MALEC_FAULT_SPEC task"));
+      fc.task = clauseU32(clause, val, "MALEC_FAULT_SPEC task");
       fc.has_task = true;
     } else if (key == "attempts") {
-      fc.attempts = static_cast<std::uint32_t>(
-          sim::parseU64Strict(val, "MALEC_FAULT_SPEC attempts"));
+      fc.attempts = clauseU32(clause, val, "MALEC_FAULT_SPEC attempts");
+      if (fc.attempts == 0)
+        badSpec(clause, "attempts=N needs N >= 1 (attempts=0 never fires)");
     } else {
       badSpec(clause, "unknown key '" + key + "'");
     }

@@ -26,8 +26,9 @@
 // `:attempts=N` fires on every attempt < N (attempts=99 ≈ always, the
 // quarantine scenario). The grammar is strict: an unknown clause or key, a
 // missing task= on a worker fault, a missing or zero round= on
-// explore-crash (which takes no other key), or a malformed number aborts —
-// a typo'd fault spec must never silently test nothing.
+// explore-crash (which takes no other key), a zero attempts=, a task= or
+// attempts= past 32 bits, or a malformed number aborts — a typo'd fault
+// spec must never silently test nothing.
 #pragma once
 
 #include <cstdint>

@@ -37,9 +37,7 @@ trace::InstrRecord alu(std::uint64_t seq) {
 }
 
 TEST(IntervalProfiler, CutsFixedIntervalsAndKeepsPartialTail) {
-  IntervalProfiler::Params p;
-  p.interval_size = 100;
-  IntervalProfiler prof(AddressLayout{}, p);
+  IntervalProfiler prof(AddressLayout{}, 100);
   for (std::uint64_t i = 0; i < 250; ++i)
     prof.observe(i % 2 == 0 ? load(i, 0x1000 + 8 * i) : alu(i));
   const auto intervals = prof.finish();
@@ -64,9 +62,7 @@ TEST(IntervalProfiler, CutsFixedIntervalsAndKeepsPartialTail) {
 }
 
 TEST(IntervalProfiler, DistinguishesAddressRegions) {
-  IntervalProfiler::Params p;
-  p.interval_size = 64;
-  IntervalProfiler prof(AddressLayout{}, p);
+  IntervalProfiler prof(AddressLayout{}, 64);
   // Interval 0 walks low pages, interval 1 walks far-away pages: their
   // region histograms must differ.
   for (std::uint64_t i = 0; i < 64; ++i)

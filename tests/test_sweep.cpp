@@ -320,6 +320,14 @@ TEST(FaultSpecDeathTest, MalformedSpecsAbort) {
   EXPECT_DEATH((void)parseFaultSpec("explore-crash:round=1:task=1"),
                "does not apply");
   EXPECT_DEATH((void)parseFaultSpec("kill:task=1:round=1"), "does not apply");
+  // task= and attempts= are 32-bit: a larger value would wrap onto another
+  // task (4294967298 -> 2) or to attempts=0, and attempts=0 never fires.
+  EXPECT_DEATH((void)parseFaultSpec("kill:task=4294967298"),
+               "kill:task=4294967298.*exceeds");
+  EXPECT_DEATH((void)parseFaultSpec("kill:task=1:attempts=0"),
+               "kill:task=1:attempts=0.*N >= 1");
+  EXPECT_DEATH((void)parseFaultSpec("kill:task=1:attempts=4294967296"),
+               "attempts=4294967296.*exceeds");
 }
 
 // --- strictly-parsed supervision knobs --------------------------------------
@@ -643,6 +651,19 @@ TEST(SweepProcess, CliRejectsContradictoryShardingFlags) {
                              " --task-timeout \"\"",
                      out),
             0);
+  // A worker's --task and --attempt are 32-bit: past that range they are
+  // refused, not wrapped onto task 0 / attempt 1, and no result is written.
+  const std::string result = tmpPath("wrapped.mres");
+  for (const char* ids : {"--task 4294967296 --attempt 0",
+                          "--task 0 --attempt 4294967297"}) {
+    std::remove(result.c_str());
+    EXPECT_NE(runBench("", std::string(kGrid) + " --worker " + ids +
+                               " --result " + result,
+                       out),
+              0)
+        << ids;
+    EXPECT_FALSE(std::ifstream(result).good()) << ids;
+  }
 }
 
 }  // namespace
