@@ -27,7 +27,7 @@ namespace malec::ckpt {
 
 /// Magic bytes + version identifying a MALEC checkpoint file ("MCKP").
 inline constexpr std::uint32_t kCkptMagic = 0x4D434B50;
-inline constexpr std::uint32_t kCkptVersion = 5;
+inline constexpr std::uint32_t kCkptVersion = 6;
 
 class StateWriter {
  public:
@@ -57,8 +57,6 @@ class StateWriter {
   /// so a concurrently restoring reader never sees a half-written file.
   /// Returns false with a message in `err` on I/O failure.
   [[nodiscard]] bool writeTo(const std::string& path, std::string& err) const;
-
-  [[nodiscard]] std::size_t sectionCount() const { return sections_; }
 
  private:
   std::uint32_t magic_;

@@ -3,53 +3,11 @@
 #include <algorithm>
 #include <cstdio>
 
-#include "common/check.h"
 
 namespace malec {
 
-Histogram::Histogram(std::vector<std::uint64_t> edges)
-    : edges_(std::move(edges)), counts_(edges_.size() + 1, 0) {
-  MALEC_CHECK_MSG(std::is_sorted(edges_.begin(), edges_.end()),
-                  "histogram edges must be sorted");
-}
-
-void Histogram::add(std::uint64_t value, std::uint64_t weight) {
-  // First bucket whose inclusive upper edge holds `value`; binary search —
-  // this runs once per simulated access in the locality analyses.
-  const std::size_t b = static_cast<std::size_t>(
-      std::lower_bound(edges_.begin(), edges_.end(), value) - edges_.begin());
-  counts_[b] += weight;
-  total_ += weight;
-}
-
-std::uint64_t Histogram::count(std::size_t bucket) const {
-  MALEC_CHECK(bucket < counts_.size());
-  return counts_[bucket];
-}
-
-double Histogram::fraction(std::size_t bucket) const {
-  if (total_ == 0) return 0.0;
-  return static_cast<double>(count(bucket)) / static_cast<double>(total_);
-}
-
-double Histogram::fractionAtLeast(std::size_t bucket) const {
-  if (total_ == 0) return 0.0;
-  std::uint64_t sum = 0;
-  for (std::size_t b = bucket; b < counts_.size(); ++b) sum += counts_[b];
-  return static_cast<double>(sum) / static_cast<double>(total_);
-}
-
-void Histogram::clear() {
-  std::fill(counts_.begin(), counts_.end(), 0);
-  total_ = 0;
-}
-
 void StatSet::set(const std::string& name, double value) {
   values_[name] = value;
-}
-
-void StatSet::add(const std::string& name, double delta) {
-  values_[name] += delta;
 }
 
 double StatSet::get(const std::string& name) const {
@@ -59,10 +17,6 @@ double StatSet::get(const std::string& name) const {
 
 bool StatSet::has(const std::string& name) const {
   return values_.count(name) != 0;
-}
-
-void StatSet::merge(const StatSet& other, const std::string& prefix) {
-  for (const auto& [k, v] : other.values_) values_[prefix + k] = v;
 }
 
 std::string StatSet::toTable() const {

@@ -1,4 +1,4 @@
-// Statistics collection: named counters and histograms.
+// Statistics reporting: named values.
 //
 // Each simulator component owns its counters directly (plain std::uint64_t
 // members) for speed; StatSet is the reporting layer that snapshots them into
@@ -8,51 +8,19 @@
 #include <cstdint>
 #include <map>
 #include <string>
-#include <vector>
 
 namespace malec {
-
-/// A bucketed histogram with fixed integer bucket edges.
-/// Used e.g. for the Fig. 1 consecutive-same-page-access distribution.
-class Histogram {
- public:
-  /// `edges` are inclusive upper bounds of each bucket; a final overflow
-  /// bucket catches everything above the last edge.
-  explicit Histogram(std::vector<std::uint64_t> edges);
-
-  void add(std::uint64_t value, std::uint64_t weight = 1);
-
-  [[nodiscard]] std::size_t buckets() const { return counts_.size(); }
-  [[nodiscard]] std::uint64_t count(std::size_t bucket) const;
-  [[nodiscard]] std::uint64_t total() const { return total_; }
-  /// Fraction of total weight in `bucket` (0 if empty histogram).
-  [[nodiscard]] double fraction(std::size_t bucket) const;
-  /// Fraction of weight in buckets >= `bucket`.
-  [[nodiscard]] double fractionAtLeast(std::size_t bucket) const;
-  [[nodiscard]] const std::vector<std::uint64_t>& edges() const {
-    return edges_;
-  }
-  void clear();
-
- private:
-  std::vector<std::uint64_t> edges_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t total_ = 0;
-};
 
 /// Flat snapshot of named statistics. Values are doubles so that both counts
 /// and derived ratios/energies fit.
 class StatSet {
  public:
   void set(const std::string& name, double value);
-  void add(const std::string& name, double delta);
   [[nodiscard]] double get(const std::string& name) const;
   [[nodiscard]] bool has(const std::string& name) const;
   [[nodiscard]] const std::map<std::string, double>& all() const {
     return values_;
   }
-  /// Merge another set into this one, prefixing its names.
-  void merge(const StatSet& other, const std::string& prefix);
   /// Render as an aligned two-column text table.
   [[nodiscard]] std::string toTable() const;
 

@@ -26,10 +26,8 @@ void ArbitrationUnit::arbitrate(const std::vector<ArbCandidate>& candidates,
   MALEC_CHECK_MSG(candidates.size() <= kInputBufferCapacity,
                   "page group larger than the Input Buffer");
   // Every candidate's action is written exactly once below.
-  out.mbe.reset();
   out.bank_conflicts = 0;
   out.bus_rejects = 0;
-  out.compares = 0;
 
   // One bit per single-ported bank; the constructor enforces <= 32 banks.
   std::uint32_t bank_used = 0;
@@ -58,18 +56,15 @@ void ArbitrationUnit::arbitrate(const std::vector<ArbCandidate>& candidates,
     // Try to merge with an existing winner: only the merge_window loads
     // consecutive to the winner are compared (Sec. IV).
     bool merged = false;
-    if (p_.merge_loads) {
-      for (std::size_t wi = 0; wi < n_winners; ++wi) {
-        const Winner& w = winners[wi];
-        if (i <= w.cand_index || i - w.cand_index > p_.merge_window) continue;
-        ++out.compares;
-        if (w.key == key) {
-          out.action[i] = ArbOutcome::Action::kMerged;
-          out.winner_of[i] = static_cast<std::uint8_t>(w.cand_index);
-          ++buses_used;
-          merged = true;
-          break;
-        }
+    for (std::size_t wi = 0; wi < n_winners; ++wi) {
+      const Winner& w = winners[wi];
+      if (i <= w.cand_index || i - w.cand_index > p_.merge_window) continue;
+      if (w.key == key) {
+        out.action[i] = ArbOutcome::Action::kMerged;
+        out.winner_of[i] = static_cast<std::uint8_t>(w.cand_index);
+        ++buses_used;
+        merged = true;
+        break;
       }
     }
     if (merged) continue;
@@ -95,7 +90,6 @@ void ArbitrationUnit::arbitrate(const std::vector<ArbCandidate>& candidates,
     if ((bank_used & (1u << bank)) == 0) {
       bank_used |= 1u << bank;
       out.action[i] = ArbOutcome::Action::kWinner;
-      out.mbe = i;
     } else {
       ++out.bank_conflicts;
     }

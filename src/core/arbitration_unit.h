@@ -17,7 +17,6 @@
 
 #include <array>
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "common/address.h"
@@ -46,12 +45,8 @@ struct ArbOutcome {
   std::array<Action, kInputBufferCapacity> action{};
   /// For kMerged candidates: index (into `candidates`) of their winner.
   std::array<std::uint8_t, kInputBufferCapacity> winner_of{};
-  /// Serviced MBE candidate index, if any.
-  std::optional<std::size_t> mbe;
   std::uint32_t bank_conflicts = 0;
   std::uint32_t bus_rejects = 0;
-  /// Narrow comparator activations performed (informational).
-  std::uint32_t compares = 0;
 };
 
 class ArbitrationUnit {
@@ -59,8 +54,8 @@ class ArbitrationUnit {
   struct Params {
     AddressLayout layout{};
     std::uint32_t result_buses = 3;
+    /// 0 disables merging.
     std::uint32_t merge_window = 3;
-    bool merge_loads = true;
     bool subblocked_pair_read = true;
   };
 

@@ -40,10 +40,6 @@ struct InterfaceConfig {
   std::uint32_t agu_load_store = 2;  ///< MALEC: 2 ld/st
   std::uint32_t agu_store_only = 0;
 
-  // --- physical ports beyond the baseline rw port (energy + throughput) ---
-  std::uint32_t l1_extra_rd_ports = 0;   ///< Base2ld1st: 1
-  std::uint32_t tlb_extra_rd_ports = 0;  ///< Base2ld1st: 2
-
   // --- MALEC pipeline parameters (Sec. IV) ---------------------------------
   /// Loads from previous cycles the Input Buffer can carry (evaluated
   /// configuration: storage for up to two loads, Sec. VI-A).
@@ -53,11 +49,10 @@ struct InterfaceConfig {
   std::uint32_t ib_group_comparators = 5;
   /// Result buses available for load data per cycle.
   std::uint32_t result_buses = 3;
-  /// Loads consecutive to the winner examined for same-line merging
-  /// (paper: 3; costs < 0.5 % performance vs unlimited).
+  /// Loads consecutive to the winner examined for merging onto its data
+  /// read when they hit the same line / sub-block pair (Sec. IV; paper: 3,
+  /// costing < 0.5 % performance vs unlimited). 0 disables merging.
   std::uint32_t merge_window = 3;
-  /// Merge loads that hit the same line / sub-block pair (Sec. IV).
-  bool merge_loads = true;
   /// Sub-blocked data arrays return two adjacent 128-bit sub-blocks per
   /// read, doubling merge opportunities (Sec. IV).
   bool subblocked_pair_read = true;
@@ -68,10 +63,18 @@ struct InterfaceConfig {
   /// Last-entry-register feedback of conventional hits into the uWT
   /// (raises coverage from 75 % to 94 %, Sec. V).
   bool last_entry_feedback = true;
-  std::uint32_t last_entry_depth = 4;
 
   [[nodiscard]] std::uint32_t aguTotal() const {
     return agu_load_only + agu_load_store + agu_store_only;
+  }
+  /// Physical read ports beyond the baseline rw port (Table I): Base2ld1st
+  /// adds one to each L1 bank and two to the uTLB/TLB; every other
+  /// organisation is single-ported.
+  [[nodiscard]] std::uint32_t l1ExtraRdPorts() const {
+    return kind == InterfaceKind::kBase2Ld1St ? 1 : 0;
+  }
+  [[nodiscard]] std::uint32_t tlbExtraRdPorts() const {
+    return kind == InterfaceKind::kBase2Ld1St ? 2 : 0;
   }
 };
 
@@ -92,6 +95,9 @@ struct SystemConfig {
   Cycle l2_latency = 12;
   Cycle dram_latency = 54;
   Cycle page_walk_latency = 30;
+  /// Outstanding distinct line misses. Not enforced yet: the L1 back end's
+  /// pending-fill table has no limit (docs/PAPER_MAPPING.md, "Known
+  /// fidelity gaps").
   std::uint32_t mshrs = 8;
   double clock_ghz = 1.0;
   std::uint64_t seed = 1;

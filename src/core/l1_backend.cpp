@@ -1,5 +1,8 @@
 #include "core/l1_backend.h"
 
+#include <algorithm>
+#include <utility>
+
 #include "ckpt/state_io.h"
 #include "common/check.h"
 #include "waydet/way_info.h"
@@ -7,6 +10,9 @@
 namespace malec::core {
 
 namespace {
+
+/// Initial pending-fill capacity; a burst past it grows the table once.
+constexpr std::size_t kPendingReserve = 64;
 
 TranslationEngine::Params engineParams(const InterfaceConfig& cfg,
                                        WayDetKind waydet,
@@ -17,7 +23,6 @@ TranslationEngine::Params engineParams(const InterfaceConfig& cfg,
   p.tlb_entries = sys.tlb_entries;
   p.way_tables = waydet == WayDetKind::kWayTables;
   p.last_entry_feedback = cfg.last_entry_feedback;
-  p.last_entry_depth = cfg.last_entry_depth;
   p.walk_latency = sys.page_walk_latency;
   p.seed = sys.seed * 17 + 9;
   return p;
@@ -50,30 +55,68 @@ L1Backend::L1Backend(const InterfaceConfig& cfg, const SystemConfig& sys,
       l2_(static_cast<std::uint32_t>(mem::kL2Bytes / mem::kL2Ways /
                                      sys.layout.lineBytes()),
           mem::kL2Ways, sys.layout.lineBytes()),
-      hier_(l1_, l2_, {sys.l2_latency, sys.dram_latency, sys.mshrs}),
       engine_(engineParams(cfg, waydet_, sys), ea),
       sb_(sys.sb_entries),
       mb_(sys.mb_entries, sys.layout) {
+  pending_.reserve(kPendingReserve);
   if (waydet_ == WayDetKind::kWdu)
     wdu_ = std::make_unique<waydet::Wdu>(cfg.wdu_entries);
 }
 
+std::size_t L1Backend::dropExpiredAndFind(Cycle now, Addr line_base) {
+  std::size_t keep = 0;
+  std::size_t found = pending_.size();  // >= the compacted size: no match
+  for (const PendingFill& f : pending_) {
+    if (f.ready <= now) continue;
+    if (f.line_base == line_base) found = keep;
+    pending_[keep++] = f;
+  }
+  // lint:allow(hot-alloc: shrinking resize — compacts in place, never grows)
+  pending_.resize(keep);
+  return found;
+}
+
 Cycle L1Backend::miss(Addr paddr, Cycle now, bool is_store) {
-  const auto m = hier_.missAccess(paddr, now, is_store, fillWays(paddr));
-  if (!m.installed) return m.ready_cycle;
-  if (m.evicted) {
+  const Addr line_base = l1_.lineBase(paddr);
+  Cycle ready = now + sys_.l2_latency;
+  if (const std::size_t i = dropExpiredAndFind(now, line_base);
+      i < pending_.size()) {
+    // MSHR merge: the line was evicted inside its own fill window. It is
+    // installed again, its data arrives with the outstanding fill, and the
+    // L2 sees no second request.
+    ready = pending_[i].ready;
+  } else {
+    if (const auto l2way = l2_.probe(paddr); l2way.has_value()) {
+      l2_.touch(paddr, *l2way);
+    } else {
+      ready += sys_.dram_latency;
+      // The L2 victim's writeback to DRAM is outside the energy scope.
+      (void)l2_.fill(paddr, l2_.allWays());
+    }
+    // lint:allow(hot-alloc: reserved at construction; a burst past that grows it once and the capacity is kept)
+    pending_.push_back(PendingFill{line_base, ready});
+  }
+
+  const mem::Cache::FillResult fill = l1_.fill(paddr, fillWays(paddr));
+  // Write a dirty victim back into the L2 (allocate on a writeback miss).
+  // The L2 copy stays clean: an L2 victim's writeback to DRAM is outside
+  // the energy scope, so nothing would read an L2 dirty bit.
+  if (fill.evicted_dirty && !l2_.probe(fill.evicted_line_base))
+    (void)l2_.fill(fill.evicted_line_base, l2_.allWays());
+  if (is_store) l1_.markDirty(paddr, fill.way);
+
+  if (fill.evicted) {
     // Dirty victims are read out for writeback; the read is charged
     // unconditionally as a conservative model of the eviction sequence.
     ea_.count(id_.line_read);
-    engine_.onLineEvict(m.evicted_line);
-    if (wdu_) wdu_->invalidate(sys_.layout.lineAddr(m.evicted_line));
+    engine_.onLineEvict(fill.evicted_line_base);
+    if (wdu_) wdu_->invalidate(sys_.layout.lineAddr(fill.evicted_line_base));
   }
-  const Addr line_base = l1_.lineBase(paddr);
   ea_.count(id_.tag_write);
   ea_.count(id_.line_write);
-  engine_.onLineFill(line_base, m.l1_way);
-  if (wdu_) wdu_->record(sys_.layout.lineAddr(line_base), m.l1_way);
-  return m.ready_cycle;
+  engine_.onLineFill(line_base, fill.way);
+  if (wdu_) wdu_->record(sys_.layout.lineAddr(line_base), fill.way);
+  return ready;
 }
 
 bool L1Backend::submitStore(const MemOp& op) {
@@ -231,7 +274,17 @@ bool L1Backend::drainCompletions(Cycle now, std::vector<SeqNum>& out) {
 void L1Backend::saveState(ckpt::StateWriter& w) const {
   l1_.saveState(w);
   l2_.saveState(w);
-  hier_.saveState(w);
+  // pending_ is unordered — serialize it sorted by line base so the same
+  // state always produces the same checkpoint bytes.
+  std::vector<std::pair<Addr, Cycle>> pend;
+  pend.reserve(pending_.size());
+  for (const PendingFill& f : pending_) pend.emplace_back(f.line_base, f.ready);
+  std::sort(pend.begin(), pend.end());
+  w.u64(pend.size());
+  for (const auto& [line, ready] : pend) {
+    w.u64(line);
+    w.u64(ready);
+  }
   engine_.saveState(w);
   w.u8(wdu_ != nullptr ? 1 : 0);
   if (wdu_) wdu_->saveState(w);
@@ -246,7 +299,14 @@ void L1Backend::saveState(ckpt::StateWriter& w) const {
 void L1Backend::loadState(ckpt::StateReader& r) {
   l1_.loadState(r);
   l2_.loadState(r);
-  hier_.loadState(r);
+  pending_.clear();
+  const std::uint64_t n = r.u64();
+  for (std::uint64_t i = 0; i < n; ++i) {
+    PendingFill f;
+    f.line_base = r.u64();
+    f.ready = r.u64();
+    pending_.push_back(f);
+  }
   engine_.loadState(r);
   const bool has_wdu = r.u8() != 0;
   MALEC_CHECK_MSG(has_wdu == (wdu_ != nullptr),

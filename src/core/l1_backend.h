@@ -1,9 +1,11 @@
 // The L1 data side every memory interface schedules onto (paper Table I):
-// the uTLB/TLB translation engine with its Way Tables, the L1/L2 hierarchy
-// with the upkeep its fills and evictions need, the optional WDU, the SB -> MB store drain with
-// the Merge Buffer eviction waiting for its L1 write (the MBE), SB/MB
-// forwarding, the L1 load and MBE-write access, the completion queue and
-// the InterfaceStats counters. An access is reduced (tag arrays bypassed,
+// the uTLB/TLB translation engine with its Way Tables, the L1 and L2 tag
+// stores, the miss path under them (Table II's L2 and DRAM latencies, with
+// misses to a line whose fill is in flight merged onto that fill) and the
+// upkeep its fills and evictions need, the optional WDU, the SB -> MB store
+// drain with the Merge Buffer eviction waiting for its L1 write (the MBE),
+// SB/MB forwarding, the L1 load and MBE-write access, the completion queue
+// and the InterfaceStats counters. An access is reduced (tag arrays bypassed,
 // one data way) when way determination knows the way and conventional
 // otherwise. MALEC and the baselines each own one and keep only their
 // scheduler; baselines never determine ways, whatever their waydet says.
@@ -22,7 +24,6 @@
 #include "lsq/merge_buffer.h"
 #include "lsq/store_buffer.h"
 #include "mem/cache.h"
-#include "mem/memory_hierarchy.h"
 #include "waydet/wdu.h"
 
 namespace malec::core {
@@ -93,11 +94,18 @@ class L1Backend {
   /// The L1 ways a missing line may be allocated into: all but its
   /// WT-excluded way when Way Tables encode ways (Sec. V), else all.
   [[nodiscard]] std::uint64_t fillWays(Addr paddr) const;
-  /// Send an L1 miss down the hierarchy, then apply the upkeep of the line
-  /// it installed and of the line that install displaced — fill and
-  /// eviction energy, Way Table validity, WDU entries — eviction first.
-  /// Returns the fill's arrival cycle.
+  /// The miss `access()` just established for `paddr`: merge onto the
+  /// line's fill in flight, or fetch the line from the L2 (or DRAM behind
+  /// it), then install it into `fillWays(paddr)` — a dirty victim is
+  /// written back into the L2, a store dirties the line — and apply the
+  /// upkeep of the displaced line and then of the installed one: fill and
+  /// eviction energy, Way Table validity, WDU entries. Returns the fill's
+  /// arrival cycle. The tags change at once; the data arrives at that cycle.
   Cycle miss(Addr paddr, Cycle now, bool is_store);
+  /// Drop the fills complete by `now` (one in-place compaction pass) and
+  /// return the index of the surviving fill of `line_base` — an index past
+  /// the end when there is none.
+  std::size_t dropExpiredAndFind(Cycle now, Addr line_base);
 
   /// Event handles resolved once at construction (hot path = integer ids).
   struct EventIds {
@@ -115,7 +123,15 @@ class L1Backend {
 
   mem::Cache l1_;
   mem::Cache l2_;
-  mem::MemoryHierarchy hier_;
+  /// An outstanding line fill.
+  struct PendingFill {
+    Addr line_base;
+    Cycle ready;
+  };
+  /// Outstanding line fills, one per line, in no particular order. A flat
+  /// table with a linear find: it only holds the misses of the last L2 +
+  /// DRAM latency, a few dozen lines.
+  std::vector<PendingFill> pending_;
   TranslationEngine engine_;
   std::unique_ptr<waydet::Wdu> wdu_;
   lsq::StoreBuffer sb_;

@@ -16,7 +16,7 @@ MalecInterface::MalecInterface(const InterfaceConfig& cfg,
       ib_(cfg.ib_carry_slots, cfg.aguTotal(), cfg.ib_group_comparators,
           sys.layout),
       arb_(ArbitrationUnit::Params{sys.layout, cfg.result_buses,
-                                   cfg.merge_window, cfg.merge_loads,
+                                   cfg.merge_window,
                                    cfg.subblocked_pair_read}) {
   MALEC_CHECK(cfg.kind == InterfaceKind::kMalec);
 }
@@ -101,7 +101,7 @@ void MalecInterface::serviceGroup(Cycle now) {
   // events); each winner is serviced with its party, the winner first and
   // then the loads merged onto it. Merged loads sit at most merge_window
   // candidates after their winner, so the party scan stops there.
-  const std::size_t window = cfg_.merge_loads ? cfg_.merge_window : 0;
+  const std::size_t window = cfg_.merge_window;
   std::uint64_t serviced = 0;  // Input Buffer entries to remove
   for (std::size_t i = 0; i < cands.size(); ++i) {
     const ArbOutcome::Action action = arb.action[i];

@@ -99,11 +99,11 @@ inline constexpr std::uint64_t InterfaceStats::*kInterfaceCounterFields[] = {
     &InterfaceStats::mbe_writes,
 };
 
-/// Counter gate for warmup-aware sampled replay: `after - before`,
+/// Counter delta for warmup-aware sampled replay: `after - before`,
 /// field by field. The warmup segment's counters are snapshotted when the
 /// measurement window opens and subtracted from the final stats, so warmup
 /// accesses prime the interface state without entering any reported metric
-/// (the EnergyAccount side of the same boundary is energy::StatGate).
+/// (sampled replay snapshots the energy-event counts at the same boundary).
 [[nodiscard]] InterfaceStats statsDelta(const InterfaceStats& after,
                                         const InterfaceStats& before);
 

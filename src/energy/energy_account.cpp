@@ -125,7 +125,6 @@ std::uint64_t eventSpaceHash(const std::map<std::string, EnergyAccount::EventId>
 
 void EnergyAccount::saveState(ckpt::StateWriter& w) const {
   w.u64(eventSpaceHash(index_));
-  w.u8(counting_ != 0 ? 1 : 0);
   w.u64(events_.size());
   for (const Event& ev : events_) w.u64(ev.count);
 }
@@ -134,7 +133,6 @@ void EnergyAccount::loadState(ckpt::StateReader& r) {
   MALEC_CHECK_MSG(r.u64() == eventSpaceHash(index_),
                   "checkpoint was taken under a different energy-event "
                   "inventory — config mismatch");
-  counting_ = r.u8() != 0 ? 1 : 0;
   MALEC_CHECK_MSG(r.u64() == events_.size(),
                   "checkpoint event-counter count disagrees with this "
                   "account");

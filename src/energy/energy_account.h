@@ -52,19 +52,10 @@ class EnergyAccount {
   void defineLeakage(const std::string& structure, double mw);
 
   /// Record `n` occurrences of event `id` — the per-access hot path.
-  /// While the stat gate is closed (warmup replay of a sampled run) the
-  /// increment is dropped; `counting_` is a 0/1 multiplier so the hot path
-  /// stays branch-free.
   void count(EventId id, std::uint64_t n = 1) {
     MALEC_CHECK(id < events_.size());
-    events_[id].count += n * counting_;
+    events_[id].count += n;
   }
-
-  /// Stat gate (see StatGate below): false = drop all count() increments.
-  /// Definitions, ids and leakage registration are unaffected — only the
-  /// dynamic-event counting is gated.
-  void setCounting(bool on) { counting_ = on ? 1 : 0; }
-  [[nodiscard]] bool counting() const { return counting_ != 0; }
 
   [[nodiscard]] std::uint64_t eventCount(const std::string& name) const;
   [[nodiscard]] double eventEnergyPj(const std::string& name) const;
@@ -106,7 +97,7 @@ class EnergyAccount {
   /// Reset counts (keeps event/leakage definitions and ids).
   void clearCounts();
 
-  /// Checkpoint/restore of the dynamic counters and gate state. The event
+  /// Checkpoint/restore of the dynamic counters. The event
   /// inventory itself is NOT stored — it is reconstructed by running the
   /// same defineEnergies/constructor sequence — but a hash of the (name,
   /// id) mapping is, so a checkpoint restored into an account with a
@@ -121,40 +112,12 @@ class EnergyAccount {
   };
   /// Flat storage indexed by EventId — the only state the hot path touches.
   std::vector<Event> events_;
-  /// 0/1 stat-gate multiplier applied by count(EventId, n).
-  std::uint64_t counting_ = 1;
   /// Name -> id, ordered so that reports and prefix rollups iterate in the
   /// same (sorted) order as the original map-based implementation.
   std::map<std::string, EventId> index_;
   /// Definitions, not run state: reconstructed by re-running the same
   /// defineEnergies sequence; the event-space hash guards mismatches.
   std::map<std::string, double> leakage_mw_;  // lint:no-state(definitions; guarded by event-space hash)
-};
-
-/// RAII stat gate for warmup-aware sampled replay: closes the account's
-/// gate on construction (warmup accesses prime the caches/TLB/WDU without
-/// charging energy) and restores the PRIOR gate state via open() at the
-/// measurement boundary or, failing that, on destruction — a gate must
-/// never outlive the scope that closed it, or every later run on the
-/// account would silently count nothing. Restoring (not force-enabling)
-/// keeps nested gates composable: an inner gate inside an already-gated
-/// region must not un-gate the outer scope early.
-class StatGate {
- public:
-  explicit StatGate(EnergyAccount& ea) : ea_(ea), prev_(ea.counting()) {
-    ea_.setCounting(false);
-  }
-  ~StatGate() { ea_.setCounting(prev_); }
-  StatGate(const StatGate&) = delete;
-  StatGate& operator=(const StatGate&) = delete;
-
-  /// Open the gate: warmup is over, counting resumes (to the state it had
-  /// before this gate closed it).
-  void open() { ea_.setCounting(prev_); }
-
- private:
-  EnergyAccount& ea_;
-  bool prev_;
 };
 
 }  // namespace malec::energy

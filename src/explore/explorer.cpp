@@ -44,10 +44,7 @@ const std::vector<Axis>& axes() {
        },
        numLabel},
       {"mw", {3, 0, 1, 7},
-       [](core::InterfaceConfig& c, std::uint32_t v) {
-         c.merge_window = v;
-         c.merge_loads = v > 0;
-       },
+       [](core::InterfaceConfig& c, std::uint32_t v) { c.merge_window = v; },
        numLabel},
       {"sp", {1, 0},
        [](core::InterfaceConfig& c, std::uint32_t v) {

@@ -3,9 +3,9 @@
 // 64-byte lines), the unified L2 (1 MByte, 16-way) and the WDU's fully
 // associative line store (Sec. VI-C: one set, 1-byte "lines", so a tag is
 // the whole line address). This class models tag state and replacement
-// only; timing (latencies, MSHRs) lives in MemoryHierarchy and the
-// interface models, and energy is accounted by the L1 back end from the
-// outcomes this class reports.
+// only; timing (latencies, pending fills) lives in the L1 back end's miss
+// path and the interface models, and energy is accounted by the L1 back
+// end from the outcomes this class reports.
 //
 // `fill` takes the ways a line may be allocated into. The L1 back end
 // passes all ways but the line's WT-excluded one when Way Tables encode

@@ -236,18 +236,14 @@ std::uint64_t runBindingHash(const RunConfig& rc) {
   h.u64(c.agu_load_only);
   h.u64(c.agu_load_store);
   h.u64(c.agu_store_only);
-  h.u64(c.l1_extra_rd_ports);
-  h.u64(c.tlb_extra_rd_ports);
   h.u64(c.ib_carry_slots);
   h.u64(c.ib_group_comparators);
   h.u64(c.result_buses);
   h.u64(c.merge_window);
-  h.u64(c.merge_loads ? 1 : 0);
   h.u64(c.subblocked_pair_read ? 1 : 0);
   h.u64(static_cast<std::uint64_t>(c.waydet));
   h.u64(c.wdu_entries);
   h.u64(c.last_entry_feedback ? 1 : 0);
-  h.u64(c.last_entry_depth);
   const core::SystemConfig& s = rc.system;
   hashLayout(h, s.layout);
   h.u64(s.rob_entries);
@@ -491,7 +487,7 @@ RunOutput runOne(const RunConfig& rc, const InterfaceDecorator& decorate) {
 namespace {
 
 /// Phase-sampled replay: simulate only the plan's representative intervals
-/// — each primed by a warmup prefix whose stats and energy are gated off —
+/// — each primed by a warmup prefix whose stats and energy are left out —
 /// and report the weighted phase combination as the full-trace estimate.
 ///
 /// ONE interface (caches, TLB, way tables, WDU) lives across the whole
@@ -499,11 +495,12 @@ namespace {
 /// way it would across a full replay; fast-forwarded stretches leave it
 /// untouched (the staleness this introduces is the sampling
 /// approximation, bounded by the per-pick warmup that re-primes the hot
-/// set). Warmup segments run with the EnergyAccount's StatGate closed and
-/// their interface counters snapshotted away; each segment gets a fresh
-/// CoreModel, so the pipeline resets at segment boundaries exactly like
-/// at a SimPoint boundary. Every estimate is a deterministic fold in pick
-/// order, so repeated and parallel runs are bit-identical.
+/// set). Every interface counter and energy-event count is snapshotted
+/// when a measurement window opens and only the window's delta is folded
+/// in, so warmup primes state without entering the estimate. Each segment
+/// gets a fresh CoreModel, so the pipeline resets at segment boundaries
+/// exactly like at a SimPoint boundary. Every estimate is a deterministic
+/// fold in pick order, so repeated and parallel runs are bit-identical.
 RunOutput runOneSampled(const RunConfig& rc,
                         const InterfaceDecorator& decorate) {
   MALEC_CHECK_MSG(rc.workload.isTrace(),
@@ -563,9 +560,8 @@ RunOutput runOneSampled(const RunConfig& rc,
 
     const std::uint64_t warm = seg.start - seg.warm_start;
     if (warm > 0) {
-      // Warmup: primes caches/TLB/WDU; the StatGate drops its energy and
-      // the stats snapshot below removes its counters.
-      energy::StatGate gate(ea);
+      // Warmup: primes caches/TLB/WDU; the snapshots below remove its
+      // counters and energy events.
       SegmentSource wsrc(rd, warm);
       cpu::CoreModel wcore(rc.system, rc.interface_cfg, wsrc, ifc);
       const cpu::CoreStats ws = wcore.run(warm * 60 + 100'000, sim_clock);
@@ -574,7 +570,6 @@ RunOutput runOneSampled(const RunConfig& rc,
       // silently shift the measurement off its interval.
       MALEC_CHECK_MSG(ws.instructions == warm,
                       "sampled warmup did not retire every instruction");
-      gate.open();
     }
     const core::InterfaceStats warm_snap = ifc.stats();
     for (energy::EnergyAccount::EventId id = 0; id < ea.eventTypes(); ++id)

@@ -16,10 +16,7 @@ core::InterfaceConfig presetBase1ldst() {
   c.agu_load_only = 0;
   c.agu_load_store = 1;  // 1 ld/st per cycle
   c.agu_store_only = 0;
-  c.l1_extra_rd_ports = 0;
-  c.tlb_extra_rd_ports = 0;
   c.waydet = core::WayDetKind::kNone;
-  c.merge_loads = false;
   c.subblocked_pair_read = false;  // plain single-sub-block reads
   return c;
 }
@@ -32,10 +29,7 @@ core::InterfaceConfig presetBase2ld1st() {
   c.agu_load_only = 2;  // 2 ld + 1 st per cycle
   c.agu_load_store = 0;
   c.agu_store_only = 1;
-  c.l1_extra_rd_ports = 1;   // 1 rd/wt + 1 rd
-  c.tlb_extra_rd_ports = 2;  // 1 rd/wt + 2 rd
   c.waydet = core::WayDetKind::kNone;
-  c.merge_loads = false;
   c.subblocked_pair_read = false;  // plain single-sub-block reads
   return c;
 }
@@ -48,13 +42,10 @@ core::InterfaceConfig presetMalec() {
   c.agu_load_only = 1;  // 1 ld + 2 ld/st (Table I)
   c.agu_load_store = 2;
   c.agu_store_only = 0;
-  c.l1_extra_rd_ports = 0;   // single-ported banks
-  c.tlb_extra_rd_ports = 0;  // single-ported uTLB/TLB
   c.ib_carry_slots = 2;      // storage for up to two loads (VI-A)
   c.ib_group_comparators = 5;// five 20-bit comparators (VI-A)
   c.result_buses = 2;        // same LQ write bandwidth as Base2ld1st (2 ld)
   c.merge_window = 3;
-  c.merge_loads = true;
   c.subblocked_pair_read = true;
   c.waydet = core::WayDetKind::kWayTables;
   c.last_entry_feedback = true;
@@ -100,7 +91,7 @@ core::InterfaceConfig presetMalecNoFeedback() {
 core::InterfaceConfig presetMalecNoMerge() {
   core::InterfaceConfig c = presetMalec();
   c.name = "MALEC_noMerge";
-  c.merge_loads = false;
+  c.merge_window = 0;
   return c;
 }
 

@@ -239,7 +239,6 @@ ExperimentSpec specArbitrationWindow() {
     for (std::uint32_t w : {0u, 1u, 2u, 3u, 5u, 7u}) {
       core::InterfaceConfig c = presetMalec();
       c.merge_window = w;
-      c.merge_loads = w > 0;
       c.name = "win" + std::to_string(w);
       cfgs.push_back(std::move(c));
     }
@@ -496,9 +495,9 @@ ExperimentSpec specTab1Tab2() {
           : c.kind == InterfaceKind::kBase2Ld1St ? "2 ld + 1 st"
                                                  : "1 ld + 2 ld/st";
       const std::string tlb =
-          strf("1 rd/wt%s", c.tlb_extra_rd_ports ? " + 2 rd" : "");
+          strf("1 rd/wt%s", c.tlbExtraRdPorts() ? " + 2 rd" : "");
       const std::string l1 =
-          strf("1 rd/wt%s", c.l1_extra_rd_ports ? " + 1 rd" : "");
+          strf("1 rd/wt%s", c.l1ExtraRdPorts() ? " + 1 rd" : "");
       return strf("%-22s %-16s %-18s %-16s\n", c.name.c_str(), addr_comp,
                   tlb.c_str(), l1.c_str());
     };

@@ -30,7 +30,7 @@ std::vector<StructureInfo> defineEnergies(
   tag.entries = L.l1SetsPerBank();
   tag.entry_bits = L.l1Assoc() * (tag_bits + state_bits);
   tag.rw_ports = 1;
-  tag.rd_ports = cfg.l1_extra_rd_ports;
+  tag.rd_ports = cfg.l1ExtraRdPorts();
   tag.cell = CellType::kLowStandbyPower;
   const ArrayEstimate tag_est = SramArrayModel::estimate(tag, tech);
   inv.push_back({tag, tag_est, L.l1Banks()});
@@ -47,7 +47,7 @@ std::vector<StructureInfo> defineEnergies(
   data.entry_bits = L.lineBytes() * 8;
   data.read_bits = (cfg.subblocked_pair_read ? 2 : 1) * L.subBlockBytes() * 8;
   data.rw_ports = 1;
-  data.rd_ports = cfg.l1_extra_rd_ports;
+  data.rd_ports = cfg.l1ExtraRdPorts();
   data.cell = CellType::kLowStandbyPower;
   const ArrayEstimate data_est = SramArrayModel::estimate(data, tech);
   inv.push_back({data, data_est, L.l1Banks() * L.l1Assoc()});
@@ -64,7 +64,7 @@ std::vector<StructureInfo> defineEnergies(
     s.entry_bits = page_bits + 2;  // ppage + flags payload
     s.search_bits = page_bits;
     s.rw_ports = 1;
-    s.rd_ports = cfg.tlb_extra_rd_ports;
+    s.rd_ports = cfg.tlbExtraRdPorts();
     s.cell = CellType::kLowStandbyPower;
     return s;
   };

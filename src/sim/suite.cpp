@@ -347,9 +347,4 @@ void runSuite(const ExperimentSpec& spec, const SuiteOptions& opts,
   for (ResultSink* s : sinks) s->endSuite();
 }
 
-void runSuiteByName(const std::string& name, const SuiteOptions& opts,
-                    const std::vector<ResultSink*>& sinks) {
-  runSuite(specRegistry().get(name), opts, sinks);
-}
-
 }  // namespace malec::sim

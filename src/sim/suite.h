@@ -173,9 +173,4 @@ void emitSuiteTables(SuiteContext& ctx);
 void runSuite(const ExperimentSpec& spec, const SuiteOptions& opts,
               const std::vector<ResultSink*>& sinks);
 
-/// Registry-resolving convenience; unknown names abort with the spec
-/// inventory (CLI callers should tryGet first for a friendly exit).
-void runSuiteByName(const std::string& name, const SuiteOptions& opts,
-                    const std::vector<ResultSink*>& sinks);
-
 }  // namespace malec::sim

@@ -195,7 +195,19 @@ TraceReader::TraceReader(const std::string& path) : path_(path) {
   // A header count that disagrees with the file size means the capture was
   // cut short (or bytes were appended) — fail at open instead of serving a
   // partial stream as if it were complete. 64-bit arithmetic throughout:
-  // Simpoint-scale captures dwarf a 32-bit `long` ftell.
+  // Simpoint-scale captures dwarf a 32-bit `long` ftell. A count whose byte
+  // size does not fit in 64 bits is refused first: the product would wrap
+  // to the size of a much shorter file and pass the comparison.
+  constexpr std::uint64_t kMaxRecords =
+      (std::numeric_limits<std::uint64_t>::max() -
+       static_cast<std::uint64_t>(kHeaderBytes)) /
+      kRecordBytes;
+  if (total_ > kMaxRecords) {
+    error_ = "'" + path + "' is truncated or corrupt: header promises " +
+             std::to_string(total_) +
+             " records, more bytes than a 64-bit size can count";
+    return;
+  }
   std::error_code ec;
   const std::uintmax_t fs_size = std::filesystem::file_size(path, ec);
   if (ec) {

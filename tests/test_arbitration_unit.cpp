@@ -17,9 +17,9 @@ ArbCandidate mbe(std::size_t idx, Addr a) {
 }
 
 ArbitrationUnit makeArb(std::uint32_t buses = 3, std::uint32_t window = 3,
-                        bool merge = true, bool pair = true) {
+                        bool pair = true) {
   return ArbitrationUnit(
-      ArbitrationUnit::Params{AddressLayout{}, buses, window, merge, pair});
+      ArbitrationUnit::Params{AddressLayout{}, buses, window, pair});
 }
 
 // Page base chosen so line k of the page is at kPage + k*64; bank = k%4.
@@ -66,7 +66,7 @@ TEST(Arbitration, DifferentPairsOfSameLineDoNotMerge) {
 TEST(Arbitration, SingleSubBlockModeHalvesMergeReach) {
   // Without the adjacent-pair read, merging needs the same 128-bit
   // sub-block (paper Sec. IV: pair reads double merge probability).
-  ArbitrationUnit arb = makeArb(3, 3, true, /*pair=*/false);
+  ArbitrationUnit arb = makeArb(3, 3, /*pair=*/false);
   const auto same_sub = arb.arbitrate({ld(0, kPage + 0), ld(1, kPage + 8)});
   EXPECT_EQ(same_sub.action[1], Action::kMerged);
   const auto next_sub = arb.arbitrate({ld(0, kPage + 0), ld(1, kPage + 16)});
@@ -84,7 +84,7 @@ TEST(Arbitration, MergeWindowLimitsDistance) {
 }
 
 TEST(Arbitration, MergeDisabledHolds) {
-  ArbitrationUnit arb = makeArb(3, 3, /*merge=*/false);
+  ArbitrationUnit arb = makeArb(3, /*window=*/0);
   const auto out = arb.arbitrate({ld(0, kPage + 0), ld(1, kPage + 16)});
   EXPECT_EQ(out.action[1], Action::kHeld);
 }
@@ -114,8 +114,7 @@ TEST(Arbitration, MbeServicedWhenBankFree) {
   ArbitrationUnit arb = makeArb();
   const auto out =
       arb.arbitrate({ld(0, kPage + 0 * 64), mbe(1, kPage + 1 * 64)});
-  ASSERT_TRUE(out.mbe.has_value());
-  EXPECT_EQ(*out.mbe, 1u);
+  EXPECT_EQ(out.action[1], Action::kWinner);
 }
 
 TEST(Arbitration, MbeBlockedByBankConflict) {
@@ -123,7 +122,6 @@ TEST(Arbitration, MbeBlockedByBankConflict) {
   // MBE targets bank 0, already claimed by the load.
   const auto out =
       arb.arbitrate({ld(0, kPage + 0 * 64), mbe(1, kPage + 4 * 64)});
-  EXPECT_FALSE(out.mbe.has_value());
   EXPECT_EQ(out.action[1], Action::kHeld);
   EXPECT_EQ(out.bank_conflicts, 1u);
 }
@@ -133,16 +131,14 @@ TEST(Arbitration, MbeNeedsNoResultBus) {
   const auto out =
       arb.arbitrate({ld(0, kPage + 0 * 64), mbe(1, kPage + 1 * 64)});
   EXPECT_EQ(out.action[0], Action::kWinner);
-  EXPECT_TRUE(out.mbe.has_value());
+  EXPECT_EQ(out.action[1], Action::kWinner);
 }
 
 TEST(Arbitration, EmptyGroupIsEmptyOutcome) {
   ArbitrationUnit arb = makeArb();
   const auto out = arb.arbitrate({});
-  EXPECT_FALSE(out.mbe.has_value());
   EXPECT_EQ(out.bank_conflicts, 0u);
   EXPECT_EQ(out.bus_rejects, 0u);
-  EXPECT_EQ(out.compares, 0u);
 }
 
 // The hot path reuses one outcome for every group: a group arbitrated into
@@ -161,10 +157,8 @@ TEST(Arbitration, ReusedOutcomeMatchesAFreshOne) {
   for (std::size_t i = 0; i < small.size(); ++i)
     EXPECT_EQ(reused.action[i], fresh.action[i]) << i;
   EXPECT_EQ(reused.action[1], Action::kHeld);  // bank 0 taken by line 4
-  EXPECT_FALSE(reused.mbe.has_value());
   EXPECT_EQ(reused.bank_conflicts, fresh.bank_conflicts);
   EXPECT_EQ(reused.bus_rejects, fresh.bus_rejects);
-  EXPECT_EQ(reused.compares, fresh.compares);
 }
 
 // Property sweep over bus counts: winners+merged never exceed the buses,

@@ -47,7 +47,6 @@ constexpr const char* kCheckpointAuditedClasses[] = {
     "LoadQueue",
     "LruPolicy",
     "MalecInterface",
-    "MemoryHierarchy",
     "MergeBuffer",
     "PageTable",
     "RandomPolicy",
@@ -504,8 +503,8 @@ TEST(CheckpointDeathTest, VersionSkewAborts) {
   RunConfig rc = baseConfig("gcc", presetMalec(), 2'000);
   const std::string path = writeCheckpoint(rc, "version.mckpt");
   rc.start_ckpt = path;
-  // Versions 1 to 4 predate the interface section's current field order.
-  for (const int version : {1, 2, 3, 4, 9}) {
+  // Versions 1 to 5 predate the current field order and run binding.
+  for (const int version : {1, 2, 3, 4, 5, 9}) {
     std::FILE* f = std::fopen(path.c_str(), "r+b");
     std::fseek(f, 4, SEEK_SET);
     std::fputc(version, f);

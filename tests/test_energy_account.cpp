@@ -112,51 +112,6 @@ TEST(EnergyAccount, ResolveEventDefinesZeroEnergyPlaceholder) {
   EXPECT_DOUBLE_EQ(ea.dynamicPj(), 7 * 0.45);
 }
 
-TEST(EnergyAccount, StatGateDropsCountsWhileClosed) {
-  EnergyAccount ea;
-  const auto id = ea.defineEvent("l1.ctrl", 2.0);
-  ea.count(id, 3);
-  {
-    StatGate gate(ea);  // closes the gate: warmup accesses charge nothing
-    EXPECT_FALSE(ea.counting());
-    ea.count(id, 100);
-    EXPECT_EQ(ea.eventCount(id), 3u);
-    gate.open();
-    EXPECT_TRUE(ea.counting());
-    ea.count(id, 4);
-  }
-  EXPECT_EQ(ea.eventCount(id), 7u);
-  EXPECT_DOUBLE_EQ(ea.dynamicPj(), 7 * 2.0);
-}
-
-TEST(EnergyAccount, StatGateNestsByRestoringPriorState) {
-  EnergyAccount ea;
-  const auto id = ea.defineEvent("l1.ctrl", 1.0);
-  {
-    StatGate outer(ea);
-    {
-      StatGate inner(ea);
-      ea.count(id, 10);
-    }  // the inner gate must NOT un-gate the still-closed outer scope
-    EXPECT_FALSE(ea.counting());
-    ea.count(id, 10);
-  }
-  EXPECT_TRUE(ea.counting());
-  EXPECT_EQ(ea.eventCount(id), 0u);
-}
-
-TEST(EnergyAccount, StatGateReopensOnDestruction) {
-  EnergyAccount ea;
-  const auto id = ea.defineEvent("l1.ctrl", 1.0);
-  {
-    StatGate gate(ea);
-    ea.count(id, 5);
-  }  // never opened explicitly — the RAII exit must reopen anyway
-  EXPECT_TRUE(ea.counting());
-  ea.count(id, 2);
-  EXPECT_EQ(ea.eventCount(id), 2u);
-}
-
 TEST(EnergyAccountDeath, OutOfRangeEventIdAborts) {
   EnergyAccount ea;
   ea.defineEvent("only", 1.0);

@@ -8,6 +8,9 @@
 //  - synth_<workload>_<config>: the five Fig. 4 presets plus MALEC_WDU16,
 //    MALEC_noFeedback and MALEC_noMerge over synthetic gcc/mcf/djpeg/gap,
 //    run as ONE runManyParallel batch (32 cases);
+//  - synth_swim_<config>_1KB_L1: synthetic swim on MALEC and Base2ld1st
+//    with a 1 KB L1 (four sets, one per bank), which evicts lines inside
+//    their own fill windows and so reaches the miss path's MSHR merge;
 //  - replay_gcc_<config>: a gcc capture replayed on the three Table-I
 //    presets;
 //  - sampled_gap_MALEC: a phase-sampled replay of a gap capture.
@@ -31,6 +34,7 @@
 #include <string>
 #include <vector>
 
+#include "common/address.h"
 #include "phase/planner.h"
 #include "phase/sample_plan.h"
 #include "sim/differential.h"
@@ -97,6 +101,15 @@ Corpus simulateCorpus() {
   for (const RunOutput& out : runManyParallel(batch))
     corpus["synth_" + out.benchmark + "_" + out.config] = describeOutput(out);
 
+  for (const auto& make : {presetMalec, presetBase2ld1st}) {
+    RunConfig rc = synthConfig("swim", make());
+    AddressLayout::Params small_l1;
+    small_l1.l1_bytes = 1024;
+    rc.system.layout = AddressLayout(small_l1);
+    const RunOutput out = runOne(rc);
+    corpus["synth_swim_" + out.config + "_1KB_L1"] = describeOutput(out);
+  }
+
   // Captures are named after their workload: replays report "trace:<stem>".
   const fs::path traces = freshDir("malec_golden_traces");
   const std::string gcc = (traces / "gcc.mtrace").string();
@@ -151,7 +164,7 @@ std::vector<std::string> checkCorpus(const Corpus& fresh, const fs::path& dir) {
 
 TEST(GoldenRuns, CorpusMatchesCommittedGoldens) {
   const Corpus fresh = simulateCorpus();
-  ASSERT_EQ(fresh.size(), 36u);
+  ASSERT_EQ(fresh.size(), 38u);
   const fs::path out = freshDir("malec_golden_runs");
   for (const auto& [name, text] : fresh)
     writeFile(out / (name + ".golden"), text);

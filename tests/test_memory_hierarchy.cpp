@@ -1,172 +1,181 @@
-#include "mem/memory_hierarchy.h"
+// The L1 miss path, driven through core::L1Backend: L2 and DRAM latency,
+// the merge of a miss onto its line's fill in flight, the install and the
+// eviction it causes, and the dirty state of stores and their write-backs.
+#include "core/l1_backend.h"
 
 #include <gtest/gtest.h>
 
-#include <optional>
-#include <utility>
-#include <vector>
+#include "energy/energy_account.h"
 
-#include "common/address.h"
-
-namespace malec::mem {
+namespace malec::core {
 namespace {
 
-/// Table II: a 128-set 4-way L1 and a 1024-set 16-way L2, 64-byte lines.
-struct Fixture {
-  AddressLayout layout;
-  Cache l1{layout.l1Sets(), layout.l1Assoc(), layout.lineBytes()};
-  Cache l2{kL2Bytes / kL2Ways / 64, kL2Ways, 64};
-  MemoryHierarchy hier{l1, l2, MemoryHierarchy::Params{}};
-  /// Addresses this far apart share an L1 set.
-  Addr stride = static_cast<Addr>(layout.l1Sets()) * layout.lineBytes();
+constexpr Cycle kL2 = 12;    ///< Table II L2 latency
+constexpr Cycle kDram = 54;  ///< Table II DRAM latency behind the L2
+constexpr Cycle kL1 = 2;     ///< a load's delivery on top of its fill
 
-  MemoryHierarchy::MissOutcome miss(Addr paddr, Cycle now,
-                                    bool is_store = false) {
-    return hier.missAccess(paddr, now, is_store, l1.allWays());
+/// A Base1ldst back end on Table II's system (a 128-set 4-way L1, a
+/// 1024-set 16-way L2, 64-byte lines), driven with physical addresses:
+/// each access's translation maps its page to itself. A baseline never
+/// determines ways, so a line may fill any L1 way.
+struct Fixture {
+  energy::EnergyAccount ea;
+  SystemConfig sys;
+  L1Backend be{baseline(), sys, ea};
+  /// Addresses this far apart share an L1 set.
+  Addr l1_stride = Addr{sys.layout.l1Sets()} * sys.layout.lineBytes();
+  /// Addresses this far apart share an L2 set (and so an L1 set).
+  Addr l2_stride = mem::kL2Bytes / mem::kL2Ways;
+
+  static InterfaceConfig baseline() {
+    InterfaceConfig c;
+    c.kind = InterfaceKind::kBase1LdSt;
+    return c;
+  }
+  [[nodiscard]] TranslationEngine::Result identity(Addr paddr) const {
+    TranslationEngine::Result tr;
+    tr.ppage = sys.layout.pageId(paddr);
+    return tr;
+  }
+  /// Data-ready cycle of a load of `paddr` at `now`.
+  Cycle load(Addr paddr, Cycle now) {
+    return be.load(paddr, identity(paddr), now);
+  }
+  void store(Addr paddr, Cycle now) {
+    be.write(paddr, identity(paddr), now);
+  }
+  [[nodiscard]] std::uint64_t evictions() const {
+    return ea.eventCount("l1.line_read");
+  }
+
+  /// Miss four other lines of `a`'s L1 set at `now`: `a` leaves the 4-way
+  /// L1 when it is the set's least recently used line.
+  void evictFromL1(Addr a, Cycle now) {
+    for (Addr i = 1; i <= 4; ++i) load(a + i * l1_stride, now);
+  }
+
+  /// Push the L1-resident `a` out of the L2 but not the L1 (sixteen misses
+  /// to its L2 set, each followed by a hit that keeps `a` the L1 set's most
+  /// recent line), then out of the L1, all at `now`. Returns whether the
+  /// next miss of `a` is served by the L2: only the L1 eviction of a dirty
+  /// line writes it back there.
+  bool writtenBack(Addr a, Cycle now) {
+    for (Addr i = 1; i <= mem::kL2Ways; ++i) {
+      load(a + i * l2_stride, now);
+      EXPECT_EQ(load(a, now), now + kL1) << "`a` left the L1 early";
+    }
+    evictFromL1(a, now);
+    const Cycle later = now + 1000;
+    const Cycle ready = load(a, later);
+    EXPECT_TRUE(ready == later + kL2 + kL1 ||
+                ready == later + kL2 + kDram + kL1);
+    return ready == later + kL2 + kL1;
   }
 };
 
 TEST(MemoryHierarchy, L2MissCostsDramLatency) {
   Fixture f;
-  const auto out = f.miss(0x1000, /*now=*/100);
-  EXPECT_FALSE(out.l2_hit);
-  // Table II: 12-cycle L2 + 54-cycle DRAM.
-  EXPECT_EQ(out.ready_cycle, 100u + 12 + 54);
-  EXPECT_TRUE(f.l1.probe(0x1000).has_value());
-  EXPECT_TRUE(f.l2.probe(0x1000).has_value());
+  EXPECT_EQ(f.load(0x1000, 100), 100 + kL2 + kDram + kL1);
+  EXPECT_EQ(f.load(0x1000, 200), 200 + kL1);  // the miss installed the line
 }
 
 TEST(MemoryHierarchy, L2HitCostsL2LatencyOnly) {
   Fixture f;
-  f.l2.fill(0x2000, f.l2.allWays());
-  const auto out = f.miss(0x2000, 50);
-  EXPECT_TRUE(out.l2_hit);
-  EXPECT_EQ(out.ready_cycle, 50u + 12);
+  (void)f.load(0x2000, 0);  // fills the L2 and the L1
+  f.evictFromL1(0x2000, 100);
+  EXPECT_EQ(f.load(0x2000, 200), 200 + kL2 + kL1);
 }
 
-TEST(MemoryHierarchy, MshrMergesSameLine) {
+TEST(MemoryHierarchy, MissMergesOntoItsLinesFillInFlight) {
+  // A line evicted inside its own fill window and missed again completes
+  // with the fill already on its way, wherever in the line the load reads.
   Fixture f;
-  const auto a = f.miss(0x3000, 10);
-  const auto b = f.miss(0x3008, 12);  // same line
-  EXPECT_TRUE(b.merged_mshr);
-  EXPECT_EQ(b.ready_cycle, a.ready_cycle);
-  EXPECT_EQ(b.l1_way, a.l1_way);
+  const Cycle ready = f.load(0x3000, 10);
+  f.evictFromL1(0x3000, 11);
+  EXPECT_EQ(f.load(0x3008, 12), ready);
 }
 
-TEST(MemoryHierarchy, MergeExpiresAfterReady) {
+TEST(MemoryHierarchy, MergeExpiresWhenTheFillArrives) {
   Fixture f;
-  const auto a = f.miss(0x3000, 10);
-  f.l1.invalidate(0x3000);
-  const auto b = f.miss(0x3000, a.ready_cycle + 1);
-  EXPECT_FALSE(b.merged_mshr);
+  const Cycle arrival = f.load(0x3000, 10) - kL1;
+  f.evictFromL1(0x3000, 11);
+  // From its arrival cycle on, the fill is complete: the next miss of the
+  // line is a fresh one, served by the L2.
+  EXPECT_EQ(f.load(0x3000, arrival), arrival + kL2 + kL1);
 }
 
 TEST(MemoryHierarchy, MergeFindsItsLineAfterExpiredFillsCompact) {
   // Several fills in flight; the oldest expires and is compacted out of
   // the table by the next miss, and later merges still find their own
-  // line's fill.
+  // line's fill. a, b, c and d sit in four different L1 sets.
   Fixture f;
-  const auto a = f.miss(0x1000, 0);   // ready 66
-  const auto b = f.miss(0x2000, 10);  // ready 76
-  const auto c = f.miss(0x3000, 20);  // ready 86
-  (void)f.miss(0x4000, a.ready_cycle);  // drops a
-  const auto c2 = f.miss(0x3010, 70);
-  EXPECT_TRUE(c2.merged_mshr);
-  EXPECT_EQ(c2.ready_cycle, c.ready_cycle);
-  const auto b2 = f.miss(0x2020, 71);
-  EXPECT_TRUE(b2.merged_mshr);
-  EXPECT_EQ(b2.ready_cycle, b.ready_cycle);
-  f.l1.invalidate(0x1000);
-  EXPECT_FALSE(f.miss(0x1000, 72).merged_mshr);
+  const Addr a = 0x1000, b = 0x1040, c = 0x1080, d = 0x10c0;
+  const Cycle ra = f.load(a, 0);  // arrives at 66
+  const Cycle rb = f.load(b, 10);
+  const Cycle rc = f.load(c, 20);
+  f.evictFromL1(a, 21);
+  f.evictFromL1(b, 21);
+  f.evictFromL1(c, 21);
+  (void)f.load(d, ra - kL1);  // drops a's fill
+  EXPECT_EQ(f.load(c + 16, 70), rc);
+  EXPECT_EQ(f.load(b + 32, 71), rb);
+  EXPECT_EQ(f.load(a, 72), 72 + kL2 + kL1);
+}
+
+TEST(MemoryHierarchy, MissInstallsTheLineAndEvictsTheLru) {
+  Fixture f;
+  const Addr a = 0x6000;
+  (void)f.load(a + 0x10, 0);
+  EXPECT_EQ(f.ea.eventCount("l1.line_write"), 1u);
+  // Fill the rest of the set, then force an L1 set conflict.
+  for (Addr i = 1; i <= 3; ++i) (void)f.load(a + i * f.l1_stride, i * 100);
+  EXPECT_EQ(f.evictions(), 0u);
+  (void)f.load(a + 4 * f.l1_stride, 400);
+  EXPECT_EQ(f.evictions(), 1u);
+  EXPECT_EQ(f.ea.eventCount("l1.line_write"), 5u);
+  // The victim was the least recently used line, a.
+  for (Addr i = 1; i <= 4; ++i)
+    EXPECT_EQ(f.load(a + i * f.l1_stride, 500), 500 + kL1) << i;
+  EXPECT_EQ(f.load(a, 600), 600 + kL2 + kL1);
 }
 
 TEST(MemoryHierarchy, StoreMissMarksLineDirty) {
   Fixture f;
-  f.miss(0x4000, 0, /*is_store=*/true);
-  // Evicting that line later must be a dirty eviction.
-  const auto inv = f.l1.invalidate(0x4000);
-  ASSERT_TRUE(inv.has_value());
-  EXPECT_TRUE(*inv);
+  f.store(0x4000, 0);
+  EXPECT_EQ(f.be.stats().write_l1_misses, 1u);
+  EXPECT_TRUE(f.writtenBack(0x4000, 100));
+  // A load miss leaves its line clean: nothing is written back.
+  Fixture clean;
+  (void)clean.load(0x4000, 0);
+  EXPECT_FALSE(clean.writtenBack(0x4000, 100));
 }
 
 TEST(MemoryHierarchy, StoreMergeOntoPendingLineMarksDirty) {
   Fixture f;
-  f.miss(0x5000, 0);
-  f.miss(0x5010, 1, /*is_store=*/true);  // merges, dirties
-  const auto inv = f.l1.invalidate(0x5000);
-  ASSERT_TRUE(inv.has_value());
-  EXPECT_TRUE(*inv);
-}
-
-TEST(MemoryHierarchy, OutcomeReportsInstallAndDisplacedLine) {
-  Fixture f;
-  const auto first = f.miss(0x6010, 0);
-  EXPECT_TRUE(first.installed);
-  EXPECT_EQ(f.l1.probe(0x6000), std::optional<WayIdx>(first.l1_way));
-  EXPECT_FALSE(first.evicted);
-
-  // Fill the rest of the set, then force an L1 set conflict.
-  for (int i = 1; i <= 3; ++i)
-    EXPECT_FALSE(f.miss(0x6000 + i * f.stride, i * 100).evicted) << i;
-  const auto conflict = f.miss(0x6000 + 4 * f.stride, 400);
-  EXPECT_TRUE(conflict.installed);
-  ASSERT_TRUE(conflict.evicted);
-  EXPECT_EQ(conflict.evicted_line, 0x6000u);  // the LRU line
-  EXPECT_EQ(conflict.l1_way, first.l1_way);
-
-  // A miss merging onto a fill whose line is still resident installs
-  // nothing.
-  const auto merged = f.miss(0x6000 + 4 * f.stride + 8, 401);
-  EXPECT_TRUE(merged.merged_mshr);
-  EXPECT_FALSE(merged.installed);
-  EXPECT_FALSE(merged.evicted);
-}
-
-TEST(MemoryHierarchy, DirtyVictimWritesBackToL2) {
-  Fixture f;
-  f.miss(0x7000, 0, /*is_store=*/true);
-  for (int i = 1; i <= 4; ++i) f.miss(0x7000 + i * f.stride, i * 100);
-  EXPECT_FALSE(f.l1.probe(0x7000).has_value());
-  // The victim line must be L2-resident, and clean there: nothing reads an
-  // L2 dirty bit, since DRAM writeback is outside the energy scope.
-  EXPECT_EQ(f.l2.invalidate(0x7000), std::optional<bool>(false));
+  (void)f.load(0x5000, 0);
+  f.evictFromL1(0x5000, 1);
+  f.store(0x5010, 2);  // merges onto the fill, re-installs and dirties
+  EXPECT_EQ(f.be.stats().write_l1_misses, 1u);
+  EXPECT_TRUE(f.writtenBack(0x5000, 100));
 }
 
 TEST(MemoryHierarchy, MergeAfterEvictionReinstallsTheLine) {
-  // A line evicted inside its own fill window, then missed again by a
-  // store: the store merges onto the outstanding fill, the line is
-  // installed again, and only that line turns dirty.
+  // A line evicted inside its own fill window and missed again: the miss
+  // merges onto the outstanding fill, the line is installed again, and
+  // that install displaces the set's least recently used line.
   Fixture f;
   const Addr a = 0x8000;
-  const auto first = f.miss(a, 0);  // fill due at cycle 66
-  for (int i = 1; i <= 4; ++i) f.miss(a + i * f.stride, i);  // evicts a
-  ASSERT_FALSE(f.l1.probe(a).has_value());
-
-  const auto out = f.miss(a, 10, /*is_store=*/true);
-  EXPECT_TRUE(out.merged_mshr);
-  EXPECT_EQ(out.ready_cycle, first.ready_cycle);
-  EXPECT_EQ(f.l1.probe(a), std::optional<WayIdx>(out.l1_way));
-  EXPECT_TRUE(out.installed);
-  ASSERT_TRUE(out.evicted);
-  EXPECT_EQ(out.evicted_line, a + f.stride);  // the LRU line
-  EXPECT_EQ(f.l1.invalidate(a), std::optional<bool>(true));
-  for (int i = 1; i <= 4; ++i)
-    EXPECT_NE(f.l1.invalidate(a + i * f.stride), std::optional<bool>(true))
-        << i;
-}
-
-TEST(MemoryHierarchy, MshrAvailability) {
-  MemoryHierarchy::Params p;
-  p.mshrs = 2;
-  Fixture f;
-  MemoryHierarchy h(f.l1, f.l2, p);
-  EXPECT_TRUE(h.mshrAvailable(0));
-  h.missAccess(0x100, 0, false, f.l1.allWays());
-  h.missAccess(0x10000, 0, false, f.l1.allWays());
-  EXPECT_FALSE(h.mshrAvailable(0));
-  // After both fills complete, slots free up.
-  EXPECT_TRUE(h.mshrAvailable(1000));
+  const Cycle ready = f.load(a, 0);
+  f.evictFromL1(a, 1);
+  EXPECT_EQ(f.evictions(), 1u);
+  EXPECT_EQ(f.load(a, 10), ready);
+  EXPECT_EQ(f.evictions(), 2u);
+  EXPECT_EQ(f.load(a, 11), 11 + kL1);
+  for (Addr i = 2; i <= 4; ++i)
+    EXPECT_EQ(f.load(a + i * f.l1_stride, 12), 12 + kL1) << i;
+  // The displaced line, missed after its own fill arrived.
+  EXPECT_EQ(f.load(a + f.l1_stride, 200), 200 + kL2 + kL1);
 }
 
 }  // namespace
-}  // namespace malec::mem
+}  // namespace malec::core

@@ -1,9 +1,10 @@
 // Phase-sampled replay through runOne: the determinism contract the docs
 // claim (bit-identical reports across repeated and parallel runs), the
-// plan/trace binding, the warmup StatGate, and the death tests for a
-// corrupt measured window and corrupt or mismatched .mplan sidecars. Then
-// the phase_sampled suite over a capture directory: its cells against
-// direct runs, its job-count determinism and its refusals.
+// plan/trace binding, the warmup's exclusion from counters and energy, and
+// the death tests for a corrupt measured window and corrupt or mismatched
+// .mplan sidecars. Then the phase_sampled suite over a capture directory:
+// its cells against direct runs, its job-count determinism and its
+// refusals.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -13,7 +14,6 @@
 #include <string>
 #include <vector>
 
-#include "energy/energy_account.h"
 #include "phase/planner.h"
 #include "phase/sample_plan.h"
 #include "sim/differential.h"
@@ -133,6 +133,22 @@ TEST(PhaseSampled, WarmupIsExcludedFromStats) {
   // only the state (and with it cycles/misses) may differ.
   EXPECT_EQ(cold.core.loads, warm.core.loads);
   EXPECT_EQ(cold.instructions, warm.instructions);
+  std::remove(phase::planSidecarPath(path).c_str());
+  std::remove(path.c_str());
+}
+
+TEST(PhaseSampled, WarmupEnergyEventsMatchWarmupCounters) {
+  // Every L1 access charges one l1.ctrl event and counts one load or MBE
+  // write, so the two stay equal only if warmup leaves the energy events
+  // out exactly where it leaves the interface counters out. Each estimate
+  // is rounded once, hence the slack of 1.
+  const std::string path =
+      captureWithPlan("gcc", "ctrl.mtrace", 20'000, 4'000, 3, 2'000);
+  const RunOutput o = runOne(sampledConfig(path));
+  const double accesses = static_cast<double>(o.ifc.load_l1_accesses +
+                                              o.ifc.write_l1_accesses);
+  EXPECT_GT(accesses, 0.0);
+  EXPECT_NEAR(o.energy_detail.get("count.l1.ctrl"), accesses, 1.0);
   std::remove(phase::planSidecarPath(path).c_str());
   std::remove(path.c_str());
 }
@@ -327,10 +343,10 @@ TEST(PhaseSampledSuite, CellsEqualDirectRunsAtEveryJobCount) {
   opts.workload_filter = "ps_";
   opts.jobs = 1;
   TableSink serial;
-  runSuiteByName("phase_sampled", opts, {&serial});
+  runSuite(specRegistry().get("phase_sampled"), opts, {&serial});
   opts.jobs = 4;
   TableSink pooled;
-  runSuiteByName("phase_sampled", opts, {&pooled});
+  runSuite(specRegistry().get("phase_sampled"), opts, {&pooled});
 
   ASSERT_EQ(serial.tables.size(), 3u);
   ASSERT_EQ(pooled.tables.size(), 3u);
@@ -410,7 +426,7 @@ TEST(PhaseSampledSuiteDeathTest, InstructionBudgetIsRefused) {
   opts.progress = false;
   opts.workload_filter = "ps_";
   opts.instructions = 1'000;
-  EXPECT_DEATH(runSuiteByName("phase_sampled", opts, {}),
+  EXPECT_DEATH(runSuite(specRegistry().get("phase_sampled"), opts, {}),
                "replays whole traces/plans.*drop --instr");
 }
 
@@ -419,7 +435,7 @@ TEST(PhaseSampledSuiteDeathTest, FilterSplittingAPairIsRefused) {
   SuiteOptions opts;
   opts.progress = false;
   opts.workload_filter = "ps_gap:";
-  EXPECT_DEATH(runSuiteByName("phase_sampled", opts, {}),
+  EXPECT_DEATH(runSuite(specRegistry().get("phase_sampled"), opts, {}),
                "keeps 'trace:ps_gap:sampled' but drops 'trace:ps_gap'");
 }
 
@@ -449,7 +465,7 @@ TEST(PhaseSampledSuiteDeathTest, NoUsablePlanNamesEachCapture) {
       {
         ::unsetenv("MALEC_TRACE_DIR");
         registerTraceWorkloadsFrom(dir);
-        runSuiteByName("phase_sampled", opts, {});
+        runSuite(specRegistry().get("phase_sampled"), opts, {});
       },
       "no registered capture has a usable .mplan sidecar.*"
       "trace:np_bare: cannot open '.*np_bare.mplan'.*"

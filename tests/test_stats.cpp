@@ -5,76 +5,14 @@
 namespace malec {
 namespace {
 
-TEST(Histogram, BucketEdgesInclusive) {
-  Histogram h({1, 2, 4, 8});
-  h.add(1);
-  h.add(2);
-  h.add(3);
-  h.add(4);
-  h.add(5);
-  h.add(8);
-  h.add(9);
-  EXPECT_EQ(h.count(0), 1u);  // <=1
-  EXPECT_EQ(h.count(1), 1u);  // 2
-  EXPECT_EQ(h.count(2), 2u);  // 3..4
-  EXPECT_EQ(h.count(3), 2u);  // 5..8
-  EXPECT_EQ(h.count(4), 1u);  // >8 overflow
-  EXPECT_EQ(h.total(), 7u);
-}
-
-TEST(Histogram, WeightedAdds) {
-  Histogram h({10});
-  h.add(5, 3);
-  h.add(11, 7);
-  EXPECT_EQ(h.count(0), 3u);
-  EXPECT_EQ(h.count(1), 7u);
-  EXPECT_DOUBLE_EQ(h.fraction(0), 0.3);
-  EXPECT_DOUBLE_EQ(h.fraction(1), 0.7);
-}
-
-TEST(Histogram, FractionAtLeast) {
-  Histogram h({1, 2});
-  h.add(1);
-  h.add(2);
-  h.add(3);
-  h.add(3);
-  EXPECT_DOUBLE_EQ(h.fractionAtLeast(0), 1.0);
-  EXPECT_DOUBLE_EQ(h.fractionAtLeast(1), 0.75);
-  EXPECT_DOUBLE_EQ(h.fractionAtLeast(2), 0.5);
-}
-
-TEST(Histogram, EmptyIsSafe) {
-  Histogram h({1});
-  EXPECT_EQ(h.total(), 0u);
-  EXPECT_DOUBLE_EQ(h.fraction(0), 0.0);
-  EXPECT_DOUBLE_EQ(h.fractionAtLeast(0), 0.0);
-}
-
-TEST(Histogram, ClearResets) {
-  Histogram h({1});
-  h.add(0);
-  h.clear();
-  EXPECT_EQ(h.total(), 0u);
-  EXPECT_EQ(h.count(0), 0u);
-}
-
-TEST(StatSet, SetAddGet) {
+TEST(StatSet, SetGet) {
   StatSet s;
   EXPECT_FALSE(s.has("x"));
   EXPECT_DOUBLE_EQ(s.get("x"), 0.0);
   s.set("x", 2.5);
-  s.add("x", 1.5);
+  s.set("x", 4.0);
   EXPECT_TRUE(s.has("x"));
   EXPECT_DOUBLE_EQ(s.get("x"), 4.0);
-}
-
-TEST(StatSet, MergeWithPrefix) {
-  StatSet a, b;
-  b.set("hits", 10);
-  b.set("misses", 2);
-  a.merge(b, "l1.");
-  EXPECT_DOUBLE_EQ(a.get("l1.hits"), 10.0);
-  EXPECT_DOUBLE_EQ(a.get("l1.misses"), 2.0);
 }
 
 TEST(StatSet, TableRendersAllEntries) {

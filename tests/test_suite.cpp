@@ -56,7 +56,8 @@ TEST(SpecRegistry, EnumeratesAtLeastTenSuites) {
 
 TEST(SpecRegistryDeathTest, UnknownSpecMessage) {
   SuiteOptions opts;
-  EXPECT_DEATH(runSuiteByName("nope", opts, {}), "unknown spec 'nope'");
+  EXPECT_DEATH(runSuite(specRegistry().get("nope"), opts, {}),
+               "unknown spec 'nope'");
 }
 
 // This binary never registers trace workloads, so the trace_replay suite's
@@ -68,7 +69,7 @@ TEST(SpecRegistryDeathTest, TraceReplayWithoutTracesExplains) {
   EXPECT_DEATH(
       {
         ::unsetenv("MALEC_TRACE_DIR");
-        runSuiteByName("trace_replay", opts, {});
+        runSuite(specRegistry().get("trace_replay"), opts, {});
       },
       "none are registered.*MALEC_TRACE_DIR");
 }
@@ -179,7 +180,7 @@ TEST(Suite, WorkloadFilterSelectsMatchingRows) {
   opts.workload_filter = "gcc";
   opts.progress = false;
   CaptureSink sink;
-  runSuiteByName("coverage_ablation", opts, {&sink});
+  runSuite(specRegistry().get("coverage_ablation"), opts, {&sink});
   ASSERT_EQ(sink.rendered.size(), 1u);
   // One data row (gcc) plus the overall geomean row.
   EXPECT_NE(sink.rendered[0].find("gcc"), std::string::npos);
@@ -195,7 +196,7 @@ TEST(SuiteDeathTest, FilterMatchingNothingAborts) {
   CaptureSink sink;
   // A silent exit-0 run with an empty table and all-zero geomeans would
   // look like a successful result to scripted sink consumers.
-  EXPECT_DEATH(runSuiteByName("fig4a", opts, {&sink}),
+  EXPECT_DEATH(runSuite(specRegistry().get("fig4a"), opts, {&sink}),
                "matches no workload of suite 'fig4a'");
 }
 
@@ -207,7 +208,7 @@ TEST(Suite, OptionsOverrideBudgetSeedAndJobs) {
   opts.workload_filter = "eon";
   opts.progress = false;
   CaptureSink sink;
-  runSuiteByName("wdu_vs_wt", opts, {&sink});
+  runSuite(specRegistry().get("wdu_vs_wt"), opts, {&sink});
   EXPECT_EQ(sink.info.name, "wdu_vs_wt");
   EXPECT_EQ(sink.info.instructions, 2'500u);
   EXPECT_EQ(sink.info.seed, 9u);
@@ -221,7 +222,7 @@ TEST(Suite, EverySinkReceivesEveryTable) {
   opts.workload_filter = "eon";
   opts.progress = false;
   CaptureSink a, b;
-  runSuiteByName("fig4b", opts, {&a, &b});
+  runSuite(specRegistry().get("fig4b"), opts, {&a, &b});
   ASSERT_EQ(a.rendered.size(), 2u);
   EXPECT_EQ(a.rendered, b.rendered);
   EXPECT_EQ(a.notes, b.notes);

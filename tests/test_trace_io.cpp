@@ -202,6 +202,25 @@ TEST(TraceIoV2, TruncatedFileIsHardErrorAtOpen) {
   std::remove(path.c_str());
 }
 
+TEST(TraceIoV2, WrappingRecordCountIsHardErrorAtOpen) {
+  // Header counts of k + 2^63 records: 2^63 * 26 bytes wraps to 0 in 64
+  // bits, so the promised size equals a k-record file's. An empty file and
+  // a 10-record file, each with bit 63 of its count set, must both be
+  // refused at open rather than served from an empty or stale buffer.
+  for (const std::uint64_t records : {0u, 10u}) {
+    const std::string path = tmpPath("wrap.mtrace");
+    detail::writeTrace(path, records);
+    detail::corruptByte(path, 15, 0x80);  // top byte of the u64 at 8
+    TraceReader rd(path);
+    EXPECT_FALSE(rd.ok()) << records;
+    EXPECT_NE(rd.error().find("truncated or corrupt"), std::string::npos)
+        << rd.error();
+    InstrRecord r;
+    EXPECT_FALSE(rd.next(r)) << records;
+    std::remove(path.c_str());
+  }
+}
+
 TEST(TraceIoV2, TrailingGarbageIsHardErrorAtOpen) {
   const std::string path = tmpPath("tail.mtrace");
   detail::writeTrace(path, 10);
