@@ -22,7 +22,7 @@
 // MALEC_SWEEP_RETRIES / MALEC_SWEEP_BACKOFF_MS tune supervision,
 // MALEC_FAULT_SPEC injects deterministic faults for tests.)
 //
-// Result store (docs/FILE_FORMATS.md, ".mstore v2"): every sink run can
+// Result store (docs/FILE_FORMATS.md, ".mstore"): every sink run can
 // land durably in a queryable store, and two subcommands work on it —
 //
 //   malec_bench --suite fig4a --sink store --store results.mstore

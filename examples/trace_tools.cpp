@@ -1,7 +1,7 @@
 // Trace tooling around the public trace API:
 //
 //   trace_tools gen <benchmark> <N> <file> [--seed S]
-//       capture a synthetic stream (v2 format: block-buffered, header
+//       capture a synthetic stream (`.mtrace`: block-buffered, header
 //       carries the AddressLayout and a record checksum)
 //   trace_tools analyze <file>
 //       Fig.1-style locality report, under the layout the trace was

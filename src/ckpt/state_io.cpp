@@ -27,8 +27,9 @@ namespace {
 /// payload checksum — 32 bytes (see docs/FILE_FORMATS.md).
 constexpr std::size_t kHeaderBytes = 32;
 
+/// The payload checksum folds the whole payload as one stream.
 std::uint64_t checksum(const std::uint8_t* p, std::size_t n) {
-  return binio::fnv1a(binio::kFnvOffset, p, n);
+  return binio::checksum(binio::kFnvOffset, p, n);
 }
 
 /// Reap temp files a crashed (or SIGKILLed) writer left next to `path`:

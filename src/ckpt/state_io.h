@@ -1,11 +1,11 @@
-// Checkpoint state I/O: the `.mckpt` v2 container every component
-// serializes itself into.
+// Checkpoint state I/O: the `.mckpt` container every component serializes
+// itself into.
 //
 // A checkpoint is a full-state snapshot of one running simulation — core,
 // interface, caches, TLBs, way tables, energy counters, RNGs and the trace
 // position — taken at an instruction boundary so a restored run continues
 // bit-identically to the run that never stopped. The byte-level format
-// (header, section table, FNV-1a checksum, compatibility rules) is
+// (header, section table, payload checksum, compatibility rules) is
 // specified in docs/FILE_FORMATS.md; like `.mtrace` and `.mplan` it is
 // strict: magic, version, size-vs-header and checksum mismatches are hard
 // errors at open, never a silently partial restore.
@@ -27,7 +27,7 @@ namespace malec::ckpt {
 
 /// Magic bytes + version identifying a MALEC checkpoint file ("MCKP").
 inline constexpr std::uint32_t kCkptMagic = 0x4D434B50;
-inline constexpr std::uint32_t kCkptVersion = 6;
+inline constexpr std::uint32_t kCkptVersion = 7;
 
 class StateWriter {
  public:

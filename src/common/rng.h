@@ -35,13 +35,14 @@ class Rng {
     return next() % bound;
   }
 
-  /// Uniform double in [0, 1).
-  double uniform() {
-    return static_cast<double>(next() >> 11) * (1.0 / 9007199254740992.0);
+  /// Bernoulli draw with probability p: succeeds when the top 53 bits of
+  /// next() times 2^-53, a uniform double in [0, 1), fall below p. They are
+  /// compared with p times 2^53 instead, which is exact (a power-of-two
+  /// scale) and keeps the multiply off the path from next() to the branch
+  /// on the outcome.
+  bool chance(double p) {
+    return static_cast<double>(next() >> 11) < p * 0x1p53;
   }
-
-  /// Bernoulli draw with probability p.
-  bool chance(double p) { return uniform() < p; }
 
   /// Geometric-ish draw: number of successes before failure, capped.
   std::uint32_t geometric(double p_continue, std::uint32_t cap) {

@@ -18,11 +18,18 @@ using binio::put64;
 
 constexpr std::size_t kHeaderBytes = 64;
 constexpr std::size_t kEntryBytes = 16;
+/// The checksum covers header bytes [8, 48) — interval size, warmup, trace
+/// record count and checksum, pick count, reserved — and sits at 48.
+constexpr std::size_t kCoveredHeaderAt = 8;
+constexpr std::size_t kChecksumAt = 48;
 
-/// FNV-1a 64-bit over the entry payload — the same binio::fnv1a as the
-/// trace v2 record checksum, from the offset basis.
-std::uint64_t fnv1a(const std::uint8_t* p, std::size_t n) {
-  return binio::fnv1a(binio::kFnvOffset, p, n);
+/// The plan checksum: the covered header fields, then the pick entries.
+std::uint64_t planChecksum(const std::uint8_t* hdr,
+                           const std::vector<std::uint8_t>& entries) {
+  const std::uint64_t h =
+      binio::checksum(binio::kFnvOffset, hdr + kCoveredHeaderAt,
+                      kChecksumAt - kCoveredHeaderAt);
+  return binio::checksum(h, entries.data(), entries.size());
 }
 
 /// Shared invariant check for save (refuse to write garbage) and load
@@ -124,7 +131,7 @@ bool saveSamplePlan(const SamplePlan& plan, const std::string& path,
   put64(hdr + 32, plan.trace_checksum);
   put32(hdr + 40, static_cast<std::uint32_t>(plan.picks.size()));
   put32(hdr + 44, 0);  // reserved
-  put64(hdr + 48, fnv1a(entries.data(), entries.size()));
+  put64(hdr + kChecksumAt, planChecksum(hdr, entries));
   put64(hdr + 56, 0);  // reserved
 
   std::FILE* f = std::fopen(path.c_str(), "wb");
@@ -175,7 +182,8 @@ bool loadSamplePlan(const std::string& path, SamplePlan& out,
   const std::uint32_t picks = get32(hdr + 40);
 
   // File size must match the header's pick count exactly — a truncated or
-  // appended-to plan is a hard error, like a truncated trace.
+  // appended-to plan is a hard error, like a truncated trace. A flipped
+  // pick count fails here, before the checksum is reached.
   std::error_code ec;
   const std::uintmax_t file_size = std::filesystem::file_size(path, ec);
   if (ec) {
@@ -203,8 +211,9 @@ bool loadSamplePlan(const std::string& path, SamplePlan& out,
     err = "short read from '" + path + "'";
     return false;
   }
-  if (fnv1a(entries.data(), entries.size()) != get64(hdr + 48)) {
-    err = "'" + path + "': pick checksum mismatch — the payload is corrupt";
+  if (planChecksum(hdr, entries) != get64(hdr + kChecksumAt)) {
+    err = "'" + path +
+          "': plan checksum mismatch — the header or picks are corrupt";
     return false;
   }
   plan.picks.resize(picks);

@@ -4,11 +4,11 @@
 // replay mode of sim::runOne.
 //
 // On-disk `.mplan` format: see docs/FILE_FORMATS.md for the byte-level
-// specification. Like trace v2 it is strict and versioned: magic + version,
-// a checksum over the entry payload, an entry count validated against the
-// file size at open, and the source trace's record count + checksum so a
-// plan can never be applied to a different (or modified) trace than the one
-// it was computed from.
+// specification. Like `.mtrace` it is strict and versioned: magic + version,
+// a checksum over the plan's header fields and its picks, an entry count
+// validated against the file size at open, and the source trace's record
+// count + checksum so a plan can never be applied to a different (or
+// modified) trace than the one it was computed from.
 #pragma once
 
 #include <cstdint>
@@ -19,7 +19,7 @@ namespace malec::phase {
 
 /// Magic bytes + version identifying a MALEC sample-plan file ("MPLN").
 inline constexpr std::uint32_t kPlanMagic = 0x4D504C4E;
-inline constexpr std::uint32_t kPlanVersion = 1;
+inline constexpr std::uint32_t kPlanVersion = 2;
 
 /// One selected phase: the representative interval and the instruction
 /// weight of the whole cluster it stands for.
@@ -47,7 +47,7 @@ struct SamplePlan {
   std::uint64_t interval_size = 0;          ///< instructions per interval
   std::uint64_t warmup_instructions = 0;    ///< warmup prefix per pick
   std::uint64_t trace_records = 0;          ///< source trace record count
-  std::uint64_t trace_checksum = 0;         ///< source trace v2 checksum
+  std::uint64_t trace_checksum = 0;         ///< source trace's record checksum
   std::vector<PhasePick> picks;
 
   [[nodiscard]] bool empty() const { return picks.empty(); }
@@ -79,8 +79,9 @@ bool saveSamplePlan(const SamplePlan& plan, const std::string& path,
 
 /// Read and fully validate a `.mplan` file. Returns false with a message in
 /// `err` for anything malformed: bad magic/version, a file size that
-/// disagrees with the pick count, a checksum mismatch, unsorted or
-/// out-of-range picks, weights that do not sum to the trace record count.
+/// disagrees with the pick count, a checksum mismatch (any changed header
+/// field or pick), unsorted or out-of-range picks, weights that do not sum
+/// to the trace record count.
 bool loadSamplePlan(const std::string& path, SamplePlan& out,
                     std::string& err);
 
@@ -89,10 +90,10 @@ bool loadSamplePlan(const std::string& path, SamplePlan& out,
 [[nodiscard]] std::string planSidecarPath(const std::string& trace_path);
 
 /// Load the plan at `plan_path` and check that it binds to the trace at
-/// `trace_path` — record count always, payload checksum when the trace
-/// format carries one (v2). THE binding decision: the sampled replay, the
-/// trace-directory scan, suite validation and the phase_sampled suite's
-/// skip gate all call this, so no gate can admit what the replay rejects.
+/// `trace_path` — its record count and record checksum. THE binding
+/// decision: the sampled replay, the trace-directory scan, suite validation
+/// and the phase_sampled suite's skip gate all call this, so no gate can
+/// admit what the replay rejects.
 /// Returns false with the reason in `err` (unreadable plan, unreadable
 /// trace, or a plan computed from a different trace).
 bool loadBoundPlan(const std::string& plan_path,

@@ -135,8 +135,8 @@ class RunStack {
     const std::vector<core::InterfaceConfig>& cfgs,
     std::uint64_t instructions, std::uint64_t seed = 1, unsigned jobs = 0);
 
-/// Capture the exact instruction stream `rc` would simulate into a v2
-/// trace file at `path` (header carries rc.system.layout). Replaying the
+/// Capture the exact instruction stream `rc` would simulate into a
+/// `.mtrace` file at `path` (header carries rc.system.layout). Replaying the
 /// file through runOne() is bit-identical to running `rc` directly. Aborts
 /// on I/O failure or if `rc` already names a trace. Returns records written.
 std::uint64_t captureTrace(const RunConfig& rc, const std::string& path);

@@ -1,4 +1,4 @@
-// The `.mstore` v2 result store: a durable, queryable home for sweep
+// The `.mstore` v3 result store: a durable, queryable home for sweep
 // results — the layer between "a sweep printed tables" and "thousands of
 // configs, millions of runs".
 //
@@ -35,7 +35,7 @@ namespace malec::store {
 
 /// Magic bytes + version identifying a MALEC result store ("MSTR").
 inline constexpr std::uint32_t kStoreMagic = 0x4D535452;
-inline constexpr std::uint32_t kStoreVersion = 2;
+inline constexpr std::uint32_t kStoreVersion = 3;
 
 /// One appended grid: the identity every run in it shares.
 struct StoreSegment {

@@ -22,7 +22,8 @@ namespace {
 /// Header: magic, version, task count, reserved, fingerprint — 24 bytes
 /// (see docs/FILE_FORMATS.md).
 constexpr std::size_t kHeaderBytes = 24;
-/// Frame overhead around a record payload: type(1) + length(4) + FNV(8).
+/// Frame overhead around a record payload: type(1) + length(4) +
+/// checksum(8).
 constexpr std::size_t kFrameBytes = 13;
 
 }  // namespace
@@ -85,7 +86,7 @@ JournalScan scanJournal(const std::string& path) {
     }
     const std::uint64_t want = get64(data.data() + at + 5 + len);
     const std::uint64_t got =
-        binio::fnv1a(binio::kFnvOffset, data.data() + at, 5 + len);
+        binio::checksum(binio::kFnvOffset, data.data() + at, 5 + len);
     if (want != got) {
       scan.error = "'" + path + "': record " +
                    std::to_string(scan.records.size()) +
@@ -215,7 +216,7 @@ bool JournalWriter::reopen(const std::string& path, std::uint64_t valid_bytes,
 void JournalWriter::append(RecordType type,
                            const std::vector<std::uint8_t>& payload) {
   MALEC_CHECK_MSG(f_ != nullptr, "journal writer is not open");
-  // type(1) + length(4) + payload, then the FNV-1a of those bytes.
+  // type(1) + length(4) + payload, then the checksum of those bytes.
   const std::size_t body = 5 + payload.size();
   std::vector<std::uint8_t> frame(body + 8);
   frame[0] = static_cast<std::uint8_t>(type);
@@ -223,7 +224,7 @@ void JournalWriter::append(RecordType type,
   if (!payload.empty())
     std::memcpy(frame.data() + 5, payload.data(), payload.size());
   put64(frame.data() + body,
-        binio::fnv1a(binio::kFnvOffset, frame.data(), body));
+        binio::checksum(binio::kFnvOffset, frame.data(), body));
   // Append + flush + fsync: the record is durable before the coordinator
   // acts on it. A failed append is fatal — simulating on without it would
   // make the journal silently lie about what survives a crash.

@@ -1,4 +1,4 @@
-// Sweep journal: the `.mjournal` v1 append-only log that makes a sharded
+// Sweep journal: the `.mjournal` v2 append-only log that makes a sharded
 // sweep crash-resumable.
 //
 // A coordinated sweep records every scheduling decision durably BEFORE the
@@ -30,7 +30,7 @@ namespace malec::sweep {
 
 /// Magic bytes + version identifying a MALEC sweep journal ("MJNL").
 inline constexpr std::uint32_t kJournalMagic = 0x4D4A4E4C;
-inline constexpr std::uint32_t kJournalVersion = 1;
+inline constexpr std::uint32_t kJournalVersion = 2;
 
 /// Record types, in the order the coordinator emits them per task.
 enum class RecordType : std::uint8_t {

@@ -41,7 +41,10 @@ void SyntheticTraceGenerator::reset() {
     streams_[s].page_index = static_cast<std::uint32_t>(rng_.below(
         std::max<std::uint32_t>(1, std::min(profile_.hot_pages,
                                             profile_.ws_pages))));
-    streams_[s].offset = rng_.below(layout_.pageBytes()) & ~7ull;
+    // Page and line sizes are powers of two (AddressLayout checks it), so
+    // here and below rng_.below(size) is next() & (size - 1), minus the
+    // divide.
+    streams_[s].offset = rng_.next() & (layout_.pageBytes() - 1) & ~7ull;
   }
   active_stream_ = 0;
   has_last_load_ = false;
@@ -70,7 +73,7 @@ Addr SyntheticTraceGenerator::nextLoadAddr() {
   // Same-line re-touch: models the 46 % of loads directly followed by a
   // load to the same cache line (Sec. III), which feeds MALEC's merging.
   if (has_last_load_ && rng_.chance(profile_.p_same_line)) {
-    const Addr off = rng_.below(layout_.lineBytes()) &
+    const Addr off = rng_.next() & (layout_.lineBytes() - 1) &
                      ~static_cast<Addr>(profile_.access_size - 1);
     return last_load_line_base_ + off;
   }
@@ -84,7 +87,7 @@ Addr SyntheticTraceGenerator::nextLoadAddr() {
     st.page_index =
         pickPage(rng_.chance(profile_.p_stream_advance), st.page_index);
     if (!rng_.chance(profile_.p_sequential))
-      st.offset = rng_.below(layout_.pageBytes());
+      st.offset = rng_.next() & (layout_.pageBytes() - 1);
   }
 
   if (rng_.chance(profile_.p_sequential)) {
@@ -94,7 +97,7 @@ Addr SyntheticTraceGenerator::nextLoadAddr() {
       st.page_index = pickPage(true, st.page_index);
     }
   } else {
-    st.offset = rng_.below(layout_.pageBytes());
+    st.offset = rng_.next() & (layout_.pageBytes() - 1);
   }
   st.offset &= ~static_cast<Addr>(profile_.access_size - 1);
   return pageBase(st.page_index) + st.offset;
@@ -104,7 +107,7 @@ Addr SyntheticTraceGenerator::nextStoreAddr() {
   // Read-modify-write: a good fraction of stores touch the page (often the
   // line) that was just loaded, so stores rarely break load page chains.
   if (has_last_load_ && rng_.chance(profile_.store_near_load)) {
-    const Addr off = rng_.below(layout_.lineBytes()) &
+    const Addr off = rng_.next() & (layout_.lineBytes() - 1) &
                      ~static_cast<Addr>(profile_.access_size - 1);
     return last_load_line_base_ + off;
   }
@@ -123,7 +126,7 @@ Addr SyntheticTraceGenerator::nextStoreAddr() {
     st.offset += profile_.access_size;
     if (st.offset >= layout_.pageBytes()) st.offset = 0;
   } else {
-    st.offset = rng_.below(layout_.pageBytes());
+    st.offset = rng_.next() & (layout_.pageBytes() - 1);
   }
   st.offset &= ~static_cast<Addr>(profile_.access_size - 1);
   return pageBase(st.page_index) + st.offset;

@@ -10,7 +10,6 @@
 
 namespace malec::trace {
 
-using binio::fnv1a;
 using binio::get32;
 using binio::get64;
 using binio::kFnvOffset;
@@ -39,6 +38,18 @@ constexpr std::size_t kNumLayoutParams = 7;
 /// Largest access size accepted for a memory record; the modelled machine
 /// never issues accesses wider than two 64-byte lines' worth.
 constexpr std::uint32_t kMaxAccessSize = 128;
+
+/// Fold `n` whole records into the record checksum. Each 26-byte record is
+/// folded on its own — its three words, then bytes 24 and 25 — so the
+/// running value at a record boundary does not depend on how the stream
+/// was cut into blocks (a checkpoint stores it, TraceReader::seekTo
+/// resumes from it).
+std::uint64_t foldRecords(std::uint64_t h, const std::uint8_t* p,
+                          std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i)
+    h = binio::checksum(h, p + i * kRecordBytes, kRecordBytes);
+  return h;
+}
 
 void encode(const InstrRecord& r, std::uint8_t* buf) {
   put64(buf + 0, r.seq);
@@ -99,7 +110,7 @@ TraceWriter::TraceWriter(const std::string& path, const AddressLayout& layout) {
     return;
   }
   checksum_ = kFnvOffset;
-  buf_.reserve(kBlockBytes);
+  buf_.resize(kBlockBytes);
   ok_ = true;
 }
 
@@ -113,23 +124,23 @@ void TraceWriter::fail(std::string msg) {
 }
 
 bool TraceWriter::flushBlock() {
-  if (buf_.empty()) return true;
-  if (std::fwrite(buf_.data(), 1, buf_.size(), f_) != buf_.size()) {
+  if (staged_ == 0) return true;
+  if (std::fwrite(buf_.data(), 1, staged_, f_) != staged_) {
     fail("short write while flushing a record block");
     return false;
   }
-  buf_.clear();
+  staged_ = 0;
   return true;
 }
 
 void TraceWriter::write(const InstrRecord& r) {
   if (!ok_) return;
-  const std::size_t at = buf_.size();
-  buf_.resize(at + kRecordBytes);
-  encode(r, buf_.data() + at);
-  checksum_ = fnv1a(checksum_, buf_.data() + at, kRecordBytes);
+  std::uint8_t* rec = buf_.data() + staged_;
+  encode(r, rec);
+  checksum_ = foldRecords(checksum_, rec, 1);
+  staged_ += kRecordBytes;
   ++count_;
-  if (buf_.size() >= kBlockBytes) flushBlock();
+  if (staged_ == kBlockBytes) flushBlock();
 }
 
 bool TraceWriter::close() {
@@ -274,7 +285,7 @@ bool TraceReader::next(InstrRecord& out) {
          "... in file order)");
     return false;
   }
-  checksum_run_ = fnv1a(checksum_run_, rec, kRecordBytes);
+  checksum_run_ = foldRecords(checksum_run_, rec, 1);
   buf_pos_ += kRecordBytes;
   ++read_;
   if (read_ == total_ && checksum_run_ != checksum_expect_) {
@@ -286,11 +297,10 @@ bool TraceReader::next(InstrRecord& out) {
 
 bool TraceReader::finishChecksum() {
   if (!ok_ || read_ >= total_) return ok_;
-  // Bytes already fetched into the block buffer but not yet served.
-  checksum_run_ = fnv1a(checksum_run_, buf_.data() + buf_pos_,
-                        buf_.size() - buf_pos_);
-  std::uint64_t hashed =
-      read_ + (buf_.size() - buf_pos_) / kRecordBytes;
+  // Records already fetched into the block buffer but not yet served.
+  const std::size_t buffered = (buf_.size() - buf_pos_) / kRecordBytes;
+  checksum_run_ = foldRecords(checksum_run_, buf_.data() + buf_pos_, buffered);
+  std::uint64_t hashed = read_ + buffered;
   buf_pos_ = buf_.size();
   // Stream the rest of the payload block-wise, checksum only (no decode:
   // records beyond the cap were never simulated; the checksum is what
@@ -304,7 +314,8 @@ bool TraceReader::finishChecksum() {
       fail("short read while verifying the record checksum");
       return false;
     }
-    checksum_run_ = fnv1a(checksum_run_, block.data(), want);
+    checksum_run_ =
+        foldRecords(checksum_run_, block.data(), want / kRecordBytes);
     hashed += want / kRecordBytes;
   }
   read_ = total_;  // at end-of-stream now; next() returns false, reset() replays

@@ -3,7 +3,7 @@
 // Lets users capture a synthetic stream once and replay it (or bring their
 // own traces from a real simulator) — the on-disk format is a fixed-width
 // little-endian record stream with a small header. The byte-level format
-// specification (the v2 header layout, the 26-byte record, checksum and
+// specification (the v3 header layout, the 26-byte record, checksum and
 // compatibility rules) lives in docs/FILE_FORMATS.md; this header only
 // documents the API behaviour.
 //
@@ -27,9 +27,9 @@ namespace malec::trace {
 /// Magic bytes + version identifying a MALEC trace file.
 inline constexpr std::uint32_t kTraceMagic = 0x4D414C43;  // "MALC"
 /// The one version TraceWriter writes and TraceReader accepts.
-inline constexpr std::uint32_t kTraceVersion = 2;
+inline constexpr std::uint32_t kTraceVersion = 3;
 
-/// Writes records to a trace file (the v2 format). Throws
+/// Writes records to a trace file (the v3 format). Throws
 /// nothing; reports failures via ok()/error(). Records are staged in a
 /// block buffer and written in bulk; the file is finalised (header record
 /// count + checksum patched) on close().
@@ -60,7 +60,9 @@ class TraceWriter {
   std::string error_;
   std::uint64_t count_ = 0;
   std::uint64_t checksum_ = 0;
+  /// One block, sized once; the first `staged_` bytes await the next flush.
   std::vector<std::uint8_t> buf_;
+  std::size_t staged_ = 0;
 };
 
 /// Streams records back from a trace file; implements TraceSource.
@@ -87,8 +89,8 @@ class TraceReader final : public TraceSource {
   bool finishChecksum();
   /// Records served so far — the stream position a checkpoint stores.
   [[nodiscard]] std::uint64_t consumed() const { return read_; }
-  /// Running FNV-1a over the served records — stored alongside the
-  /// position so a restored reader can still verify the whole file.
+  /// Running record checksum over the served records — stored alongside
+  /// the position so a restored reader can still verify the whole file.
   [[nodiscard]] std::uint64_t runningChecksum() const {
     return checksum_run_;
   }

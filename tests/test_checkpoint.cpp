@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "ckpt/state_io.h"
+#include "common/binio.h"
 #include "common/check.h"
 #include "cpu/core_model.h"
 #include "energy/energy_account.h"
@@ -440,10 +441,8 @@ TEST(Checkpoint, HugeSectionNameLengthIsRejectedNotOverflowed) {
   hdr[8] = sizeof payload;  // payload bytes
   hdr[16] = 1;              // one section
   // Valid checksum so only the section-table scan can reject the file.
-  std::uint64_t sum = 0xcbf29ce484222325ull;
-  for (const std::uint8_t b : payload) sum = (sum ^ b) * 0x100000001b3ull;
-  for (int i = 0; i < 8; ++i)
-    hdr[24 + i] = static_cast<std::uint8_t>(sum >> (8 * i));
+  binio::put64(hdr + 24, binio::checksum(binio::kFnvOffset, payload,
+                                         sizeof payload));
   std::FILE* f = std::fopen(path.c_str(), "wb");
   std::fwrite(hdr, 1, sizeof hdr, f);
   std::fwrite(payload, 1, sizeof payload, f);
@@ -503,8 +502,9 @@ TEST(CheckpointDeathTest, VersionSkewAborts) {
   RunConfig rc = baseConfig("gcc", presetMalec(), 2'000);
   const std::string path = writeCheckpoint(rc, "version.mckpt");
   rc.start_ckpt = path;
-  // Versions 1 to 5 predate the current field order and run binding.
-  for (const int version : {1, 2, 3, 4, 5, 9}) {
+  // Versions 1 to 5 predate the current field order and run binding;
+  // version 6 checksummed the payload byte by byte.
+  for (const int version : {1, 2, 3, 4, 5, 6, 9}) {
     std::FILE* f = std::fopen(path.c_str(), "r+b");
     std::fseek(f, 4, SEEK_SET);
     std::fputc(version, f);

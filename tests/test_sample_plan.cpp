@@ -179,6 +179,36 @@ TEST(SamplePlan, LoadRejectsCorruptPayload) {
   std::remove(path.c_str());
 }
 
+// The checksum covers the header's plan fields (bytes 8 to 47: interval
+// size, warmup, trace record count and checksum, pick count, reserved), not
+// just the picks: a flipped warmup or interval would otherwise change every
+// sampled estimate without a word, and a flipped trace checksum would be
+// blamed on the wrong trace. A flipped pick count (bytes 40 to 43) no longer
+// matches the file size, which the loader checks first.
+TEST(SamplePlan, HeaderCorruptionIsRefused) {
+  const std::string path = tmpPath("header.mplan");
+  std::string err;
+  ASSERT_TRUE(saveSamplePlan(validPlan(), path, err)) << err;
+  std::vector<char> clean(64 + 3 * 16);
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  ASSERT_EQ(std::fread(clean.data(), 1, clean.size(), f), clean.size());
+  std::fclose(f);
+  for (std::size_t i = 8; i < 48; ++i) {
+    std::vector<char> bad = clean;
+    bad[i] = static_cast<char>(bad[i] ^ (1 << (i % 8)));
+    f = std::fopen(path.c_str(), "wb");
+    std::fwrite(bad.data(), 1, bad.size(), f);
+    std::fclose(f);
+    SamplePlan out;
+    EXPECT_FALSE(loadSamplePlan(path, out, err)) << "byte " << i;
+    const char* expect = i >= 40 && i < 44 ? "is truncated or corrupt"
+                                           : "checksum mismatch";
+    EXPECT_NE(err.find(expect), std::string::npos)
+        << "byte " << i << ": " << err;
+  }
+  std::remove(path.c_str());
+}
+
 TEST(SamplePlan, LoadRejectsUnsupportedVersion) {
   const std::string path = tmpPath("version.mplan");
   std::string err;

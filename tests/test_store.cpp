@@ -1,4 +1,4 @@
-// The `.mstore` v1 result store contract (docs/FILE_FORMATS.md): format
+// The `.mstore` result store contract (docs/FILE_FORMATS.md): format
 // round trip, the strict rejection matrix (bad magic, version skew,
 // truncation, mid-file corruption, duplicate fingerprints, index/blob
 // disagreement), the query engine's select/filter/sort/group-geomean
@@ -243,8 +243,8 @@ TEST(StoreDeathTest, EmptySegmentAborts) {
 /// the store's own load checks can reject a patched field.
 void writeWithChecksum(const std::string& path, std::string bytes) {
   auto* raw = reinterpret_cast<std::uint8_t*>(bytes.data());
-  binio::put64(raw + 24, binio::fnv1a(binio::kFnvOffset, raw + 32,
-                                      bytes.size() - 32));
+  binio::put64(raw + 24, binio::checksum(binio::kFnvOffset, raw + 32,
+                                         bytes.size() - 32));
   std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
 }
 
