@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 
 #include "common/check.h"
 #include "common/types.h"
@@ -33,7 +34,16 @@ class AddressLayout {
 
   AddressLayout() : AddressLayout(Params{}) {}
 
+  /// Aborts unless invalidReason(p) is empty.
   explicit AddressLayout(const Params& p);
+
+  /// The first rule `p` breaks, or "" when it keeps them all: every byte
+  /// size, the associativity and the bank count are powers of two, a line
+  /// is smaller than a page and no smaller than a sub-block, the address
+  /// space has 20 to 48 bits, and the L1 divides into its ways and its
+  /// sets across its banks. A layout read from a file (a trace header)
+  /// is checked here, so a bad one fails the open instead of aborting.
+  [[nodiscard]] static std::string invalidReason(const Params& p);
 
   // --- raw parameters -----------------------------------------------------
   [[nodiscard]] std::uint32_t addrBits() const { return p_.addr_bits; }

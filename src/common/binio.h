@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace malec::binio {
@@ -136,13 +137,15 @@ struct SpanReader {
     std::memcpy(&v, &bits, sizeof v);
     return v;
   }
-  std::string str() {
+  /// A u32 length, then that many bytes, viewed in place.
+  std::string_view strView() {
     const std::uint32_t len = u32();
     if (!ok || n - at < len) { ok = false; return {}; }
-    std::string s(reinterpret_cast<const char*>(p + at), len);
+    const std::string_view s(reinterpret_cast<const char*>(p + at), len);
     at += len;
     return s;
   }
+  std::string str() { return std::string(strView()); }
   /// Every byte not read yet.
   std::vector<std::uint8_t> rest() {
     std::vector<std::uint8_t> b(p + at, p + n);

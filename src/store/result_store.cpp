@@ -42,11 +42,14 @@ bool ResultStore::load(const std::string& path, std::string& err) {
       run.instructions = seg.instructions;
       run.blob.resize(r.count(1));
       r.bytes(run.blob.data(), run.blob.size());
-      // The blob is the record: the query columns are read out of it.
+      // The blob is the record: the query columns are read out of it. The
+      // walk checks the whole blob, but its energy entries stay in the
+      // blob until decodeRun() asks for them.
       sim::RunOutput out;
       std::string decode_err;
       if (!sweep::decodeRunOutput(run.blob.data(), run.blob.size(), out,
-                                  decode_err)) {
+                                  decode_err,
+                                  sweep::Decode::kNoEnergyDetail)) {
         err = "'" + path + "': run " + std::to_string(runs_.size()) +
               "'s blob does not decode (" + decode_err +
               ") — the store is corrupt";

@@ -8,9 +8,11 @@
 // One segment = one executed grid: its suite name, resolved budget and
 // seed, the grid fingerprint (sim::gridFingerprintParts — the identity the
 // sweep journal binds to) and every cell's full RunOutput encoded with the
-// sweep result codec. Load decodes every blob and reads each run's query
-// fields (workload / config / cycles / IPC / energy) out of it, so there
-// is no separate index that could disagree with the payload.
+// sweep result codec. Load walks every blob with the codec's checks and
+// reads each run's query fields (workload / config / cycles / IPC /
+// energy) out of it, so there is no separate index that could disagree
+// with the payload. The energy entries are bounds-checked but not built
+// into a StatSet until decodeRun() asks for a run's full RunOutput.
 //
 // Two writers append segments: StoreSink (suite grids, fed by runSuite or
 // the sweep coordinator — a `--resume` of a journal lands there too) and

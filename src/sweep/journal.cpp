@@ -22,9 +22,11 @@ namespace {
 /// Header: magic, version, task count, reserved, fingerprint — 24 bytes
 /// (see docs/FILE_FORMATS.md).
 constexpr std::size_t kHeaderBytes = 24;
-/// Frame overhead around a record payload: type(1) + length(4) +
+/// A frame's head: type(1) + length(4) + the check of those 5 bytes (8).
+constexpr std::size_t kFrameHeadBytes = 13;
+/// Frame overhead around a record payload: the head + the frame
 /// checksum(8).
-constexpr std::size_t kFrameBytes = 13;
+constexpr std::size_t kFrameBytes = kFrameHeadBytes + 8;
 
 }  // namespace
 
@@ -67,38 +69,47 @@ JournalScan scanJournal(const std::string& path) {
   scan.task_count = get32(data.data() + 8);
   scan.fingerprint = get64(data.data() + 16);
 
-  // Record frames, back to back. A frame that promises more bytes than the
-  // file holds is the torn tail of a crashed append: tolerated ONCE, by
-  // construction at most once (the scan stops there). A complete frame
-  // whose checksum does not match is corruption and rejects the journal.
+  // Record frames, back to back. A frame's length is trusted only once the
+  // check of its type and length matches. A head cut short, or a checked
+  // head that promises more bytes than the file holds, is the torn tail of
+  // a crashed append: tolerated ONCE, by construction at most once (the
+  // scan stops there). A head or frame whose check does not match is
+  // corruption and rejects the journal.
+  const auto mismatch = [&](const char* what) {
+    return "'" + path + "': record " + std::to_string(scan.records.size()) +
+           " " + what +
+           " checksum mismatch — the journal is corrupt (only a torn "
+           "TRAILING record is recoverable)";
+  };
   std::size_t at = kHeaderBytes;
   while (at < data.size()) {
+    const std::uint8_t* frame = data.data() + at;
     const std::size_t remaining = data.size() - at;
-    if (remaining < kFrameBytes) {
+    if (remaining < kFrameHeadBytes) {
       scan.torn = true;
       break;
     }
-    const std::uint8_t type = data[at];
-    const std::uint32_t len = get32(data.data() + at + 1);
-    if (remaining - kFrameBytes < len) {
+    if (get64(frame + 5) != binio::checksum(binio::kFnvOffset, frame, 5)) {
+      scan.error = mismatch("header");
+      return scan;
+    }
+    const std::uint8_t type = frame[0];
+    const std::uint32_t len = get32(frame + 1);
+    if (remaining < kFrameBytes || remaining - kFrameBytes < len) {
       scan.torn = true;
       break;
     }
-    const std::uint64_t want = get64(data.data() + at + 5 + len);
-    const std::uint64_t got =
-        binio::checksum(binio::kFnvOffset, data.data() + at, 5 + len);
-    if (want != got) {
-      scan.error = "'" + path + "': record " +
-                   std::to_string(scan.records.size()) +
-                   " checksum mismatch — the journal is corrupt (only a "
-                   "torn TRAILING record is recoverable)";
+    const std::size_t body = kFrameHeadBytes + len;
+    if (get64(frame + body) !=
+        binio::checksum(binio::kFnvOffset, frame, body)) {
+      scan.error = mismatch("frame");
       return scan;
     }
 
     JournalRecord rec;
     // The checksum already passed, so an overrun of the payload means a
     // buggy or incompatible producer.
-    binio::SpanReader pr{data.data() + at + 5, len};
+    binio::SpanReader pr{frame + kFrameHeadBytes, len};
     rec.task = pr.u32();
     rec.attempt = pr.u32();
     switch (type) {
@@ -216,13 +227,16 @@ bool JournalWriter::reopen(const std::string& path, std::uint64_t valid_bytes,
 void JournalWriter::append(RecordType type,
                            const std::vector<std::uint8_t>& payload) {
   MALEC_CHECK_MSG(f_ != nullptr, "journal writer is not open");
-  // type(1) + length(4) + payload, then the checksum of those bytes.
-  const std::size_t body = 5 + payload.size();
+  // type(1) + length(4), the check of those 5 bytes, the payload, then the
+  // checksum of everything before it.
+  const std::size_t body = kFrameHeadBytes + payload.size();
   std::vector<std::uint8_t> frame(body + 8);
   frame[0] = static_cast<std::uint8_t>(type);
   put32(frame.data() + 1, static_cast<std::uint32_t>(payload.size()));
+  put64(frame.data() + 5, binio::checksum(binio::kFnvOffset, frame.data(), 5));
   if (!payload.empty())
-    std::memcpy(frame.data() + 5, payload.data(), payload.size());
+    std::memcpy(frame.data() + kFrameHeadBytes, payload.data(),
+                payload.size());
   put64(frame.data() + body,
         binio::checksum(binio::kFnvOffset, frame.data(), body));
   // Append + flush + fsync: the record is durable before the coordinator

@@ -1,4 +1,4 @@
-// Sweep journal: the `.mjournal` v2 append-only log that makes a sharded
+// Sweep journal: the `.mjournal` v3 append-only log that makes a sharded
 // sweep crash-resumable.
 //
 // A coordinated sweep records every scheduling decision durably BEFORE the
@@ -15,10 +15,13 @@
 // MALEC on-disk format it is strict — bad magic, version skew, a foreign
 // fingerprint (different suite / grid / seed / budget) and any mid-file
 // checksum mismatch are hard errors. The ONE tolerated irregularity is a
-// torn trailing record (fewer bytes on disk than its frame promises): that
-// is the signature of a crash mid-append, and resume drops exactly that
-// tail and re-runs the affected task. Appends are fsynced so the tolerated
-// window really is just the last record.
+// torn trailing record (a frame head cut short, or fewer bytes on disk
+// than a frame head whose own check matches promises): that is the
+// signature of a crash mid-append, and resume drops exactly that tail and
+// re-runs the affected task. A corrupt length can never pass for a tear,
+// because each frame checks its type and length before trusting them.
+// Appends are fsynced so the tolerated window really is just the last
+// record.
 #pragma once
 
 #include <cstdint>
@@ -30,7 +33,7 @@ namespace malec::sweep {
 
 /// Magic bytes + version identifying a MALEC sweep journal ("MJNL").
 inline constexpr std::uint32_t kJournalMagic = 0x4D4A4E4C;
-inline constexpr std::uint32_t kJournalVersion = 2;
+inline constexpr std::uint32_t kJournalVersion = 3;
 
 /// Record types, in the order the coordinator emits them per task.
 enum class RecordType : std::uint8_t {

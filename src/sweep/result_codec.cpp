@@ -1,6 +1,7 @@
 #include "sweep/result_codec.h"
 
 #include <iterator>
+#include <string_view>
 
 #include "ckpt/state_io.h"
 #include "common/binio.h"
@@ -53,7 +54,7 @@ std::vector<std::uint8_t> encodeRunOutput(const sim::RunOutput& out) {
 }
 
 bool decodeRunOutput(const std::uint8_t* p, std::size_t n,
-                     sim::RunOutput& out, std::string& err) {
+                     sim::RunOutput& out, std::string& err, Decode what) {
   binio::SpanReader r{p, n};
   out = sim::RunOutput{};
   out.benchmark = r.str();
@@ -83,9 +84,10 @@ bool decodeRunOutput(const std::uint8_t* p, std::size_t n,
     out.core.*field = r.u64();
   const std::uint32_t energy_entries = r.u32();
   for (std::uint32_t i = 0; r.ok && i < energy_entries; ++i) {
-    const std::string name = r.str();
+    const std::string_view name = r.strView();
     const double value = r.f64();
-    if (r.ok) out.energy_detail.set(name, value);
+    if (r.ok && what == Decode::kFull)
+      out.energy_detail.set(std::string(name), value);
   }
   if (!r.ok) {
     err = "result blob is truncated or malformed";

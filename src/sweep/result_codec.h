@@ -29,12 +29,24 @@ namespace malec::sweep {
 [[nodiscard]] std::vector<std::uint8_t> encodeRunOutput(
     const sim::RunOutput& out);
 
+/// What decodeRunOutput keeps of a blob. Both walk and check every byte
+/// the same way, so they accept and refuse the same blobs with the same
+/// messages.
+enum class Decode : std::uint8_t {
+  kFull,  ///< every field
+  /// Every field but the energy entries, which are bounds-checked and
+  /// dropped: ResultStore::load's read of its query columns, which builds
+  /// no StatSet.
+  kNoEnergyDetail,
+};
+
 /// Decode a blob produced by encodeRunOutput. Returns false (with `err`
 /// set) on any structural problem — short blob, trailing bytes, bad field
 /// counts — without aborting: the coordinator treats a bad result file as
 /// a retryable worker failure, not a crash.
 [[nodiscard]] bool decodeRunOutput(const std::uint8_t* p, std::size_t n,
-                                   sim::RunOutput& out, std::string& err);
+                                   sim::RunOutput& out, std::string& err,
+                                   Decode what = Decode::kFull);
 
 /// Write a worker result file: binding + blob, atomically. Aborts on I/O
 /// failure (the worker has nothing useful to do but die loudly — the

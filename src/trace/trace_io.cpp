@@ -202,6 +202,15 @@ TraceReader::TraceReader(const std::string& path) : path_(path) {
   layout_params_.l1_bytes = get32(hdr + 40);
   layout_params_.l1_assoc = get32(hdr + 44);
   layout_params_.l1_banks = get32(hdr + 48);
+  // No checksum covers the layout fields, so they are checked here: a
+  // reader hands out only a layout AddressLayout accepts.
+  const std::string bad_layout = AddressLayout::invalidReason(layout_params_);
+  if (!bad_layout.empty()) {
+    error_ = "'" + path +
+             "' is corrupt: its header's address layout is invalid (" +
+             bad_layout + ")";
+    return;
+  }
 
   // A header count that disagrees with the file size means the capture was
   // cut short (or bytes were appended) — fail at open instead of serving a

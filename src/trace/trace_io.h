@@ -110,7 +110,8 @@ class TraceReader final : public TraceSource {
   [[nodiscard]] const AddressLayout::Params& layoutParams() const {
     return layout_params_;
   }
-  /// The layout the trace was captured under, as its header records it.
+  /// The layout the trace was captured under, as its header records it
+  /// (an open refuses a header whose layout AddressLayout rejects).
   [[nodiscard]] AddressLayout layout() const {
     return AddressLayout(layout_params_);
   }

@@ -163,5 +163,32 @@ INSTANTIATE_TEST_SUITE_P(
              (std::get<1>(info.param) ? "_masked" : "_allWays");
     });
 
+// A line keeps its tag in the 62 bits above its valid and dirty bits. In
+// the WDU geometry the tag is the whole line address: the widest one that
+// fits round-trips through a fill, a dirty eviction and an invalidate, and
+// a wider one aborts instead of aliasing a narrower line.
+TEST(Cache, TagsOf62BitsRoundTrip) {
+  Cache cache(1, 2, 1);
+  const Addr widest = (Addr{1} << 62) - 1;
+  ASSERT_EQ(cache.fill(widest, cache.allWays()).way, 0);
+  cache.markDirty(widest, 0);
+  EXPECT_EQ(cache.probe(widest), std::optional<WayIdx>(0));
+  EXPECT_EQ(cache.probe(widest >> 1), std::nullopt);
+  ASSERT_EQ(cache.fill(7, cache.allWays()).way, 1);
+  cache.touch(7, 1);
+  const Cache::FillResult evict = cache.fill(8, cache.allWays());
+  EXPECT_TRUE(evict.evicted);
+  EXPECT_TRUE(evict.evicted_dirty);
+  EXPECT_EQ(evict.evicted_line_base, widest);
+  EXPECT_EQ(cache.invalidate(7), std::optional<bool>(false));
+  EXPECT_EQ(cache.probe(7), std::nullopt);
+}
+
+TEST(CacheDeath, TagWiderThan62BitsAborts) {
+  Cache cache(1, 2, 1);
+  EXPECT_DEATH((void)cache.fill(Addr{1} << 62, cache.allWays()),
+               "does not fit in 62 bits");
+}
+
 }  // namespace
 }  // namespace malec::mem

@@ -338,7 +338,7 @@ std::vector<Format> formats() {
   Format jn;
   jn.name = "sweep journal";
   jn.file = "flip.mjournal";
-  jn.previous_version = 1;
+  jn.previous_version = 2;
   jn.version_noun = "journal";
   jn.write = [](const std::string& path) {
     std::remove(path.c_str());
@@ -351,13 +351,14 @@ std::vector<Format> formats() {
     w.quarantine(1, 3, "timeout x3");
     w.close();
   };
-  // Each frame's type, length and payload; not its trailing checksum.
+  // Each frame's type, length, their check and payload; not its trailing
+  // checksum.
   jn.covered = [](const Bytes& b) {
     Ranges ranges;
     for (std::size_t at = 24; at < b.size();) {
       const std::size_t len = binio::get32(b.data() + at + 1);
-      ranges.emplace_back(at, at + 5 + len);
-      at += 13 + len;
+      ranges.emplace_back(at, at + 13 + len);
+      at += 21 + len;
     }
     return ranges;
   };
@@ -378,7 +379,7 @@ bool loaded(const std::string& err) {
 }
 
 /// Whether `i` is a byte of the u32 length field of the journal frame at
-/// `begin` (a frame is type, length, payload, checksum).
+/// `begin` (a frame is type, length, their check, payload, checksum).
 bool inJournalLength(std::size_t i, std::size_t begin) {
   return i > begin && i < begin + 5;
 }
@@ -390,25 +391,15 @@ TEST(FileFormats, EveryCoveredByteIsChecked) {
     fmt.write(path);
     const Bytes clean = slurp(path);
     ASSERT_EQ(fmt.read(path), "");
-    const Ranges ranges = fmt.covered(clean);
-    for (const auto& [begin, end] : ranges) {
+    for (const auto& [begin, end] : fmt.covered(clean)) {
       ASSERT_LE(end, clean.size());
-      const bool last = begin == ranges.back().first;
       for (std::size_t i = begin; i < end; ++i) {
         const std::uint8_t bad =
             static_cast<std::uint8_t>(clean[i] ^ (1u << (i % 8)));
         patch(path, i, &bad, 1);
         const std::string err = fmt.read(path);
         patch(path, i, &clean[i], 1);
-        // A journal frame whose length field now runs past the end of the
-        // file reads exactly like a crash-torn append: the scan stops at
-        // that frame. For the last frame that is the documented
-        // recoverable case; for a mid-file frame it is a known defect,
-        // pinned by MidFileJournalLengthPastEndReadsAsTorn below.
-        const bool torn_here = err == "torn at " + std::to_string(begin) &&
-                               inJournalLength(i, begin);
-        if (torn_here && !last) continue;
-        EXPECT_TRUE(!loaded(err) || torn_here)
+        EXPECT_FALSE(loaded(err))
             << "a flip of byte " << i << " loaded: " << err;
       }
     }
@@ -450,12 +441,11 @@ TEST(FileFormats, TopBitFlipsInTwoWordsAreRefused) {
   }
 }
 
-// A known defect (see the FOUND line on scanJournal in CHANGES.md): a
-// mid-file frame whose length field now runs past the end of the file
-// reads as the crash-torn tail, and the scan drops it and every later
-// record instead of refusing the journal. This pins today's result, so a
-// fix shows up here; a length flip that stays inside the file is refused.
-TEST(FileFormats, MidFileJournalLengthPastEndReadsAsTorn) {
+// A journal frame checks its type and length before it trusts the length.
+// A mid-file length flipped past the end of the file is corruption, not
+// the crash-torn tail: the scan refuses the journal instead of dropping
+// that frame and every intact record after it.
+TEST(FileFormats, MidFileJournalLengthPastEndIsRefused) {
   const Format jn = formats().back();
   ASSERT_EQ(jn.name, "sweep journal");
   const std::string path = tmpPath(jn.file);
@@ -463,25 +453,47 @@ TEST(FileFormats, MidFileJournalLengthPastEndReadsAsTorn) {
   const Bytes clean = slurp(path);
   const Ranges frames = jn.covered(clean);
   ASSERT_EQ(frames.size(), 4u);
-  std::size_t torn = 0;
+  std::size_t past_end = 0;
   for (std::size_t f = 0; f + 1 < frames.size(); ++f) {
     const std::size_t begin = frames[f].first;
     for (std::size_t i = begin + 1; inJournalLength(i, begin); ++i) {
       Bytes bad = clean;
       bad[i] = static_cast<std::uint8_t>(bad[i] ^ (1u << (i % 8)));
       const std::uint32_t len = binio::get32(bad.data() + begin + 1);
+      past_end += clean.size() - begin - 21 < len;
       patch(path, i, &bad[i], 1);
       const std::string err = jn.read(path);
       patch(path, i, &clean[i], 1);
-      if (clean.size() - begin - 13 < len) {
-        ++torn;
-        EXPECT_EQ(err, "torn at " + std::to_string(begin)) << "byte " << i;
-      } else {
-        EXPECT_FALSE(loaded(err)) << "byte " << i << ": " << err;
-      }
+      EXPECT_NE(err.find("record " + std::to_string(f) +
+                         " header checksum mismatch"),
+                std::string::npos)
+          << "byte " << i << ": " << err;
     }
   }
-  EXPECT_EQ(torn, 9u);
+  EXPECT_EQ(past_end, 9u);
+  std::remove(path.c_str());
+}
+
+// The crash window the journal does tolerate: a cut anywhere inside the
+// last frame, its head included, scans as torn at that frame's start and
+// keeps every record before it.
+TEST(FileFormats, JournalCutInsideItsLastFrameReadsAsTorn) {
+  const Format jn = formats().back();
+  ASSERT_EQ(jn.name, "sweep journal");
+  const std::string path = tmpPath(jn.file);
+  jn.write(path);
+  const Bytes clean = slurp(path);
+  const std::size_t last = jn.covered(clean).back().first;
+  for (std::size_t size = last + 1; size < clean.size(); ++size) {
+    std::ofstream(path, std::ios::binary | std::ios::trunc)
+        .write(reinterpret_cast<const char*>(clean.data()),
+               static_cast<std::streamsize>(size));
+    const sweep::JournalScan scan = sweep::scanJournal(path);
+    ASSERT_TRUE(scan.ok) << size << ": " << scan.error;
+    EXPECT_TRUE(scan.torn) << size;
+    EXPECT_EQ(scan.valid_bytes, last) << size;
+    EXPECT_EQ(scan.records.size(), 3u) << size;
+  }
   std::remove(path.c_str());
 }
 

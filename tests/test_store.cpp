@@ -17,10 +17,12 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
 #include "common/binio.h"
+#include "sim/differential.h"
 #include "sim/presets.h"
 #include "sim/registry.h"
 #include "sim/reporting.h"
@@ -371,6 +373,122 @@ TEST(StoreLoad, UndecodableBlobIsRefused) {
   EXPECT_NE(err.find("badblob.mstore': run 0's blob does not decode ("),
             std::string::npos)
       << err;
+  std::remove(path.c_str());
+}
+
+// --- the query-column read --------------------------------------------------
+
+using Blob = std::vector<std::uint8_t>;
+
+/// Decodes `blob` fully and as ResultStore::load does (no energy detail):
+/// both must accept or both refuse, with the same message, and an accepted
+/// blob must give the same query columns. Returns whether it was refused.
+bool sameVerdict(const Blob& blob, const std::string& what) {
+  sim::RunOutput full;
+  sim::RunOutput cols;
+  std::string full_err;
+  std::string cols_err;
+  const bool full_ok =
+      sweep::decodeRunOutput(blob.data(), blob.size(), full, full_err);
+  const bool cols_ok =
+      sweep::decodeRunOutput(blob.data(), blob.size(), cols, cols_err,
+                             sweep::Decode::kNoEnergyDetail);
+  EXPECT_EQ(full_ok, cols_ok) << what;
+  EXPECT_EQ(full_err, cols_err) << what;
+  if (full_ok && cols_ok) {
+    EXPECT_EQ(cols.benchmark, full.benchmark) << what;
+    EXPECT_EQ(cols.config, full.config) << what;
+    EXPECT_EQ(cols.cycles, full.cycles) << what;
+    EXPECT_EQ(cols.ipc, full.ipc) << what;
+    EXPECT_EQ(cols.total_pj, full.total_pj) << what;
+    EXPECT_TRUE(cols.energy_detail.all().empty()) << what;
+  }
+  return !full_ok;
+}
+
+/// A copy of `blob` with the u32 at `at` replaced by `v`.
+Blob withU32(Blob blob, std::size_t at, std::uint32_t v) {
+  binio::put32(blob.data() + at, v);
+  return blob;
+}
+
+// Every damage the blob layout can take — a cut at every length, a byte
+// appended, each field count off by one, each string length past the end
+// — gets the same verdict and message from the column read as from the
+// full decode.
+TEST(StoreColumns, RefusesExactlyWhatTheFullDecodeRefuses) {
+  const sim::RunOutput& run = baseRun();
+  ASSERT_GT(run.energy_detail.all().size(), 10u);
+  const Blob blob = sweep::encodeRunOutput(run);
+  EXPECT_FALSE(sameVerdict(blob, "the clean blob"));
+
+  std::size_t refused = 0;
+  for (std::size_t len = 0; len < blob.size(); ++len)
+    refused += sameVerdict(Blob(blob.begin(), blob.begin() + len),
+                           "cut to " + std::to_string(len) + " bytes");
+  EXPECT_EQ(refused, blob.size());
+
+  Blob longer = blob;
+  longer.push_back(0);
+  EXPECT_TRUE(sameVerdict(longer, "one byte appended"));
+
+  // Offsets of the layout's u32s: the two name lengths, the three field
+  // counts and every energy name length (docs/FILE_FORMATS.md).
+  std::vector<std::size_t> lengths = {0, 4 + run.benchmark.size()};
+  const std::size_t ifc_count = lengths[1] + 4 + run.config.size() + 9 * 8;
+  const std::size_t core_count =
+      ifc_count + 4 + 8 * std::size(core::kInterfaceCounterFields) + 2 * 8;
+  const std::size_t energy_count =
+      core_count + 4 + 8 * std::size(cpu::kCoreScaledCounterFields);
+  for (std::size_t at = energy_count + 4; at < blob.size();
+       at += 4 + binio::get32(blob.data() + at) + 8)
+    lengths.push_back(at);
+  EXPECT_EQ(lengths.size(), 2 + run.energy_detail.all().size());
+
+  for (const std::size_t at : {ifc_count, core_count, energy_count}) {
+    const std::uint32_t count = binio::get32(blob.data() + at);
+    EXPECT_TRUE(sameVerdict(withU32(blob, at, count + 1),
+                            "count at " + std::to_string(at) + " + 1"));
+    EXPECT_TRUE(sameVerdict(withU32(blob, at, count - 1),
+                            "count at " + std::to_string(at) + " - 1"));
+  }
+  for (const std::size_t at : lengths) {
+    const auto past_end = static_cast<std::uint32_t>(blob.size() - at - 4 + 1);
+    EXPECT_TRUE(sameVerdict(withU32(blob, at, past_end),
+                            "length at " + std::to_string(at)));
+    EXPECT_TRUE(sameVerdict(withU32(blob, at, 0xFFFFFFFFu),
+                            "length at " + std::to_string(at) + " = 2^32-1"));
+  }
+}
+
+// A load keeps only the query columns in memory; every stored run still
+// decodes to the full RunOutput that was appended.
+TEST(StoreColumns, DecodeRunAfterLoadGivesTheStoredRunOutput) {
+  const std::string path = tmpPath("columns.mstore");
+  std::remove(path.c_str());
+  const std::vector<sim::RunOutput> outs = {
+      namedRun("gcc", "Base1ldst", 0.8), namedRun("gcc", "MALEC", 1.2),
+      namedRun("mcf", "MALEC", 0.9)};
+  ResultStore rs;
+  StoreSegment seg;
+  seg.suite = "fig4a";
+  seg.fingerprint = 7;
+  seg.instructions = 2000;
+  seg.seed = 1;
+  rs.appendSegment(seg, {{"gcc", "Base1ldst", &outs[0]},
+                         {"gcc", "MALEC", &outs[1]},
+                         {"mcf", "MALEC", &outs[2]}});
+  std::string err;
+  ASSERT_TRUE(rs.save(path, err)) << err;
+
+  ResultStore back;
+  ASSERT_TRUE(back.load(path, err)) << err;
+  ASSERT_EQ(back.runs().size(), outs.size());
+  for (std::size_t i = 0; i < outs.size(); ++i) {
+    sim::RunOutput got;
+    ASSERT_TRUE(back.decodeRun(i, got, err)) << err;
+    EXPECT_EQ(sim::diffOutputs(outs[i], got), "") << "run " << i;
+  }
   std::remove(path.c_str());
 }
 

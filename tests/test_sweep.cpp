@@ -62,11 +62,11 @@ void truncateBy(const std::string& path, std::uint64_t drop) {
   std::filesystem::resize_file(path, size - drop);
 }
 
-/// `.mjournal` v1 layout constants the byte-surgery tests rely on
-/// (docs/FILE_FORMATS.md): 24-byte header, 13 bytes of frame overhead,
+/// `.mjournal` v3 layout constants the byte-surgery tests rely on
+/// (docs/FILE_FORMATS.md): 24-byte header, 21 bytes of frame overhead,
 /// 8-byte grant payload.
 constexpr std::uint64_t kHeader = 24;
-constexpr std::uint64_t kFrame = 13;
+constexpr std::uint64_t kFrame = 21;
 constexpr std::uint64_t kGrantRecord = kFrame + 8;
 
 // --- journal ----------------------------------------------------------------

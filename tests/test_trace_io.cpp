@@ -221,6 +221,56 @@ TEST(TraceIoV2, WrappingRecordCountIsHardErrorAtOpen) {
   }
 }
 
+// The layout fields (header bytes 24–51) lie outside the record checksum.
+// A header whose layout breaks one of AddressLayout's rules fails the open
+// with that rule, instead of aborting wherever the reader's layout() is
+// built (`trace_tools analyze`, the phase planner).
+TEST(TraceIoV2, InvalidHeaderLayoutFailsTheOpen) {
+  struct Bad {
+    long offset;  ///< of the u32 field: addr_bits at 24 … l1_banks at 48
+    std::uint32_t value;
+    const char* rule;
+  };
+  const Bad cases[] = {
+      {24, 19, "addr_bits 19 is outside 20..48"},
+      {24, 49, "addr_bits 49 is outside 20..48"},
+      {28, 3 * 1024, "page_bytes 3072 is not a power of two"},
+      {32, 48, "line_bytes 48 is not a power of two"},
+      {36, 0, "sub_block_bytes 0 is not a power of two"},
+      {40, 3 * 8192, "l1_bytes 24576 is not a power of two"},
+      {44, 3, "l1_assoc 3 is not a power of two"},
+      {48, 6, "l1_banks 6 is not a power of two"},
+      {32, 4096, "line_bytes 4096 is not smaller than page_bytes 4096"},
+      {36, 128, "sub_block_bytes 128 exceeds line_bytes 64"},
+      {44, 1024,
+       "an L1 of 32768 bytes does not divide into 1024 ways of 64-byte "
+       "lines"},
+      {48, 256, "the L1's 128 sets do not divide across 256 banks"},
+  };
+  const std::string path = tmpPath("badlayout.mtrace");
+  for (const Bad& bad : cases) {
+    detail::writeTrace(path, 4);
+    for (int i = 0; i < 4; ++i)
+      detail::corruptByte(path, bad.offset + i,
+                          static_cast<std::uint8_t>(bad.value >> (8 * i)));
+    const TraceReader rd(path);
+    EXPECT_FALSE(rd.ok()) << bad.rule;
+    EXPECT_NE(rd.error().find("address layout is invalid (" +
+                              std::string(bad.rule) + ")"),
+              std::string::npos)
+        << rd.error();
+  }
+  // One byte: byte 29 set to 0x11 makes page_bytes 0x1100.
+  detail::writeTrace(path, 4);
+  detail::corruptByte(path, 29, 0x11);
+  const TraceReader rd(path);
+  EXPECT_FALSE(rd.ok());
+  EXPECT_NE(rd.error().find("page_bytes 4352 is not a power of two"),
+            std::string::npos)
+      << rd.error();
+  std::remove(path.c_str());
+}
+
 TEST(TraceIoV2, TrailingGarbageIsHardErrorAtOpen) {
   const std::string path = tmpPath("tail.mtrace");
   detail::writeTrace(path, 10);

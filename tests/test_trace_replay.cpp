@@ -9,10 +9,13 @@
 // are written to tolerate any extras it adds.
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -258,6 +261,34 @@ TEST(TraceReplay, AnalyzeUsesCapturedLayout) {
   }
   EXPECT_TRUE(saw_x0) << "no x=0 row in the analyze report";
   std::remove(out.c_str());
+  std::remove(path.c_str());
+}
+
+// A header layout no AddressLayout accepts (byte 29 set to 0x11 makes
+// page_bytes 0x1100) is a corrupt trace: `trace_tools analyze` reports it
+// and exits 1 instead of aborting.
+TEST(TraceReplay, AnalyzeRefusesAnInvalidHeaderLayout) {
+  const std::string path = tmpPath("analyze_badlayout.mtrace");
+  captureTrace(syntheticConfig("gcc", presetMalec(), 1'000), path);
+  std::FILE* f = std::fopen(path.c_str(), "r+b");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fseek(f, 29, SEEK_SET), 0);
+  std::fputc(0x11, f);
+  std::fclose(f);
+
+  const std::string err = tmpPath("analyze_badlayout.err");
+  const std::string cmd = std::string(MALEC_TRACE_TOOLS_PATH) + " analyze " +
+                          path + " > /dev/null 2> " + err;
+  const int status = std::system(cmd.c_str());
+  ASSERT_TRUE(WIFEXITED(status)) << status;
+  EXPECT_EQ(WEXITSTATUS(status), 1);
+  std::ifstream in(err);
+  const std::string text((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  EXPECT_NE(text.find("page_bytes 4352 is not a power of two"),
+            std::string::npos)
+      << text;
+  std::remove(err.c_str());
   std::remove(path.c_str());
 }
 
