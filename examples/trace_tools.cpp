@@ -286,10 +286,10 @@ int cmdPhases(const std::string& path, int argc, char** argv, int first) {
   }
 
   phase::PlanSummary summary;
-  const phase::SamplePlan plan =
-      phase::buildSamplePlan(path, params, &summary);
+  phase::SamplePlan plan;
   std::string err;
-  if (!phase::saveSamplePlan(plan, out_path, err)) {
+  if (!phase::buildSamplePlan(path, params, plan, err, &summary) ||
+      !phase::saveSamplePlan(plan, out_path, err)) {
     std::fprintf(stderr, "%s\n", err.c_str());
     return 1;
   }

@@ -15,8 +15,7 @@
 # 4. Every format docs/FILE_FORMATS.md documents under a
 #    "## … (`*.ext`)" heading must state, in its section's first `version`
 #    table row, the version its constant in src/ writes (kTraceVersion,
-#    kPlanVersion, kCkptVersion, kJournalVersion, kStoreVersion; `.mres`
-#    worker result files are checkpoint containers, so kCkptVersion).
+#    kPlanVersion, kCkptVersion, kStoreVersion).
 #
 # Exits non-zero with one line per violation.
 set -euo pipefail
@@ -78,8 +77,7 @@ done
 
 formats="docs/FILE_FORMATS.md"
 declare -A version_const=([mtrace]=kTraceVersion [mplan]=kPlanVersion
-                          [mckpt]=kCkptVersion [mjournal]=kJournalVersion
-                          [mres]=kCkptVersion [mstore]=kStoreVersion)
+                          [mckpt]=kCkptVersion [mstore]=kStoreVersion)
 # One "<ext> <documented version>" line per "## … (`*.ext`)" section; the
 # version is empty when the section has no `version` row.
 documented_versions=$(awk '

@@ -144,16 +144,16 @@ bool StateWriter::writeTo(const std::string& path, std::string& err) const {
   put32(hdr + 20, 0);  // reserved
   put64(hdr + 24, checksum(payload_.data(), payload_.size()));
 
-  // Temp + rename: a reader (possibly in another process of a parallel
-  // sweep) must only ever see a complete checkpoint under `path`. The temp
+  // Temp + rename: a reader (possibly in another process) must only ever
+  // see a complete checkpoint under `path`. The temp
   // name is unique per writer — with a shared name, two racing writers of
   // the same file (e.g. two processes appending to one `.mstore`, or two
   // runs of one parallel batch given the same checkpoint path) would
   // interleave writes into one inode and expose a torn file under `path`;
   // with unique temps the last atomic rename simply wins.
-  // A worker SIGKILLed mid-write (sweep supervision does exactly that on
-  // timeouts) leaves its unique temp behind forever — sweep one up per
-  // write so checkpoint directories do not accumulate dead `.tmp.*` files.
+  // A writer killed mid-write leaves its unique temp behind forever — sweep
+  // one up per write so checkpoint directories do not accumulate dead
+  // `.tmp.*` files.
   removeStaleTemps(path);
   static std::atomic<std::uint64_t> temp_serial{0};
   const std::string tmp =
@@ -290,12 +290,6 @@ StateReader::StateReader(const std::string& path, std::uint32_t magic,
     return;
   }
   ok_ = true;
-}
-
-bool StateReader::hasSection(const std::string& name) const {
-  for (const Section& s : sections_)
-    if (s.name == name) return true;
-  return false;
 }
 
 void StateReader::openSection(const std::string& name) {

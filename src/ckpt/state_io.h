@@ -75,7 +75,8 @@ class StateReader {
   /// Opens and fully validates `path`: magic, version, file size against
   /// the header's payload length, payload checksum, section-table sanity.
   /// Failures are reported via ok()/error() — callers decide whether a bad
-  /// checkpoint aborts (the run layer) or is merely absent (cache probes).
+  /// file aborts (the run layer) or comes back as an error
+  /// (ResultStore::load).
   /// `magic`/`version` select the expected StateIO format (default
   /// `.mckpt`); `kind` is the noun error messages use for it.
   explicit StateReader(const std::string& path,
@@ -86,7 +87,6 @@ class StateReader {
   [[nodiscard]] bool ok() const { return ok_; }
   [[nodiscard]] const std::string& error() const { return error_; }
 
-  [[nodiscard]] bool hasSection(const std::string& name) const;
   /// Position the cursor at the start of section `name`; aborts when the
   /// section is absent (a checkpoint missing a component IS corruption).
   void openSection(const std::string& name);

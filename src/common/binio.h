@@ -2,11 +2,11 @@
 // identity hash shares (see docs/FILE_FORMATS.md). Which fold serves which
 // job:
 //
-//   * checksum() — the payload checksum of all six file formats (`.mtrace`
-//     records, `.mplan`, `.mckpt` / `.mres` / `.mstore` payloads and
-//     `.mjournal` frames). One step per 8-byte little-endian word, then
-//     one per remaining byte: FNV-1a's xor-then-multiply followed by a
-//     xor-shift down-mix, so one multiply per word instead of one per byte.
+//   * checksum() — the payload checksum of all four file formats
+//     (`.mtrace` records, `.mplan`, and the `.mckpt` and `.mstore`
+//     payloads). One step per 8-byte little-endian word, then one per
+//     remaining byte: FNV-1a's xor-then-multiply followed by a xor-shift
+//     down-mix, so one multiply per word instead of one per byte.
 //   * fnv1a() — byte-wise FNV-1a 64, for identity hashes whose values are
 //     pinned: the grid fingerprint, the run-binding hash, the energy event
 //     space hash and perfbench's determinism digest. Never change it.

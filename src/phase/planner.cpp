@@ -1,24 +1,34 @@
 #include "phase/planner.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/check.h"
 #include "trace/trace_io.h"
 
 namespace malec::phase {
 
-SamplePlan buildSamplePlan(const std::string& trace_path,
-                           const PlanParams& params, PlanSummary* summary) {
+bool buildSamplePlan(const std::string& trace_path, const PlanParams& params,
+                     SamplePlan& out, std::string& err, PlanSummary* summary) {
   MALEC_CHECK_MSG(params.interval_size > 0, "interval size must be > 0");
   MALEC_CHECK_MSG(params.phases > 0, "phase count must be > 0");
 
   trace::TraceReader rd(trace_path);
-  if (!rd.ok()) MALEC_CHECK_MSG(false, rd.error().c_str());
+  if (!rd.ok()) {
+    err = rd.error();
+    return false;
+  }
   IntervalProfiler profiler(rd.layout(), params.interval_size);
   trace::InstrRecord r;
   while (rd.next(r)) profiler.observe(r);
-  if (!rd.ok()) MALEC_CHECK_MSG(false, rd.error().c_str());
-  MALEC_CHECK_MSG(rd.total() > 0, "cannot plan phases over an empty trace");
+  if (!rd.ok()) {
+    err = rd.error();
+    return false;
+  }
+  if (rd.total() == 0) {
+    err = "'" + trace_path + "': cannot plan phases over an empty trace";
+    return false;
+  }
 
   const std::vector<IntervalFeatures> intervals = profiler.finish();
   std::vector<std::vector<double>> points;
@@ -53,7 +63,8 @@ SamplePlan buildSamplePlan(const std::string& trace_path,
     summary->clusters = km.clusters;
     summary->kmeans_iterations = km.iterations;
   }
-  return plan;
+  out = std::move(plan);
+  return true;
 }
 
 }  // namespace malec::phase

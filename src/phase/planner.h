@@ -32,12 +32,15 @@ struct PlanSummary {
   std::uint32_t kmeans_iterations = 0;
 };
 
-/// Profile + cluster the trace at `trace_path` and return the plan (bound
-/// to the trace's record count and checksum). Aborts on an unreadable or
-/// corrupt trace — planning must never bind a plan to a half-read file.
+/// Profile + cluster the trace at `trace_path` into `out` (bound to the
+/// trace's record count and checksum). Returns false with the reader's
+/// message in `err` when the trace cannot be opened or read to its end, or
+/// holds no records — planning must never bind a plan to a half-read file.
+/// A zero interval size or phase count is a caller bug and aborts.
 /// `summary` (optional) receives the profiling/clustering statistics.
-[[nodiscard]] SamplePlan buildSamplePlan(const std::string& trace_path,
-                                         const PlanParams& params,
-                                         PlanSummary* summary = nullptr);
+[[nodiscard]] bool buildSamplePlan(const std::string& trace_path,
+                                   const PlanParams& params, SamplePlan& out,
+                                   std::string& err,
+                                   PlanSummary* summary = nullptr);
 
 }  // namespace malec::phase

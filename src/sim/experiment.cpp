@@ -634,8 +634,8 @@ RunOutput runOneSampled(const RunConfig& rc,
   return out;
 }
 
-}  // namespace
-
+/// The RunConfig of one (workload, configuration) grid cell: the default
+/// system with the grid's shared budget and seed.
 RunConfig gridCellConfig(const trace::WorkloadProfile& wl,
                          const core::InterfaceConfig& cfg,
                          std::uint64_t instructions, std::uint64_t seed) {
@@ -647,6 +647,8 @@ RunConfig gridCellConfig(const trace::WorkloadProfile& wl,
   rc.seed = seed;
   return rc;
 }
+
+}  // namespace
 
 std::vector<RunOutput> runManyParallel(const std::vector<RunConfig>& rcs,
                                        unsigned jobs) {

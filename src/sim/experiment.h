@@ -117,15 +117,6 @@ class RunStack {
 [[nodiscard]] std::vector<RunOutput> runManyParallel(
     const std::vector<RunConfig>& rcs, unsigned jobs = 0);
 
-/// The RunConfig of one (workload, configuration) grid cell: the default
-/// system with the grid's shared budget and seed. runMatrixParallel and
-/// the sweep workers both build cells here, so a sharded sweep simulates
-/// exactly what the in-process matrix does.
-[[nodiscard]] RunConfig gridCellConfig(const trace::WorkloadProfile& wl,
-                                       const core::InterfaceConfig& cfg,
-                                       std::uint64_t instructions,
-                                       std::uint64_t seed);
-
 /// Full (workload x configuration) cross product as ONE parallel batch —
 /// the whole pool stays busy instead of being capped at one row's config
 /// count. Result is indexed [workload][config]; `jobs` = 1 runs the cells

@@ -21,8 +21,8 @@ std::string jsonNumber(double v) {
 
 /// MALEC_SINK_FSYNC: fsync the JSON-lines stream after every record.
 /// Strictly parsed like every knob; unset, empty or "0" = off. For
-/// consumers that tail the stream across coordinator crashes and cannot
-/// afford to lose acknowledged records to the page cache.
+/// consumers that tail the stream across crashes and cannot afford to
+/// lose acknowledged records to the page cache.
 bool sinkFsyncEnabled() {
   static const bool enabled = [] {
     const char* env = std::getenv("MALEC_SINK_FSYNC");
@@ -92,12 +92,10 @@ void JsonLinesSink::writeLine(const std::string& line) {
   }
   if (out_ != nullptr) {
     std::fprintf(out_, "%s\n", line.c_str());
-    // JSON lines is the machine-consumed stream: a crash (or a sweep
-    // worker SIGKILLed by supervision) must never truncate it mid-record,
-    // so every line leaves the stdio buffer immediately. A consumer then
-    // sees only whole records, the journal-style property resume relies
-    // on. fsync is opt-in: full durability costs a disk round-trip per
-    // line.
+    // JSON lines is the machine-consumed stream: a crash must never
+    // truncate it mid-record, so every line leaves the stdio buffer
+    // immediately and a consumer sees only whole records. fsync is
+    // opt-in: full durability costs a disk round-trip per line.
     std::fflush(out_);
     if (sinkFsyncEnabled()) ::fsync(::fileno(out_));
   }

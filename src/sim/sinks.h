@@ -22,8 +22,8 @@ struct SuiteInfo {
   std::uint64_t seed = 0;
   unsigned jobs = 0;
   /// FNV-1a fingerprint of the resolved (workload x config) grid — the
-  /// same value the sweep journal binds to (sim::gridFingerprint). 0 for
-  /// custom suites, which have no grid to fingerprint.
+  /// key of the suite's `.mstore` segment (see suiteInfo). 0 for custom
+  /// suites, which have no grid to fingerprint.
   std::uint64_t fingerprint = 0;
 };
 
@@ -46,9 +46,8 @@ class ResultSink {
  public:
   virtual ~ResultSink() = default;
   virtual void beginSuite(const SuiteInfo&) {}
-  /// Per-run hook, called in deterministic matrix order (workload-major)
-  /// by both the in-process matrix path and the sharded coordinator's
-  /// merge. Table-oriented sinks ignore it.
+  /// Per-run hook, called in deterministic matrix order (workload-major).
+  /// Table-oriented sinks ignore it.
   virtual void runResult(const RunRecord&) {}
   /// `name` is the table's stable identifier (CSV file stem / JSON key);
   /// `precision` the decimal places the legacy bench rendered with.

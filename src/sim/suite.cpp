@@ -247,19 +247,6 @@ void resolveSuiteContext(SuiteContext& ctx) {
   if (spec.configs) ctx.configs = spec.configs();
 }
 
-SuiteInfo suiteInfo(const SuiteContext& ctx) {
-  SuiteInfo info;
-  info.name = ctx.spec.name;
-  info.title = ctx.spec.title;
-  info.instructions = ctx.instructions;
-  info.seed = ctx.seed;
-  info.jobs = ctx.jobs;
-  // Custom suites run their own sweeps — there is no (workload x config)
-  // grid to bind a fingerprint to.
-  if (ctx.spec.configs) info.fingerprint = gridFingerprint(ctx);
-  return info;
-}
-
 namespace {
 
 std::uint64_t fold(std::uint64_t h, std::uint64_t v) {
@@ -276,31 +263,34 @@ std::uint64_t fold(std::uint64_t h, const std::string& s) {
   return binio::fnv1a(h, &nul, 1);
 }
 
-}  // namespace
-
-std::uint64_t gridFingerprintParts(
-    const std::string& suite, std::uint64_t instructions, std::uint64_t seed,
-    const std::vector<std::string>& workload_names,
-    const std::vector<std::string>& config_names) {
+/// FNV-1a over the grid's identity: suite name, resolved budget, seed,
+/// ordered workload names, ordered config names. Workload names are
+/// post-filter, so a different --filter is a different grid.
+std::uint64_t gridFingerprint(const SuiteContext& ctx) {
   std::uint64_t h = binio::kFnvOffset;
-  h = fold(h, suite);
-  h = fold(h, instructions);
-  h = fold(h, seed);
-  h = fold(h, static_cast<std::uint64_t>(workload_names.size()));
-  for (const auto& n : workload_names) h = fold(h, n);
-  h = fold(h, static_cast<std::uint64_t>(config_names.size()));
-  for (const auto& n : config_names) h = fold(h, n);
+  h = fold(h, ctx.spec.name);
+  h = fold(h, ctx.instructions);
+  h = fold(h, ctx.seed);
+  h = fold(h, static_cast<std::uint64_t>(ctx.workloads.size()));
+  for (const auto& wl : ctx.workloads) h = fold(h, wl.name);
+  h = fold(h, static_cast<std::uint64_t>(ctx.configs.size()));
+  for (const auto& cfg : ctx.configs) h = fold(h, cfg.name);
   return h;
 }
 
-std::uint64_t gridFingerprint(const SuiteContext& ctx) {
-  std::vector<std::string> wls, cfgs;
-  wls.reserve(ctx.workloads.size());
-  for (const auto& wl : ctx.workloads) wls.push_back(wl.name);
-  cfgs.reserve(ctx.configs.size());
-  for (const auto& cfg : ctx.configs) cfgs.push_back(cfg.name);
-  return gridFingerprintParts(ctx.spec.name, ctx.instructions, ctx.seed, wls,
-                              cfgs);
+}  // namespace
+
+SuiteInfo suiteInfo(const SuiteContext& ctx) {
+  SuiteInfo info;
+  info.name = ctx.spec.name;
+  info.title = ctx.spec.title;
+  info.instructions = ctx.instructions;
+  info.seed = ctx.seed;
+  info.jobs = ctx.jobs;
+  // Custom suites run their own sweeps — there is no (workload x config)
+  // grid to bind a fingerprint to.
+  if (ctx.spec.configs) info.fingerprint = gridFingerprint(ctx);
+  return info;
 }
 
 void emitRunResults(SuiteContext& ctx) {

@@ -44,7 +44,7 @@ bool ResultStore::load(const std::string& path, std::string& err) {
       r.bytes(run.blob.data(), run.blob.size());
       // The blob is the record: the query columns are read out of it. The
       // walk checks the whole blob, but its energy entries stay in the
-      // blob until decodeRun() asks for them.
+      // blob.
       sim::RunOutput out;
       std::string decode_err;
       if (!sweep::decodeRunOutput(run.blob.data(), run.blob.size(), out,
@@ -135,13 +135,6 @@ const StoreSegment* ResultStore::findSegment(std::uint64_t fingerprint) const {
   for (const StoreSegment& seg : segments_)
     if (seg.fingerprint == fingerprint) return &seg;
   return nullptr;
-}
-
-bool ResultStore::decodeRun(std::size_t idx, sim::RunOutput& out,
-                            std::string& err) const {
-  MALEC_CHECK_MSG(idx < runs_.size(), "store run index out of range");
-  return sweep::decodeRunOutput(runs_[idx].blob.data(), runs_[idx].blob.size(),
-                                out, err);
 }
 
 }  // namespace malec::store

@@ -1,22 +1,21 @@
-// The `.mstore` v3 result store: a durable, queryable home for sweep
-// results — the layer between "a sweep printed tables" and "thousands of
-// configs, millions of runs".
+// The `.mstore` v3 result store: a durable, queryable home for suite
+// results — the layer between "a sweep printed tables" and a query over
+// every run ever stored.
 //
 // A store is a StateIO container (src/ckpt/state_io.h: magic, version,
 // payload checksum, atomic temp+rename writes — the same machinery as
-// `.mckpt`/`.mres`, under the "MSTR" magic) holding append-only SEGMENTS.
+// `.mckpt`, under the "MSTR" magic) holding append-only SEGMENTS.
 // One segment = one executed grid: its suite name, resolved budget and
-// seed, the grid fingerprint (sim::gridFingerprintParts — the identity the
-// sweep journal binds to) and every cell's full RunOutput encoded with the
-// sweep result codec. Load walks every blob with the codec's checks and
-// reads each run's query fields (workload / config / cycles / IPC /
-// energy) out of it, so there is no separate index that could disagree
-// with the payload. The energy entries are bounds-checked but not built
-// into a StatSet until decodeRun() asks for a run's full RunOutput.
+// seed, the grid fingerprint (sim::SuiteInfo::fingerprint) and every
+// cell's full RunOutput encoded with the result codec
+// (src/sweep/result_codec.h). Load walks every blob with the codec's
+// checks and reads each run's query fields (workload / config / cycles /
+// IPC / energy) out of it, so there is no separate index that could
+// disagree with the payload. The energy entries are bounds-checked but not
+// built into a StatSet: a consumer that wants a run's full RunOutput
+// decodes its blob (sweep::decodeRunOutput).
 //
-// Two writers append segments: StoreSink (suite grids, fed by runSuite or
-// the sweep coordinator — a `--resume` of a journal lands there too) and
-// the explorer (its search rounds).
+// One writer appends segments: StoreSink, fed by runSuite.
 //
 // Like every MALEC format the store is strict: bad magic, version skew,
 // truncation, checksum mismatch, count mismatches, duplicate segment
@@ -41,8 +40,8 @@ inline constexpr std::uint32_t kStoreVersion = 3;
 
 /// One appended grid: the identity every run in it shares.
 struct StoreSegment {
-  std::string suite;             ///< suite (or explore round) name
-  std::uint64_t fingerprint = 0; ///< sim::gridFingerprintParts identity
+  std::string suite;             ///< suite name
+  std::uint64_t fingerprint = 0; ///< sim::SuiteInfo::fingerprint
   std::uint64_t instructions = 0;
   std::uint64_t seed = 0;
   std::uint32_t run_count = 0;
@@ -73,9 +72,7 @@ class ResultStore {
   [[nodiscard]] bool load(const std::string& path, std::string& err);
 
   /// One grid cell handed to appendSegment: its names + result, stored as
-  /// sweep::encodeRunOutput(*out) — the same bytes a journal complete
-  /// record holds, so a store written by a resumed sweep is byte-identical
-  /// to one an in-process run writes.
+  /// sweep::encodeRunOutput(*out).
   struct RunEntry {
     std::string workload;
     std::string config;
@@ -84,8 +81,8 @@ class ResultStore {
 
   /// Append one executed grid, cells in matrix order (workload-major). A
   /// fingerprint already present in the store is a hard error — the same
-  /// grid twice would double every query row; callers with skip-if-present
-  /// semantics (the explorer's resume) probe findSegment() first.
+  /// grid twice would double every query row; StoreSink probes
+  /// findSegment() first so it refuses before the grid runs.
   void appendSegment(const StoreSegment& meta,
                      const std::vector<RunEntry>& runs);
 
@@ -100,12 +97,6 @@ class ResultStore {
   /// The segment holding `fingerprint`, or nullptr.
   [[nodiscard]] const StoreSegment* findSegment(
       std::uint64_t fingerprint) const;
-
-  /// Decode run `idx`'s full RunOutput. Returns false with `err` on a
-  /// structurally bad blob (load() already rejects those, so this failing
-  /// indicates an in-memory logic error — callers abort on it).
-  [[nodiscard]] bool decodeRun(std::size_t idx, sim::RunOutput& out,
-                               std::string& err) const;
 
  private:
   std::vector<StoreSegment> segments_;

@@ -8,10 +8,8 @@
 // them to the store as ONE segment keyed by the suite's grid fingerprint:
 // load existing store (checked again — an invalid existing file is a hard
 // error, a corrupt store must never be silently replaced), appendSegment,
-// atomic save. The in-process matrix path and the sharded coordinator
-// (fresh or `--resume`d) emit runs in the same matrix order, so the
-// segment a coordinated sweep writes is byte-identical to the in-process
-// one — CI diffs exactly that.
+// atomic save. Runs arrive in matrix order whatever the job count, so two
+// runs of one grid write byte-identical stores — CI diffs exactly that.
 #pragma once
 
 #include <string>

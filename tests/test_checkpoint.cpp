@@ -5,10 +5,15 @@
 // trace-backed workloads, at several mid-run boundaries, serial and under
 // runManyParallel. Plus the strict `.mckpt` rejection matrix mirroring
 // test_sample_plan: truncation, corruption, bad magic, version skew,
-// foreign trace binding and configuration mismatch are all hard errors.
+// foreign trace binding and configuration mismatch are all hard errors —
+// and StateWriter's atomic write, which reaps dead writers' temps.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
 #include <map>
 #include <string>
 #include <utility>
@@ -124,9 +129,8 @@ TEST(Checkpoint, StateIoRoundTrip) {
 
   ckpt::StateReader r(path);
   ASSERT_TRUE(r.ok()) << r.error();
-  EXPECT_TRUE(r.hasSection("alpha"));
-  EXPECT_TRUE(r.hasSection("beta"));
-  EXPECT_FALSE(r.hasSection("gamma"));
+  // A section the file does not hold is corruption, named in the abort.
+  EXPECT_DEATH(r.openSection("gamma"), "has no section 'gamma'");
   // Sections are addressable in any order.
   r.openSection("beta");
   EXPECT_EQ(r.u64(), 42u);
@@ -138,6 +142,32 @@ TEST(Checkpoint, StateIoRoundTrip) {
   EXPECT_DOUBLE_EQ(r.f64(), 3.14159);
   EXPECT_EQ(r.str(), "hello checkpoint");
   r.endSection();
+  std::remove(path.c_str());
+}
+
+// An atomic write sweeps the temps that dead writers left beside its
+// target, but never a live writer's.
+TEST(StateIo, WriteReapsStaleTempsButSparesLiveWriters) {
+  const std::string path = tmpPath("reap.mckpt");
+  // A temp left by a dead pid (1 is never free, so fabricate an absurd
+  // one far past any real pid) must be swept; a temp owned by a LIVE
+  // process — ours — must survive: it is a racing healthy writer.
+  const std::string stale = path + ".tmp.999999999.0";
+  const std::string live =
+      path + ".tmp." + std::to_string(::getpid()) + ".777";
+  { std::ofstream(stale) << "stale"; }
+  { std::ofstream(live) << "live"; }
+
+  ckpt::StateWriter w;
+  w.beginSection("s");
+  w.u32(1);
+  w.endSection();
+  std::string err;
+  ASSERT_TRUE(w.writeTo(path, err)) << err;
+
+  EXPECT_FALSE(std::filesystem::exists(stale));
+  EXPECT_TRUE(std::filesystem::exists(live));
+  std::remove(live.c_str());
   std::remove(path.c_str());
 }
 

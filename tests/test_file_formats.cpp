@@ -1,4 +1,4 @@
-// The payload checksum all six file formats share (binio::checksum): its
+// The payload checksum all four file formats share (binio::checksum): its
 // known-answer vectors, which docs/FILE_FORMATS.md prints for external
 // producers, and table-driven checks over one small file of each format —
 // a one-bit flip in any byte a checksum covers is refused, so are flips of
@@ -21,8 +21,6 @@
 #include "sim/presets.h"
 #include "sim/registry.h"
 #include "store/result_store.h"
-#include "sweep/journal.h"
-#include "sweep/result_codec.h"
 #include "trace/trace_io.h"
 #include "trace/workloads.h"
 
@@ -178,8 +176,6 @@ const sim::RunOutput& smallRun() {
 }
 
 constexpr std::uint64_t kFingerprint = 42;
-constexpr std::uint32_t kTask = 3;
-constexpr std::uint32_t kAttempt = 1;
 /// Every format's version is the u32 after its 4-byte magic.
 constexpr std::size_t kVersionAt = 4;
 
@@ -266,26 +262,6 @@ std::vector<Format> formats() {
   };
   f.push_back(ck);
 
-  Format res;
-  res.name = "worker result";
-  res.file = "flip.mres";
-  res.previous_version = 6;
-  res.version_noun = "checkpoint";
-  res.write = [](const std::string& path) {
-    sweep::writeResultFile(path, kFingerprint, kTask, kAttempt, smallRun());
-  };
-  res.covered = statePayload;
-  res.read = [](const std::string& path) -> std::string {
-    sim::RunOutput out;
-    Bytes blob;
-    std::string err;
-    return sweep::readResultFile(path, kFingerprint, kTask, kAttempt, out,
-                                 blob, err)
-               ? ""
-               : err;
-  };
-  f.push_back(res);
-
   Format st;
   st.name = "result store";
   st.file = "flip.mstore";
@@ -335,53 +311,7 @@ std::vector<Format> formats() {
   };
   f.push_back(pl);
 
-  Format jn;
-  jn.name = "sweep journal";
-  jn.file = "flip.mjournal";
-  jn.previous_version = 2;
-  jn.version_noun = "journal";
-  jn.write = [](const std::string& path) {
-    std::remove(path.c_str());
-    sweep::JournalWriter w;
-    std::string err;
-    ASSERT_TRUE(w.create(path, kFingerprint, 4, err)) << err;
-    w.grant(0, 0);
-    w.complete(0, 0, {0xde, 0xad, 0xbe, 0xef, 0x01});
-    w.fail(1, 0, sweep::FailKind::kSignal, 9, "Killed");
-    w.quarantine(1, 3, "timeout x3");
-    w.close();
-  };
-  // Each frame's type, length, their check and payload; not its trailing
-  // checksum.
-  jn.covered = [](const Bytes& b) {
-    Ranges ranges;
-    for (std::size_t at = 24; at < b.size();) {
-      const std::size_t len = binio::get32(b.data() + at + 1);
-      ranges.emplace_back(at, at + 13 + len);
-      at += 21 + len;
-    }
-    return ranges;
-  };
-  jn.read = [](const std::string& path) -> std::string {
-    const sweep::JournalScan scan = sweep::scanJournal(path);
-    if (!scan.ok) return scan.error;
-    return scan.torn ? "torn at " + std::to_string(scan.valid_bytes) : "";
-  };
-  f.push_back(jn);
-
   return f;
-}
-
-/// Whether `err`, a Format::read result, means the file loaded. A torn
-/// journal tail loads: the scan keeps every record before it.
-bool loaded(const std::string& err) {
-  return err.empty() || err.rfind("torn at ", 0) == 0;
-}
-
-/// Whether `i` is a byte of the u32 length field of the journal frame at
-/// `begin` (a frame is type, length, their check, payload, checksum).
-bool inJournalLength(std::size_t i, std::size_t begin) {
-  return i > begin && i < begin + 5;
 }
 
 TEST(FileFormats, EveryCoveredByteIsChecked) {
@@ -399,8 +329,7 @@ TEST(FileFormats, EveryCoveredByteIsChecked) {
         patch(path, i, &bad, 1);
         const std::string err = fmt.read(path);
         patch(path, i, &clean[i], 1);
-        EXPECT_FALSE(loaded(err))
-            << "a flip of byte " << i << " loaded: " << err;
+        EXPECT_NE(err, "") << "a flip of byte " << i << " loaded";
       }
     }
     std::remove(path.c_str());
@@ -433,68 +362,12 @@ TEST(FileFormats, TopBitFlipsInTwoWordsAreRefused) {
         const std::string err = fmt.read(path);
         patch(path, a, &clean[a], 1);
         patch(path, b, &clean[b], 1);
-        EXPECT_FALSE(loaded(err))
+        EXPECT_NE(err, "")
             << "bit 63 flips at bytes " << a << " and " << b << " loaded";
       }
     }
     std::remove(path.c_str());
   }
-}
-
-// A journal frame checks its type and length before it trusts the length.
-// A mid-file length flipped past the end of the file is corruption, not
-// the crash-torn tail: the scan refuses the journal instead of dropping
-// that frame and every intact record after it.
-TEST(FileFormats, MidFileJournalLengthPastEndIsRefused) {
-  const Format jn = formats().back();
-  ASSERT_EQ(jn.name, "sweep journal");
-  const std::string path = tmpPath(jn.file);
-  jn.write(path);
-  const Bytes clean = slurp(path);
-  const Ranges frames = jn.covered(clean);
-  ASSERT_EQ(frames.size(), 4u);
-  std::size_t past_end = 0;
-  for (std::size_t f = 0; f + 1 < frames.size(); ++f) {
-    const std::size_t begin = frames[f].first;
-    for (std::size_t i = begin + 1; inJournalLength(i, begin); ++i) {
-      Bytes bad = clean;
-      bad[i] = static_cast<std::uint8_t>(bad[i] ^ (1u << (i % 8)));
-      const std::uint32_t len = binio::get32(bad.data() + begin + 1);
-      past_end += clean.size() - begin - 21 < len;
-      patch(path, i, &bad[i], 1);
-      const std::string err = jn.read(path);
-      patch(path, i, &clean[i], 1);
-      EXPECT_NE(err.find("record " + std::to_string(f) +
-                         " header checksum mismatch"),
-                std::string::npos)
-          << "byte " << i << ": " << err;
-    }
-  }
-  EXPECT_EQ(past_end, 9u);
-  std::remove(path.c_str());
-}
-
-// The crash window the journal does tolerate: a cut anywhere inside the
-// last frame, its head included, scans as torn at that frame's start and
-// keeps every record before it.
-TEST(FileFormats, JournalCutInsideItsLastFrameReadsAsTorn) {
-  const Format jn = formats().back();
-  ASSERT_EQ(jn.name, "sweep journal");
-  const std::string path = tmpPath(jn.file);
-  jn.write(path);
-  const Bytes clean = slurp(path);
-  const std::size_t last = jn.covered(clean).back().first;
-  for (std::size_t size = last + 1; size < clean.size(); ++size) {
-    std::ofstream(path, std::ios::binary | std::ios::trunc)
-        .write(reinterpret_cast<const char*>(clean.data()),
-               static_cast<std::streamsize>(size));
-    const sweep::JournalScan scan = sweep::scanJournal(path);
-    ASSERT_TRUE(scan.ok) << size << ": " << scan.error;
-    EXPECT_TRUE(scan.torn) << size;
-    EXPECT_EQ(scan.valid_bytes, last) << size;
-    EXPECT_EQ(scan.records.size(), 3u) << size;
-  }
-  std::remove(path.c_str());
 }
 
 TEST(FileFormats, PreviousVersionIsRefusedByVersion) {

@@ -127,9 +127,10 @@ Corpus simulateCorpus() {
   params.interval_size = kInstrs / 8;
   params.phases = 3;
   params.warmup_instructions = kInstrs / 8;
+  phase::SamplePlan plan;
   std::string err;
-  EXPECT_TRUE(phase::saveSamplePlan(phase::buildSamplePlan(gap, params),
-                                    phase::planSidecarPath(gap), err))
+  EXPECT_TRUE(phase::buildSamplePlan(gap, params, plan, err)) << err;
+  EXPECT_TRUE(phase::saveSamplePlan(plan, phase::planSidecarPath(gap), err))
       << err;
   RunConfig sampled = synthConfig("gap", presetMalec(), /*instructions=*/0);
   sampled.workload = sampledWorkload(traceWorkload(gap));

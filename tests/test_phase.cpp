@@ -11,6 +11,7 @@
 #include "phase/planner.h"
 #include "sim/experiment.h"
 #include "sim/presets.h"
+#include "trace/trace_io.h"
 #include "trace/workloads.h"
 
 namespace malec::phase {
@@ -137,7 +138,9 @@ TEST(Planner, BuildsValidatedPlanBoundToTrace) {
   params.phases = 3;
   params.warmup_instructions = 1'000;
   PlanSummary summary;
-  const SamplePlan plan = buildSamplePlan(path, params, &summary);
+  SamplePlan plan;
+  std::string err;
+  ASSERT_TRUE(buildSamplePlan(path, params, plan, err, &summary)) << err;
 
   EXPECT_EQ(summary.intervals, 5u);
   EXPECT_EQ(plan.trace_records, 25'000u);
@@ -161,7 +164,8 @@ TEST(Planner, BuildsValidatedPlanBoundToTrace) {
   EXPECT_LE(plan.simulatedInstructions(), 25'000u);
 
   // Planning is deterministic: same trace + params -> identical plan.
-  const SamplePlan again = buildSamplePlan(path, params);
+  SamplePlan again;
+  ASSERT_TRUE(buildSamplePlan(path, params, again, err)) << err;
   ASSERT_EQ(again.picks.size(), plan.picks.size());
   for (std::size_t i = 0; i < plan.picks.size(); ++i) {
     EXPECT_EQ(again.picks[i].interval_index, plan.picks[i].interval_index);
@@ -171,9 +175,46 @@ TEST(Planner, BuildsValidatedPlanBoundToTrace) {
   std::remove(path.c_str());
 }
 
-TEST(PlannerDeathTest, MissingTraceAborts) {
-  EXPECT_DEATH((void)buildSamplePlan("/nonexistent/x.mtrace", PlanParams{}),
-               "cannot open");
+// A trace the planner cannot read to its end comes back as a failure with
+// the reader's message, never an abort: `trace_tools phases` exits 1 on it.
+TEST(Planner, UnreadableTraceFailsWithTheReadersMessage) {
+  SamplePlan plan;
+  std::string err;
+  EXPECT_FALSE(buildSamplePlan("/nonexistent/x.mtrace", PlanParams{}, plan,
+                               err));
+  EXPECT_NE(err.find("cannot open '/nonexistent/x.mtrace'"), std::string::npos)
+      << err;
+
+  // Header byte 29 set to 0x11 makes page_bytes 0x1100, not a power of two.
+  const std::string path = tmpPath("bad_layout.mtrace");
+  sim::RunConfig rc;
+  rc.workload = trace::workloadByName("gcc");
+  rc.interface_cfg = sim::presetMalec();
+  rc.system = sim::defaultSystem();
+  rc.instructions = 2'000;
+  ASSERT_EQ(sim::captureTrace(rc, path), 2'000u);
+  {
+    std::FILE* f = std::fopen(path.c_str(), "r+b");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fseek(f, 29, SEEK_SET), 0);
+    ASSERT_EQ(std::fputc(0x11, f), 0x11);
+    std::fclose(f);
+  }
+  err.clear();
+  EXPECT_FALSE(buildSamplePlan(path, PlanParams{}, plan, err));
+  EXPECT_NE(err.find("address layout is invalid (page_bytes 4352"),
+            std::string::npos)
+      << err;
+
+  // A well-formed capture with no records has nothing to plan over.
+  {
+    trace::TraceWriter w(path);
+    ASSERT_TRUE(w.close()) << w.error();
+  }
+  err.clear();
+  EXPECT_FALSE(buildSamplePlan(path, PlanParams{}, plan, err));
+  EXPECT_NE(err.find("empty trace"), std::string::npos) << err;
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -47,8 +47,9 @@ std::string captureWithPlan(const char* bench, const char* name,
   params.interval_size = interval_size;
   params.phases = phases;
   params.warmup_instructions = warmup;
-  const phase::SamplePlan plan = phase::buildSamplePlan(path, params);
+  phase::SamplePlan plan;
   std::string err;
+  EXPECT_TRUE(phase::buildSamplePlan(path, params, plan, err)) << err;
   EXPECT_TRUE(
       phase::saveSamplePlan(plan, phase::planSidecarPath(path), err))
       << err;
@@ -169,9 +170,11 @@ TEST(PhaseSampled, RegistryScanAutoRegistersSampledVariant) {
     phase::PlanParams params;
     params.interval_size = 2'000;
     params.phases = 2;
-    const phase::SamplePlan plan =
-        phase::buildSamplePlan(dir + "/planned.mtrace", params);
+    phase::SamplePlan plan;
     std::string err;
+    ASSERT_TRUE(
+        phase::buildSamplePlan(dir + "/planned.mtrace", params, plan, err))
+        << err;
     ASSERT_TRUE(
         phase::saveSamplePlan(plan, dir + "/planned.mplan", err))
         << err;

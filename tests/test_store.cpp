@@ -1,11 +1,10 @@
 // The `.mstore` result store contract (docs/FILE_FORMATS.md): format
 // round trip, the strict rejection matrix (bad magic, version skew,
 // truncation, mid-file corruption, duplicate fingerprints, index/blob
-// disagreement), the query engine's select/filter/sort/group-geomean
-// semantics, exotic workload names surviving the StoreSink round trip,
-// and — through the real malec_bench binary — the byte-identity of a
-// store written by a `--resume` of a fault-injected sweep's journal with
-// one a live `--sink store` run writes.
+// disagreement), the RunOutput blob codec, the query engine's
+// select/filter/sort/group-geomean semantics, exotic workload names
+// surviving the StoreSink round trip, and — through the real malec_bench
+// binary — a `--sink store` run that `malec_bench query` answers over.
 #include "store/result_store.h"
 
 #include <gtest/gtest.h>
@@ -79,6 +78,13 @@ sim::RunOutput namedRun(const std::string& workload, const std::string& config,
   return out;
 }
 
+/// Stored run `i`'s full RunOutput, decoded from its blob.
+bool decodeStored(const ResultStore& rs, std::size_t i, sim::RunOutput& out,
+                  std::string& err) {
+  const std::vector<std::uint8_t>& blob = rs.runs()[i].blob;
+  return sweep::decodeRunOutput(blob.data(), blob.size(), out, err);
+}
+
 /// Two-segment store used by the round-trip and query tests.
 ResultStore sampleStore() {
   ResultStore rs;
@@ -141,7 +147,7 @@ TEST(StoreFormat, RoundTripPreservesSegmentsQueryFieldsAndBlobs) {
 
   // Full RunOutput survives: decode run 1 and spot-check the identity.
   sim::RunOutput out;
-  ASSERT_TRUE(back.decodeRun(1, out, err)) << err;
+  ASSERT_TRUE(decodeStored(back, 1, out, err)) << err;
   EXPECT_EQ(out.benchmark, "gcc");
   EXPECT_EQ(out.config, "MALEC");
   EXPECT_EQ(out.cycles, back.runs()[1].cycles);
@@ -376,6 +382,29 @@ TEST(StoreLoad, UndecodableBlobIsRefused) {
   std::remove(path.c_str());
 }
 
+// --- the RunOutput blob codec -----------------------------------------------
+
+TEST(ResultCodec, RoundTripIsBitIdentical) {
+  const sim::RunOutput& out = baseRun();
+  const std::vector<std::uint8_t> blob = sweep::encodeRunOutput(out);
+  sim::RunOutput back;
+  std::string err;
+  ASSERT_TRUE(sweep::decodeRunOutput(blob.data(), blob.size(), back, err))
+      << err;
+  EXPECT_EQ(sim::diffOutputs(out, back), "");
+}
+
+TEST(ResultCodec, DecodeRejectsTruncationAndTrailingBytes) {
+  std::vector<std::uint8_t> blob = sweep::encodeRunOutput(baseRun());
+  sim::RunOutput back;
+  std::string err;
+  EXPECT_FALSE(
+      sweep::decodeRunOutput(blob.data(), blob.size() - 1, back, err));
+  blob.push_back(0);
+  EXPECT_FALSE(sweep::decodeRunOutput(blob.data(), blob.size(), back, err));
+  EXPECT_NE(err.find("trailing"), std::string::npos) << err;
+}
+
 // --- the query-column read --------------------------------------------------
 
 using Blob = std::vector<std::uint8_t>;
@@ -463,7 +492,7 @@ TEST(StoreColumns, RefusesExactlyWhatTheFullDecodeRefuses) {
 
 // A load keeps only the query columns in memory; every stored run still
 // decodes to the full RunOutput that was appended.
-TEST(StoreColumns, DecodeRunAfterLoadGivesTheStoredRunOutput) {
+TEST(StoreColumns, StoredBlobDecodesToTheAppendedRunOutput) {
   const std::string path = tmpPath("columns.mstore");
   std::remove(path.c_str());
   const std::vector<sim::RunOutput> outs = {
@@ -486,7 +515,7 @@ TEST(StoreColumns, DecodeRunAfterLoadGivesTheStoredRunOutput) {
   ASSERT_EQ(back.runs().size(), outs.size());
   for (std::size_t i = 0; i < outs.size(); ++i) {
     sim::RunOutput got;
-    ASSERT_TRUE(back.decodeRun(i, got, err)) << err;
+    ASSERT_TRUE(decodeStored(back, i, got, err)) << err;
     EXPECT_EQ(sim::diffOutputs(outs[i], got), "") << "run " << i;
   }
   std::remove(path.c_str());
@@ -533,7 +562,7 @@ TEST(StoreSink, ExoticWorkloadNamesRoundTripExactly) {
   for (std::size_t i = 0; i < names.size(); ++i) {
     EXPECT_EQ(rs.runs()[i].workload, names[i]);
     sim::RunOutput out;
-    ASSERT_TRUE(rs.decodeRun(i, out, err)) << err;
+    ASSERT_TRUE(decodeStored(rs, i, out, err)) << err;
     EXPECT_EQ(out.benchmark, names[i]);
   }
 }
@@ -699,13 +728,13 @@ TEST(Query, JsonEscapesExoticNamesAndTypesNumbers) {
   EXPECT_NE(got.find("\"seed\":1,"), std::string::npos) << got;
 }
 
-// --- subprocess: resumed sweep vs live sink byte-identity -------------------
+// --- subprocess: the real malec_bench binary --------------------------------
 
-int runBench(const std::string& env_prefix, const std::string& args,
-             const std::string& out_path) {
-  const std::string cmd = env_prefix + std::string(MALEC_BENCH_PATH) + " " +
-                          args + " > " + out_path + " 2> " + out_path +
-                          ".err";
+/// Runs malec_bench with `args`; returns its exit code (or -1 on a signal)
+/// and leaves stdout in `out_path`, stderr in `out_path`.err.
+int runBench(const std::string& args, const std::string& out_path) {
+  const std::string cmd = std::string(MALEC_BENCH_PATH) + " " + args + " > " +
+                          out_path + " 2> " + out_path + ".err";
   const int rc = std::system(cmd.c_str());
   if (WIFEXITED(rc)) return WEXITSTATUS(rc);
   return -1;
@@ -713,80 +742,30 @@ int runBench(const std::string& env_prefix, const std::string& args,
 
 const char* kGrid = "--suite fig4a --filter gcc --instr 2000 --seed 1";
 
-TEST(StoreProcess, ResumeIntoStoreIsByteIdenticalToLiveStoreSink) {
-  const std::string direct = tmpPath("direct.mstore");
-  const std::string resumed = tmpPath("resumed.mstore");
-  const std::string journal = tmpPath("resume_store.mjournal");
-  for (const auto& p : {direct, resumed, journal}) std::remove(p.c_str());
-
-  const std::string out = tmpPath("direct.txt");
-  ASSERT_EQ(runBench("", std::string(kGrid) + " --sink store --store " +
-                             direct,
+TEST(StoreProcess, QueryAnswersOverACliStore) {
+  const std::string path = tmpPath("cli.mstore");
+  std::remove(path.c_str());
+  const std::string out = tmpPath("cli.txt");
+  ASSERT_EQ(runBench(std::string(kGrid) + " --sink store --store " + path,
                      out),
             0)
       << slurp(out + ".err");
-
-  // A sweep whose worker is SIGKILLed on task 2 and retried: its journal
-  // records the failure beside every completion.
-  ASSERT_EQ(runBench("MALEC_SWEEP_BACKOFF_MS=1 MALEC_FAULT_SPEC=kill:task=2 ",
-                     std::string(kGrid) + " --workers 2 --journal " + journal,
-                     out),
-            0)
-      << slurp(out + ".err");
-  const std::string journal_bytes = slurp(journal);
-  ASSERT_EQ(runBench("", std::string(kGrid) + " --workers 2 --resume " +
-                             journal + " --sink store --store " + resumed,
-                     out),
-            0)
-      << slurp(out + ".err");
-  EXPECT_EQ(slurp(direct), slurp(resumed));
-  // The journal was already complete: resuming it re-runs and appends
-  // nothing.
-  EXPECT_EQ(slurp(journal), journal_bytes);
-
-  // And the query subcommand answers over the resumed store.
   const std::string qout = tmpPath("query.txt");
-  ASSERT_EQ(runBench("", "query --store " + resumed +
-                             " --format json --where-config MALEC",
+  ASSERT_EQ(runBench("query --store " + path +
+                         " --format json --where-config MALEC",
                      qout),
             0)
       << slurp(qout + ".err");
   EXPECT_NE(slurp(qout).find("\"config\":\"MALEC\""), std::string::npos);
 }
 
-TEST(StoreProcess, ResumeIntoStoreRefusesAForeignJournal) {
-  const std::string journal = tmpPath("foreign_resume.mjournal");
-  const std::string store = tmpPath("foreign_resume.mstore");
-  std::remove(journal.c_str());
-  std::remove(store.c_str());
-  const std::string out = tmpPath("foreign_resume.txt");
-  ASSERT_EQ(runBench("", std::string(kGrid) + " --workers 2 --journal " +
-                             journal,
-                     out),
-            0)
-      << slurp(out + ".err");
-  // Same journal, different seed: the fingerprint check refuses before
-  // any sink runs.
-  EXPECT_NE(runBench("",
-                     "--suite fig4a --filter gcc --instr 2000 --seed 2 "
-                     "--workers 2 --resume " +
-                         journal + " --sink store --store " + store,
-                     out),
-            0);
-  EXPECT_NE(slurp(out + ".err").find("different sweep"), std::string::npos)
-      << slurp(out + ".err");
-  EXPECT_FALSE(std::filesystem::exists(store));
-}
-
 TEST(StoreProcess, SinkRefusesRewritingTheSameGridViaCli) {
   const std::string path = tmpPath("dupcli.mstore");
   std::remove(path.c_str());
   const std::string out = tmpPath("dupcli.txt");
-  ASSERT_EQ(runBench("", std::string(kGrid) + " --sink store --store " + path,
-                     out),
+  ASSERT_EQ(runBench(std::string(kGrid) + " --sink store --store " + path, out),
             0);
-  EXPECT_NE(runBench("", std::string(kGrid) + " --sink store --store " + path,
-                     out),
+  EXPECT_NE(runBench(std::string(kGrid) + " --sink store --store " + path, out),
             0);
   EXPECT_NE(slurp(out + ".err").find("already holds this exact grid"),
             std::string::npos)

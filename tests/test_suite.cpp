@@ -126,6 +126,21 @@ TEST(MalecBenchAll, RunsTraceReplayAndSkipsPhaseSampledWithoutPlans) {
   EXPECT_NE(note.find("trace_tools phases"), std::string::npos) << note;
 }
 
+// The suite runner resolves seed 0 to the spec's seed, so an explicit
+// --seed 0 is refused, not silently run as another seed.
+TEST(MalecBenchCli, SeedZeroIsRefused) {
+  const std::string err = std::string(::testing::TempDir()) + "seed0.err";
+  const int rc = std::system((std::string(MALEC_BENCH_PATH) +
+                              " --suite fig4a --filter gcc --instr 2000"
+                              " --seed 0 > /dev/null 2> " + err)
+                                 .c_str());
+  EXPECT_TRUE(WIFEXITED(rc) && WEXITSTATUS(rc) == 2) << rc;
+  std::ifstream in(err);
+  const std::string text{std::istreambuf_iterator<char>(in), {}};
+  EXPECT_NE(text.find("0 would select the spec's seed"), std::string::npos)
+      << text;
+}
+
 // The port's keystone: the fig4a spec (one runMatrixParallel batch through
 // the declarative layer) must reproduce the legacy bench main — a serial
 // per-workload loop with hand-rolled normalisation and geomean rows —
@@ -214,6 +229,24 @@ TEST(Suite, OptionsOverrideBudgetSeedAndJobs) {
   EXPECT_EQ(sink.info.seed, 9u);
   EXPECT_EQ(sink.info.jobs, 2u);
   ASSERT_EQ(sink.rendered.size(), 2u);  // coverage + energy tables
+}
+
+// The grid fingerprint keys a `.mstore` segment: it must bind the
+// post-filter grid, budget and seed, and keep its value, or stores written
+// by another build would stop matching byte for byte.
+TEST(Suite, GridFingerprintBindsTheResolvedGrid) {
+  const auto fingerprint = [](const std::string& filter, std::uint64_t seed) {
+    SuiteOptions opts;
+    opts.instructions = 2'000;
+    opts.seed = seed;
+    opts.workload_filter = filter;
+    SuiteContext ctx{specRegistry().get("fig4a"), opts};
+    resolveSuiteContext(ctx);
+    return suiteInfo(ctx).fingerprint;
+  };
+  EXPECT_EQ(fingerprint("gcc", 1), 0xe6ba7764945de5e0ull);
+  EXPECT_NE(fingerprint("mcf", 1), fingerprint("gcc", 1));
+  EXPECT_NE(fingerprint("gcc", 2), fingerprint("gcc", 1));
 }
 
 TEST(Suite, EverySinkReceivesEveryTable) {

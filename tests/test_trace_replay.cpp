@@ -426,8 +426,9 @@ std::string captureWithSidecarPlan(const char* bench, const char* name,
   params.interval_size = instrs / 4;
   params.phases = 2;
   params.warmup_instructions = instrs / 8;
-  const phase::SamplePlan plan = phase::buildSamplePlan(path, params);
+  phase::SamplePlan plan;
   std::string err;
+  EXPECT_TRUE(phase::buildSamplePlan(path, params, plan, err)) << err;
   EXPECT_TRUE(phase::saveSamplePlan(plan, phase::planSidecarPath(path), err))
       << err;
   return path;

@@ -8,10 +8,12 @@
 // a core behind a stepping Probe steps every cycle: it is the reference.
 // Each test runs sim::runOne itself twice, with a stepping and a skipping
 // Probe in front of the interface, and compares the outputs with
-// sim::diffOutputs — over all registered presets on synthetic workloads, a
-// trace replay that checkpoints and resumes, and a phase-sampled replay.
+// sim::diffOutputs — over all registered presets and every single-axis
+// neighbour of MALEC on synthetic workloads, a trace replay that
+// checkpoints and resumes, and a phase-sampled replay.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
@@ -128,6 +130,97 @@ TEST(WakeLoop, EveryPresetMatchesSteppingOnSynthWorkloads) {
     }
   }
   // The comparison is only meaningful if cycles were actually skipped.
+  EXPECT_LT(executed, simulated);
+}
+
+/// One MALEC parameter the paper's Sec. VI ablations vary: a tag for
+/// messages, its values and the InterfaceConfig field it sets. Index 0 of
+/// every axis is presetMalec()'s own value, so MALEC is the all-zeros
+/// point and each other value is one single-axis neighbour of it.
+struct Axis {
+  const char* tag;
+  std::vector<std::uint32_t> values;
+  void (*apply)(core::InterfaceConfig&, std::uint32_t);
+};
+
+const std::vector<Axis>& malecAxes() {
+  static const std::vector<Axis> a = {
+      {"rb", {2, 1, 3, 4},
+       [](core::InterfaceConfig& c, std::uint32_t v) { c.result_buses = v; }},
+      {"cs", {2, 0, 1, 4},
+       [](core::InterfaceConfig& c, std::uint32_t v) { c.ib_carry_slots = v; }},
+      {"gc", {5, 3, 7},
+       [](core::InterfaceConfig& c, std::uint32_t v) {
+         c.ib_group_comparators = v;
+       }},
+      {"mw", {3, 0, 1, 7},
+       [](core::InterfaceConfig& c, std::uint32_t v) { c.merge_window = v; }},
+      {"sp", {1, 0},
+       [](core::InterfaceConfig& c, std::uint32_t v) {
+         c.subblocked_pair_read = v != 0;
+       }},
+      // Way determination: 0 = way tables, 1..3 = WDU 8/16/32, 4 = none.
+      {"wd", {0, 1, 2, 3, 4},
+       [](core::InterfaceConfig& c, std::uint32_t v) {
+         if (v == 0) {
+           c.waydet = core::WayDetKind::kWayTables;
+         } else if (v <= 3) {
+           c.waydet = core::WayDetKind::kWdu;
+           c.wdu_entries = 8u << (v - 1);
+         } else {
+           c.waydet = core::WayDetKind::kNone;
+         }
+       }},
+      {"fb", {1, 0},
+       [](core::InterfaceConfig& c, std::uint32_t v) {
+         c.last_entry_feedback = v != 0;
+       }},
+      {"lat", {2, 1, 3},
+       [](core::InterfaceConfig& c, std::uint32_t v) { c.l1_latency = v; }},
+  };
+  return a;
+}
+
+TEST(WakeLoop, AxisDefaultsAreTheMalecPreset) {
+  core::InterfaceConfig cfg = sim::presetMalec();
+  for (const Axis& axis : malecAxes()) axis.apply(cfg, axis.values[0]);
+  for (const char* bench : {"gcc", "mcf", "djpeg", "gap"}) {
+    EXPECT_EQ(sim::diffOutputs(
+                  sim::runOne(synthConfig(sim::presetMalec(), bench, 6000, 1)),
+                  sim::runOne(synthConfig(cfg, bench, 6000, 1))),
+              "")
+        << bench;
+  }
+}
+
+// The neighbours reach configurations no preset has — one, three or four
+// result buses, zero, one or four carry slots, three or seven comparators,
+// a merge window of one or seven, no sub-blocked pair read, a 1-cycle L1.
+TEST(WakeLoop, EverySingleAxisNeighbourOfMalecMatchesStepping) {
+  std::size_t neighbours = 0;
+  std::uint64_t simulated = 0;
+  std::uint64_t executed = 0;
+  for (const Axis& axis : malecAxes()) {
+    for (std::size_t k = 1; k < axis.values.size(); ++k) {
+      core::InterfaceConfig cfg = sim::presetMalec();
+      axis.apply(cfg, axis.values[k]);
+      cfg.name = "MALEC_" + std::string(axis.tag) +
+                 std::to_string(axis.values[k]);
+      ++neighbours;
+      for (const char* bench : {"gcc", "mcf", "djpeg", "gap"}) {
+        const sim::RunConfig rc = synthConfig(cfg, bench, 6000, 1);
+        const ProbedRun ref = runProbed(rc, /*stepping=*/true);
+        const ProbedRun got = runProbed(rc, /*stepping=*/false);
+        EXPECT_EQ(sim::diffOutputs(ref.out, got.out), "")
+            << cfg.name << " on " << bench;
+        EXPECT_EQ(ref.executed, ref.out.cycles) << cfg.name << " " << bench;
+        EXPECT_LE(got.executed, ref.executed) << cfg.name << " " << bench;
+        simulated += got.out.cycles;
+        executed += got.executed;
+      }
+    }
+  }
+  EXPECT_EQ(neighbours, 19u);
   EXPECT_LT(executed, simulated);
 }
 

@@ -1,6 +1,6 @@
 // Wall-clock use waived at file scope: this fixture file is covered by
-// tools/lint/allowlist.txt (determinism entry), mirroring how the real
-// tree exempts the sweep coordinator's worker-supervision timers.
+// tools/lint/allowlist.txt (determinism entry), the way a real file whose
+// purpose needs the clock would be.
 #include <chrono>
 
 namespace fixture {

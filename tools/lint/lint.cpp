@@ -1311,8 +1311,6 @@ const std::map<std::string, std::set<std::string>>& layerAllowedDeps() {
     t["sweep"].insert("sim");
     t["store"] = t["sweep"];
     t["store"].insert("sweep");
-    t["explore"] = t["store"];
-    t["explore"].insert("store");
     return t;
   }();
   return kTable;
