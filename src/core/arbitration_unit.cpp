@@ -14,13 +14,6 @@ std::uint64_t ArbitrationUnit::mergeKey(Addr vaddr) const {
   return line * p_.layout.subBlocksPerLine() + sub;
 }
 
-ArbOutcome ArbitrationUnit::arbitrate(
-    const std::vector<ArbCandidate>& candidates) const {
-  ArbOutcome out;
-  arbitrate(candidates, out);
-  return out;
-}
-
 void ArbitrationUnit::arbitrate(const std::vector<ArbCandidate>& candidates,
                                 ArbOutcome& out) const {
   MALEC_CHECK_MSG(candidates.size() <= kInputBufferCapacity,

@@ -52,11 +52,11 @@ struct ArbOutcome {
 class ArbitrationUnit {
  public:
   struct Params {
-    AddressLayout layout{};
-    std::uint32_t result_buses = 3;
+    AddressLayout layout;
+    std::uint32_t result_buses;
     /// 0 disables merging.
-    std::uint32_t merge_window = 3;
-    bool subblocked_pair_read = true;
+    std::uint32_t merge_window;
+    bool subblocked_pair_read;
   };
 
   explicit ArbitrationUnit(const Params& p) : p_(p) {
@@ -66,12 +66,9 @@ class ArbitrationUnit {
                     "ArbitrationUnit supports at most 32 banks");
   }
 
-  /// Arbitrate one page group. `candidates` must be in priority order
-  /// (loads oldest-first, MBE last — InputBuffer::group() order).
-  [[nodiscard]] ArbOutcome arbitrate(
-      const std::vector<ArbCandidate>& candidates) const;
-
-  /// Allocation-free variant for the per-cycle hot path: writes into `out`.
+  /// Arbitrate one page group into `out`, which the per-cycle hot path
+  /// reuses across groups. `candidates` must be in priority order (loads
+  /// oldest-first, MBE last — InputBuffer::group() order).
   void arbitrate(const std::vector<ArbCandidate>& candidates,
                  ArbOutcome& out) const;
 

@@ -92,13 +92,6 @@ std::optional<std::size_t> InputBuffer::selectHead(Cycle now) const {
   return mbe;
 }
 
-std::vector<std::size_t> InputBuffer::group(std::size_t head,
-                                            Cycle now) const {
-  std::vector<std::size_t> g;
-  group(head, now, g);
-  return g;
-}
-
 void InputBuffer::group(std::size_t head, Cycle now,
                         std::vector<std::size_t>& g) const {
   MALEC_CHECK(head < ops_.size());

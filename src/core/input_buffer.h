@@ -57,14 +57,10 @@ class InputBuffer {
   /// Highest-priority entry index ready at `now`, or nullopt if idle.
   [[nodiscard]] std::optional<std::size_t> selectHead(Cycle now) const;
 
-  /// Indices (priority order, head first) of the head's page group:
+  /// Fills `out` (cleared first, keeping its capacity across calls) with
+  /// the indices (priority order, head first) of the head's page group:
   /// entries sharing the head's vPageID among the first
   /// `group_comparators` ready candidates (hardware comparator limit).
-  [[nodiscard]] std::vector<std::size_t> group(std::size_t head,
-                                               Cycle now) const;
-
-  /// Allocation-free variant for the per-cycle hot path: fills `out`
-  /// (cleared first), which keeps its capacity across calls.
   void group(std::size_t head, Cycle now, std::vector<std::size_t>& out) const;
 
   /// Defer an entry (TLB access or page walk in flight).

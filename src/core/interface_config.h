@@ -24,6 +24,8 @@ enum class InterfaceKind {
   kMalec,       ///< Page-Based Access Grouping (+ optional way determination)
 };
 
+/// The defaults are MALEC's Table I row: sim::presetMalec() returns them
+/// unchanged.
 /// NOTE: every field below feeds sim::runBindingHash() (checkpoint
 /// binding, src/sim/experiment.cpp) — a new knob MUST be added there too,
 /// or checkpoints taken under different values of it would silently
@@ -47,8 +49,9 @@ struct InterfaceConfig {
   /// Page-ID comparators: how many non-head entries can join the head's
   /// group in one cycle (evaluated configuration: five 20-bit comparators).
   std::uint32_t ib_group_comparators = 5;
-  /// Result buses available for load data per cycle.
-  std::uint32_t result_buses = 3;
+  /// Result buses available for load data per cycle (MALEC: 2, the same
+  /// LQ write bandwidth as Base2ld1st's two loads).
+  std::uint32_t result_buses = 2;
   /// Loads consecutive to the winner examined for merging onto its data
   /// read when they hit the same line / sub-block pair (Sec. IV; paper: 3,
   /// costing < 0.5 % performance vs unlimited). 0 disables merging.

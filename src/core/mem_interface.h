@@ -71,7 +71,7 @@ struct InterfaceStats {
 };
 
 /// Every counter field of InterfaceStats, for code that folds whole stat
-/// sets (warmup deltas, the weighted phase combination of sampled replay).
+/// sets (window deltas and their weighted fold in runOne).
 /// A new counter MUST be added here too — a static_assert in
 /// mem_interface.cpp pins the listing against sizeof(InterfaceStats).
 inline constexpr std::uint64_t InterfaceStats::*kInterfaceCounterFields[] = {

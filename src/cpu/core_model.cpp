@@ -10,7 +10,7 @@
 namespace malec::cpu {
 
 // kCoreScaledCounterFields lists every CoreStats field except cycles and
-// instructions (derived separately by sampled replay); this trips when a
+// instructions (derived separately by runOne's fold); this trips when a
 // field is added to the struct but not the listing, or vice versa.
 static_assert(sizeof(CoreStats) ==
                   (std::size(kCoreScaledCounterFields) + 2) *

@@ -51,11 +51,11 @@ struct CoreStats {
 };
 
 /// The CoreStats counters that scale linearly with the instruction window
-/// — what sampled replay folds with phase weights (cycles/instructions
-/// are derived separately by the combination). A new counter MUST be
-/// added here too — a static_assert in core_model.cpp pins the listing
-/// against sizeof(CoreStats), so a field added to one but not the other
-/// fails the build instead of silently reporting 0 in sampled runs.
+/// — what every run folds with its windows' weights (cycles/instructions
+/// are derived separately by the fold). A new counter MUST be added here
+/// too — a static_assert in core_model.cpp pins the listing against
+/// sizeof(CoreStats), so a field added to one but not the other fails the
+/// build instead of silently reporting 0.
 inline constexpr std::uint64_t CoreStats::*kCoreScaledCounterFields[] = {
     &CoreStats::loads,
     &CoreStats::stores,

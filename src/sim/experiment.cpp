@@ -8,8 +8,7 @@
 #include <cstring>
 #include <limits>
 #include <memory>
-#include <mutex>
-#include <set>
+#include <optional>
 #include <thread>
 
 #include <cmath>
@@ -29,22 +28,19 @@ namespace malec::sim {
 
 namespace {
 
-/// The pluggable trace source behind runOne(): a synthetic generator for
-/// profile workloads (the original, bit-identical path) or a file reader
-/// for trace-backed ones. `reader` stays null for synthetic sources and
-/// lets the caller verify the stream survived intact after the run;
-/// `synth`/`limited` expose the concrete objects the checkpoint layer
-/// saves and restores.
+/// The trace source behind a run: a synthetic generator for profile
+/// workloads or a reader over a capture, the concrete objects the
+/// checkpoint layer saves and restores. `instructions` is the stream's
+/// length: the generator's budget, or the capture's record count under the
+/// instruction cap.
 struct ResolvedSource {
-  std::unique_ptr<trace::TraceSource> src;
-  trace::TraceReader* reader = nullptr;
-  trace::SyntheticTraceGenerator* synth = nullptr;
-  trace::LimitedTraceSource* limited = nullptr;
-  std::uint64_t instructions = 0;  ///< effective stream length
+  std::unique_ptr<trace::TraceReader> reader;
+  std::unique_ptr<trace::SyntheticTraceGenerator> synth;
+  std::uint64_t instructions = 0;
 };
 
 /// Abort unless the trace's captured AddressLayout matches the layout this
-/// run simulates — shared by the full-replay and phase-sampled paths.
+/// run simulates.
 void checkReplayLayout(const trace::TraceReader& rd, const RunConfig& rc) {
   const auto& p = rd.layoutParams();
   const AddressLayout& l = rc.system.layout;
@@ -63,82 +59,40 @@ void checkReplayLayout(const trace::TraceReader& rd, const RunConfig& rc) {
   }
 }
 
-/// A replay must never report results off a stream that died mid-file or a
-/// file whose payload is corrupt beyond the replayed prefix:
-/// finishChecksum() hashes whatever an instruction cap (or sample plan)
-/// left unread, so a partial replay is held to the same integrity bar as a
-/// full one. A file is fully verified at most once per process (keyed by
-/// path + record count + expected checksum, so a changed file re-verifies)
-/// — a sweep of many configs over one big capped trace must not re-read the
-/// remainder once per run.
-void verifyReaderTail(trace::TraceReader& reader, const std::string& path) {
-  static std::mutex verified_mu;
-  static std::set<std::string>* verified = new std::set<std::string>();
-  const std::string key = path + "\n" + std::to_string(reader.total()) +
-                          "\n" +
-                          std::to_string(reader.expectedChecksum());
-  bool skip_tail_verify;
-  {
-    std::lock_guard<std::mutex> lock(verified_mu);
-    skip_tail_verify = verified->count(key) != 0;
-  }
-  const bool good =
-      skip_tail_verify ? reader.ok() : reader.finishChecksum();
-  if (!good) MALEC_CHECK_MSG(false, reader.error().c_str());
-  if (!skip_tail_verify) {
-    std::lock_guard<std::mutex> lock(verified_mu);
-    verified->insert(key);
-  }
-}
-
 ResolvedSource makeTraceSource(const RunConfig& rc) {
   ResolvedSource rs;
   if (!rc.workload.isTrace()) {
-    auto gen = std::make_unique<trace::SyntheticTraceGenerator>(
+    rs.synth = std::make_unique<trace::SyntheticTraceGenerator>(
         rc.workload, rc.system.layout, rc.instructions, rc.seed);
-    rs.synth = gen.get();
-    rs.src = std::move(gen);
     rs.instructions = rc.instructions;
     return rs;
   }
-  auto rd = std::make_unique<trace::TraceReader>(rc.workload.trace_path);
-  if (!rd->ok()) MALEC_CHECK_MSG(false, rd->error().c_str());
-  checkReplayLayout(*rd, rc);
-  trace::TraceReader* reader = rd.get();
-  const std::uint64_t total = rd->total();
-  std::uint64_t n = rc.instructions == 0 ? total
-                                         : std::min(rc.instructions, total);
-  if (n < total) {
-    auto lim = std::make_unique<trace::LimitedTraceSource>(std::move(rd), n);
-    rs.limited = lim.get();
-    rs.src = std::move(lim);
-  } else {
-    rs.src = std::move(rd);
-  }
-  rs.reader = reader;
-  rs.instructions = n;
+  rs.reader = std::make_unique<trace::TraceReader>(rc.workload.trace_path);
+  if (!rs.reader->ok()) MALEC_CHECK_MSG(false, rs.reader->error().c_str());
+  checkReplayLayout(*rs.reader, rc);
+  const std::uint64_t total = rs.reader->total();
+  rs.instructions =
+      rc.instructions == 0 ? total : std::min(rc.instructions, total);
   return rs;
 }
 
-/// Serves the next `count` records of a shared reader with seq rebased to
-/// start at 0 — a CoreModel's ROB indexing assumes the first dispatched
-/// record's seq matches its (zero-initialised) head pointer. Dependency
-/// distances reaching back past the segment start exceed the rebased seq
-/// and are dropped by the core's addDep bound check, which is exactly the
-/// sampling approximation we want.
+/// Serves records [start, end) of a shared reader standing at `start`, with
+/// seq rebased by `start` — a CoreModel's ROB indexing assumes the first
+/// dispatched record's seq matches its (zero-initialised) head pointer.
+/// Dependency distances reaching back past the window start exceed the
+/// rebased seq and are dropped by the core's addDep bound check, which is
+/// exactly the sampling approximation we want. The reader's position is
+/// the only position: a checkpoint restore that repositions the reader
+/// repositions the window with it.
 class SegmentSource final : public trace::TraceSource {
  public:
-  SegmentSource(trace::TraceReader& rd, std::uint64_t count)
-      : rd_(rd), remaining_(count) {}
+  SegmentSource(trace::TraceReader& rd, std::uint64_t start,
+                std::uint64_t end)
+      : rd_(rd), start_(start), end_(end) {}
 
   bool next(trace::InstrRecord& out) override {
-    if (remaining_ == 0 || !rd_.next(out)) return false;
-    if (!have_base_) {
-      base_ = out.seq;
-      have_base_ = true;
-    }
-    out.seq -= base_;
-    --remaining_;
+    if (rd_.consumed() >= end_ || !rd_.next(out)) return false;
+    out.seq -= start_;
     return true;
   }
   void reset() override {
@@ -147,13 +101,9 @@ class SegmentSource final : public trace::TraceSource {
 
  private:
   trace::TraceReader& rd_;
-  std::uint64_t remaining_;
-  std::uint64_t base_ = 0;
-  bool have_base_ = false;
+  std::uint64_t start_;
+  std::uint64_t end_;
 };
-
-RunOutput runOneSampled(const RunConfig& rc,
-                        const InterfaceDecorator& decorate);
 
 // --- checkpoint orchestration (.mckpt, src/ckpt) ----------------------------
 //
@@ -337,7 +287,6 @@ void loadSourceState(ckpt::StateReader& r, ResolvedSource& src) {
     const std::uint64_t sum = r.u64();
     if (!src.reader->seekTo(pos, sum))
       MALEC_CHECK_MSG(false, src.reader->error().c_str());
-    if (src.limited != nullptr) src.limited->setServed(pos);
   } else {
     src.synth->loadState(r);
   }
@@ -383,30 +332,6 @@ void restoreRunState(const RunConfig& rc, ResolvedSource& src,
   r.endSection();
 }
 
-/// The metrics every run derives identically from its counters: energy
-/// rollups from the account and the rate fields from out.ifc. Shared by
-/// the full-replay and phase-sampled paths so the two can never diverge
-/// on a derivation or zero-guard — the phase_sampled suite's error
-/// columns depend on both paths deriving metrics the same way.
-void finalizeDerivedMetrics(RunOutput& out, const energy::EnergyAccount& ea,
-                            Cycle cycles, double clock_ghz) {
-  out.dynamic_pj = ea.dynamicPj();
-  out.leakage_pj = ea.leakagePj(cycles, clock_ghz);
-  out.total_pj = out.dynamic_pj + out.leakage_pj;
-  out.way_coverage = out.ifc.wayCoverage();
-  out.l1_load_miss_rate =
-      out.ifc.load_l1_accesses == 0
-          ? 0.0
-          : static_cast<double>(out.ifc.load_l1_misses) /
-                static_cast<double>(out.ifc.load_l1_accesses);
-  out.merged_load_fraction =
-      out.ifc.loads_submitted == 0
-          ? 0.0
-          : static_cast<double>(out.ifc.merged_loads) /
-                static_cast<double>(out.ifc.loads_submitted);
-  out.energy_detail = ea.report(cycles, clock_ghz);
-}
-
 }  // namespace
 
 RunStack::RunStack(const core::InterfaceConfig& cfg,
@@ -419,181 +344,162 @@ RunStack::RunStack(const core::InterfaceConfig& cfg,
   front_ = decorator_ ? decorator_.get() : inner_.get();
 }
 
+/// A sampled pick fast-forwards to its warm-up, warms up, then measures; a
+/// direct run's one window restores its checkpoint, if any, and measures.
+/// ONE interface (caches, TLB, way tables, WDU) lives across the walk, so
+/// memory-system state accumulates from window to window the way it would
+/// across a full replay; fast-forwarded stretches leave it untouched (the
+/// staleness this introduces is the sampling approximation, bounded by the
+/// per-pick warm-up that re-primes the hot set). Every interface counter
+/// and energy-event count is snapshotted when a measurement window opens
+/// and only the window's delta is folded in, so warm-up primes state
+/// without entering the estimate; a restore comes after the snapshot, so
+/// the restored counts stay in the window. Each window gets a fresh
+/// CoreModel, so the pipeline resets at window boundaries exactly like at
+/// a SimPoint boundary. A pick folds with its cluster's weight over the
+/// instructions it measured, a direct run with weight 1 — every counter is
+/// below 2^53, so the fold reproduces it exactly. The fold runs in window
+/// order, so repeated and parallel runs are bit-identical.
 RunOutput runOne(const RunConfig& rc, const InterfaceDecorator& decorate) {
-  if (rc.workload.isSampled()) return runOneSampled(rc, decorate);
-
-  energy::EnergyAccount ea;
-  const RunStack stack(rc.interface_cfg, rc.system, ea, decorate);
-  ResolvedSource src = makeTraceSource(rc);
-  cpu::CoreModel core(rc.system, rc.interface_cfg, *src.src, stack.ifc());
-
   MALEC_CHECK_MSG(rc.ckpt_every == 0 || !rc.ckpt_out.empty(),
                   "ckpt_every has nowhere to write — set ckpt_out too");
-  if (!rc.start_ckpt.empty()) restoreRunState(rc, src, stack, core);
-  bool wrote_ckpt = false;
-  if (!rc.ckpt_out.empty()) {
-    MALEC_CHECK_MSG(rc.ckpt_every != 0,
-                    "a checkpoint output path needs an interval — set "
-                    "ckpt_every (--ckpt-every)");
-    core.setCheckpointHook(
-        rc.ckpt_every, [&rc, &src, &stack, &core, &wrote_ckpt] {
-          saveRunState(rc, src, stack, core);
-          wrote_ckpt = true;
-        });
-  }
-
-  // Safety bound: no workload should need 60 cycles per instruction.
-  const cpu::CoreStats cs = core.run(src.instructions * 60 + 100'000);
-
-  // A FRESH run that asked for checkpoints but retired fewer instructions
-  // than one interval would exit 0 with no file — and the user would only
-  // find out at resume time, after the expensive run is gone. (A resumed
-  // run legitimately ends without crossing another boundary.)
-  if (!rc.ckpt_out.empty() && rc.start_ckpt.empty() && !wrote_ckpt) {
-    const std::string msg =
-        "checkpoint interval exceeds the run: no checkpoint was written to "
-        "'" + rc.ckpt_out + "' — lower ckpt_every below "
-        "the instruction budget";
-    MALEC_CHECK_MSG(false, msg.c_str());
-  }
-
-  if (src.reader != nullptr)
-    verifyReaderTail(*src.reader, rc.workload.trace_path);
-
-  // A run that stopped at the safety bound describes a truncated stream:
-  // refuse it, as sampled replay refuses an under-retired warmup. (An
-  // unbounded synthetic stream, instructions == 0, has nothing to reach.)
-  if (cs.instructions < src.instructions) {
-    const std::string msg =
-        "run retired " + std::to_string(cs.instructions) + " of its " +
-        std::to_string(src.instructions) +
-        " instructions before the cycle bound — the pipeline stopped "
-        "making progress";
-    MALEC_CHECK_MSG(false, msg.c_str());
-  }
-
-  RunOutput out;
-  out.benchmark = rc.workload.name;
-  out.config = rc.interface_cfg.name;
-  out.cycles = cs.cycles;
-  out.instructions = cs.instructions;
-  out.ipc = cs.ipc();
-  out.core = cs;
-  out.ifc = stack.ifc().stats();
-  finalizeDerivedMetrics(out, ea, cs.cycles, rc.system.clock_ghz);
-  return out;
-}
-
-namespace {
-
-/// Phase-sampled replay: simulate only the plan's representative intervals
-/// — each primed by a warmup prefix whose stats and energy are left out —
-/// and report the weighted phase combination as the full-trace estimate.
-///
-/// ONE interface (caches, TLB, way tables, WDU) lives across the whole
-/// pass, so memory-system state accumulates from segment to segment the
-/// way it would across a full replay; fast-forwarded stretches leave it
-/// untouched (the staleness this introduces is the sampling
-/// approximation, bounded by the per-pick warmup that re-primes the hot
-/// set). Every interface counter and energy-event count is snapshotted
-/// when a measurement window opens and only the window's delta is folded
-/// in, so warmup primes state without entering the estimate. Each segment
-/// gets a fresh CoreModel, so the pipeline resets at segment boundaries
-/// exactly like at a SimPoint boundary. Every estimate is a deterministic
-/// fold in pick order, so repeated and parallel runs are bit-identical.
-RunOutput runOneSampled(const RunConfig& rc,
-                        const InterfaceDecorator& decorate) {
-  MALEC_CHECK_MSG(rc.workload.isTrace(),
-                  "a sample plan needs a trace-backed workload — synthetic "
-                  "profiles replay in full");
-  MALEC_CHECK_MSG(rc.instructions == 0,
-                  "sampled replay does not compose with an instruction cap "
-                  "(the plan determines what is simulated) — run with "
-                  "--instr 0 / MALEC_INSTR unset");
-  MALEC_CHECK_MSG(rc.ckpt_out.empty() && rc.start_ckpt.empty(),
-                  "sampled replay does not compose with ckpt_out/start_ckpt");
-
+  MALEC_CHECK_MSG(rc.ckpt_out.empty() || rc.ckpt_every != 0,
+                  "a checkpoint output path needs an interval — set "
+                  "ckpt_every (--ckpt-every)");
+  const bool sampled = rc.workload.isSampled();
   phase::SamplePlan plan;
-  std::string err;
-  if (!phase::loadBoundPlan(rc.workload.sample_plan_path,
-                            rc.workload.trace_path, plan, err)) {
-    err += " — write a plan with `trace_tools phases " +
-           rc.workload.trace_path + "`";
-    MALEC_CHECK_MSG(false, err.c_str());
+  if (sampled) {
+    MALEC_CHECK_MSG(rc.workload.isTrace(),
+                    "a sample plan needs a trace-backed workload — synthetic "
+                    "profiles replay in full");
+    MALEC_CHECK_MSG(rc.instructions == 0,
+                    "sampled replay does not compose with an instruction cap "
+                    "(the plan determines what is simulated) — run with "
+                    "--instr 0 / MALEC_INSTR unset");
+    MALEC_CHECK_MSG(rc.ckpt_out.empty() && rc.start_ckpt.empty(),
+                    "sampled replay does not compose with ckpt_out/start_ckpt");
+    std::string err;
+    if (!phase::loadBoundPlan(rc.workload.sample_plan_path,
+                              rc.workload.trace_path, plan, err)) {
+      err += " — write a plan with `trace_tools phases " +
+             rc.workload.trace_path + "`";
+      MALEC_CHECK_MSG(false, err.c_str());
+    }
   }
-  trace::TraceReader rd(rc.workload.trace_path);
-  if (!rd.ok()) MALEC_CHECK_MSG(false, rd.error().c_str());
-  checkReplayLayout(rd, rc);
-
-  // Weighted-combination accumulators: full-trace estimates as doubles,
-  // folded in pick order. est += measured * (cluster weight / measured
-  // instructions) scales each representative to the phase it stands for.
-  double cycles_est = 0.0;
-  std::vector<double> event_est;
-  constexpr std::size_t kNumIfcFields = std::size(core::kInterfaceCounterFields);
-  constexpr std::size_t kNumCoreFields = std::size(cpu::kCoreScaledCounterFields);
-  std::vector<double> ifc_est(kNumIfcFields, 0.0);
-  std::vector<double> core_est(kNumCoreFields, 0.0);
 
   energy::EnergyAccount ea;
   const RunStack stack(rc.interface_cfg, rc.system, ea, decorate);
   core::MemInterface& ifc = stack.ifc();
+  ResolvedSource src = makeTraceSource(rc);
+  trace::TraceReader* const rd = src.reader.get();
+  const std::vector<phase::PlanSegment> windows =
+      sampled ? plan.segments()
+              : std::vector<phase::PlanSegment>{{0, 0, src.instructions}};
+
+  // Folded estimates, accumulated as doubles in window order.
+  std::uint64_t instructions = 0;
+  double cycles_est = 0.0;
+  constexpr std::size_t kNumIfcFields = std::size(core::kInterfaceCounterFields);
+  constexpr std::size_t kNumCoreFields = std::size(cpu::kCoreScaledCounterFields);
+  std::vector<double> ifc_est(kNumIfcFields, 0.0);
+  std::vector<double> core_est(kNumCoreFields, 0.0);
   // The event-id space is fixed once the interface is constructed — the
-  // run only counts — so per-segment event deltas are plain snapshots.
-  event_est.resize(ea.eventTypes(), 0.0);
+  // run only counts — so per-window event deltas are plain snapshots.
+  std::vector<double> event_est(ea.eventTypes(), 0.0);
   std::vector<std::uint64_t> ev_snap(ea.eventTypes(), 0);
 
-  // One continuous simulated timeline across every segment: the shared
+  // One continuous simulated timeline across every window: the shared
   // interface keys busy windows and miss ready times to absolute cycles,
-  // so each segment's core resumes the clock where the previous one left
+  // so each window's core resumes the clock where the previous one left
   // off instead of restarting at 0 (see CoreModel::run's start_cycle).
   Cycle sim_clock = 0;
   trace::InstrRecord skip;
-  const std::vector<phase::PlanSegment> segs = plan.segments();
-  for (std::size_t k = 0; k < segs.size(); ++k) {
-    const phase::PlanSegment& seg = segs[k];
-    // Fast-forward: decode-only, no simulation — this skip is where the
-    // wall-clock win over a full replay comes from.
-    while (rd.consumed() < seg.warm_start && rd.next(skip)) {
+  for (std::size_t k = 0; k < windows.size(); ++k) {
+    const phase::PlanSegment& win = windows[k];
+    if (rd != nullptr) {
+      // Fast-forward: decode-only, no simulation — this skip is where the
+      // wall-clock win over a full replay comes from.
+      while (rd->consumed() < win.warm_start && rd->next(skip)) {
+      }
+      MALEC_CHECK_MSG(rd->consumed() == win.warm_start, rd->error().c_str());
     }
-    MALEC_CHECK_MSG(rd.consumed() == seg.warm_start, rd.error().c_str());
-
-    const std::uint64_t warm = seg.start - seg.warm_start;
+    const std::uint64_t warm = win.start - win.warm_start;
     if (warm > 0) {
-      // Warmup: primes caches/TLB/WDU; the snapshots below remove its
+      // Warm-up: primes caches/TLB/WDU; the snapshots below remove its
       // counters and energy events.
-      SegmentSource wsrc(rd, warm);
+      SegmentSource wsrc(*rd, win.warm_start, win.start);
       cpu::CoreModel wcore(rc.system, rc.interface_cfg, wsrc, ifc);
       const cpu::CoreStats ws = wcore.run(warm * 60 + 100'000, sim_clock);
       sim_clock += ws.cycles;
-      // An under-retired warmup (reader failure or the safety bound) would
-      // silently shift the measurement off its interval.
+      // An under-retired warm-up (reader failure or the safety bound)
+      // would silently shift the measurement off its interval.
       MALEC_CHECK_MSG(ws.instructions == warm,
                       "sampled warmup did not retire every instruction");
     }
-    const core::InterfaceStats warm_snap = ifc.stats();
+    const core::InterfaceStats snap = ifc.stats();
     for (energy::EnergyAccount::EventId id = 0; id < ea.eventTypes(); ++id)
       ev_snap[id] = ea.eventCount(id);
 
-    const std::uint64_t measured = seg.end - seg.start;
-    SegmentSource msrc(rd, measured);
-    cpu::CoreModel core(rc.system, rc.interface_cfg, msrc, ifc);
-    const cpu::CoreStats cs = core.run(measured * 60 + 100'000, sim_clock);
-    sim_clock += cs.cycles;
-    MALEC_CHECK_MSG(rd.ok(), rd.error().c_str());
-    MALEC_CHECK_MSG(cs.instructions == measured,
-                    "sampled interval did not retire every instruction");
+    // A capture's window ends at `end` — the instruction cap, for a direct
+    // run; a synthetic stream ends at its generator's budget.
+    std::optional<SegmentSource> seg;
+    if (rd != nullptr) seg.emplace(*rd, win.start, win.end);
+    cpu::CoreModel core(rc.system, rc.interface_cfg,
+                        seg ? static_cast<trace::TraceSource&>(*seg)
+                            : *src.synth,
+                        ifc);
+    if (!rc.start_ckpt.empty()) restoreRunState(rc, src, stack, core);
+    bool wrote_ckpt = false;
+    if (!rc.ckpt_out.empty()) {
+      core.setCheckpointHook(
+          rc.ckpt_every, [&rc, &src, &stack, &core, &wrote_ckpt] {
+            saveRunState(rc, src, stack, core);
+            wrote_ckpt = true;
+          });
+    }
 
-    const double scale =
-        static_cast<double>(plan.picks[k].weight_instructions) /
-        static_cast<double>(cs.instructions);
+    // Safety bound: no workload should need 60 cycles per instruction.
+    const std::uint64_t length = win.end - win.start;
+    const cpu::CoreStats cs = core.run(length * 60 + 100'000, sim_clock);
+    sim_clock += cs.cycles;
+
+    // A FRESH run that asked for checkpoints but retired fewer instructions
+    // than one interval would exit 0 with no file — and the user would only
+    // find out at resume time, after the expensive run is gone. (A resumed
+    // run legitimately ends without crossing another boundary.)
+    if (!rc.ckpt_out.empty() && rc.start_ckpt.empty() && !wrote_ckpt) {
+      const std::string msg =
+          "checkpoint interval exceeds the run: no checkpoint was written to "
+          "'" + rc.ckpt_out + "' — lower ckpt_every below "
+          "the instruction budget";
+      MALEC_CHECK_MSG(false, msg.c_str());
+    }
+    if (rd != nullptr) MALEC_CHECK_MSG(rd->ok(), rd->error().c_str());
+    // A window that stopped at the safety bound describes a truncated
+    // stream: refuse it. (An unbounded synthetic stream, instructions == 0,
+    // has nothing to reach.)
+    if (cs.instructions < length) {
+      const std::string msg =
+          "run retired " + std::to_string(cs.instructions) + " of its " +
+          std::to_string(length) +
+          " instructions before the cycle bound — the pipeline stopped "
+          "making progress";
+      MALEC_CHECK_MSG(false, msg.c_str());
+    }
+
+    // A pick stands for its cluster's instructions, a direct run for its
+    // own.
+    const std::uint64_t weight =
+        sampled ? plan.picks[k].weight_instructions : cs.instructions;
+    const double scale = sampled ? static_cast<double>(weight) /
+                                       static_cast<double>(cs.instructions)
+                                 : 1.0;
+    instructions += weight;
     cycles_est += static_cast<double>(cs.cycles) * scale;
     for (std::size_t i = 0; i < kNumCoreFields; ++i)
       core_est[i] +=
           static_cast<double>(cs.*cpu::kCoreScaledCounterFields[i]) * scale;
-
-    const core::InterfaceStats delta =
-        core::statsDelta(ifc.stats(), warm_snap);
+    const core::InterfaceStats delta = core::statsDelta(ifc.stats(), snap);
     for (std::size_t i = 0; i < kNumIfcFields; ++i)
       ifc_est[i] += static_cast<double>(
                         delta.*core::kInterfaceCounterFields[i]) *
@@ -603,36 +509,52 @@ RunOutput runOneSampled(const RunConfig& rc,
           static_cast<double>(ea.eventCount(id) - ev_snap[id]) * scale;
   }
 
-  // Hash the remainder so a sampled replay vouches for the whole file's
-  // integrity exactly like a capped full replay does.
-  verifyReaderTail(rd, rc.workload.trace_path);
+  // A capped or sampled replay vouches for the whole file: hash what the
+  // walk left unread, so a partial replay is held to the same integrity
+  // bar as a full one.
+  if (rd != nullptr && !rd->finishChecksum())
+    MALEC_CHECK_MSG(false, rd->error().c_str());
 
-  // One internally-consistent estimate: round the combined counters once,
-  // then derive every reported rate and energy from the rounded values the
-  // same way the full-replay path derives them from measured ones.
+  // One internally-consistent output: round the folded counters once, then
+  // derive every rate and energy from the rounded values.
   RunOutput out;
   out.benchmark = rc.workload.name;
   out.config = rc.interface_cfg.name;
-  out.instructions = plan.trace_records;
+  out.instructions = instructions;
   out.cycles = static_cast<Cycle>(std::llround(cycles_est));
-  if (out.cycles == 0) out.cycles = 1;
-  out.ipc = static_cast<double>(out.instructions) /
-            static_cast<double>(out.cycles);
-  for (std::size_t i = 0; i < kNumIfcFields; ++i)
-    out.ifc.*core::kInterfaceCounterFields[i] =
-        static_cast<std::uint64_t>(std::llround(ifc_est[i]));
   out.core.cycles = out.cycles;
   out.core.instructions = out.instructions;
   for (std::size_t i = 0; i < kNumCoreFields; ++i)
     out.core.*cpu::kCoreScaledCounterFields[i] =
         static_cast<std::uint64_t>(std::llround(core_est[i]));
+  out.ipc = out.core.ipc();
+  for (std::size_t i = 0; i < kNumIfcFields; ++i)
+    out.ifc.*core::kInterfaceCounterFields[i] =
+        static_cast<std::uint64_t>(std::llround(ifc_est[i]));
 
   ea.clearCounts();
   for (energy::EnergyAccount::EventId id = 0; id < ea.eventTypes(); ++id)
     ea.count(id, static_cast<std::uint64_t>(std::llround(event_est[id])));
-  finalizeDerivedMetrics(out, ea, out.cycles, rc.system.clock_ghz);
+  const double clock_ghz = rc.system.clock_ghz;
+  out.dynamic_pj = ea.dynamicPj();
+  out.leakage_pj = ea.leakagePj(out.cycles, clock_ghz);
+  out.total_pj = out.dynamic_pj + out.leakage_pj;
+  out.way_coverage = out.ifc.wayCoverage();
+  out.l1_load_miss_rate =
+      out.ifc.load_l1_accesses == 0
+          ? 0.0
+          : static_cast<double>(out.ifc.load_l1_misses) /
+                static_cast<double>(out.ifc.load_l1_accesses);
+  out.merged_load_fraction =
+      out.ifc.loads_submitted == 0
+          ? 0.0
+          : static_cast<double>(out.ifc.merged_loads) /
+                static_cast<double>(out.ifc.loads_submitted);
+  out.energy_detail = ea.report(out.cycles, clock_ghz);
   return out;
 }
+
+namespace {
 
 /// The RunConfig of one (workload, configuration) grid cell: the default
 /// system with the grid's shared budget and seed.

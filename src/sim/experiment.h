@@ -78,8 +78,8 @@ using InterfaceDecorator =
 
 /// The simulated stack under a core: `cfg`'s energies defined on the
 /// caller's account, the interface makeInterface() builds over them, and
-/// optionally a decorator in front of it. runOne, sampled replay and the
-/// tests build their stacks here, and a decorator attaches here. The
+/// optionally a decorator in front of it. runOne builds every run's one
+/// stack here, and the tests build theirs; a decorator attaches here. The
 /// account stays caller-owned and must outlive the stack: every interface
 /// component counts into it.
 class RunStack {
@@ -98,14 +98,17 @@ class RunStack {
   core::MemInterface* front_ = nullptr;
 };
 
-/// Run one simulation. A workload with a sample_plan_path set runs in
-/// phase-sampled mode: only the plan's representative intervals are
-/// simulated (each primed by a stat-gated warmup prefix) and the output is
-/// the weighted phase combination estimating the full replay — bit-identical
-/// across repeated and parallel runs, several times faster than streaming
-/// the whole capture. rc.instructions must be 0 in that mode. `decorate`
-/// puts a decorator in front of the run's interface (see RunStack): a test
-/// seam, under which a decorator that only forwards moves no number.
+/// Run one simulation: a walk of measurement windows over one RunStack,
+/// folded into one output. A direct run has one window, the whole stream
+/// up to the instruction cap, folded with weight 1, so its output is
+/// exactly what it measured. A workload with a sample_plan_path runs in
+/// phase-sampled mode: its windows are the plan's representative
+/// intervals, each primed by a warm-up prefix left out of the counts, and
+/// the output is the weighted phase combination estimating the full
+/// replay. rc.instructions must be 0 in that mode. Either way the output
+/// is bit-identical across repeated and parallel runs. `decorate` puts a
+/// decorator in front of the run's interface (see RunStack): a test seam,
+/// under which a decorator that only forwards moves no number.
 [[nodiscard]] RunOutput runOne(const RunConfig& rc,
                                const InterfaceDecorator& decorate = {});
 

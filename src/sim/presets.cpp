@@ -35,21 +35,7 @@ core::InterfaceConfig presetBase2ld1st() {
 }
 
 core::InterfaceConfig presetMalec() {
-  core::InterfaceConfig c;
-  c.name = "MALEC";
-  c.kind = core::InterfaceKind::kMalec;
-  c.l1_latency = 2;
-  c.agu_load_only = 1;  // 1 ld + 2 ld/st (Table I)
-  c.agu_load_store = 2;
-  c.agu_store_only = 0;
-  c.ib_carry_slots = 2;      // storage for up to two loads (VI-A)
-  c.ib_group_comparators = 5;// five 20-bit comparators (VI-A)
-  c.result_buses = 2;        // same LQ write bandwidth as Base2ld1st (2 ld)
-  c.merge_window = 3;
-  c.subblocked_pair_read = true;
-  c.waydet = core::WayDetKind::kWayTables;
-  c.last_entry_feedback = true;
-  return c;
+  return core::InterfaceConfig{};  // defaults encode MALEC's Table I row
 }
 
 core::InterfaceConfig presetBase2ld1st1cycle() {

@@ -15,7 +15,6 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -149,36 +148,6 @@ class VectorTraceSource final : public TraceSource {
  private:
   std::vector<InstrRecord> records_;
   std::size_t pos_ = 0;
-};
-
-/// Caps an owned source at `limit` records — how an instruction budget
-/// (MALEC_INSTR / --instr) is applied to a replayed trace.
-class LimitedTraceSource final : public TraceSource {
- public:
-  LimitedTraceSource(std::unique_ptr<TraceSource> inner, std::uint64_t limit)
-      : inner_(std::move(inner)), limit_(limit) {}
-
-  bool next(InstrRecord& out) override {
-    if (served_ >= limit_) return false;
-    if (!inner_->next(out)) return false;
-    ++served_;
-    return true;
-  }
-  void reset() override {
-    inner_->reset();
-    served_ = 0;
-  }
-
-  /// Checkpoint support: records served through the cap so far. After the
-  /// wrapped reader is repositioned (TraceReader::seekTo), setServed()
-  /// realigns the cap with it.
-  [[nodiscard]] std::uint64_t served() const { return served_; }
-  void setServed(std::uint64_t n) { served_ = n; }
-
- private:
-  std::unique_ptr<TraceSource> inner_;
-  std::uint64_t limit_;
-  std::uint64_t served_ = 0;
 };
 
 /// Convenience: drain `src` into a vector (use only for bounded sources).

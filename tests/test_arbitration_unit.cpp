@@ -22,12 +22,20 @@ ArbitrationUnit makeArb(std::uint32_t buses = 3, std::uint32_t window = 3,
       ArbitrationUnit::Params{AddressLayout{}, buses, window, pair});
 }
 
+/// One group arbitrated into a fresh outcome.
+ArbOutcome arbitrate(const ArbitrationUnit& arb,
+                     const std::vector<ArbCandidate>& candidates) {
+  ArbOutcome out;
+  arb.arbitrate(candidates, out);
+  return out;
+}
+
 // Page base chosen so line k of the page is at kPage + k*64; bank = k%4.
 constexpr Addr kPage = 0x300 * 4096;
 
 TEST(Arbitration, DistinctBanksAllWin) {
   ArbitrationUnit arb = makeArb();
-  const auto out = arb.arbitrate(
+  const auto out = arbitrate(arb,
       {ld(0, kPage + 0 * 64), ld(1, kPage + 1 * 64), ld(2, kPage + 2 * 64)});
   EXPECT_EQ(out.action[0], Action::kWinner);
   EXPECT_EQ(out.action[1], Action::kWinner);
@@ -39,7 +47,7 @@ TEST(Arbitration, SameBankDifferentLinesConflict) {
   ArbitrationUnit arb = makeArb();
   // Lines 0 and 4 both live in bank 0.
   const auto out =
-      arb.arbitrate({ld(0, kPage + 0 * 64), ld(1, kPage + 4 * 64)});
+      arbitrate(arb, {ld(0, kPage + 0 * 64), ld(1, kPage + 4 * 64)});
   EXPECT_EQ(out.action[0], Action::kWinner);
   EXPECT_EQ(out.action[1], Action::kHeld);
   EXPECT_EQ(out.bank_conflicts, 1u);
@@ -49,7 +57,7 @@ TEST(Arbitration, SameSubBlockPairMerges) {
   ArbitrationUnit arb = makeArb();
   // Two loads within the same 32-byte sub-block pair of line 0.
   const auto out =
-      arb.arbitrate({ld(0, kPage + 0), ld(1, kPage + 16)});
+      arbitrate(arb, {ld(0, kPage + 0), ld(1, kPage + 16)});
   EXPECT_EQ(out.action[0], Action::kWinner);
   EXPECT_EQ(out.action[1], Action::kMerged);
   EXPECT_EQ(out.winner_of[1], 0u);
@@ -59,7 +67,7 @@ TEST(Arbitration, DifferentPairsOfSameLineDoNotMerge) {
   ArbitrationUnit arb = makeArb();
   // Offsets 0 and 32 are in different sub-block pairs (but same line and
   // bank): the second load must wait.
-  const auto out = arb.arbitrate({ld(0, kPage + 0), ld(1, kPage + 32)});
+  const auto out = arbitrate(arb, {ld(0, kPage + 0), ld(1, kPage + 32)});
   EXPECT_EQ(out.action[1], Action::kHeld);
 }
 
@@ -67,9 +75,9 @@ TEST(Arbitration, SingleSubBlockModeHalvesMergeReach) {
   // Without the adjacent-pair read, merging needs the same 128-bit
   // sub-block (paper Sec. IV: pair reads double merge probability).
   ArbitrationUnit arb = makeArb(3, 3, /*pair=*/false);
-  const auto same_sub = arb.arbitrate({ld(0, kPage + 0), ld(1, kPage + 8)});
+  const auto same_sub = arbitrate(arb, {ld(0, kPage + 0), ld(1, kPage + 8)});
   EXPECT_EQ(same_sub.action[1], Action::kMerged);
-  const auto next_sub = arb.arbitrate({ld(0, kPage + 0), ld(1, kPage + 16)});
+  const auto next_sub = arbitrate(arb, {ld(0, kPage + 0), ld(1, kPage + 16)});
   EXPECT_EQ(next_sub.action[1], Action::kHeld);
 }
 
@@ -77,7 +85,7 @@ TEST(Arbitration, MergeWindowLimitsDistance) {
   ArbitrationUnit arb = makeArb(/*buses=*/8, /*window=*/1);
   // Candidate 2 is 2 positions after winner 0: outside a window of 1, and
   // its bank is already claimed, so it holds.
-  const auto out = arb.arbitrate(
+  const auto out = arbitrate(arb,
       {ld(0, kPage + 0), ld(1, kPage + 1 * 64), ld(2, kPage + 16)});
   EXPECT_EQ(out.action[0], Action::kWinner);
   EXPECT_EQ(out.action[2], Action::kHeld);
@@ -85,15 +93,15 @@ TEST(Arbitration, MergeWindowLimitsDistance) {
 
 TEST(Arbitration, MergeDisabledHolds) {
   ArbitrationUnit arb = makeArb(3, /*window=*/0);
-  const auto out = arb.arbitrate({ld(0, kPage + 0), ld(1, kPage + 16)});
+  const auto out = arbitrate(arb, {ld(0, kPage + 0), ld(1, kPage + 16)});
   EXPECT_EQ(out.action[1], Action::kHeld);
 }
 
 TEST(Arbitration, ResultBusLimit) {
   ArbitrationUnit arb = makeArb(/*buses=*/2);
-  const auto out = arb.arbitrate({ld(0, kPage + 0 * 64),
-                                  ld(1, kPage + 1 * 64),
-                                  ld(2, kPage + 2 * 64)});
+  const auto out = arbitrate(arb, {ld(0, kPage + 0 * 64),
+                                   ld(1, kPage + 1 * 64),
+                                   ld(2, kPage + 2 * 64)});
   EXPECT_EQ(out.action[0], Action::kWinner);
   EXPECT_EQ(out.action[1], Action::kWinner);
   EXPECT_EQ(out.action[2], Action::kHeld);
@@ -103,7 +111,7 @@ TEST(Arbitration, ResultBusLimit) {
 TEST(Arbitration, MergedLoadsConsumeBuses) {
   ArbitrationUnit arb = makeArb(/*buses=*/2);
   // Winner + merged partner exhaust both buses; the third load holds.
-  const auto out = arb.arbitrate(
+  const auto out = arbitrate(arb,
       {ld(0, kPage + 0), ld(1, kPage + 16), ld(2, kPage + 1 * 64)});
   EXPECT_EQ(out.action[0], Action::kWinner);
   EXPECT_EQ(out.action[1], Action::kMerged);
@@ -113,7 +121,7 @@ TEST(Arbitration, MergedLoadsConsumeBuses) {
 TEST(Arbitration, MbeServicedWhenBankFree) {
   ArbitrationUnit arb = makeArb();
   const auto out =
-      arb.arbitrate({ld(0, kPage + 0 * 64), mbe(1, kPage + 1 * 64)});
+      arbitrate(arb, {ld(0, kPage + 0 * 64), mbe(1, kPage + 1 * 64)});
   EXPECT_EQ(out.action[1], Action::kWinner);
 }
 
@@ -121,7 +129,7 @@ TEST(Arbitration, MbeBlockedByBankConflict) {
   ArbitrationUnit arb = makeArb();
   // MBE targets bank 0, already claimed by the load.
   const auto out =
-      arb.arbitrate({ld(0, kPage + 0 * 64), mbe(1, kPage + 4 * 64)});
+      arbitrate(arb, {ld(0, kPage + 0 * 64), mbe(1, kPage + 4 * 64)});
   EXPECT_EQ(out.action[1], Action::kHeld);
   EXPECT_EQ(out.bank_conflicts, 1u);
 }
@@ -129,14 +137,14 @@ TEST(Arbitration, MbeBlockedByBankConflict) {
 TEST(Arbitration, MbeNeedsNoResultBus) {
   ArbitrationUnit arb = makeArb(/*buses=*/1);
   const auto out =
-      arb.arbitrate({ld(0, kPage + 0 * 64), mbe(1, kPage + 1 * 64)});
+      arbitrate(arb, {ld(0, kPage + 0 * 64), mbe(1, kPage + 1 * 64)});
   EXPECT_EQ(out.action[0], Action::kWinner);
   EXPECT_EQ(out.action[1], Action::kWinner);
 }
 
 TEST(Arbitration, EmptyGroupIsEmptyOutcome) {
   ArbitrationUnit arb = makeArb();
-  const auto out = arb.arbitrate({});
+  const auto out = arbitrate(arb, {});
   EXPECT_EQ(out.bank_conflicts, 0u);
   EXPECT_EQ(out.bus_rejects, 0u);
 }
@@ -153,7 +161,7 @@ TEST(Arbitration, ReusedOutcomeMatchesAFreshOne) {
   const std::vector<ArbCandidate> small = {ld(0, kPage + 4 * 64),
                                            ld(1, kPage + 0 * 64)};
   arb.arbitrate(small, reused);
-  const ArbOutcome fresh = arb.arbitrate(small);
+  const ArbOutcome fresh = arbitrate(arb, small);
   for (std::size_t i = 0; i < small.size(); ++i)
     EXPECT_EQ(reused.action[i], fresh.action[i]) << i;
   EXPECT_EQ(reused.action[1], Action::kHeld);  // bank 0 taken by line 4
@@ -175,7 +183,7 @@ TEST_P(ArbProperty, StructuralInvariants) {
     const std::size_t n = 1 + rng.below(6);
     for (std::size_t i = 0; i < n; ++i)
       cands.push_back(ld(i, kPage + rng.below(4096)));
-    const auto out = arb.arbitrate(cands);
+    const auto out = arbitrate(arb, cands);
 
     std::uint32_t selected = 0;
     std::vector<int> bank_access(4, 0);

@@ -198,8 +198,8 @@ TEST(Checkpoint, ResumesFromSeveralBoundaries) {
   }
 }
 
-// The trace-backed half of the matrix, including a capped replay (the
-// LimitedTraceSource position must restore too).
+// The trace-backed half of the matrix, including a capped replay: the
+// restored reader position must carry the cap's window end with it.
 TEST(Checkpoint, TraceReplayRoundTripAcrossTableIPresets) {
   const std::string path = tmpPath("ck_trace.mtrace");
   const std::uint64_t n = 6'000;

@@ -6,6 +6,7 @@
 #include <memory>
 #include <vector>
 
+#include "sim/differential.h"
 #include "sim/presets.h"
 #include "trace/workloads.h"
 
@@ -32,6 +33,17 @@ TEST(Experiment, RunsToCompletion) {
   EXPECT_GT(out.leakage_pj, 0.0);
   EXPECT_EQ(out.benchmark, "eon");
   EXPECT_EQ(out.config, "MALEC");
+}
+
+// A default-constructed InterfaceConfig calls itself MALEC, so it must
+// simulate MALEC: every default is the preset's value.
+TEST(Experiment, DefaultInterfaceConfigIsTheMalecPreset) {
+  for (const char* bench : {"gcc", "mcf"}) {
+    RunConfig rc = quickRun(bench, presetMalec(), 6'000);
+    const RunOutput preset = runOne(rc);
+    rc.interface_cfg = core::InterfaceConfig{};
+    EXPECT_EQ(diffOutputs(preset, runOne(rc)), "") << bench;
+  }
 }
 
 TEST(Experiment, Deterministic) {

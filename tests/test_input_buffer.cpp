@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <initializer_list>
+#include <vector>
 
 namespace malec::core {
 namespace {
@@ -23,6 +24,14 @@ std::uint64_t entries(std::initializer_list<std::size_t> indices) {
 InputBuffer makeIb(std::uint32_t carry = 2, std::uint32_t agu = 3,
                    std::uint32_t comparators = 5) {
   return InputBuffer(carry, agu, comparators, AddressLayout{});
+}
+
+/// The head's page group, collected into a fresh vector.
+std::vector<std::size_t> groupOf(const InputBuffer& ib, std::size_t head,
+                                 Cycle now) {
+  std::vector<std::size_t> g;
+  ib.group(head, now, g);
+  return g;
 }
 
 TEST(InputBuffer, LoadSpaceIsCarryPlusAgu) {
@@ -94,7 +103,7 @@ TEST(InputBuffer, GroupCollectsSamePageEntries) {
   ib.addLoad(load(3, kPageA + 64), 0);
   ib.addMbe(mbe(kPageA + 128), 0);
   const auto head = ib.selectHead(0);
-  const auto group = ib.group(*head, 0);
+  const auto group = groupOf(ib, *head, 0);
   // Loads 1 and 3 plus the MBE share page A; load 2 does not.
   ASSERT_EQ(group.size(), 3u);
   EXPECT_EQ(ib.op(group[0]).seq, 1u);
@@ -105,7 +114,7 @@ TEST(InputBuffer, GroupCollectsSamePageEntries) {
 TEST(InputBuffer, ComparatorLimitBoundsGroup) {
   InputBuffer ib(8, 8, /*comparators=*/2, AddressLayout{});
   for (SeqNum i = 0; i < 6; ++i) ib.addLoad(load(i, kPageA + i * 8), 0);
-  const auto group = ib.group(0, 0);
+  const auto group = groupOf(ib, 0, 0);
   // Head + at most 2 compared entries.
   EXPECT_LE(group.size(), 3u);
 }
@@ -174,7 +183,7 @@ TEST(InputBuffer, OrderContractIndexOrderIsAgeOrder) {
   const SeqNum expect[] = {0, 2, 3, 5};
   for (std::size_t i = 0; i < 4; ++i) EXPECT_EQ(ib.op(i).seq, expect[i]);
   // The group is emitted in index order = age order, head first.
-  const auto group = ib.group(0, 0);
+  const auto group = groupOf(ib, 0, 0);
   ASSERT_EQ(group.size(), 4u);
   for (std::size_t i = 1; i < group.size(); ++i)
     EXPECT_LT(group[i - 1], group[i]);
@@ -191,7 +200,7 @@ TEST(InputBuffer, OrderContractComparatorBudgetSpentInIndexOrder) {
   ib.addLoad(load(2, kPageB), 0);       // consumes the second comparator
   ib.addLoad(load(3, kPageA + 8), 0);   // ready, same page — but no budget
   ib.defer(1, 100);
-  const auto group = ib.group(0, 0);
+  const auto group = groupOf(ib, 0, 0);
   ASSERT_EQ(group.size(), 1u);  // head only: seq 3 was never compared
   EXPECT_EQ(ib.op(group[0]).seq, 0u);
 }

@@ -21,6 +21,7 @@
 #include "sim/registry.h"
 #include "sim/reporting.h"
 #include "sim/suite.h"
+#include "trace/trace_io.h"
 #include "trace/workloads.h"
 
 namespace malec::sim {
@@ -30,12 +31,9 @@ std::string tmpPath(const char* name) {
   return std::string(::testing::TempDir()) + name;
 }
 
-/// Capture a synthetic benchmark and write a sample plan next to it.
-/// Returns the trace path (plan at the .mplan sidecar path).
-std::string captureWithPlan(const char* bench, const char* name,
-                            std::uint64_t instrs,
-                            std::uint64_t interval_size,
-                            std::uint32_t phases, std::uint64_t warmup) {
+/// Capture `instrs` instructions of a synthetic benchmark; returns the path.
+std::string capture(const char* bench, const char* name,
+                    std::uint64_t instrs) {
   const std::string path = tmpPath(name);
   RunConfig rc;
   rc.workload = trace::workloadByName(bench);
@@ -43,6 +41,16 @@ std::string captureWithPlan(const char* bench, const char* name,
   rc.system = defaultSystem();
   rc.instructions = instrs;
   captureTrace(rc, path);
+  return path;
+}
+
+/// Capture a synthetic benchmark and write a sample plan next to it.
+/// Returns the trace path (plan at the .mplan sidecar path).
+std::string captureWithPlan(const char* bench, const char* name,
+                            std::uint64_t instrs,
+                            std::uint64_t interval_size,
+                            std::uint32_t phases, std::uint64_t warmup) {
+  const std::string path = capture(bench, name, instrs);
   phase::PlanParams params;
   params.interval_size = interval_size;
   params.phases = phases;
@@ -54,6 +62,33 @@ std::string captureWithPlan(const char* bench, const char* name,
       phase::saveSamplePlan(plan, phase::planSidecarPath(path), err))
       << err;
   return path;
+}
+
+/// Write a hand-made plan for the capture at `trace_path` to its sidecar.
+void writePlan(const std::string& trace_path, std::uint64_t interval_size,
+               std::uint64_t warmup, std::vector<phase::PhasePick> picks) {
+  const trace::TraceReader rd(trace_path);
+  ASSERT_TRUE(rd.ok()) << rd.error();
+  phase::SamplePlan plan;
+  plan.interval_size = interval_size;
+  plan.warmup_instructions = warmup;
+  plan.trace_records = rd.total();
+  plan.trace_checksum = rd.expectedChecksum();
+  plan.picks = std::move(picks);
+  std::string err;
+  ASSERT_TRUE(
+      phase::saveSamplePlan(plan, phase::planSidecarPath(trace_path), err))
+      << err;
+}
+
+/// Flip one vaddr byte of record `record` (the record stays decodable).
+void flipVaddrByte(const std::string& trace_path, long record) {
+  std::FILE* f = std::fopen(trace_path.c_str(), "r+b");
+  std::fseek(f, 52 + record * 26 + 9, SEEK_SET);
+  const int orig = std::fgetc(f);
+  std::fseek(f, 52 + record * 26 + 9, SEEK_SET);
+  std::fputc(orig ^ 0xFF, f);
+  std::fclose(f);
 }
 
 RunConfig sampledConfig(const std::string& trace_path) {
@@ -85,6 +120,31 @@ TEST(PhaseSampled, BitIdenticalAcrossRepeatedAndParallelRuns) {
   EXPECT_EQ(serial_a.instructions, 20'000u);
   EXPECT_GT(serial_a.cycles, 0u);
   EXPECT_GT(serial_a.total_pj, 0.0);
+  std::remove(phase::planSidecarPath(path).c_str());
+  std::remove(path.c_str());
+}
+
+// A one-pick plan whose pick is the whole capture, weighted by its record
+// count and with no warm-up, is the direct run's one window: the sampled
+// replay reports exactly what the direct replay reports, the workload name
+// aside.
+TEST(PhaseSampled, WholeCapturePlanIsTheDirectReplay) {
+  const std::uint64_t n = 8'000;
+  const std::string path = capture("gcc", "whole.mtrace", n);
+  writePlan(path, n, 0, {{0, n}});
+  for (const core::InterfaceConfig& cfg :
+       {presetBase1ldst(), presetBase2ld1st(), presetMalec(),
+        presetMalecWdu(16)}) {
+    RunConfig smpl = sampledConfig(path);
+    smpl.interface_cfg = cfg;
+    RunConfig direct = smpl;
+    direct.workload = traceWorkload(path);
+    const RunOutput want = runOne(direct);
+    RunOutput got = runOne(smpl);
+    EXPECT_EQ(got.benchmark, "trace:whole:sampled");
+    got.benchmark = want.benchmark;
+    EXPECT_EQ(diffOutputs(want, got), "") << cfg.name;
+  }
   std::remove(phase::planSidecarPath(path).c_str());
   std::remove(path.c_str());
 }
@@ -202,15 +262,24 @@ TEST(PhaseSampledDeathTest, CorruptMeasuredWindowAborts) {
   std::string err;
   ASSERT_TRUE(loadSamplePlan(phase::planSidecarPath(path), plan, err)) << err;
   // Flip a vaddr byte (stays decodable) inside the FIRST pick's window.
-  const long record =
-      static_cast<long>(plan.picks[0].interval_index * plan.interval_size) +
-      7;
-  std::FILE* f = std::fopen(path.c_str(), "r+b");
-  std::fseek(f, 52 + record * 26 + 9, SEEK_SET);
-  const int orig = std::fgetc(f);
-  std::fseek(f, 52 + record * 26 + 9, SEEK_SET);
-  std::fputc(orig ^ 0xFF, f);
-  std::fclose(f);
+  flipVaddrByte(path, static_cast<long>(plan.picks[0].interval_index *
+                                        plan.interval_size) +
+                          7);
+  EXPECT_DEATH((void)runOne(rc), "record checksum mismatch");
+  std::remove(phase::planSidecarPath(path).c_str());
+  std::remove(path.c_str());
+}
+
+TEST(PhaseSampledDeathTest, CleanReplayDoesNotVouchForALaterCorruptTail) {
+  // Picks at intervals 1 and 3 of six: records [20'000, 30'000) lie past
+  // the last pick's window, so no window decodes them.
+  const std::string path = capture("gcc", "tail.mtrace", 30'000);
+  writePlan(path, 5'000, 1'000, {{1, 15'000}, {3, 15'000}});
+  const RunConfig rc = sampledConfig(path);
+  // A clean sampled replay first, in this process (which the death test's
+  // child inherits): verifying the file once must not vouch for it later.
+  (void)runOne(rc);
+  flipVaddrByte(path, 25'000);
   EXPECT_DEATH((void)runOne(rc), "record checksum mismatch");
   std::remove(phase::planSidecarPath(path).c_str());
   std::remove(path.c_str());

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -476,18 +475,6 @@ TEST(TraceIoV2, RefusesV1Header) {
   EXPECT_NE(rd.error().find("unsupported trace version 1"), std::string::npos)
       << rd.error();
   std::remove(path.c_str());
-}
-
-TEST(LimitedTraceSource, CapsAndResets) {
-  std::vector<InstrRecord> v(5);
-  for (std::size_t i = 0; i < v.size(); ++i) v[i].vaddr = i + 1;
-  LimitedTraceSource src(std::make_unique<VectorTraceSource>(v), 3);
-  EXPECT_EQ(drain(src).size(), 3u);
-  src.reset();
-  InstrRecord r;
-  ASSERT_TRUE(src.next(r));
-  EXPECT_EQ(r.vaddr, 1u);
-  EXPECT_EQ(drain(src).size(), 2u);
 }
 
 TEST(VectorTraceSource, ServesAndResets) {

@@ -157,6 +157,12 @@ TEST(TraceReplayDeathTest, TruncatedTraceAbortsBeforeSimulating) {
 TEST(TraceReplayDeathTest, CappedReplayStillVerifiesChecksum) {
   const std::string path = tmpPath("death_cap.mtrace");
   captureTrace(syntheticConfig("gcc", presetMalec(), 2'000), path);
+  RunConfig replay = syntheticConfig("gcc", presetMalec(), 2'000);
+  replay.workload = traceWorkload(path);
+  replay.instructions = 100;
+  // A clean capped replay first, in this process (which the death test's
+  // child inherits): verifying the file once must not vouch for it later.
+  (void)runOne(replay);
   // Corrupt a record far past the replay cap: the capped run never decodes
   // it, so only the post-run remainder checksum can refuse the file.
   std::FILE* f = std::fopen(path.c_str(), "r+b");
@@ -165,9 +171,6 @@ TEST(TraceReplayDeathTest, CappedReplayStillVerifiesChecksum) {
   std::fseek(f, 52 + 1'900 * 26 + 9, SEEK_SET);
   std::fputc(orig ^ 0xFF, f);  // guaranteed to differ
   std::fclose(f);
-  RunConfig replay = syntheticConfig("gcc", presetMalec(), 2'000);
-  replay.workload = traceWorkload(path);
-  replay.instructions = 100;
   EXPECT_DEATH((void)runOne(replay), "checksum mismatch");
   std::remove(path.c_str());
 }
