@@ -119,7 +119,12 @@ void SecondChancePolicy::loadState(ckpt::StateReader& r) {
   for (std::uint8_t& b : ref_) b = r.u8();
   MALEC_CHECK_MSG(r.u64() == hand_.size(),
                   "second-chance state does not fit this geometry");
-  for (std::uint32_t& h : hand_) h = r.u32();
+  // victim() shifts by a hand and indexes its set's reference bits with it.
+  for (std::uint32_t& h : hand_) {
+    h = r.u32();
+    MALEC_CHECK_MSG(h < ways_,
+                    "second-chance clock hand is not below the way count");
+  }
 }
 
 std::unique_ptr<ReplacementPolicy> makePolicy(ReplacementKind kind,

@@ -1,5 +1,7 @@
 #include "sim/experiment.h"
 
+#include <sched.h>
+
 #include <algorithm>
 #include <atomic>
 #include <cctype>
@@ -21,6 +23,7 @@
 #include "phase/sample_plan.h"
 #include "sim/presets.h"
 #include "sim/structures.h"
+#include "trace/run_ahead.h"
 #include "trace/synth_generator.h"
 #include "trace/trace_io.h"
 
@@ -344,6 +347,8 @@ RunStack::RunStack(const core::InterfaceConfig& cfg,
   front_ = decorator_ ? decorator_.get() : inner_.get();
 }
 
+namespace {
+
 /// A sampled pick fast-forwards to its warm-up, warms up, then measures; a
 /// direct run's one window restores its checkpoint, if any, and measures.
 /// ONE interface (caches, TLB, way tables, WDU) lives across the walk, so
@@ -360,7 +365,15 @@ RunStack::RunStack(const core::InterfaceConfig& cfg,
 /// instructions it measured, a direct run with weight 1 — every counter is
 /// below 2^53, so the fold reproduces it exactly. The fold runs in window
 /// order, so repeated and parallel runs are bit-identical.
-RunOutput runOne(const RunConfig& rc, const InterfaceDecorator& decorate) {
+///
+/// A synthetic stream runs its generator ahead on a helper thread
+/// (trace::RunAheadSource) when `spare_cpu` says the process has a CPU for
+/// it and the run neither writes nor restores a checkpoint: a checkpoint's
+/// `source` section must hold the generator at the core's position, not
+/// blocks ahead of it. The records, and so every output byte, are the same
+/// either way.
+RunOutput runWindows(const RunConfig& rc, const InterfaceDecorator& decorate,
+                     bool spare_cpu) {
   MALEC_CHECK_MSG(rc.ckpt_every == 0 || !rc.ckpt_out.empty(),
                   "ckpt_every has nowhere to write — set ckpt_out too");
   MALEC_CHECK_MSG(rc.ckpt_out.empty() || rc.ckpt_every != 0,
@@ -387,11 +400,19 @@ RunOutput runOne(const RunConfig& rc, const InterfaceDecorator& decorate) {
     }
   }
 
+  ResolvedSource src = makeTraceSource(rc);
+  trace::TraceReader* const rd = src.reader.get();
+  // Started before the stack is built, so the first block is ready sooner;
+  // declared after `src`, so it is destroyed before the generator it reads.
+  std::optional<trace::RunAheadSource> ahead;
+  if (spare_cpu && src.synth != nullptr && rc.ckpt_out.empty() &&
+      rc.start_ckpt.empty())
+    ahead.emplace(*src.synth);
+  trace::TraceSource* const synth =
+      ahead ? static_cast<trace::TraceSource*>(&*ahead) : src.synth.get();
   energy::EnergyAccount ea;
   const RunStack stack(rc.interface_cfg, rc.system, ea, decorate);
   core::MemInterface& ifc = stack.ifc();
-  ResolvedSource src = makeTraceSource(rc);
-  trace::TraceReader* const rd = src.reader.get();
   const std::vector<phase::PlanSegment> windows =
       sampled ? plan.segments()
               : std::vector<phase::PlanSegment>{{0, 0, src.instructions}};
@@ -445,8 +466,7 @@ RunOutput runOne(const RunConfig& rc, const InterfaceDecorator& decorate) {
     std::optional<SegmentSource> seg;
     if (rd != nullptr) seg.emplace(*rd, win.start, win.end);
     cpu::CoreModel core(rc.system, rc.interface_cfg,
-                        seg ? static_cast<trace::TraceSource&>(*seg)
-                            : *src.synth,
+                        seg ? static_cast<trace::TraceSource&>(*seg) : *synth,
                         ifc);
     if (!rc.start_ckpt.empty()) restoreRunState(rc, src, stack, core);
     bool wrote_ckpt = false;
@@ -554,7 +574,17 @@ RunOutput runOne(const RunConfig& rc, const InterfaceDecorator& decorate) {
   return out;
 }
 
-namespace {
+/// CPUs this process may run on: its affinity mask, which `taskset` and
+/// cpusets narrow and std::thread::hardware_concurrency() ignores — the
+/// count `nproc` prints. Never less than 1.
+unsigned allowedCpus() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof set, &set) == 0 && CPU_COUNT(&set) > 0)
+    return static_cast<unsigned>(CPU_COUNT(&set));
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw > 0 ? hw : 1;
+}
 
 /// The RunConfig of one (workload, configuration) grid cell: the default
 /// system with the grid's shared budget and seed.
@@ -572,6 +602,10 @@ RunConfig gridCellConfig(const trace::WorkloadProfile& wl,
 
 }  // namespace
 
+RunOutput runOne(const RunConfig& rc, const InterfaceDecorator& decorate) {
+  return runWindows(rc, decorate, allowedCpus() >= 2);
+}
+
 std::vector<RunOutput> runManyParallel(const std::vector<RunConfig>& rcs,
                                        unsigned jobs) {
   if (jobs == 0) jobs = parallelJobs();
@@ -586,13 +620,15 @@ std::vector<RunOutput> runManyParallel(const std::vector<RunConfig>& rcs,
   // Work-stealing over an atomic index: each run owns its EnergyAccount,
   // trace generator and interface, so no simulator state is shared; the
   // output slot is fixed by the input index, keeping result order (and every
-  // value in it) identical to the serial loop.
+  // value in it) identical to the serial loop. Workers read their
+  // generators inline: a helper beside each worker would compete with the
+  // pool for the CPUs.
   std::atomic<std::size_t> next{0};
   auto worker = [&]() {
     for (;;) {
       const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
       if (i >= rcs.size()) return;
-      outs[i] = runOne(rcs[i]);
+      outs[i] = runWindows(rcs[i], {}, false);
     }
   };
   std::vector<std::thread> pool;
@@ -680,8 +716,7 @@ unsigned parallelJobs(unsigned dflt) {
                   "MALEC_JOBS exceeds the supported worker-count range");
   if (v > 0) return static_cast<unsigned>(v);
   if (dflt > 0) return dflt;
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw > 0 ? hw : 1;
+  return allowedCpus();
 }
 
 }  // namespace malec::sim

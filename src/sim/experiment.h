@@ -106,9 +106,13 @@ class RunStack {
 /// intervals, each primed by a warm-up prefix left out of the counts, and
 /// the output is the weighted phase combination estimating the full
 /// replay. rc.instructions must be 0 in that mode. Either way the output
-/// is bit-identical across repeated and parallel runs. `decorate` puts a
-/// decorator in front of the run's interface (see RunStack): a test seam,
-/// under which a decorator that only forwards moves no number.
+/// is bit-identical across repeated and parallel runs. A synthetic run
+/// may generate its stream on a helper thread when the process has a CPU
+/// to spare (trace::RunAheadSource; the rule is at its use in
+/// experiment.cpp); the records, and so the output, are the same.
+/// `decorate` puts a decorator in front of the run's interface (see
+/// RunStack): a test seam, under which a decorator that only forwards
+/// moves no number.
 [[nodiscard]] RunOutput runOne(const RunConfig& rc,
                                const InterfaceDecorator& decorate = {});
 
@@ -116,7 +120,8 @@ class RunStack {
 /// Every run is fully independent (own EnergyAccount, trace generator and
 /// RNG state seeded from its RunConfig), so outputs are bit-identical to a
 /// serial loop over runOne(); results come back in input order. `jobs` = 0
-/// uses parallelJobs().
+/// uses parallelJobs(). A serial batch (one job or one run) calls runOne;
+/// pool workers read their generators inline, never on a helper thread.
 [[nodiscard]] std::vector<RunOutput> runManyParallel(
     const std::vector<RunConfig>& rcs, unsigned jobs = 0);
 
@@ -142,8 +147,9 @@ std::uint64_t captureTrace(const RunConfig& rc, const std::string& path);
 
 /// Worker-thread count for parallel sweeps, honouring the MALEC_JOBS
 /// environment override (alongside MALEC_INSTR; see instructionBudget).
-/// Defaults to the hardware concurrency, never less than 1. Malformed
-/// values abort, like instructionBudget.
+/// Defaults to the CPUs the process may run on (its affinity mask, the
+/// count `nproc` prints), never less than 1. Malformed values abort, like
+/// instructionBudget.
 [[nodiscard]] unsigned parallelJobs(unsigned dflt = 0);
 
 /// Strict base-10 parse shared by every numeric knob (env vars and CLI

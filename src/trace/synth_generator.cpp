@@ -210,6 +210,10 @@ void SyntheticTraceGenerator::loadState(ckpt::StateReader& r) {
     st.offset = r.u64();
   }
   active_stream_ = r.u32();
+  // nextLoadAddr indexes streams_ with it.
+  MALEC_CHECK_MSG(active_stream_ < streams_.size(),
+                  "generator checkpoint's active stream index is not below "
+                  "its stream count");
   has_last_load_ = r.u8() != 0;
   last_load_line_base_ = r.u64();
   store_stream_.page_index = r.u32();

@@ -24,10 +24,12 @@
 #include "common/check.h"
 #include "cpu/core_model.h"
 #include "energy/energy_account.h"
+#include "mem/replacement.h"
 #include "sim/differential.h"
 #include "sim/experiment.h"
 #include "sim/presets.h"
 #include "sim/registry.h"
+#include "trace/synth_generator.h"
 #include "trace/trace_io.h"
 #include "trace/workloads.h"
 
@@ -412,6 +414,110 @@ TEST(CheckpointDeathTest, BadDependencyListsAreRefused) {
   EXPECT_DEATH(loadCore(miscounted), "dependency count disagrees");
   for (const std::string& p : {good, outside, older, three, miscounted})
     std::remove(p.c_str());
+}
+
+/// A generator `source` section for `wl` naming `active` as its active
+/// stream, with every stream at offset 0 of working-set page 0.
+std::string writeGeneratorSection(const char* name,
+                                  const trace::WorkloadProfile& wl,
+                                  std::uint32_t active) {
+  const std::string path = tmpPath(name);
+  ckpt::StateWriter w;
+  w.beginSection("source");
+  w.u64(0x9E3779B97F4A7C15ull);  // RNG state
+  w.u64(0);                      // emitted
+  w.u64(0);                      // next seq
+  w.u64(wl.streams);
+  for (std::uint32_t s = 0; s < wl.streams; ++s) {
+    w.u32(0);  // page index
+    w.u64(0);  // offset
+  }
+  w.u32(active);
+  w.u8(0);   // no last load
+  w.u64(0);  // last load line
+  w.u32(0);  // store stream page
+  w.u64(0);  // store stream offset
+  w.u8(0);   // no last store
+  w.u64(0);  // last store address
+  w.u32(0);  // instructions since the last load
+  w.endSection();
+  std::string err;
+  EXPECT_TRUE(w.writeTo(path, err)) << err;
+  return path;
+}
+
+/// Restore a fresh generator for `wl` from the source section at `path`,
+/// then draw records from it.
+void loadGeneratorAndDraw(const std::string& path,
+                          const trace::WorkloadProfile& wl) {
+  trace::SyntheticTraceGenerator gen(wl, defaultSystem().layout, 0, 1);
+  ckpt::StateReader r(path);
+  MALEC_CHECK_MSG(r.ok(), r.error().c_str());
+  r.openSection("source");
+  gen.loadState(r);
+  r.endSection();
+  trace::InstrRecord rec;
+  for (int i = 0; i < 10'000; ++i) (void)gen.next(rec);
+}
+
+TEST(CheckpointDeathTest, GeneratorStreamIndexOutOfRangeIsRefused) {
+  const trace::WorkloadProfile wl = trace::workloadByName("gcc");
+  ASSERT_GT(wl.streams, 1u);
+  const std::string last =
+      writeGeneratorSection("gen_last.mckpt", wl, wl.streams - 1);
+  loadGeneratorAndDraw(last, wl);
+  // nextLoadAddr would read and write streams_[active].
+  const std::string past =
+      writeGeneratorSection("gen_past.mckpt", wl, wl.streams);
+  EXPECT_DEATH(loadGeneratorAndDraw(past, wl),
+               "active stream index is not below its stream count");
+  for (const std::string& p : {last, past}) std::remove(p.c_str());
+}
+
+/// A second-chance section for one set of `ways` ways, every reference bit
+/// set, its clock hand at `hand`.
+std::string writeClockSection(const char* name, std::uint32_t ways,
+                              std::uint32_t hand) {
+  const std::string path = tmpPath(name);
+  ckpt::StateWriter w;
+  w.beginSection("policy");
+  w.u64(ways);
+  for (std::uint32_t way = 0; way < ways; ++way) w.u8(1);
+  w.u64(1);  // one set
+  w.u32(hand);
+  w.endSection();
+  std::string err;
+  EXPECT_TRUE(w.writeTo(path, err)) << err;
+  return path;
+}
+
+/// Restore a fresh one-set policy of `ways` ways from the section at
+/// `path`, then evict from it as the uTLB does, every way allowed.
+void loadClockAndEvict(const std::string& path, std::uint32_t ways) {
+  mem::SecondChancePolicy sc(1, ways);
+  ckpt::StateReader r(path);
+  MALEC_CHECK_MSG(r.ok(), r.error().c_str());
+  r.openSection("policy");
+  sc.loadState(r);
+  r.endSection();
+  (void)sc.victim(0, (1ull << ways) - 1);
+}
+
+TEST(CheckpointDeathTest, ClockHandOutOfRangeIsRefused) {
+  const std::uint32_t ways = defaultSystem().utlb_entries;
+  ASSERT_LT(ways, 64u);
+  const std::string last =
+      writeClockSection("hand_last.mckpt", ways, ways - 1);
+  loadClockAndEvict(last, ways);
+  // victim() would shift by the hand and index the set's reference bits
+  // with it: one past the set, and past a 64-bit shift.
+  const std::string past = writeClockSection("hand_past.mckpt", ways, ways);
+  EXPECT_DEATH(loadClockAndEvict(past, ways),
+               "clock hand is not below the way count");
+  const std::string far = writeClockSection("hand_far.mckpt", ways, 67);
+  EXPECT_DEATH(loadClockAndEvict(far, ways),
+               "clock hand is not below the way count");
+  for (const std::string& p : {last, past, far}) std::remove(p.c_str());
 }
 
 TEST(Checkpoint, ResumeIsBitIdenticalUnderRunManyParallel) {

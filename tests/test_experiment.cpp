@@ -1,6 +1,7 @@
 #include "sim/experiment.h"
 
 #include <gtest/gtest.h>
+#include <sched.h>
 
 #include <cstdlib>
 #include <memory>
@@ -238,6 +239,32 @@ TEST(Experiment, ParallelJobsEnvOverride) {
   ::unsetenv("MALEC_JOBS");
   EXPECT_GE(parallelJobs(), 1u);
   EXPECT_EQ(parallelJobs(2), 2u);
+}
+
+// The default worker count is the CPUs the process may run on, as `nproc`
+// counts them, not the host's: pinned to one CPU, a sweep runs one worker.
+TEST(Experiment, ParallelJobsCountsTheAffinityMask) {
+  cpu_set_t mask;
+  CPU_ZERO(&mask);
+  ASSERT_EQ(::sched_getaffinity(0, sizeof mask, &mask), 0);
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  for (int c = 0; c < CPU_SETSIZE; ++c) {
+    if (CPU_ISSET(c, &mask)) {
+      CPU_SET(c, &one);
+      break;
+    }
+  }
+  ::unsetenv("MALEC_JOBS");
+  ASSERT_EQ(::sched_setaffinity(0, sizeof one, &one), 0);
+  const unsigned pinned = parallelJobs();
+  ::setenv("MALEC_JOBS", "3", 1);
+  const unsigned overridden = parallelJobs();
+  ::unsetenv("MALEC_JOBS");
+  ASSERT_EQ(::sched_setaffinity(0, sizeof mask, &mask), 0);
+  EXPECT_EQ(pinned, 1u);
+  EXPECT_EQ(overridden, 3u) << "MALEC_JOBS still overrides the mask";
+  EXPECT_EQ(parallelJobs(), static_cast<unsigned>(CPU_COUNT(&mask)));
 }
 
 TEST(Experiment, EnergyDetailExported) {
