@@ -309,6 +309,15 @@ void StateReader::openSection(const std::string& name) {
   MALEC_CHECK_MSG(false, msg.c_str());
 }
 
+std::optional<binio::SpanReader> StateReader::view(
+    const std::string& name) const {
+  MALEC_CHECK_MSG(ok_, "cannot read sections of a failed checkpoint");
+  for (const Section& s : sections_)
+    if (s.name == name)
+      return binio::SpanReader{payload_.data() + s.offset, s.size};
+  return std::nullopt;
+}
+
 void StateReader::endSection() {
   MALEC_CHECK_MSG(section_open_, "no checkpoint section is open");
   if (cur_ != cur_end_) {

@@ -1,14 +1,15 @@
 // Checkpoint state I/O: the `.mckpt` container every component serializes
-// itself into.
+// itself into, and the container the `.mstore` result store and the
+// `.mplan` sample plan share under their own magic and version.
 //
 // A checkpoint is a full-state snapshot of one running simulation — core,
 // interface, caches, TLBs, way tables, energy counters, RNGs and the trace
 // position — taken at an instruction boundary so a restored run continues
 // bit-identically to the run that never stopped. The byte-level format
 // (header, section table, payload checksum, compatibility rules) is
-// specified in docs/FILE_FORMATS.md; like `.mtrace` and `.mplan` it is
-// strict: magic, version, size-vs-header and checksum mismatches are hard
-// errors at open, never a silently partial restore.
+// specified in docs/FILE_FORMATS.md; like `.mtrace` it is strict: magic,
+// version, size-vs-header and checksum mismatches are hard errors at open,
+// never a silently partial restore.
 //
 // The container is a flat sequence of named sections. StateWriter builds
 // the payload in memory (beginSection/endSection around each component's
@@ -16,12 +17,17 @@
 // StateReader validates the whole file at construction and then serves
 // sections by name; reading past a section's end or leaving a section
 // half-consumed aborts — a save/load order mismatch must fail loudly at
-// the exact field, not desynchronise every field after it.
+// the exact field, not desynchronise every field after it. A format whose
+// every parse failure must come back as a value reads its sections through
+// view() instead, which never aborts on file content.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
+
+#include "common/binio.h"
 
 namespace malec::ckpt {
 
@@ -90,6 +96,13 @@ class StateReader {
   /// Position the cursor at the start of section `name`; aborts when the
   /// section is absent (a checkpoint missing a component IS corruption).
   void openSection(const std::string& name);
+  /// Section `name`'s body as a bounds-checked reader over this reader's
+  /// payload (valid while this StateReader lives), or nullopt when the
+  /// container holds no such section. Nothing about the file's content
+  /// aborts here or in the returned reader: a read past the body's end
+  /// clears its `ok` instead. Independent of openSection's cursor.
+  [[nodiscard]] std::optional<binio::SpanReader> view(
+      const std::string& name) const;
   /// Assert the open section was consumed exactly; aborts otherwise.
   void endSection();
 

@@ -4,8 +4,9 @@
 // 64-byte cache lines, a 32 KByte 4-way set-associative L1 split into four
 // independent banks interleaved on the line address, and 128-bit sub-blocks
 // within a line. AddressLayout turns those parameters into bit-field
-// accessors used by every other module; keeping it runtime-configurable lets
-// the sensitivity benches sweep page size, line size, bank count, etc.
+// accessors used by every other module. It is runtime-configurable because
+// a trace header carries the layout it was captured under and tests vary
+// the geometry (the golden runs' 1 KB L1); no registered spec varies it.
 #pragma once
 
 #include <cstdint>

@@ -57,10 +57,13 @@ class Rng {
   }
 
   /// Raw generator state, for checkpoint/restore: setState(state()) makes
-  /// another Rng continue this one's stream exactly.
+  /// another Rng continue this one's stream exactly. A zero state, which no
+  /// stream reaches, is refused in every build: xorshift64* would stay at 0.
   [[nodiscard]] std::uint64_t state() const { return state_; }
   void setState(std::uint64_t s) {
-    MALEC_DCHECK(s != 0);  // xorshift64* has no zero state
+    MALEC_CHECK_MSG(s != 0,
+                    "RNG state 0 is not a xorshift64* state — the restored "
+                    "checkpoint is corrupt");
     state_ = s;
   }
 

@@ -1,9 +1,10 @@
 #include "phase/sample_plan.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <filesystem>
+#include <optional>
 
+#include "ckpt/state_io.h"
 #include "common/binio.h"
 #include "trace/trace_io.h"
 
@@ -11,26 +12,10 @@ namespace malec::phase {
 
 namespace {
 
-using binio::get32;
-using binio::get64;
-using binio::put32;
-using binio::put64;
-
-constexpr std::size_t kHeaderBytes = 64;
-constexpr std::size_t kEntryBytes = 16;
-/// The checksum covers header bytes [8, 48) — interval size, warmup, trace
-/// record count and checksum, pick count, reserved — and sits at 48.
-constexpr std::size_t kCoveredHeaderAt = 8;
-constexpr std::size_t kChecksumAt = 48;
-
-/// The plan checksum: the covered header fields, then the pick entries.
-std::uint64_t planChecksum(const std::uint8_t* hdr,
-                           const std::vector<std::uint8_t>& entries) {
-  const std::uint64_t h =
-      binio::checksum(binio::kFnvOffset, hdr + kCoveredHeaderAt,
-                      kChecksumAt - kCoveredHeaderAt);
-  return binio::checksum(h, entries.data(), entries.size());
-}
+/// The one section of a `.mplan` container.
+constexpr const char* kPlanSection = "plan";
+/// A pick on disk: its interval index, then its weight.
+constexpr std::size_t kPickBytes = 16;
 
 /// Shared invariant check for save (refuse to write garbage) and load
 /// (refuse to trust it). `err` gets the first violation.
@@ -116,111 +101,59 @@ bool saveSamplePlan(const SamplePlan& plan, const std::string& path,
     err = "refusing to write invalid plan '" + path + "': " + err;
     return false;
   }
-  std::vector<std::uint8_t> entries(plan.picks.size() * kEntryBytes);
-  for (std::size_t i = 0; i < plan.picks.size(); ++i) {
-    put64(entries.data() + i * kEntryBytes, plan.picks[i].interval_index);
-    put64(entries.data() + i * kEntryBytes + 8,
-          plan.picks[i].weight_instructions);
+  ckpt::StateWriter w(kPlanMagic, kPlanVersion);
+  w.beginSection(kPlanSection);
+  w.u64(plan.interval_size);
+  w.u64(plan.warmup_instructions);
+  w.u64(plan.trace_records);
+  w.u64(plan.trace_checksum);
+  w.u64(plan.picks.size());
+  for (const PhasePick& p : plan.picks) {
+    w.u64(p.interval_index);
+    w.u64(p.weight_instructions);
   }
-  std::uint8_t hdr[kHeaderBytes] = {};
-  put32(hdr + 0, kPlanMagic);
-  put32(hdr + 4, kPlanVersion);
-  put64(hdr + 8, plan.interval_size);
-  put64(hdr + 16, plan.warmup_instructions);
-  put64(hdr + 24, plan.trace_records);
-  put64(hdr + 32, plan.trace_checksum);
-  put32(hdr + 40, static_cast<std::uint32_t>(plan.picks.size()));
-  put32(hdr + 44, 0);  // reserved
-  put64(hdr + kChecksumAt, planChecksum(hdr, entries));
-  put64(hdr + 56, 0);  // reserved
-
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    err = "cannot open '" + path + "' for writing";
-    return false;
-  }
-  const bool ok =
-      std::fwrite(hdr, 1, sizeof hdr, f) == sizeof hdr &&
-      std::fwrite(entries.data(), 1, entries.size(), f) == entries.size();
-  if (std::fclose(f) != 0 || !ok) {
-    err = "short write to '" + path + "'";
-    return false;
-  }
-  return true;
+  w.endSection();
+  return w.writeTo(path, err);
 }
 
 bool loadSamplePlan(const std::string& path, SamplePlan& out,
                     std::string& err) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    err = "cannot open '" + path + "'";
+  const ckpt::StateReader rd(path, kPlanMagic, kPlanVersion, "sample-plan");
+  if (!rd.ok()) {
+    err = rd.error();
     return false;
   }
-  std::uint8_t hdr[kHeaderBytes];
-  if (std::fread(hdr, 1, sizeof hdr, f) != sizeof hdr) {
-    std::fclose(f);
-    err = "'" + path + "' is too short to hold a sample-plan header";
+  // Read through view(), not openSection(): a container whose checksum
+  // holds but whose section is missing or misshapen is a bad plan, and a
+  // bad plan comes back as a value.
+  std::optional<binio::SpanReader> body = rd.view(kPlanSection);
+  if (!body) {
+    err = "'" + path + "' holds no '" + kPlanSection + "' section";
     return false;
   }
-  if (get32(hdr + 0) != kPlanMagic) {
-    std::fclose(f);
-    err = "'" + path + "' is not a MALEC sample plan (bad magic)";
-    return false;
-  }
-  const std::uint32_t version = get32(hdr + 4);
-  if (version != kPlanVersion) {
-    std::fclose(f);
-    err = "'" + path + "' has unsupported sample-plan version " +
-          std::to_string(version);
-    return false;
-  }
+  binio::SpanReader& r = *body;
   SamplePlan plan;
-  plan.interval_size = get64(hdr + 8);
-  plan.warmup_instructions = get64(hdr + 16);
-  plan.trace_records = get64(hdr + 24);
-  plan.trace_checksum = get64(hdr + 32);
-  const std::uint32_t picks = get32(hdr + 40);
-
-  // File size must match the header's pick count exactly — a truncated or
-  // appended-to plan is a hard error, like a truncated trace. A flipped
-  // pick count fails here, before the checksum is reached.
-  std::error_code ec;
-  const std::uintmax_t file_size = std::filesystem::file_size(path, ec);
-  if (ec) {
-    std::fclose(f);
-    err = "cannot stat '" + path + "': " + ec.message();
+  plan.interval_size = r.u64();
+  plan.warmup_instructions = r.u64();
+  plan.trace_records = r.u64();
+  plan.trace_checksum = r.u64();
+  const std::uint64_t picks = r.u64();
+  // Bound the count before it sizes the pick vector.
+  if (!r.ok || picks > (r.n - r.at) / kPickBytes) {
+    err = "'" + path + "': its " + std::to_string(r.n) +
+          "-byte plan section is too short for the plan fields and " +
+          std::to_string(picks) + " picks";
     return false;
   }
-  const std::uint64_t expect =
-      kHeaderBytes + static_cast<std::uint64_t>(picks) * kEntryBytes;
-  if (static_cast<std::uint64_t>(file_size) != expect) {
-    std::fclose(f);
-    err = "'" + path + "' is truncated or corrupt: header promises " +
-          std::to_string(picks) + " picks (" + std::to_string(expect) +
-          " bytes) but the file holds " + std::to_string(file_size) +
-          " bytes";
-    return false;
+  plan.picks.resize(static_cast<std::size_t>(picks));
+  for (PhasePick& p : plan.picks) {
+    p.interval_index = r.u64();
+    p.weight_instructions = r.u64();
   }
-
-  std::vector<std::uint8_t> entries(static_cast<std::size_t>(picks) *
-                                    kEntryBytes);
-  const bool read_ok =
-      std::fread(entries.data(), 1, entries.size(), f) == entries.size();
-  std::fclose(f);
-  if (!read_ok) {
-    err = "short read from '" + path + "'";
+  if (r.at != r.n) {
+    err = "'" + path + "': " + std::to_string(r.n - r.at) +
+          " bytes follow the last pick of its plan section";
     return false;
-  }
-  if (planChecksum(hdr, entries) != get64(hdr + kChecksumAt)) {
-    err = "'" + path +
-          "': plan checksum mismatch — the header or picks are corrupt";
-    return false;
-  }
-  plan.picks.resize(picks);
-  for (std::uint32_t i = 0; i < picks; ++i) {
-    plan.picks[i].interval_index = get64(entries.data() + i * kEntryBytes);
-    plan.picks[i].weight_instructions =
-        get64(entries.data() + i * kEntryBytes + 8);
   }
   if (!validate(plan, err)) {
     err = "'" + path + "': " + err;

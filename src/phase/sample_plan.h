@@ -3,12 +3,13 @@
 // writes a plan as a `.mplan` sidecar next to the trace) and the sampled
 // replay mode of sim::runOne.
 //
-// On-disk `.mplan` format: see docs/FILE_FORMATS.md for the byte-level
-// specification. Like `.mtrace` it is strict and versioned: magic + version,
-// a checksum over the plan's header fields and its picks, an entry count
-// validated against the file size at open, and the source trace's record
-// count + checksum so a plan can never be applied to a different (or
-// modified) trace than the one it was computed from.
+// On-disk `.mplan` format: a StateIO container (ckpt::StateWriter /
+// StateReader, the `.mckpt` and `.mstore` framing) under its own magic and
+// version, holding one `plan` section; docs/FILE_FORMATS.md specifies the
+// bytes. The container brings the magic, version, size and payload checksum
+// checks and the atomic temp + rename write. The section carries the source
+// trace's record count + checksum, so a plan can never be applied to a
+// different (or modified) trace than the one it was computed from.
 #pragma once
 
 #include <cstdint>
@@ -19,7 +20,7 @@ namespace malec::phase {
 
 /// Magic bytes + version identifying a MALEC sample-plan file ("MPLN").
 inline constexpr std::uint32_t kPlanMagic = 0x4D504C4E;
-inline constexpr std::uint32_t kPlanVersion = 2;
+inline constexpr std::uint32_t kPlanVersion = 3;
 
 /// One selected phase: the representative interval and the instruction
 /// weight of the whole cluster it stands for.
@@ -72,16 +73,18 @@ struct SamplePlan {
   [[nodiscard]] std::uint64_t simulatedInstructions() const;
 };
 
-/// Write `plan` to `path`. Returns false with a message in `err` on I/O
-/// failure or an invariant violation (never writes an invalid plan).
+/// Write `plan` to `path` atomically (temp + rename). Returns false with a
+/// message in `err` on I/O failure or an invariant violation (never writes
+/// an invalid plan).
 bool saveSamplePlan(const SamplePlan& plan, const std::string& path,
                     std::string& err);
 
 /// Read and fully validate a `.mplan` file. Returns false with a message in
-/// `err` for anything malformed: bad magic/version, a file size that
-/// disagrees with the pick count, a checksum mismatch (any changed header
-/// field or pick), unsorted or out-of-range picks, weights that do not sum
-/// to the trace record count.
+/// `err` for anything malformed, and never aborts on file content: the
+/// container's own refusals (bad magic/version, a size that disagrees with
+/// the header, a checksum mismatch), a missing `plan` section, a pick count
+/// the section cannot hold, bytes after the last pick, unsorted or
+/// out-of-range picks, weights that do not sum to the trace record count.
 bool loadSamplePlan(const std::string& path, SamplePlan& out,
                     std::string& err);
 
@@ -91,9 +94,9 @@ bool loadSamplePlan(const std::string& path, SamplePlan& out,
 
 /// Load the plan at `plan_path` and check that it binds to the trace at
 /// `trace_path` — its record count and record checksum. THE binding
-/// decision: the sampled replay, the trace-directory scan, suite validation
-/// and the phase_sampled suite's skip gate all call this, so no gate can
-/// admit what the replay rejects.
+/// decision: the run layer's one plan check (sim::sampledPlan), the
+/// trace-directory scan and the no-usable-plan diagnostic all call this,
+/// so no gate can admit what the replay rejects.
 /// Returns false with the reason in `err` (unreadable plan, unreadable
 /// trace, or a plan computed from a different trace).
 bool loadBoundPlan(const std::string& plan_path,

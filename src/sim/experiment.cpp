@@ -22,6 +22,7 @@
 #include "energy/energy_account.h"
 #include "phase/sample_plan.h"
 #include "sim/presets.h"
+#include "sim/registry.h"
 #include "sim/structures.h"
 #include "trace/run_ahead.h"
 #include "trace/synth_generator.h"
@@ -391,13 +392,7 @@ RunOutput runWindows(const RunConfig& rc, const InterfaceDecorator& decorate,
                     "--instr 0 / MALEC_INSTR unset");
     MALEC_CHECK_MSG(rc.ckpt_out.empty() && rc.start_ckpt.empty(),
                     "sampled replay does not compose with ckpt_out/start_ckpt");
-    std::string err;
-    if (!phase::loadBoundPlan(rc.workload.sample_plan_path,
-                              rc.workload.trace_path, plan, err)) {
-      err += " — write a plan with `trace_tools phases " +
-             rc.workload.trace_path + "`";
-      MALEC_CHECK_MSG(false, err.c_str());
-    }
+    plan = sampledPlan(rc.workload);
   }
 
   ResolvedSource src = makeTraceSource(rc);

@@ -27,19 +27,6 @@ std::string traceStem(const std::string& path) {
          s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
 }
 
-/// The naming/sidecar convention of sampledWorkload alone — no plan load.
-/// Only for the directory scan, whose loadBoundPlan call already decided.
-trace::WorkloadProfile sampledWorkloadUnchecked(
-    const trace::WorkloadProfile& wl, const std::string& plan_path) {
-  MALEC_CHECK_MSG(wl.isTrace(),
-                  "sampledWorkload() needs a trace-backed workload");
-  trace::WorkloadProfile out = wl;
-  out.sample_plan_path =
-      plan_path.empty() ? phase::planSidecarPath(wl.trace_path) : plan_path;
-  out.name = wl.name + kSampledSuffix;
-  return out;
-}
-
 /// One trace-replay workload per *.mtrace in `dir`, sorted by filename so
 /// the registration (and table-row) order is stable across platforms. A
 /// trace with a VALID `.mplan` sidecar additionally registers its
@@ -67,7 +54,7 @@ void registerTraceDir(Registry<trace::WorkloadProfile>& reg,
     std::string err;
     if (!phase::loadBoundPlan(phase::planSidecarPath(p), p, plan, err))
       continue;
-    const auto sampled = sampledWorkloadUnchecked(wl, "");
+    const auto sampled = sampledWorkload(wl);
     reg.add(sampled.name, sampled);
   }
 }
@@ -106,16 +93,26 @@ trace::WorkloadProfile traceWorkload(const std::string& path) {
 
 trace::WorkloadProfile sampledWorkload(const trace::WorkloadProfile& wl,
                                        const std::string& plan_path) {
-  trace::WorkloadProfile out = sampledWorkloadUnchecked(wl, plan_path);
+  MALEC_CHECK_MSG(wl.isTrace(),
+                  "sampledWorkload() needs a trace-backed workload");
+  trace::WorkloadProfile out = wl;
+  out.sample_plan_path =
+      plan_path.empty() ? phase::planSidecarPath(wl.trace_path) : plan_path;
+  out.name = wl.name + kSampledSuffix;
+  (void)sampledPlan(out);
+  return out;
+}
+
+phase::SamplePlan sampledPlan(const trace::WorkloadProfile& wl) {
+  MALEC_CHECK_MSG(wl.isTrace() && wl.isSampled(),
+                  "sampledPlan() needs a sampled trace workload");
   phase::SamplePlan plan;
   std::string err;
-  if (!phase::loadSamplePlan(out.sample_plan_path, plan, err)) {
-    const std::string msg =
-        err + " — write a plan with `trace_tools phases " + wl.trace_path +
-        "`";
-    MALEC_CHECK_MSG(false, msg.c_str());
+  if (!phase::loadBoundPlan(wl.sample_plan_path, wl.trace_path, plan, err)) {
+    err += " — write a plan with `trace_tools phases " + wl.trace_path + "`";
+    MALEC_CHECK_MSG(false, err.c_str());
   }
-  return out;
+  return plan;
 }
 
 std::string fullReplayName(const std::string& name) {
@@ -147,8 +144,8 @@ trace::WorkloadProfile resolveWorkload(const std::string& name) {
       auto wl =
           traceWorkload(base_name.substr(std::string(kTraceScheme).size()));
       wl.name = base_name;  // keep the user-supplied path form (see below)
-      // sampledWorkload validates the plan sidecar up front — a missing
-      // plan aborts here with the `trace_tools phases` hint — and appends
+      // sampledWorkload loads and binds the plan sidecar up front — a
+      // missing plan aborts here, with sampledPlan's hint — and appends
       // ":sampled", restoring exactly the name that was asked for.
       return sampledWorkload(wl);
     }
@@ -160,19 +157,6 @@ trace::WorkloadProfile resolveWorkload(const std::string& name) {
     return wl;
   }
   return reg.get(name);  // aborts with the registry inventory
-}
-
-void validateSampledWorkload(const trace::WorkloadProfile& wl) {
-  MALEC_CHECK_MSG(wl.isTrace() && wl.isSampled(),
-                  "validateSampledWorkload() needs a sampled trace workload");
-  phase::SamplePlan plan;
-  std::string err;
-  if (!phase::loadBoundPlan(wl.sample_plan_path, wl.trace_path, plan, err)) {
-    const std::string msg =
-        err + " — write a plan with `trace_tools phases " + wl.trace_path +
-        "`";
-    MALEC_CHECK_MSG(false, msg.c_str());
-  }
 }
 
 Registry<PresetFn>& presetRegistry() {

@@ -13,6 +13,7 @@
 
 #include "common/check.h"
 #include "core/interface_config.h"
+#include "phase/sample_plan.h"
 #include "trace/workload_profile.h"
 
 namespace malec::sim {
@@ -89,17 +90,9 @@ using PresetFn = std::function<core::InterfaceConfig()>;
 /// Resolve a workload name: registry hit first; otherwise a "trace:<path>"
 /// name is treated as a trace file path and built on the fly — with an
 /// optional ":sampled" suffix selecting phase-sampled replay through the
-/// trace's `.mplan` sidecar (validated up front, `trace_tools phases` hint
-/// on a missing plan); anything else aborts with the registry inventory.
+/// trace's `.mplan` sidecar (loaded up front by sampledWorkload); anything
+/// else aborts with the registry inventory.
 [[nodiscard]] trace::WorkloadProfile resolveWorkload(const std::string& name);
-
-/// Up-front probing for an already-built sampled workload — the sampled
-/// counterpart of the header validation traceWorkload() performs: loads
-/// the plan and checks it binds to the trace, aborting (with a
-/// `trace_tools phases` hint) BEFORE any simulation starts. Suite
-/// materialization calls this for every sampled profile so a bad sidecar
-/// can never abort a sweep after other rows already ran.
-void validateSampledWorkload(const trace::WorkloadProfile& wl);
 
 /// Register every *.mtrace in `dir` (sorted by filename) as a trace-replay
 /// workload — the MALEC_TRACE_DIR scan, callable directly for additional
@@ -110,12 +103,22 @@ void registerTraceWorkloadsFrom(const std::string& dir);
 /// Phase-sampled variant of a trace workload: a copy of `wl` with
 /// sample_plan_path attached (empty `plan_path` = the conventional .mplan
 /// sidecar next to the trace, see phase::planSidecarPath) and the name
-/// suffixed ":sampled". The plan file is loaded and validated up front so a
-/// missing or corrupt plan aborts here — with a `trace_tools phases` hint —
-/// rather than deep inside a sweep. This helper owns the sidecar/naming
-/// convention — never hand-build sampled profiles elsewhere.
+/// suffixed ":sampled". The plan is loaded through sampledPlan() up front,
+/// so a missing, corrupt or foreign plan aborts here rather than deep
+/// inside a sweep. This helper owns the sidecar/naming convention — never
+/// hand-build sampled profiles elsewhere.
 [[nodiscard]] trace::WorkloadProfile sampledWorkload(
     const trace::WorkloadProfile& wl, const std::string& plan_path = "");
+
+/// The plan a sampled trace workload replays: its sample_plan_path loaded
+/// and bound to its trace by phase::loadBoundPlan. Aborts, with a hint to
+/// write the plan with `trace_tools phases`, when the plan is missing,
+/// corrupt or computed from another trace. The run layer loads plans only
+/// through here: sampledWorkload, suite materialization (before any
+/// simulation starts), runOne's window walk and phase_sampled's cost row.
+/// The trace-directory scan and the no-usable-plan diagnostic, which must
+/// not abort, ask phase::loadBoundPlan itself.
+[[nodiscard]] phase::SamplePlan sampledPlan(const trace::WorkloadProfile& wl);
 
 /// The name of the full replay a sampled workload name estimates
 /// ("trace:gcc:sampled" -> "trace:gcc"); empty when `name` selects no

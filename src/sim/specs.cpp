@@ -789,14 +789,10 @@ ExperimentSpec specPhaseSampled() {
     // Every replay here streams the whole capture, and a sampled estimate
     // reports the capture's record count too.
     const auto records = static_cast<double>(ctx.results[w][0].instructions);
-    double simulated = records;
-    if (wl.isSampled()) {
-      phase::SamplePlan plan;
-      std::string err;
-      if (!phase::loadSamplePlan(wl.sample_plan_path, plan, err))
-        MALEC_CHECK_MSG(false, err.c_str());
-      simulated = static_cast<double>(plan.simulatedInstructions());
-    }
+    const double simulated =
+        wl.isSampled()
+            ? static_cast<double>(sampledPlan(wl).simulatedInstructions())
+            : records;
     return std::vector<double>{records, simulated, records / simulated};
   };
   tc.precision = 2;

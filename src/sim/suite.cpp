@@ -153,11 +153,11 @@ std::vector<trace::WorkloadProfile> resolveWorkloads(
     }
     trace::WorkloadProfile wl = resolveWorkload(name);
     // Sampled workloads carry a plan path that would otherwise only be
-    // opened mid-sweep — validate it now (the sampled counterpart of the
+    // opened mid-sweep — load it now (the sampled counterpart of the
     // trace-header probing traceWorkload does), so a missing, corrupt or
     // stale sidecar fails before ANY simulation starts instead of after
     // other rows already ran.
-    if (wl.isSampled()) validateSampledWorkload(wl);
+    if (wl.isSampled()) (void)sampledPlan(wl);
     wls.push_back(std::move(wl));
   }
   return wls;

@@ -418,13 +418,13 @@ TEST(CheckpointDeathTest, BadDependencyListsAreRefused) {
 
 /// A generator `source` section for `wl` naming `active` as its active
 /// stream, with every stream at offset 0 of working-set page 0.
-std::string writeGeneratorSection(const char* name,
-                                  const trace::WorkloadProfile& wl,
-                                  std::uint32_t active) {
+std::string writeGeneratorSection(
+    const char* name, const trace::WorkloadProfile& wl, std::uint32_t active,
+    std::uint64_t rng_state = 0x9E3779B97F4A7C15ull) {
   const std::string path = tmpPath(name);
   ckpt::StateWriter w;
   w.beginSection("source");
-  w.u64(0x9E3779B97F4A7C15ull);  // RNG state
+  w.u64(rng_state);
   w.u64(0);                      // emitted
   w.u64(0);                      // next seq
   w.u64(wl.streams);
@@ -472,6 +472,19 @@ TEST(CheckpointDeathTest, GeneratorStreamIndexOutOfRangeIsRefused) {
   EXPECT_DEATH(loadGeneratorAndDraw(past, wl),
                "active stream index is not below its stream count");
   for (const std::string& p : {last, past}) std::remove(p.c_str());
+}
+
+// No xorshift64* stream reaches state 0, and a generator restored at 0
+// would stay there, drawing the same value forever. The refusal must hold
+// in optimised builds too, where a debug-only check compiles out.
+TEST(CheckpointDeathTest, ZeroRngStateIsRefused) {
+  const trace::WorkloadProfile wl = trace::workloadByName("gcc");
+  const std::string one = writeGeneratorSection("gen_rng_one.mckpt", wl, 0, 1);
+  loadGeneratorAndDraw(one, wl);
+  const std::string zero =
+      writeGeneratorSection("gen_rng_zero.mckpt", wl, 0, 0);
+  EXPECT_DEATH(loadGeneratorAndDraw(zero, wl), "RNG state 0");
+  for (const std::string& p : {one, zero}) std::remove(p.c_str());
 }
 
 /// A second-chance section for one set of `ways` ways, every reference bit

@@ -289,7 +289,7 @@ std::vector<Format> formats() {
   Format pl;
   pl.name = "sample plan";
   pl.file = "flip.mplan";
-  pl.previous_version = 1;
+  pl.previous_version = 2;
   pl.version_noun = "sample-plan";
   pl.write = [](const std::string& path) {
     phase::SamplePlan p;
@@ -301,9 +301,7 @@ std::vector<Format> formats() {
     std::string err;
     ASSERT_TRUE(phase::saveSamplePlan(p, path, err)) << err;
   };
-  pl.covered = [](const Bytes& b) {
-    return Ranges{{8, 48}, {64, b.size()}};
-  };
+  pl.covered = statePayload;
   pl.read = [](const std::string& path) -> std::string {
     phase::SamplePlan p;
     std::string err;

@@ -323,9 +323,9 @@ TEST(PhaseSampledDeathTest, CorruptPlanAborts) {
       captureWithPlan("gcc", "corrupt_run.mtrace", 10'000, 2'000, 2, 500);
   const std::string plan_path = phase::planSidecarPath(path);
   std::FILE* f = std::fopen(plan_path.c_str(), "r+b");
-  std::fseek(f, 64 + 2, SEEK_SET);  // inside the first pick entry
+  std::fseek(f, -2, SEEK_END);  // inside the last pick's weight
   const int orig = std::fgetc(f);
-  std::fseek(f, 64 + 2, SEEK_SET);
+  std::fseek(f, -2, SEEK_END);
   std::fputc(orig ^ 0xFF, f);
   std::fclose(f);
   EXPECT_DEATH((void)sampledWorkload(traceWorkload(path)),

@@ -1,19 +1,43 @@
 // .mplan sample-plan format: save/load round trips and the strict
-// validation the docs promise — truncation, corruption, bad magic/version
-// and invariant violations must all fail loudly, never load quietly.
+// validation the docs promise — truncation, corruption, bad magic/version,
+// misshapen containers and invariant violations must all fail loudly as a
+// value, never load quietly and never abort.
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
+#include "ckpt/state_io.h"
 #include "phase/sample_plan.h"
+#include "sim/experiment.h"
+#include "sim/presets.h"
+#include "sim/registry.h"
+#include "trace/trace_io.h"
+#include "trace/workloads.h"
 
 namespace malec::phase {
 namespace {
 
 std::string tmpPath(const char* name) {
   return std::string(::testing::TempDir()) + name;
+}
+
+std::vector<char> slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::vector<char>(std::istreambuf_iterator<char>(in),
+                           std::istreambuf_iterator<char>());
+}
+
+void spit(const std::string& path, const std::vector<char>& bytes,
+          std::size_t n) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr) << path;
+  std::fwrite(bytes.data(), 1, n, f);
+  std::fclose(f);
 }
 
 SamplePlan validPlan() {
@@ -137,26 +161,18 @@ TEST(SamplePlan, LoadRejectsTruncation) {
   const std::string path = tmpPath("trunc.mplan");
   std::string err;
   ASSERT_TRUE(saveSamplePlan(validPlan(), path, err)) << err;
+  const std::vector<char> bytes = slurp(path);
 
-  // Chop one byte off the end: the size-vs-pick-count check must trip.
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  std::vector<char> bytes(64 + 3 * 16);
-  EXPECT_EQ(std::fread(bytes.data(), 1, bytes.size(), f), bytes.size());
-  std::fclose(f);
-  f = std::fopen(path.c_str(), "wb");
-  std::fwrite(bytes.data(), 1, bytes.size() - 1, f);
-  std::fclose(f);
-
+  // Chop one byte off the end: the container's size check must trip.
+  spit(path, bytes, bytes.size() - 1);
   SamplePlan out;
   EXPECT_FALSE(loadSamplePlan(path, out, err));
-  EXPECT_NE(err.find("truncated"), std::string::npos);
+  EXPECT_NE(err.find("truncated"), std::string::npos) << err;
 
   // Truncation inside the header is its own message.
-  f = std::fopen(path.c_str(), "wb");
-  std::fwrite(bytes.data(), 1, 10, f);
-  std::fclose(f);
+  spit(path, bytes, 10);
   EXPECT_FALSE(loadSamplePlan(path, out, err));
-  EXPECT_NE(err.find("too short"), std::string::npos);
+  EXPECT_NE(err.find("too short"), std::string::npos) << err;
   std::remove(path.c_str());
 }
 
@@ -165,48 +181,106 @@ TEST(SamplePlan, LoadRejectsCorruptPayload) {
   std::string err;
   ASSERT_TRUE(saveSamplePlan(validPlan(), path, err)) << err;
 
-  // Flip a byte inside the first pick entry: checksum must catch it.
-  std::FILE* f = std::fopen(path.c_str(), "r+b");
-  std::fseek(f, 64 + 3, SEEK_SET);
-  const int orig = std::fgetc(f);
-  std::fseek(f, 64 + 3, SEEK_SET);
-  std::fputc(orig ^ 0xFF, f);
-  std::fclose(f);
+  // Flip a byte inside the first of the three picks, the file's last 48
+  // bytes: the checksum must catch it.
+  std::vector<char> bytes = slurp(path);
+  const std::size_t at = bytes.size() - 3 * 16 + 3;
+  bytes[at] = static_cast<char>(bytes[at] ^ 0xFF);
+  spit(path, bytes, bytes.size());
 
   SamplePlan out;
   EXPECT_FALSE(loadSamplePlan(path, out, err));
-  EXPECT_NE(err.find("checksum mismatch"), std::string::npos);
+  EXPECT_NE(err.find("checksum mismatch"), std::string::npos) << err;
   std::remove(path.c_str());
 }
 
-// The checksum covers the header's plan fields (bytes 8 to 47: interval
-// size, warmup, trace record count and checksum, pick count, reserved), not
-// just the picks: a flipped warmup or interval would otherwise change every
-// sampled estimate without a word, and a flipped trace checksum would be
-// blamed on the wrong trace. A flipped pick count (bytes 40 to 43) no longer
-// matches the file size, which the loader checks first.
-TEST(SamplePlan, HeaderCorruptionIsRefused) {
-  const std::string path = tmpPath("header.mplan");
+/// A `.mplan` container whose checksum holds but whose body may not: its
+/// one section is named `section`, its pick count reads `count` and `tail`
+/// zero bytes follow its one pick.
+struct Crafted {
+  const char* name;
+  const char* section;
+  std::uint64_t count;
+  std::size_t tail;
+  const char* expect;  ///< in loadSamplePlan's message; "" = loads
+};
+
+const Crafted kCrafted[] = {
+    {"well_formed", "plan", 1, 0, ""},
+    {"no_plan_section", "picks", 1, 0, "no 'plan' section"},
+    {"count_past_end", "plan", 2, 0, "too short for the plan fields and 2"},
+    {"huge_count", "plan", 1ull << 60, 0, "too short"},
+    {"bytes_after_picks", "plan", 1, 3, "3 bytes follow the last pick"},
+};
+
+/// Write `c` to `path` as a one-pick plan that covers a trace of `records`
+/// records with the given checksum in one interval.
+void writeCrafted(const Crafted& c, const std::string& path,
+                  std::uint64_t records, std::uint64_t trace_checksum) {
+  ckpt::StateWriter w(kPlanMagic, kPlanVersion);
+  w.beginSection(c.section);
+  w.u64(records);  // interval size
+  w.u64(0);        // warmup
+  w.u64(records);
+  w.u64(trace_checksum);
+  w.u64(c.count);
+  w.u64(0);        // the pick: interval 0...
+  w.u64(records);  // ...weighted by every record
+  for (std::size_t i = 0; i < c.tail; ++i) w.u8(0);
+  w.endSection();
   std::string err;
-  ASSERT_TRUE(saveSamplePlan(validPlan(), path, err)) << err;
-  std::vector<char> clean(64 + 3 * 16);
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  ASSERT_EQ(std::fread(clean.data(), 1, clean.size(), f), clean.size());
-  std::fclose(f);
-  for (std::size_t i = 8; i < 48; ++i) {
-    std::vector<char> bad = clean;
-    bad[i] = static_cast<char>(bad[i] ^ (1 << (i % 8)));
-    f = std::fopen(path.c_str(), "wb");
-    std::fwrite(bad.data(), 1, bad.size(), f);
-    std::fclose(f);
+  ASSERT_TRUE(w.writeTo(path, err)) << err;
+}
+
+TEST(SamplePlan, MisshapenContainersAreRefusedAsValues) {
+  for (const Crafted& c : kCrafted) {
+    SCOPED_TRACE(c.name);
+    const std::string path = tmpPath("crafted.mplan");
+    writeCrafted(c, path, 1'000, 0x1234);
     SamplePlan out;
-    EXPECT_FALSE(loadSamplePlan(path, out, err)) << "byte " << i;
-    const char* expect = i >= 40 && i < 44 ? "is truncated or corrupt"
-                                           : "checksum mismatch";
-    EXPECT_NE(err.find(expect), std::string::npos)
-        << "byte " << i << ": " << err;
+    std::string err;
+    const bool loaded = loadSamplePlan(path, out, err);
+    EXPECT_EQ(loaded, c.expect[0] == '\0') << err;
+    if (!loaded) {
+      EXPECT_NE(err.find(c.expect), std::string::npos) << err;
+      EXPECT_NE(err.find(path), std::string::npos) << err;
+    }
+    std::remove(path.c_str());
   }
-  std::remove(path.c_str());
+}
+
+// The MALEC_TRACE_DIR scan asks the same loader, so a misshapen sidecar
+// skips the capture's sampled variant; it never aborts the scan.
+TEST(SamplePlan, TraceDirScanSkipsMisshapenPlans) {
+  namespace fs = std::filesystem;
+  const fs::path dir = tmpPath("crafted_scan");
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  sim::RunConfig rc;
+  rc.workload = trace::workloadByName("gcc");
+  rc.interface_cfg = sim::presetMalec();
+  rc.system = sim::defaultSystem();
+  rc.instructions = 1'000;
+  const std::string first = (dir / "first.mtrace").string();
+  sim::captureTrace(rc, first);
+  const trace::TraceReader rd(first);
+  ASSERT_TRUE(rd.ok()) << rd.error();
+  for (const Crafted& c : kCrafted) {
+    const std::string stem = (dir / (std::string("cr_") + c.name)).string();
+    fs::copy_file(first, stem + ".mtrace");
+    writeCrafted(c, stem + ".mplan", rd.total(), rd.expectedChecksum());
+  }
+  fs::remove(first);
+
+  sim::registerTraceWorkloadsFrom(dir.string());
+  const auto& reg = sim::workloadRegistry();
+  for (const Crafted& c : kCrafted) {
+    SCOPED_TRACE(c.name);
+    const std::string name = std::string("trace:cr_") + c.name;
+    EXPECT_NE(reg.tryGet(name), nullptr);
+    EXPECT_EQ(reg.tryGet(name + ":sampled") != nullptr, c.expect[0] == '\0');
+  }
+  fs::remove_all(dir);
 }
 
 TEST(SamplePlan, LoadRejectsUnsupportedVersion) {
