@@ -137,14 +137,16 @@ struct SpanReader {
     std::memcpy(&v, &bits, sizeof v);
     return v;
   }
-  /// A u32 length, then that many bytes, viewed in place.
-  std::string_view strView() {
-    const std::uint32_t len = u32();
+  /// The next `len` bytes, viewed in place.
+  std::string_view bytes(std::uint64_t len) {
     if (!ok || n - at < len) { ok = false; return {}; }
-    const std::string_view s(reinterpret_cast<const char*>(p + at), len);
-    at += len;
+    const std::string_view s(reinterpret_cast<const char*>(p + at),
+                             static_cast<std::size_t>(len));
+    at += static_cast<std::size_t>(len);
     return s;
   }
+  /// A u32 length, then that many bytes, viewed in place.
+  std::string_view strView() { return bytes(u32()); }
   std::string str() { return std::string(strView()); }
   /// Every byte not read yet.
   std::vector<std::uint8_t> rest() {

@@ -14,7 +14,9 @@
 #include <thread>
 
 #include <cmath>
+#include <condition_variable>
 #include <iterator>
+#include <mutex>
 
 #include "ckpt/state_io.h"
 #include "common/binio.h"
@@ -25,6 +27,7 @@
 #include "sim/registry.h"
 #include "sim/structures.h"
 #include "trace/run_ahead.h"
+#include "trace/stream_tape.h"
 #include "trace/synth_generator.h"
 #include "trace/trace_io.h"
 
@@ -32,11 +35,18 @@ namespace malec::sim {
 
 namespace {
 
+/// The generator of `rc`'s synthetic stream. A run, its row's tape and a
+/// capture all draw the stream from here, so all three hold the same
+/// records.
+trace::SyntheticTraceGenerator generatorFor(const RunConfig& rc) {
+  return {rc.workload, rc.system.layout, rc.instructions, rc.seed};
+}
+
 /// The trace source behind a run: a synthetic generator for profile
-/// workloads or a reader over a capture, the concrete objects the
-/// checkpoint layer saves and restores. `instructions` is the stream's
-/// length: the generator's budget, or the capture's record count under the
-/// instruction cap.
+/// workloads (none when the run reads its row's tape) or a reader over a
+/// capture, the concrete objects the checkpoint layer saves and restores.
+/// `instructions` is the stream's length: the generator's budget, or the
+/// capture's record count under the instruction cap.
 struct ResolvedSource {
   std::unique_ptr<trace::TraceReader> reader;
   std::unique_ptr<trace::SyntheticTraceGenerator> synth;
@@ -63,11 +73,12 @@ void checkReplayLayout(const trace::TraceReader& rd, const RunConfig& rc) {
   }
 }
 
-ResolvedSource makeTraceSource(const RunConfig& rc) {
+ResolvedSource makeTraceSource(const RunConfig& rc, bool taped) {
   ResolvedSource rs;
   if (!rc.workload.isTrace()) {
-    rs.synth = std::make_unique<trace::SyntheticTraceGenerator>(
-        rc.workload, rc.system.layout, rc.instructions, rc.seed);
+    if (!taped)
+      rs.synth =
+          std::make_unique<trace::SyntheticTraceGenerator>(generatorFor(rc));
     rs.instructions = rc.instructions;
     return rs;
   }
@@ -367,14 +378,20 @@ namespace {
 /// below 2^53, so the fold reproduces it exactly. The fold runs in window
 /// order, so repeated and parallel runs are bit-identical.
 ///
-/// A synthetic stream runs its generator ahead on a helper thread
-/// (trace::RunAheadSource) when `spare_cpu` says the process has a CPU for
-/// it and the run neither writes nor restores a checkpoint: a checkpoint's
-/// `source` section must hold the generator at the core's position, not
-/// blocks ahead of it. The records, and so every output byte, are the same
-/// either way.
+/// A synthetic stream reads `tape` when one is given: its row's stream,
+/// recorded once from the same generator (a pool's grid row; see
+/// runMatrixParallel). Otherwise it runs its generator ahead on a helper
+/// thread (trace::RunAheadSource) when `spare_cpu` says the process has a
+/// CPU for it and the run neither writes nor restores a checkpoint: a
+/// checkpoint's `source` section must hold the generator at the core's
+/// position, not blocks ahead of it. The records, and so every output
+/// byte, are the same every way.
 RunOutput runWindows(const RunConfig& rc, const InterfaceDecorator& decorate,
-                     bool spare_cpu) {
+                     bool spare_cpu, const trace::StreamTape* tape = nullptr) {
+  MALEC_CHECK_MSG(tape == nullptr || (!rc.workload.isTrace() &&
+                                      rc.ckpt_out.empty() &&
+                                      rc.start_ckpt.empty()),
+                  "a tape feeds only a synthetic run without checkpoints");
   MALEC_CHECK_MSG(rc.ckpt_every == 0 || !rc.ckpt_out.empty(),
                   "ckpt_every has nowhere to write — set ckpt_out too");
   MALEC_CHECK_MSG(rc.ckpt_out.empty() || rc.ckpt_every != 0,
@@ -395,16 +412,20 @@ RunOutput runWindows(const RunConfig& rc, const InterfaceDecorator& decorate,
     plan = sampledPlan(rc.workload);
   }
 
-  ResolvedSource src = makeTraceSource(rc);
+  ResolvedSource src = makeTraceSource(rc, tape != nullptr);
   trace::TraceReader* const rd = src.reader.get();
-  // Started before the stack is built, so the first block is ready sooner;
-  // declared after `src`, so it is destroyed before the generator it reads.
+  // A synthetic window reads the row's tape, the generator run ahead, or
+  // the generator itself. The run-ahead source is started before the stack
+  // is built, so the first block is ready sooner, and declared after `src`,
+  // so it is destroyed before the generator it reads.
+  std::optional<trace::TapeReader> taped;
   std::optional<trace::RunAheadSource> ahead;
-  if (spare_cpu && src.synth != nullptr && rc.ckpt_out.empty() &&
-      rc.start_ckpt.empty())
-    ahead.emplace(*src.synth);
-  trace::TraceSource* const synth =
-      ahead ? static_cast<trace::TraceSource*>(&*ahead) : src.synth.get();
+  trace::TraceSource* synth = src.synth.get();
+  if (tape != nullptr)
+    synth = &taped.emplace(*tape);
+  else if (spare_cpu && src.synth != nullptr && rc.ckpt_out.empty() &&
+           rc.start_ckpt.empty())
+    synth = &ahead.emplace(*src.synth);
   energy::EnergyAccount ea;
   const RunStack stack(rc.interface_cfg, rc.system, ea, decorate);
   core::MemInterface& ifc = stack.ifc();
@@ -581,6 +602,70 @@ unsigned allowedCpus() {
   return hw > 0 ? hw : 1;
 }
 
+/// The one worker loop of every pool: min(jobs, count) threads take task
+/// indices 0, 1, 2, ... in order from one atomic counter until all `count`
+/// are taken, and `task(i)` runs task i.
+template <typename Task>
+void runPool(std::size_t count, unsigned jobs, const Task& task) {
+  std::atomic<std::size_t> next{0};
+  auto worker = [&]() {
+    for (;;) {
+      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= count) return;
+      task(i);
+    }
+  };
+  std::vector<std::thread> pool;
+  const unsigned n_threads =
+      static_cast<unsigned>(std::min<std::size_t>(jobs, count));
+  pool.reserve(n_threads);
+  for (unsigned t = 0; t < n_threads; ++t) pool.emplace_back(worker);
+  for (std::thread& th : pool) th.join();
+}
+
+/// The tapes of a pooled grid's synthetic rows. A row's cell in column 0
+/// records the row's stream once; the row's other cells wait until it is
+/// recorded and read it too; the row's last cell to finish frees it. The
+/// grid dispatches column 0 of a row before any other of its cells, and a
+/// recording waits on nothing, so every wait ends.
+class RowTapes {
+ public:
+  RowTapes(std::size_t rows, std::size_t cols)
+      : tapes_(rows), left_(rows, cols) {}
+
+  /// The tape cell (row, col) reads; `rc` is the cell's configuration.
+  const trace::StreamTape& open(std::size_t row, std::size_t col,
+                                const RunConfig& rc) {
+    if (col == 0) {
+      trace::SyntheticTraceGenerator gen = generatorFor(rc);
+      auto tape = std::make_unique<trace::StreamTape>(gen);
+      const trace::StreamTape& t = *tape;
+      {
+        const std::lock_guard<std::mutex> lk(mu_);
+        tapes_[row] = std::move(tape);
+      }
+      recorded_.notify_all();
+      return t;
+    }
+    std::unique_lock<std::mutex> lk(mu_);
+    recorded_.wait(lk, [&] { return tapes_[row] != nullptr; });
+    return *tapes_[row];
+  }
+
+  /// One of the row's cells is done reading its tape.
+  void close(std::size_t row) {
+    std::unique_ptr<trace::StreamTape> last;  // freed outside the lock
+    const std::lock_guard<std::mutex> lk(mu_);
+    if (--left_[row] == 0) last = std::move(tapes_[row]);
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable recorded_;
+  std::vector<std::unique_ptr<trace::StreamTape>> tapes_;
+  std::vector<std::size_t> left_;  ///< cells of each row still to close
+};
+
 /// The RunConfig of one (workload, configuration) grid cell: the default
 /// system with the grid's shared budget and seed.
 RunConfig gridCellConfig(const trace::WorkloadProfile& wl,
@@ -612,26 +697,13 @@ std::vector<RunOutput> runManyParallel(const std::vector<RunConfig>& rcs,
     return outs;
   }
 
-  // Work-stealing over an atomic index: each run owns its EnergyAccount,
-  // trace generator and interface, so no simulator state is shared; the
-  // output slot is fixed by the input index, keeping result order (and every
-  // value in it) identical to the serial loop. Workers read their
-  // generators inline: a helper beside each worker would compete with the
-  // pool for the CPUs.
-  std::atomic<std::size_t> next{0};
-  auto worker = [&]() {
-    for (;;) {
-      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= rcs.size()) return;
-      outs[i] = runWindows(rcs[i], {}, false);
-    }
-  };
-  std::vector<std::thread> pool;
-  const unsigned n_threads =
-      static_cast<unsigned>(std::min<std::size_t>(jobs, rcs.size()));
-  pool.reserve(n_threads);
-  for (unsigned t = 0; t < n_threads; ++t) pool.emplace_back(worker);
-  for (std::thread& th : pool) th.join();
+  // Each run owns its EnergyAccount, trace generator and interface, so no
+  // simulator state is shared; the output slot is fixed by the input index,
+  // keeping result order (and every value in it) identical to the serial
+  // loop. Workers read their generators inline: a helper beside each worker
+  // would compete with the pool for the CPUs.
+  runPool(rcs.size(), jobs,
+          [&](std::size_t i) { outs[i] = runWindows(rcs[i], {}, false); });
   return outs;
 }
 
@@ -639,17 +711,48 @@ std::vector<std::vector<RunOutput>> runMatrixParallel(
     const std::vector<trace::WorkloadProfile>& wls,
     const std::vector<core::InterfaceConfig>& cfgs,
     std::uint64_t instructions, std::uint64_t seed, unsigned jobs) {
+  if (jobs == 0) jobs = parallelJobs();
+  const std::size_t rows = wls.size();
+  const std::size_t cols = cfgs.size();
   std::vector<RunConfig> rcs;
-  rcs.reserve(wls.size() * cfgs.size());
+  rcs.reserve(rows * cols);
   for (const auto& wl : wls)
     for (const auto& cfg : cfgs)
       rcs.push_back(gridCellConfig(wl, cfg, instructions, seed));
-  const auto flat = runManyParallel(rcs, jobs);
-  std::vector<std::vector<RunOutput>> by_wl(wls.size());
-  for (std::size_t w = 0; w < wls.size(); ++w)
-    by_wl[w].assign(flat.begin() + static_cast<std::ptrdiff_t>(w * cfgs.size()),
-                    flat.begin() +
-                        static_cast<std::ptrdiff_t>((w + 1) * cfgs.size()));
+  std::vector<RunOutput> flat;
+  if (jobs <= 1 || rcs.size() <= 1) {
+    flat = runManyParallel(rcs, jobs);
+  } else {
+    // A synthetic row of several configurations generates its stream once,
+    // onto a tape all its cells read (RowTapes); a budget of 0 is an
+    // unbounded stream, which no tape can hold. Cells go column-major
+    // within blocks of `jobs` rows: a block's first `jobs` cells record
+    // its rows' tapes side by side, and at most about two blocks' tapes
+    // are alive at once.
+    std::vector<std::size_t> order;
+    order.reserve(rcs.size());
+    for (std::size_t b = 0; b < rows; b += jobs)
+      for (std::size_t c = 0; c < cols; ++c)
+        for (std::size_t w = b; w < std::min<std::size_t>(b + jobs, rows); ++w)
+          order.push_back(w * cols + c);
+    RowTapes tapes(rows, cols);
+    flat.resize(rcs.size());
+    runPool(order.size(), jobs, [&](std::size_t k) {
+      const std::size_t cell = order[k];
+      const std::size_t w = cell / cols;
+      if (cols < 2 || instructions == 0 || wls[w].isTrace()) {
+        flat[cell] = runWindows(rcs[cell], {}, false);
+        return;
+      }
+      const trace::StreamTape& tape = tapes.open(w, cell % cols, rcs[cell]);
+      flat[cell] = runWindows(rcs[cell], {}, false, &tape);
+      tapes.close(w);
+    });
+  }
+  std::vector<std::vector<RunOutput>> by_wl(rows);
+  for (std::size_t w = 0; w < rows; ++w)
+    by_wl[w].assign(flat.begin() + static_cast<std::ptrdiff_t>(w * cols),
+                    flat.begin() + static_cast<std::ptrdiff_t>((w + 1) * cols));
   return by_wl;
 }
 
@@ -657,8 +760,7 @@ std::uint64_t captureTrace(const RunConfig& rc, const std::string& path) {
   MALEC_CHECK_MSG(!rc.workload.isTrace(),
                   "captureTrace() needs a synthetic workload, not a trace "
                   "replay — copy the file instead");
-  trace::SyntheticTraceGenerator gen(rc.workload, rc.system.layout,
-                                     rc.instructions, rc.seed);
+  trace::SyntheticTraceGenerator gen = generatorFor(rc);
   trace::TraceWriter w(path, rc.system.layout);
   if (!w.ok()) MALEC_CHECK_MSG(false, w.error().c_str());
   trace::InstrRecord r;

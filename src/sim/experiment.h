@@ -109,7 +109,8 @@ class RunStack {
 /// is bit-identical across repeated and parallel runs. A synthetic run
 /// may generate its stream on a helper thread when the process has a CPU
 /// to spare (trace::RunAheadSource; the rule is at its use in
-/// experiment.cpp); the records, and so the output, are the same.
+/// experiment.cpp), and a pooled grid row reads it from a tape; the
+/// records, and so the output, are the same.
 /// `decorate` puts a decorator in front of the run's interface (see
 /// RunStack): a test seam, under which a decorator that only forwards
 /// moves no number.
@@ -128,7 +129,11 @@ class RunStack {
 /// Full (workload x configuration) cross product as ONE parallel batch —
 /// the whole pool stays busy instead of being capped at one row's config
 /// count. Result is indexed [workload][config]; `jobs` = 1 runs the cells
-/// serially in that order, 0 uses parallelJobs().
+/// serially in that order through runOne, 0 uses parallelJobs(). On a
+/// pool, a synthetic row of two or more configurations with a nonzero
+/// budget generates its stream once: the row's first cell records it
+/// onto a trace::StreamTape, which every cell of the row reads through
+/// its own cursor, so each cell equals its runOne bit for bit.
 [[nodiscard]] std::vector<std::vector<RunOutput>> runMatrixParallel(
     const std::vector<trace::WorkloadProfile>& wls,
     const std::vector<core::InterfaceConfig>& cfgs,

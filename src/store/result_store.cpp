@@ -1,6 +1,10 @@
 #include "store/result_store.h"
 
+#include <optional>
+#include <string_view>
+
 #include "ckpt/state_io.h"
+#include "common/binio.h"
 #include "common/check.h"
 #include "sweep/result_codec.h"
 
@@ -9,25 +13,42 @@ namespace malec::store {
 bool ResultStore::load(const std::string& path, std::string& err) {
   segments_.clear();
   runs_.clear();
-  ckpt::StateReader r(path, kStoreMagic, kStoreVersion, "result store");
-  if (!r.ok()) {
-    err = r.error();
+  ckpt::StateReader rd(path, kStoreMagic, kStoreVersion, "result store");
+  if (!rd.ok()) {
+    err = rd.error();
+    return false;
+  }
+  // Read through view(), not openSection(): a container whose checksum
+  // holds but whose sections are missing or misshapen is a bad store, and
+  // a bad store comes back as a value.
+  std::optional<binio::SpanReader> meta = rd.view("store_meta");
+  std::optional<binio::SpanReader> body = rd.view("segments");
+  if (!meta || !body) {
+    err = "'" + path + "' holds no '" + (meta ? "segments" : "store_meta") +
+          "' section";
+    return false;
+  }
+  const std::uint32_t segment_count = meta->u32();
+  const std::uint64_t run_count = meta->u64();
+  if (!meta->ok || meta->at != meta->n) {
+    err = "'" + path + "': its store_meta section holds " +
+          std::to_string(meta->n) + " bytes, not 12 — the store is corrupt";
     return false;
   }
 
-  r.openSection("store_meta");
-  const std::uint32_t segment_count = r.u32();
-  const std::uint64_t run_count = r.u64();
-  r.endSection();
-
-  r.openSection("segments");
+  binio::SpanReader& r = *body;
   for (std::uint32_t s = 0; s < segment_count; ++s) {
     StoreSegment seg;
-    seg.suite = r.str();
+    seg.suite = std::string(r.bytes(r.u64()));
     seg.fingerprint = r.u64();
     seg.instructions = r.u64();
     seg.seed = r.u64();
     seg.run_count = r.u32();
+    if (!r.ok) {
+      err = "'" + path + "': the segments section ends inside segment " +
+            std::to_string(s) + "'s header — the store is corrupt";
+      return false;
+    }
     for (const StoreSegment& prev : segments_) {
       if (prev.fingerprint == seg.fingerprint) {
         err = "'" + path + "': duplicate segment fingerprint " +
@@ -40,8 +61,15 @@ bool ResultStore::load(const std::string& path, std::string& err) {
       run.segment = s;
       run.seed = seg.seed;
       run.instructions = seg.instructions;
-      run.blob.resize(r.count(1));
-      r.bytes(run.blob.data(), run.blob.size());
+      const std::uint64_t len = r.u64();
+      const std::string_view blob = r.bytes(len);
+      if (!r.ok) {
+        err = "'" + path + "': run " + std::to_string(runs_.size()) +
+              "'s blob of " + std::to_string(len) +
+              " bytes overruns the segments section — the store is corrupt";
+        return false;
+      }
+      run.blob.assign(blob.begin(), blob.end());
       // The blob is the record: the query columns are read out of it. The
       // walk checks the whole blob, but its energy entries stay in the
       // blob.
@@ -64,7 +92,11 @@ bool ResultStore::load(const std::string& path, std::string& err) {
     }
     segments_.push_back(std::move(seg));
   }
-  r.endSection();
+  if (r.at != r.n) {
+    err = "'" + path + "': " + std::to_string(r.n - r.at) +
+          " bytes follow the last segment — the store is corrupt";
+    return false;
+  }
   if (runs_.size() != run_count) {
     err = "'" + path + "': store_meta promises " + std::to_string(run_count) +
           " runs but the segments hold " + std::to_string(runs_.size()) +

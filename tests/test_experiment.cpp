@@ -3,12 +3,16 @@
 #include <gtest/gtest.h>
 #include <sched.h>
 
+#include <cstdio>
 #include <cstdlib>
+#include <initializer_list>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "sim/differential.h"
 #include "sim/presets.h"
+#include "sim/registry.h"
 #include "trace/workloads.h"
 
 namespace malec::sim {
@@ -216,6 +220,76 @@ TEST(Experiment, ParallelMatchesSerialBitForBit) {
               parallel[i].energy_detail.toTable())
         << i;
   }
+}
+
+/// Every cell of the grid, at each job count, must equal the cell's own
+/// runOne field for field. A pool (jobs > 1) reads each synthetic row of
+/// several configurations from one tape recorded by the row's first cell,
+/// where the serial batch and runOne generate every cell's stream.
+void expectGridEqualsRunOne(const std::vector<trace::WorkloadProfile>& wls,
+                            const std::vector<core::InterfaceConfig>& cfgs,
+                            std::uint64_t instrs,
+                            std::initializer_list<unsigned> jobs) {
+  std::vector<std::vector<RunOutput>> ref(wls.size());
+  for (std::size_t w = 0; w < wls.size(); ++w) {
+    for (const core::InterfaceConfig& cfg : cfgs) {
+      RunConfig rc;
+      rc.workload = wls[w];
+      rc.interface_cfg = cfg;
+      rc.system = defaultSystem();
+      rc.instructions = instrs;
+      rc.seed = 1;
+      ref[w].push_back(runOne(rc));
+    }
+  }
+  for (const unsigned j : jobs) {
+    const auto grid = runMatrixParallel(wls, cfgs, instrs, 1, j);
+    ASSERT_EQ(grid.size(), wls.size()) << "jobs " << j;
+    for (std::size_t w = 0; w < wls.size(); ++w) {
+      ASSERT_EQ(grid[w].size(), cfgs.size()) << "jobs " << j;
+      for (std::size_t c = 0; c < cfgs.size(); ++c)
+        EXPECT_EQ(diffOutputs(ref[w][c], grid[w][c]), "")
+            << "jobs " << j << ": " << wls[w].name << " on " << cfgs[c].name;
+    }
+  }
+}
+
+// Five rows, a count no job count here divides, so the last block of rows
+// is a partial one.
+TEST(Experiment, GridOfSyntheticRowsEqualsRunOneAtEveryJobCount) {
+  std::vector<trace::WorkloadProfile> wls;
+  for (const char* bench : {"gcc", "mcf", "djpeg", "swim", "gap"})
+    wls.push_back(trace::workloadByName(bench));
+  expectGridEqualsRunOne(
+      wls, {presetBase1ldst(), presetBase2ld1st(), presetMalec()}, 8'000,
+      {1, 2, 4});
+}
+
+// Two rows of five configurations on four workers: the first four cells
+// dispatched are both rows' recorders and one more cell of each row,
+// which start at once and must wait for their row's recording to finish.
+TEST(Experiment, GridCellsWaitForTheirRowsRecording) {
+  const std::vector<trace::WorkloadProfile> wls = {
+      trace::workloadByName("mpeg2dec"), trace::workloadByName("art")};
+  for (int round = 0; round < 3; ++round)
+    expectGridEqualsRunOne(wls, fig4Configs(), 30'000, {4});
+}
+
+// A capture's row reads its file in every cell, between synthetic rows
+// that read their tapes.
+TEST(Experiment, GridWithATraceRowBetweenSyntheticRows) {
+  constexpr std::uint64_t kInstrs = 8'000;
+  const std::string path =
+      std::string(::testing::TempDir()) + "grid_gcc.mtrace";
+  ASSERT_EQ(captureTrace(quickRun("gcc", presetMalec(), kInstrs), path),
+            kInstrs);
+  const std::vector<trace::WorkloadProfile> wls = {
+      trace::workloadByName("mcf"), traceWorkload(path),
+      trace::workloadByName("djpeg")};
+  expectGridEqualsRunOne(
+      wls, {presetBase1ldst(), presetBase2ld1st(), presetMalec()}, kInstrs,
+      {1, 2, 4});
+  std::remove(path.c_str());
 }
 
 TEST(Experiment, RunManyParallelKeepsInputOrder) {

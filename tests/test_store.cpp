@@ -1,7 +1,8 @@
 // The `.mstore` result store contract (docs/FILE_FORMATS.md): format
 // round trip, the strict rejection matrix (bad magic, version skew,
-// truncation, mid-file corruption, duplicate fingerprints, index/blob
-// disagreement), the RunOutput blob codec, the query engine's
+// truncation, mid-file corruption, missing or misshapen sections,
+// duplicate fingerprints, index/blob disagreement), each refused as a
+// value, not an abort, the RunOutput blob codec, the query engine's
 // select/filter/sort/group-geomean semantics, exotic workload names
 // surviving the StoreSink round trip, and — through the real malec_bench
 // binary — a `--sink store` run that `malec_bench query` answers over.
@@ -18,8 +19,10 @@
 #include <fstream>
 #include <iterator>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "ckpt/state_io.h"
 #include "common/binio.h"
 #include "sim/differential.h"
 #include "sim/presets.h"
@@ -247,6 +250,16 @@ TEST(StoreDeathTest, EmptySegmentAborts) {
   EXPECT_DEATH(rs.appendSegment(seg, {}), "empty store segment");
 }
 
+/// Runs malec_bench with `args`; returns its exit code (or -1 on a signal)
+/// and leaves stdout in `out_path`, stderr in `out_path`.err.
+int runBench(const std::string& args, const std::string& out_path) {
+  const std::string cmd = std::string(MALEC_BENCH_PATH) + " " + args + " > " +
+                          out_path + " 2> " + out_path + ".err";
+  const int rc = std::system(cmd.c_str());
+  if (WIFEXITED(rc)) return WEXITSTATUS(rc);
+  return -1;
+}
+
 /// Write `bytes` to `path` with the payload checksum recomputed, so only
 /// the store's own load checks can reject a patched field.
 void writeWithChecksum(const std::string& path, std::string bytes) {
@@ -280,9 +293,10 @@ ResultStore oneRunStore(const std::string& path) {
 }
 
 // A one-run store whose blob length is patched to 2^60, checksum
-// recomputed so only the count bound can catch it: load() fails with a
-// message naming the file instead of an uncaught std::bad_alloc.
-TEST(StoreDeathTest, HugeBlobLengthAbortsWithMessage) {
+// recomputed so only the bound on the section can catch it: load()
+// returns false with a message naming the file, neither allocating the
+// length nor aborting.
+TEST(StoreLoad, HugeBlobLengthIsRefused) {
   const std::string path = tmpPath("hugeblob.mstore");
   const ResultStore one = oneRunStore(path);
   std::string bytes = slurp(path);
@@ -294,9 +308,81 @@ TEST(StoreDeathTest, HugeBlobLengthAbortsWithMessage) {
 
   ResultStore rs;
   std::string err;
-  EXPECT_DEATH((void)rs.load(path, err),
-               "hugeblob.mstore': a count of 1152921504606846976 elements "
-               "overruns");
+  EXPECT_FALSE(rs.load(path, err));
+  EXPECT_NE(err.find("hugeblob.mstore': run 0's blob of 1152921504606846976 "
+                     "bytes overruns"),
+            std::string::npos)
+      << err;
+  std::remove(path.c_str());
+}
+
+/// Writes a `.mstore` container whose checksum holds around `sections`
+/// (name, body), whatever the bodies hold.
+void writeContainer(
+    const std::string& path,
+    const std::vector<std::pair<std::string, std::string>>& sections) {
+  ckpt::StateWriter w(kStoreMagic, kStoreVersion);
+  for (const auto& [name, body] : sections) {
+    w.beginSection(name);
+    w.bytes(reinterpret_cast<const std::uint8_t*>(body.data()), body.size());
+    w.endSection();
+  }
+  std::string err;
+  ASSERT_TRUE(w.writeTo(path, err)) << err;
+}
+
+/// A store_meta body: the segment count, then the run count.
+std::string metaBody(std::uint32_t segments, std::uint64_t runs) {
+  std::string b(12, '\0');
+  binio::put32(reinterpret_cast<std::uint8_t*>(b.data()), segments);
+  binio::put64(reinterpret_cast<std::uint8_t*>(b.data()) + 4, runs);
+  return b;
+}
+
+// A 49-byte container whose one section is named `other`: a store with
+// neither of its sections. load() returns false, and `malec_bench query`
+// exits 1 with the message instead of aborting.
+TEST(StoreLoad, ContainerWithoutStoreSectionsIsRefused) {
+  const std::string path = tmpPath("foreign.mstore");
+  writeContainer(path, {{"other", ""}});
+  ASSERT_EQ(slurp(path).size(), 49u);
+
+  ResultStore rs;
+  std::string err;
+  EXPECT_FALSE(rs.load(path, err));
+  EXPECT_NE(err.find("foreign.mstore' holds no 'store_meta' section"),
+            std::string::npos)
+      << err;
+  const std::string out = tmpPath("foreign_query.txt");
+  EXPECT_EQ(runBench("query --store " + path, out), 1);
+  EXPECT_NE(slurp(out + ".err").find("holds no 'store_meta' section"),
+            std::string::npos)
+      << slurp(out + ".err");
+  std::remove(path.c_str());
+}
+
+// Sections that are present but misshapen come back as errors too.
+TEST(StoreLoad, MisshapenSectionsAreRefused) {
+  const std::string path = tmpPath("misshapen.mstore");
+  const struct {
+    std::vector<std::pair<std::string, std::string>> sections;
+    const char* error;
+  } cases[] = {
+      {{{"store_meta", metaBody(0, 0)}}, "holds no 'segments' section"},
+      {{{"store_meta", std::string(4, '\0')}, {"segments", ""}},
+       "its store_meta section holds 4 bytes, not 12"},
+      {{{"store_meta", metaBody(1, 0)}, {"segments", ""}},
+       "the segments section ends inside segment 0's header"},
+      {{{"store_meta", metaBody(0, 0)}, {"segments", "abc"}},
+       "3 bytes follow the last segment"},
+  };
+  for (const auto& c : cases) {
+    writeContainer(path, c.sections);
+    ResultStore rs;
+    std::string err;
+    EXPECT_FALSE(rs.load(path, err)) << c.error;
+    EXPECT_NE(err.find(c.error), std::string::npos) << err;
+  }
   std::remove(path.c_str());
 }
 
@@ -729,16 +815,6 @@ TEST(Query, JsonEscapesExoticNamesAndTypesNumbers) {
 }
 
 // --- subprocess: the real malec_bench binary --------------------------------
-
-/// Runs malec_bench with `args`; returns its exit code (or -1 on a signal)
-/// and leaves stdout in `out_path`, stderr in `out_path`.err.
-int runBench(const std::string& args, const std::string& out_path) {
-  const std::string cmd = std::string(MALEC_BENCH_PATH) + " " + args + " > " +
-                          out_path + " 2> " + out_path + ".err";
-  const int rc = std::system(cmd.c_str());
-  if (WIFEXITED(rc)) return WEXITSTATUS(rc);
-  return -1;
-}
 
 const char* kGrid = "--suite fig4a --filter gcc --instr 2000 --seed 1";
 
